@@ -99,8 +99,7 @@ let custom_config (c : custom) =
     cache_lines = c.c_cache_lines;
     opt = c.c_opt;
     (* Each injection run starts from a pristine machine; the bounded
-       check workloads fit comfortably in 1M words (8 MiB), an 8x
-       saving over the benchmark default. *)
+       check workloads fit comfortably in 1M words. *)
     pmem_words = 1 lsl 20 }
 
 (* Run the durable setup phase on a pristine machine.  The event hook

@@ -4,6 +4,15 @@ type addr = int
 
 let words_per_line = 8
 
+(* The persistence domain is paged.  A page is 512 words (4 KiB, 64
+   lines) and holds both its persisted words and the dirty-line slots
+   of its 64 lines, so a read is two array indexings with no hashing
+   and no allocation. *)
+let line_shift = 3
+let page_shift = 9
+let page_words = 1 lsl page_shift
+let lines_per_page = page_words / words_per_line
+
 type counters = {
   mutable loads : int;
   mutable stores : int;
@@ -19,30 +28,49 @@ type event =
   | Ev_fence
   | Ev_evict of addr
 
-(* A dirty line knows its own number and its slot in [dirty_index],
-   so index maintenance on the write-back path touches no hashtable at
-   all — only the vector. *)
-type line = { lineno : int; words : int64 array; mutable slot : int }
+(* A dirty line knows its own number, its page and its slot in
+   [dirty_index], so the write-back path touches no table at all. *)
+type line = {
+  lineno : int;
+  words : int64 array;
+  page : page;
+  mutable slot : int;
+}
+
+and page = {
+  persisted : int64 array;  (* [page_words] words *)
+  lines : line array;  (* [lines_per_page] slots, [clean] unless dirty *)
+}
+
+(* The sentinel filling every clean slot.  It is never in a dirty
+   index, so nothing writes through it. *)
+let rec clean = { lineno = -1; words = [||]; page = no_page; slot = -1 }
+and no_page = { persisted = [||]; lines = [||] }
+
+(* Every page table entry starts here, shared by all memories: reads
+   see zeros, and the first write to a page gives it a private copy
+   ([writable]).  Nothing ever writes into it. *)
+let zero_page =
+  { persisted = Array.make page_words 0L; lines = Array.make lines_per_page clean }
 
 type t = {
-  nvm : int64 array;  (* the persistence domain *)
-  overlay : (int, line) Hashtbl.t;  (* dirty lines: line -> 8 words *)
-  dirty_index : line Vec.t;  (* the overlay's values, in insertion order *)
+  size : int;
+  pages : page array;
+  touched : page Vec.t;  (* the pages [writable] materialised *)
+  dirty_index : line Vec.t;  (* the dirty lines, in insertion order *)
   cache_lines : int;
   rng : Rng.t;
   counters : counters;
   mutable pending : int;
-  mutable hwm : int;  (* one past the highest word ever written to nvm *)
   mutable event_hook : (event -> unit) option;
 }
 
 let create ?(cache_lines = 1024) ~rng size =
   if size <= 0 then invalid_arg "Pmem.create: size must be positive";
   {
-    nvm = Array.make size 0L;
-    (* Pre-size past the eviction threshold so the overlay never
-       rehashes mid-run (bounded to keep tiny memories cheap). *)
-    overlay = Hashtbl.create (Stdlib.min (2 * cache_lines) 65536);
+    size;
+    pages = Array.make ((size + page_words - 1) lsr page_shift) zero_page;
+    touched = Vec.create ();
     dirty_index = Vec.create ();
     cache_lines;
     rng;
@@ -50,11 +78,10 @@ let create ?(cache_lines = 1024) ~rng size =
       { loads = 0; stores = 0; clwbs = 0; writebacks = 0; fences = 0;
         evictions = 0 };
     pending = 0;
-    hwm = 0;
     event_hook = None;
   }
 
-let size t = Array.length t.nvm
+let size t = t.size
 let counters t = t.counters
 
 let set_event_hook t f = t.event_hook <- f
@@ -66,23 +93,41 @@ let set_event_hook t f = t.event_hook <- f
 let emit t ev = match t.event_hook with Some f -> f ev | None -> ()
 
 let check t addr =
-  if addr < 0 || addr >= Array.length t.nvm then
+  if addr < 0 || addr >= t.size then
     invalid_arg (Printf.sprintf "Pmem: address %d out of bounds" addr)
 
-let line_of addr = addr / words_per_line
-let offset_of addr = addr mod words_per_line
+let page_of t addr = t.pages.(addr lsr page_shift)
+let word_in_page addr = addr land (page_words - 1)
+let slot_in_page addr = (addr lsr line_shift) land (lines_per_page - 1)
+let offset_of addr = addr land (words_per_line - 1)
+let line_base (l : line) = l.lineno lsl line_shift
+
+(* The page holding [addr], materialised on its first write. *)
+let writable t addr =
+  let p = page_of t addr in
+  if p != zero_page then p
+  else begin
+    let p =
+      { persisted = Array.make page_words 0L;
+        lines = Array.make lines_per_page clean }
+    in
+    t.pages.(addr lsr page_shift) <- p;
+    Vec.push t.touched p;
+    p
+  end
 
 let load t addr =
   check t addr;
   t.counters.loads <- t.counters.loads + 1;
-  match Hashtbl.find_opt t.overlay (line_of addr) with
-  | Some l -> l.words.(offset_of addr)
-  | None -> t.nvm.(addr)
+  let p = page_of t addr in
+  let l = p.lines.(slot_in_page addr) in
+  if l == clean then p.persisted.(word_in_page addr)
+  else l.words.(offset_of addr)
 
-(* The dirty-line index mirrors the overlay's key set in a flat vector
-   so a uniformly random dirty line is one [Rng.int] away; removal
-   swaps the last slot in (order inside the vector is irrelevant — the
-   victim choice is random anyway). *)
+(* The dirty-line index lists the dirty lines in a flat vector so a
+   uniformly random one is one [Rng.int] away; removal swaps the last
+   slot in (order inside the vector is irrelevant — the victim choice
+   is random anyway). *)
 let index_add t (l : line) =
   l.slot <- Vec.length t.dirty_index;
   Vec.push t.dirty_index l
@@ -94,18 +139,15 @@ let index_remove t (l : line) =
     last.slot <- l.slot
   end
 
-(* Copy a dirty line's words into the persistence domain. *)
-let persist_words t (l : line) =
-  let base = l.lineno * words_per_line in
-  let limit = Stdlib.min words_per_line (Array.length t.nvm - base) in
-  Array.blit l.words 0 t.nvm base limit;
-  if base + limit > t.hwm then t.hwm <- base + limit
+(* Copy a dirty line's words into the persistence domain and mark the
+   line clean in its (already materialised) page. *)
+let persist_words (l : line) =
+  let base = line_base l in
+  Array.blit l.words 0 l.page.persisted (word_in_page base) words_per_line;
+  l.page.lines.(slot_in_page base) <- clean
 
-(* Copy a dirty line into the persistence domain and drop it from the
-   overlay. *)
 let write_back t (l : line) =
-  persist_words t l;
-  Hashtbl.remove t.overlay l.lineno;
+  persist_words l;
   index_remove t l
 
 let evict_random t =
@@ -114,25 +156,26 @@ let evict_random t =
   let n = Vec.length t.dirty_index in
   if n > 0 then begin
     let l = Vec.get t.dirty_index (Rng.int t.rng n) in
-    emit t (Ev_evict (l.lineno * words_per_line));
+    emit t (Ev_evict (line_base l));
     write_back t l;
     t.counters.evictions <- t.counters.evictions + 1
   end
 
 let dirty_line t addr =
-  let line = line_of addr in
-  match Hashtbl.find_opt t.overlay line with
-  | Some l -> l.words
-  | None ->
-      if Hashtbl.length t.overlay >= t.cache_lines then evict_random t;
-      let base = line * words_per_line in
-      let words = Array.make words_per_line 0L in
-      let limit = Stdlib.min words_per_line (Array.length t.nvm - base) in
-      Array.blit t.nvm base words 0 limit;
-      let l = { lineno = line; words; slot = 0 } in
-      Hashtbl.add t.overlay line l;
-      index_add t l;
-      words
+  let l = (page_of t addr).lines.(slot_in_page addr) in
+  if l != clean then l.words
+  else begin
+    if Vec.length t.dirty_index >= t.cache_lines then evict_random t;
+    let p = writable t addr in
+    let lineno = addr lsr line_shift in
+    let words =
+      Array.sub p.persisted (word_in_page (lineno lsl line_shift)) words_per_line
+    in
+    let l = { lineno; words; page = p; slot = 0 } in
+    p.lines.(slot_in_page addr) <- l;
+    index_add t l;
+    words
+  end
 
 let store t addr v =
   check t addr;
@@ -143,23 +186,23 @@ let store t addr v =
 
 let poke t addr v =
   check t addr;
-  t.nvm.(addr) <- v;
-  if addr + 1 > t.hwm then t.hwm <- addr + 1;
-  match Hashtbl.find_opt t.overlay (line_of addr) with
-  | Some l -> l.words.(offset_of addr) <- v
-  | None -> ()
+  let p = writable t addr in
+  p.persisted.(word_in_page addr) <- v;
+  let l = p.lines.(slot_in_page addr) in
+  if l != clean then l.words.(offset_of addr) <- v
 
 let clwb t addr =
   check t addr;
   t.counters.clwbs <- t.counters.clwbs + 1;
-  match Hashtbl.find_opt t.overlay (line_of addr) with
-  | Some l ->
-      emit t (Ev_clwb addr);
-      write_back t l;
-      t.counters.writebacks <- t.counters.writebacks + 1;
-      t.pending <- t.pending + 1;
-      true
-  | None -> false
+  let l = (page_of t addr).lines.(slot_in_page addr) in
+  if l == clean then false
+  else begin
+    emit t (Ev_clwb addr);
+    write_back t l;
+    t.counters.writebacks <- t.counters.writebacks + 1;
+    t.pending <- t.pending + 1;
+    true
+  end
 
 let fence t =
   emit t Ev_fence;
@@ -173,45 +216,44 @@ let drain_pending t = t.pending <- 0
 
 let persisted t addr =
   check t addr;
-  t.nvm.(addr)
+  (page_of t addr).persisted.(word_in_page addr)
 
 let is_dirty t addr =
   check t addr;
-  Hashtbl.mem t.overlay (line_of addr)
+  (page_of t addr).lines.(slot_in_page addr) != clean
 
-let dirty_lines t = Hashtbl.length t.overlay
+let dirty_lines t = Vec.length t.dirty_index
 
 let dirty_linenos t =
   List.map (fun (l : line) -> l.lineno) (Vec.to_list t.dirty_index)
 
+(* Forget every dirty line without persisting it. *)
+let drop_overlay t =
+  Vec.iter
+    (fun (l : line) -> l.page.lines.(slot_in_page (line_base l)) <- clean)
+    t.dirty_index
+
 let crash t =
-  Hashtbl.reset t.overlay;
+  drop_overlay t;
   Vec.clear t.dirty_index;
   t.pending <- 0
 
-let snapshot_persistent t = Array.copy t.nvm
-
 (* Every line is written back, so skip per-line index maintenance:
    persist in dirty-index (insertion) order — deterministic, no
-   Hashtbl iteration order involved, no intermediate list — then drop
-   the overlay and the index wholesale. *)
+   intermediate list — then drop the index wholesale. *)
 let flush_all t =
-  Vec.iter
-    (fun (l : line) ->
-      persist_words t l;
-      Hashtbl.remove t.overlay l.lineno)
-    t.dirty_index;
+  Vec.iter persist_words t.dirty_index;
   Vec.truncate t.dirty_index;
   t.pending <- 0
 
 (* Return the arena to its just-created state (same size, same
-   cache-line budget, hook preserved) without reallocating the big
-   word array: only the prefix that was ever written needs zeroing. *)
+   cache-line budget, hook preserved) without reallocating: only the
+   materialised pages hold anything to zero, and they stay in the table
+   for the next run to write into. *)
 let reset ~rng t =
-  Hashtbl.reset t.overlay;
+  drop_overlay t;
   Vec.truncate t.dirty_index;
-  if t.hwm > 0 then Array.fill t.nvm 0 t.hwm 0L;
-  t.hwm <- 0;
+  Vec.iter (fun p -> Array.fill p.persisted 0 page_words 0L) t.touched;
   t.pending <- 0;
   Rng.assign ~into:t.rng rng;
   let c = t.counters in

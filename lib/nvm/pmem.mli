@@ -37,7 +37,11 @@ val create : ?cache_lines:int -> rng:Rng.t -> int -> t
 (** [create ~rng size] makes a persistent memory of [size] words,
     zero-initialised and fully persisted.  [cache_lines] bounds the
     number of distinct {e dirty} lines held in the volatile overlay
-    before pseudo-random eviction begins (default 1024). *)
+    before pseudo-random eviction begins (default 1024).
+
+    The persistence domain is paged in 512-word pages, and a page is
+    allocated only when first written, so creation costs one pointer
+    per page and a memory holds only the pages it touched. *)
 
 val size : t -> int
 val counters : t -> counters
@@ -121,9 +125,6 @@ val crash : t -> unit
 (** Power failure: drop the overlay in place.  Subsequent loads see
     only persisted values.  Counters are preserved. *)
 
-val snapshot_persistent : t -> int64 array
-(** Copy of the persistence domain (for offline inspection in tests). *)
-
 val flush_all : t -> unit
 (** Write back every dirty line and fence (test/setup helper: makes
     the whole memory durable without charging anything).  Lines are
@@ -132,8 +133,8 @@ val flush_all : t -> unit
 val reset : rng:Rng.t -> t -> unit
 (** Return the memory to its just-created state in place — empty
     overlay, zeroed persistence domain and counters, [rng] as the new
-    generator — keeping the word array, overlay storage and event hook.
-    Only the prefix of the persistence domain that was ever written is
-    re-zeroed, so resetting a mostly-untouched memory is cheap.  The
+    generator — keeping the touched pages, index storage and event
+    hook.  Only the pages written since {!create} are re-zeroed, so
+    resetting a mostly-untouched memory is cheap.  The
     arena-reuse path of the crash explorer calls this between
     injections instead of allocating a fresh memory. *)

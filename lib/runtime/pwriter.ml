@@ -5,9 +5,10 @@ type t = {
   lat : Latency.t;
   mutable cost : int;
   mutable pending : int;
+  mutable seen : int array;  (* [clwb_lines] scratch, reused across calls *)
 }
 
-let create pm lat = { pm; lat; cost = 0; pending = 0 }
+let create pm lat = { pm; lat; cost = 0; pending = 0; seen = [||] }
 
 let pmem t = t.pm
 let latency t = t.lat
@@ -36,17 +37,29 @@ let clwb t a =
 (* One write-back per distinct line, in first-occurrence order: in this
    machine model a write-back is durable at issue, so callers sequence
    their addresses write-ahead (log payload before publish word) and a
-   crash between any two write-backs still sees a consistent prefix. *)
-let clwb_lines t addrs =
-  let seen = Hashtbl.create 8 in
-  List.iter
-    (fun a ->
+   crash between any two write-backs still sees a consistent prefix.
+   The lines already written back by this call are [seen.(0..n-1)],
+   searched newest first so a run of addresses in one line costs one
+   comparison each; the call allocates nothing once [seen] has grown. *)
+let rec seen_line seen i line = i >= 0 && (seen.(i) = line || seen_line seen (i - 1) line)
+
+let rec clwb_distinct t n = function
+  | [] -> ()
+  | a :: rest ->
       let line = a / Pmem.words_per_line in
-      if not (Hashtbl.mem seen line) then begin
-        Hashtbl.replace seen line ();
-        clwb t (line * Pmem.words_per_line)
-      end)
-    addrs
+      if seen_line t.seen (n - 1) line then clwb_distinct t n rest
+      else begin
+        if n = Array.length t.seen then begin
+          let grown = Array.make (max 8 (2 * n)) 0 in
+          Array.blit t.seen 0 grown 0 n;
+          t.seen <- grown
+        end;
+        t.seen.(n) <- line;
+        clwb t (line * Pmem.words_per_line);
+        clwb_distinct t (n + 1) rest
+      end
+
+let clwb_lines t addrs = clwb_distinct t 0 addrs
 
 let fence t =
   ignore (Pmem.fence t.pm);

@@ -89,13 +89,13 @@ let create config program =
 
 (* Return the machine to the state [create config program] would have
    produced, reusing the expensive parts: the instrumented image, the
-   pmem word array and overlay storage, the lock tables and thread
-   vector.  Deterministic equivalence holds because (a) the RNG is
-   re-seeded exactly as [create] seeds it, (b) nothing iterates the
-   recycled hashtables in a capacity-dependent order, and (c) the
-   persistence domain is re-zeroed up to its high-water mark.  The
-   crash explorer resets one arena machine per injection instead of
-   re-validating, re-instrumenting and re-allocating 8 MiB per run. *)
+   pmem pages already written, the lock tables and thread vector.
+   Deterministic equivalence holds because (a) the RNG is re-seeded
+   exactly as [create] seeds it, (b) nothing iterates the recycled
+   hashtables in a capacity-dependent order, and (c) every written
+   pmem page is re-zeroed.  The crash explorer resets one arena machine
+   per injection instead of re-validating and re-instrumenting the
+   program per run. *)
 let reset m =
   (* Quiesce observers first: the pmem forwarding hook stays installed
      but forwards to nothing, so reinitialisation traffic is exactly as

@@ -154,22 +154,52 @@ let test_reset_is_fresh () =
   Alcotest.(check int) "stores zeroed" 0 c.Pmem.stores;
   Alcotest.(check int) "clwbs zeroed" 0 c.Pmem.clwbs;
   (* Same seed, same eviction choices: a reset memory replays the
-     exact pseudo-random eviction order of a fresh one. *)
+     exact pseudo-random eviction stream of a fresh one, also over the
+     pages an earlier run wrote on both sides of a page boundary. *)
   let fill pm =
+    let evicted = ref [] in
+    Pmem.set_event_hook pm
+      (Some (function Pmem.Ev_evict a -> evicted := a :: !evicted | _ -> ()));
     for i = 0 to 63 do
-      Pmem.store pm (i * 8) 1L
+      Pmem.store pm (i * 16) 1L
     done;
     Pmem.crash pm;
-    List.init 64 (fun i -> Pmem.load pm (i * 8))
+    (List.rev !evicted, List.init 64 (fun i -> Pmem.load pm (i * 16)))
   in
   let fresh = fill (Pmem.create ~cache_lines:4 ~rng:(Rng.create 5) 4096) in
   let again =
     let pm2 = mk ~cache_lines:4 ~seed:9 () in
     Pmem.store pm2 100 3L;
+    Pmem.store pm2 511 4L;
+    Pmem.store pm2 512 5L;
+    Pmem.poke pm2 1000 6L;
+    Pmem.flush_all pm2;
     Pmem.reset ~rng:(Rng.create 5) pm2;
+    List.iter
+      (fun a ->
+        Alcotest.(check int64) "touched page re-zeroed" 0L (Pmem.persisted pm2 a))
+      [ 100; 511; 512; 1000 ];
     fill pm2
   in
-  Alcotest.(check (list int64)) "reset replays create's evictions" fresh again
+  Alcotest.(check (pair (list int) (list int64)))
+    "reset replays create's evictions" fresh again
+
+let test_footprint () =
+  (* A default-size memory (8M words) pays for the pages it writes,
+     not for its address range. *)
+  let heap_bytes () = (Gc.quick_stat ()).Gc.heap_words * (Sys.word_size / 8) in
+  let before = heap_bytes () in
+  let size = 1 lsl 23 in
+  let pm = mk ~size () in
+  List.iter (fun a -> Pmem.store pm a 1L) [ 0; 511; 512; size / 2; size - 1 ];
+  ignore (Pmem.clwb pm 0);
+  ignore (Pmem.fence pm);
+  Pmem.flush_all pm;
+  let grown = heap_bytes () - before in
+  Alcotest.(check bool)
+    (Printf.sprintf "major heap grew %d bytes, under 1 MiB" grown)
+    true (grown < 1 lsl 20);
+  Alcotest.(check int64) "last word durable" 1L (Pmem.persisted pm (size - 1))
 
 let test_bounds () =
   let pm = mk ~size:128 () in
@@ -196,20 +226,228 @@ let prop_flushed_survives_crash =
       Pmem.crash pm;
       List.for_all (fun (a, v) -> Pmem.load pm a = v) expect)
 
-let prop_snapshot_matches_persisted =
-  QCheck.Test.make ~name:"snapshot equals persistence domain" ~count:30
-    QCheck.(small_int)
-    (fun seed ->
-      let pm = mk ~seed:(seed + 2) ~size:256 () in
-      for i = 0 to 255 do
-        Pmem.store pm i (Int64.of_int i);
-        if i mod 3 = 0 then ignore (Pmem.clwb pm i)
-      done;
-      ignore (Pmem.fence pm);
-      let snap = Pmem.snapshot_persistent pm in
-      Array.to_list snap
-      |> List.mapi (fun i v -> Pmem.persisted pm i = v)
-      |> List.for_all (fun b -> b))
+(* The memory as it was before paging: one flat word array for the
+   persistence domain and a line overlay keyed by line number, with the
+   same dirty index, eviction RNG and event timing.  The paged [Pmem]
+   must be indistinguishable from it through every public call. *)
+module Flat = struct
+  type line = { lineno : int; words : int64 array; mutable slot : int }
+
+  type t = {
+    nvm : int64 array;
+    overlay : (int, line) Hashtbl.t;
+    index : line Vec.t;
+    cache_lines : int;
+    rng : Rng.t;
+    counters : Pmem.counters;
+    mutable pending : int;
+    mutable events : Pmem.event list;  (* newest first *)
+  }
+
+  let wpl = Pmem.words_per_line
+
+  let create ~cache_lines ~seed size =
+    {
+      nvm = Array.make size 0L;
+      overlay = Hashtbl.create 16;
+      index = Vec.create ();
+      cache_lines;
+      rng = Rng.create seed;
+      counters =
+        { Pmem.loads = 0; stores = 0; clwbs = 0; writebacks = 0; fences = 0;
+          evictions = 0 };
+      pending = 0;
+      events = [];
+    }
+
+  let emit m ev = m.events <- ev :: m.events
+  let find m a = Hashtbl.find_opt m.overlay (a / wpl)
+
+  let load m a =
+    m.counters.loads <- m.counters.loads + 1;
+    match find m a with Some l -> l.words.(a mod wpl) | None -> m.nvm.(a)
+
+  let persist m l =
+    let base = l.lineno * wpl in
+    Array.blit l.words 0 m.nvm base (min wpl (Array.length m.nvm - base))
+
+  let write_back m l =
+    persist m l;
+    Hashtbl.remove m.overlay l.lineno;
+    let last = Vec.pop m.index in
+    if last != l then begin
+      Vec.set m.index l.slot last;
+      last.slot <- l.slot
+    end
+
+  let store m a v =
+    emit m (Pmem.Ev_store a);
+    m.counters.stores <- m.counters.stores + 1;
+    let l =
+      match find m a with
+      | Some l -> l
+      | None ->
+          if Hashtbl.length m.overlay >= m.cache_lines then begin
+            let victim = Vec.get m.index (Rng.int m.rng (Vec.length m.index)) in
+            emit m (Pmem.Ev_evict (victim.lineno * wpl));
+            write_back m victim;
+            m.counters.evictions <- m.counters.evictions + 1
+          end;
+          let lineno = a / wpl in
+          let base = lineno * wpl in
+          let words = Array.make wpl 0L in
+          Array.blit m.nvm base words 0 (min wpl (Array.length m.nvm - base));
+          let l = { lineno; words; slot = Vec.length m.index } in
+          Hashtbl.replace m.overlay lineno l;
+          Vec.push m.index l;
+          l
+    in
+    l.words.(a mod wpl) <- v
+
+  let poke m a v =
+    m.nvm.(a) <- v;
+    match find m a with Some l -> l.words.(a mod wpl) <- v | None -> ()
+
+  let clwb m a =
+    m.counters.clwbs <- m.counters.clwbs + 1;
+    match find m a with
+    | Some l ->
+        emit m (Pmem.Ev_clwb a);
+        write_back m l;
+        m.counters.writebacks <- m.counters.writebacks + 1;
+        m.pending <- m.pending + 1;
+        true
+    | None -> false
+
+  let fence m =
+    emit m Pmem.Ev_fence;
+    m.counters.fences <- m.counters.fences + 1;
+    let p = m.pending in
+    m.pending <- 0;
+    p
+
+  let crash m =
+    Hashtbl.reset m.overlay;
+    Vec.clear m.index;
+    m.pending <- 0
+
+  let flush_all m =
+    Vec.iter (persist m) m.index;
+    crash m
+
+  let reset m ~seed =
+    crash m;
+    Array.fill m.nvm 0 (Array.length m.nvm) 0L;
+    Rng.assign ~into:m.rng (Rng.create seed);
+    let c = m.counters in
+    c.loads <- 0;
+    c.stores <- 0;
+    c.clwbs <- 0;
+    c.writebacks <- 0;
+    c.fences <- 0;
+    c.evictions <- 0
+
+  let dirty_linenos m = List.map (fun l -> l.lineno) (Vec.to_list m.index)
+end
+
+type op =
+  | Store of int * int64
+  | Load of int
+  | Poke of int * int64
+  | Clwb of int
+  | Fence
+  | Crash
+  | Flush_all
+  | Reset of int
+
+let show_op = function
+  | Store (a, v) -> Printf.sprintf "store %d %Ld" a v
+  | Load a -> Printf.sprintf "load %d" a
+  | Poke (a, v) -> Printf.sprintf "poke %d %Ld" a v
+  | Clwb a -> Printf.sprintf "clwb %d" a
+  | Fence -> "fence"
+  | Crash -> "crash"
+  | Flush_all -> "flush_all"
+  | Reset s -> Printf.sprintf "reset %d" s
+
+(* Two full pages and a partial third that ends mid-line, so the last
+   word sits in a line that runs past the memory's end. *)
+let diff_size = (2 * 512) + 389
+
+let gen_op =
+  let open QCheck.Gen in
+  let addr =
+    frequency
+      [
+        (3, int_bound (diff_size - 1));
+        (2, int_bound 63);
+        (2, oneofl [ 0; 7; 8; 511; 512; 513; 1023; 1024; diff_size - 1 ]);
+      ]
+  in
+  let value = map Int64.of_int small_nat in
+  frequency
+    [
+      (6, map2 (fun a v -> Store (a, v)) addr value);
+      (4, map (fun a -> Load a) addr);
+      (2, map2 (fun a v -> Poke (a, v)) addr value);
+      (3, map (fun a -> Clwb a) addr);
+      (2, return Fence);
+      (1, return Crash);
+      (1, return Flush_all);
+      (1, map (fun s -> Reset s) small_nat);
+    ]
+
+let prop_paged_matches_flat =
+  QCheck.Test.make ~name:"paged = flat reference" ~count:200
+    (QCheck.make
+       ~print:QCheck.Print.(pair int (list show_op))
+       QCheck.Gen.(pair small_nat (list_size (int_range 1 300) gen_op)))
+    (fun (seed, ops) ->
+      (* Three lines of cache: most first stores to a line evict. *)
+      let pm = Pmem.create ~cache_lines:3 ~rng:(Rng.create seed) diff_size in
+      let flat = Flat.create ~cache_lines:3 ~seed diff_size in
+      let events = ref [] in
+      Pmem.set_event_hook pm (Some (fun ev -> events := ev :: !events));
+      let same_state () =
+        Pmem.counters pm = flat.Flat.counters
+        && Pmem.dirty_linenos pm = Flat.dirty_linenos flat
+        && Pmem.dirty_lines pm = Vec.length flat.Flat.index
+        && Pmem.pending_flushes pm = flat.Flat.pending
+        && !events = flat.Flat.events
+      in
+      let step op =
+        (match op with
+        | Store (a, v) ->
+            Pmem.store pm a v;
+            Flat.store flat a v;
+            true
+        | Load a -> Pmem.load pm a = Flat.load flat a
+        | Poke (a, v) ->
+            Pmem.poke pm a v;
+            Flat.poke flat a v;
+            true
+        | Clwb a -> Pmem.clwb pm a = Flat.clwb flat a
+        | Fence -> Pmem.fence pm = Flat.fence flat
+        | Crash ->
+            Pmem.crash pm;
+            Flat.crash flat;
+            true
+        | Flush_all ->
+            Pmem.flush_all pm;
+            Flat.flush_all flat;
+            true
+        | Reset s ->
+            Pmem.reset ~rng:(Rng.create s) pm;
+            Flat.reset flat ~seed:s;
+            true)
+        && same_state ()
+      in
+      let every_word f = List.for_all f (List.init diff_size Fun.id) in
+      List.for_all step ops
+      && every_word (fun a -> Pmem.persisted pm a = flat.Flat.nvm.(a))
+      && every_word (fun a ->
+             Pmem.is_dirty pm a = Option.is_some (Flat.find flat a))
+      && every_word (fun a -> Pmem.load pm a = Flat.load flat a))
 
 (* ------------------------------------------------------------------ *)
 (* Vmem *)
@@ -249,8 +487,9 @@ let suites =
           test_flush_all_dirty_index_order;
         Alcotest.test_case "reset = fresh create" `Quick test_reset_is_fresh;
         Alcotest.test_case "bounds" `Quick test_bounds;
+        Alcotest.test_case "8M words, few pages" `Quick test_footprint;
         qtest prop_flushed_survives_crash;
-        qtest prop_snapshot_matches_persisted;
+        qtest prop_paged_matches_flat;
       ] );
     ( "nvm.vmem",
       [

@@ -41,7 +41,20 @@ let test_pwriter_coalescing () =
   Pwriter.store w 64 2L;
   Pwriter.store w 128 2L;
   Pwriter.clwb_lines w [ 64; 128 ];
-  Alcotest.(check int) "two lines" 2 (Pwriter.pending w)
+  Alcotest.(check int) "two lines" 2 (Pwriter.pending w);
+  Pwriter.fence w;
+  (* Repeats are dropped and the rest keep first-occurrence order:
+     callers rely on it for write-ahead sequencing. *)
+  List.iter (fun a -> Pwriter.store w a 3L) [ 0; 64; 128 ];
+  let order = ref [] in
+  Pmem.set_event_hook pm
+    (Some (function Pmem.Ev_clwb a -> order := a :: !order | _ -> ()));
+  let clwbs = (Pmem.counters pm).Pmem.clwbs in
+  Pwriter.clwb_lines w [ 129; 64; 130; 65; 0; 128 ];
+  Alcotest.(check (list int)) "first-occurrence order" [ 128; 64; 0 ]
+    (List.rev !order);
+  Alcotest.(check int) "one clwb per line" 3
+    ((Pmem.counters pm).Pmem.clwbs - clwbs)
 
 let test_pwriter_clean_clwb_free () =
   (* Regression (accounting reconciliation): a clwb that hits a clean
