@@ -28,6 +28,15 @@ let resolve_workload name =
   | Some _ -> name
   | None -> die_unknown "workload" name Ido_workloads.Workload.names
 
+(* Config construction is where usage validation lives (thread and
+   op counts, Zipf exponents, topology shapes, list flags): surface
+   those Invalid_argument diagnostics as exit 2, never a backtrace. *)
+let usage_guard f =
+  try f ()
+  with Invalid_argument msg ->
+    Printf.eprintf "ido_bench: %s\n" msg;
+    exit 2
+
 let scheme_arg =
   Term.(
     const resolve_scheme
@@ -84,11 +93,22 @@ let figure_cmd name doc render =
   in
   Cmd.v (Cmd.info name ~doc) Term.(const run $ scale_arg $ jobs_arg)
 
+(* [--ops] is a total, split among the workers; [Spec.make] rejects a
+   non-positive thread count ([max 1] only keeps the split defined
+   until it does). *)
+let split_spec ?obs ~seed ~scheme ~workload ~threads ~total_ops () =
+  usage_guard (fun () ->
+      Exp.Spec.make ~seed ?obs ~scheme ~workload ~threads
+        ~ops:(max 1 (total_ops / max 1 threads))
+        ())
+
 let run_cmd =
   let doc = "One throughput run: workload x scheme x threads." in
   let run scheme workload threads ops seed =
-    let program = Ido_workloads.Workload.named workload in
-    let r = Exp.throughput ~seed ~scheme ~threads ~total_ops:ops program in
+    let spec =
+      split_spec ~seed ~scheme ~workload ~threads ~total_ops:ops ()
+    in
+    let r = (Exp.measure spec).Exp.prun in
     Printf.printf
       "%s on %s, %d threads: %.3f Mops/s (%d ops in %.3f ms simulated; %.1f fences/op, %.1f clwb/op)\n"
       (Scheme.name scheme) workload threads r.Exp.mops r.Exp.ops
@@ -106,11 +126,11 @@ let crash_cmd =
     Arg.(value & opt int 100_000 & info [ "at" ] ~doc:"Crash time (simulated ns)")
   in
   let run scheme workload threads crash_at seed =
-    let program = Ido_workloads.Workload.named workload in
-    let r =
-      Exp.crash_recover_check ~seed ~scheme ~threads ~ops_per_thread:100_000
-        ~crash_at program
+    let spec =
+      usage_guard (fun () ->
+          Exp.Spec.make ~seed ~scheme ~workload ~threads ~ops:100_000 ())
     in
+    let r = Exp.crash_check ~crash_at spec in
     Printf.printf
       "%s on %s: crashed at %.3f ms; recovery took %.3f ms simulated\n\
        (resumed=%d rolled_back=%d undone=%d replayed=%d pages=%d records=%d)\n\
@@ -228,8 +248,10 @@ let profile_cmd =
       | Some o -> o
       | None -> if opt then "BENCH_opt.json" else "BENCH_obs.json"
     in
-    let program = Ido_workloads.Workload.named workload in
-    let p = Exp.profile ~seed ~scheme ~threads ~total_ops:ops ~opt program in
+    let spec =
+      split_spec ~obs:true ~seed ~scheme ~workload ~threads ~total_ops:ops ()
+    in
+    let p = Exp.measure ~opt spec in
     let r = p.Exp.prun in
     let roll = p.Exp.rollup in
     let per_op n = float_of_int n /. float_of_int (max 1 r.Exp.ops) in
@@ -485,15 +507,6 @@ let selftime_cmd =
     Term.(
       const run $ jobs_arg $ out_arg $ budget_arg $ baseline_arg
       $ tolerance_arg)
-
-(* Config construction is where usage validation lives (Zipf
-   exponents, topology shapes, list flags): surface those
-   Invalid_argument diagnostics as exit 2, never a backtrace. *)
-let usage_guard f =
-  try f ()
-  with Invalid_argument msg ->
-    Printf.eprintf "ido_bench: %s\n" msg;
-    exit 2
 
 let resolve_topology name =
   match Ido_serve.Topology.of_name name with

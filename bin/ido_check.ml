@@ -125,9 +125,10 @@ let overflow_diag (ov : Lognode.overflow) =
    the usage errors they are rather than as uncaught exceptions.  A
    scheme log overflowing its fixed capacity is a bounded-resource
    verdict on the run, not a crash: render it as a diagnostic.  An
-   unwritable --out path or unreadable --replay file raises
-   [Sys_error]: an environment/usage problem, reported like an unknown
-   name (exit 2), never a backtrace. *)
+   unwritable --out path or an unreadable or malformed --replay file
+   raises [Sys_error] / [Trace.Malformed]: an environment/usage
+   problem, reported like an unknown name (exit 2), never a
+   backtrace. *)
 (* Config construction inside a command body is usage validation (Zipf
    exponents, topology shapes): exit 2 like the name resolvers, not
    [guard]'s generic Invalid_argument status. *)
@@ -150,7 +151,7 @@ let guard f =
   | Invalid_argument msg ->
       Printf.eprintf "ido_check: %s\n" msg;
       Cmd.Exit.cli_error
-  | Sys_error msg ->
+  | Sys_error msg | Trace.Malformed msg ->
       Printf.eprintf "ido_check: %s\n" msg;
       2
   | Lognode.Log_overflow ov ->
@@ -252,7 +253,7 @@ let schedule_cmd =
     Printf.printf "%d events\n" (Array.length evs);
     Array.iteri
       (fun i e ->
-        if i < limit then Printf.printf "%6d %s\n" i (Ido_vm.Event.describe e))
+        if i < limit then Printf.printf "%6d %s\n" i (Ido_obs.Obs.describe e))
       evs;
     0
   in
@@ -709,21 +710,22 @@ let serve_crash_cmd =
         ~topology:(Ido_serve.Topology.static shards)
         ~batch ~requests ~zipf ~workload ~scheme ()
     in
-    (* The deprecated shim on purpose: this check pins the historical
-       single-crash output byte for byte. *)
-    let crash = Ido_serve.Serve.default_crash config in
+    let fault = Ido_serve.Fault.single_crash config in
     let cell =
       with_jobs jobs (fun pool ->
-          Ido_serve.Serve.run_cell ?pool ~chunk ~obs:true
-            ~fault:(Ido_serve.Fault.of_crash crash)
-            config)
+          Ido_serve.Serve.run_cell ?pool ~chunk ~obs:true ~fault config)
     in
     let pp_result = function Ok () -> "ok" | Error m -> "FAIL: " ^ m in
-    Printf.printf
-      "%s: crash on shard %d at request %d (+%d ns into its batch)\n"
-      (Ido_serve.Config.label config)
-      crash.Ido_serve.Fault.shard crash.Ido_serve.Fault.at_request
-      crash.Ido_serve.Fault.after_ns;
+    List.iter
+      (function
+        | Ido_serve.Fault.Crash crash ->
+            Printf.printf
+              "%s: crash on shard %d at request %d (+%d ns into its batch)\n"
+              (Ido_serve.Config.label config)
+              crash.Ido_serve.Fault.shard crash.Ido_serve.Fault.at_request
+              crash.Ido_serve.Fault.after_ns
+        | _ -> ())
+      fault.Ido_serve.Fault.events;
     List.iter
       (fun (o : Ido_serve.Shard.outcome) ->
         Printf.printf

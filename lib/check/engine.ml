@@ -31,12 +31,14 @@ let defaults ?threads ?ops ?(cache_lines = 4096) ?(strict = false) ?(seed = 42)
     | Some t -> t
     | None -> if workload = "objstore" then 1 else 3
   in
+  let ops = Option.value ops ~default:60 in
+  Ido_harness.Spec.check_positive "threads" threads;
+  Ido_harness.Spec.check_positive "ops" ops;
   let oracle_mode =
     if strict then Oracle.Atomic
     else match scheme with Scheme.Origin -> Oracle.Prefix | _ -> Oracle.Atomic
   in
-  { scheme; workload; seed; threads; ops = Option.value ops ~default:60;
-    cache_lines; oracle_mode; opt }
+  { scheme; workload; seed; threads; ops; cache_lines; oracle_mode; opt }
 
 (* Conversions to/from the harness {!Ido_harness.Spec.t}: the five
    serialisable fields are shared; the engine adds cache geometry and
@@ -47,6 +49,8 @@ let base_spec (s : spec) : Ido_harness.Spec.t =
 
 let of_base ?(cache_lines = 4096) ?oracle_mode ?(opt = false)
     (b : Ido_harness.Spec.t) : spec =
+  Ido_harness.Spec.check_positive "threads" b.Ido_harness.Spec.threads;
+  Ido_harness.Spec.check_positive "ops" b.Ido_harness.Spec.ops;
   let oracle_mode =
     match oracle_mode with
     | Some m -> m
@@ -162,9 +166,13 @@ let mem_of m =
   let pm = Vm.pmem m in
   { Oracle.load = Ido_nvm.Pmem.load pm; size = Ido_nvm.Pmem.size pm }
 
+let probe_root m = Ido_region.Region.get_root (Vm.region m) 0
+
 let validate_now spec ~mode m =
-  let root = Ido_region.Region.get_root (Vm.region m) 0 in
-  Oracle.validate ~workload:spec.workload ~mode ~root (mem_of m)
+  Oracle.validate ~workload:spec.workload ~mode ~root:(probe_root m) (mem_of m)
+
+let digest_now spec m =
+  Oracle.digest ~workload:spec.workload ~root:(probe_root m) (mem_of m)
 
 type injection = {
   index : int;
@@ -174,14 +182,19 @@ type injection = {
 
 exception Crash_injected
 
-let inject_on m spec index =
+(* The one crash-injection protocol: count crash-point events up to
+   [index] and raise there (a run that ends first crashes at idle),
+   power-fail, recover, make the image durable and [validate] it.
+   Returns the description of the event the crash preceded ([None] at
+   the terminal index) and the verdict. *)
+let crash_and_recover m index ~validate =
   let count = ref 0 in
   let crashed_event = ref None in
   Vm.set_event_hook m
     (Some
        (fun e ->
          if !count = index then begin
-           crashed_event := Some (Event.describe e);
+           crashed_event := Some (Ido_obs.Obs.describe e);
            raise Crash_injected
          end;
          incr count));
@@ -196,21 +209,28 @@ let inject_on m spec index =
     match Vm.recover m with
     | _stats ->
         Vm.flush_all m;
-        validate_now spec ~mode:spec.oracle_mode m
+        validate m
     | exception e ->
         Error (Printf.sprintf "recovery raised: %s" (Printexc.to_string e))
   in
-  { index; event = !crashed_event; verdict }
+  (!crashed_event, verdict)
 
-let check_index index =
-  if index < 0 then invalid_arg "Engine.inject: negative crash index"
+let inject_on m spec index =
+  let validate = validate_now spec ~mode:spec.oracle_mode in
+  let event, verdict = crash_and_recover m index ~validate in
+  { index; event; verdict }
+
+let check_index fn = function
+  | Some k when k < 0 ->
+      invalid_arg (Printf.sprintf "Engine.%s: negative crash index" fn)
+  | _ -> ()
 
 let inject spec index =
-  check_index index;
+  check_index "inject" (Some index);
   inject_on (setup spec) spec index
 
 let inject_arena a spec index =
-  check_index index;
+  check_index "inject" (Some index);
   inject_on (arena_setup a) spec index
 
 type report = {
@@ -358,10 +378,9 @@ let final_digest spec =
   let m = setup spec in
   finish_run m;
   Vm.flush_all m;
-  let root = Ido_region.Region.get_root (Vm.region m) 0 in
-  Oracle.digest ~workload:spec.workload ~root (mem_of m)
+  digest_now spec m
 
-(* ---------- Traced runs ---------- *)
+(* ---------- Observed runs ---------- *)
 
 type traced = {
   t_spec : spec;
@@ -371,72 +390,6 @@ type traced = {
   t_obs : Ido_obs.Obs.t;
   t_consistency : (unit, string) result;
 }
-
-let run_traced ?index spec =
-  (match index with
-  | Some k when k < 0 -> invalid_arg "Engine.run_traced: negative crash index"
-  | _ -> ());
-  let m = setup spec in
-  (* The observed window starts after durable setup: snapshot the pmem
-     counters so [Obs.check] reconciles exactly what the sink saw. *)
-  let c0 = Ido_nvm.Pmem.counters (Vm.pmem m) in
-  let stores0 = c0.Ido_nvm.Pmem.stores
-  and writebacks0 = c0.Ido_nvm.Pmem.writebacks
-  and fences0 = c0.Ido_nvm.Pmem.fences
-  and evictions0 = c0.Ido_nvm.Pmem.evictions in
-  let obs = Ido_obs.Obs.create () in
-  Vm.set_obs m (Some obs);
-  let t_injection =
-    match index with
-    | None ->
-        finish_run m;
-        Vm.flush_all m;
-        None
-    | Some k ->
-        (* Same protocol as [inject], with the sink watching the worker
-           phase, the crash, and recovery.  The injection hook runs
-           before obs emission, so the aborted event is recorded by
-           neither the sink nor the counters — they stay reconciled. *)
-        let count = ref 0 in
-        let crashed_event = ref None in
-        Vm.set_event_hook m
-          (Some
-             (fun e ->
-               if !count = k then begin
-                 crashed_event := Some (Event.describe e);
-                 raise Crash_injected
-               end;
-               incr count));
-        (try finish_run m with Crash_injected -> ());
-        Vm.set_event_hook m None;
-        Vm.crash m;
-        let verdict =
-          match Vm.recover m with
-          | _stats ->
-              Vm.flush_all m;
-              validate_now spec ~mode:spec.oracle_mode m
-          | exception e ->
-              Error (Printf.sprintf "recovery raised: %s" (Printexc.to_string e))
-        in
-        Some { index = k; event = !crashed_event; verdict }
-  in
-  Vm.set_obs m None;
-  let c = Ido_nvm.Pmem.counters (Vm.pmem m) in
-  let t_consistency =
-    Ido_obs.Obs.check obs
-      ~stores:(c.Ido_nvm.Pmem.stores - stores0)
-      ~writebacks:(c.Ido_nvm.Pmem.writebacks - writebacks0)
-      ~fences:(c.Ido_nvm.Pmem.fences - fences0)
-      ~evictions:(c.Ido_nvm.Pmem.evictions - evictions0)
-  in
-  let t_digest =
-    let root = Ido_region.Region.get_root (Vm.region m) 0 in
-    Oracle.digest ~workload:spec.workload ~root (mem_of m)
-  in
-  { t_spec = spec; t_index = index; t_injection; t_digest; t_obs = obs;
-    t_consistency }
-
-(* ---------- Custom probes ---------- *)
 
 let record_custom c = record_on (setup_custom c)
 
@@ -448,62 +401,49 @@ type probe = {
   pr_consistency : (unit, string) result;
 }
 
-let probe ?index (c : custom) =
-  (match index with
-  | Some k when k < 0 -> invalid_arg "Engine.probe: negative crash index"
-  | _ -> ());
+(* One run with a buffered sink watching the worker phase, the
+   injected crash (if any) and recovery; the sink is installed after
+   durable setup, so [Vm.obs_check] reconciles exactly what it saw.
+   Returns the final machine too, for callers that digest its image. *)
+let observe ?index (c : custom) =
   let m = setup_custom c in
-  let c0 = Ido_nvm.Pmem.counters (Vm.pmem m) in
-  let stores0 = c0.Ido_nvm.Pmem.stores
-  and writebacks0 = c0.Ido_nvm.Pmem.writebacks
-  and fences0 = c0.Ido_nvm.Pmem.fences
-  and evictions0 = c0.Ido_nvm.Pmem.evictions in
   let obs = Ido_obs.Obs.create () in
   Vm.set_obs m (Some obs);
-  let crashed_event = ref None in
-  let pr_verdict =
+  let pr_event, pr_verdict =
     match index with
     | None ->
         finish_run m;
         Vm.flush_all m;
-        c.c_validate m
-    | Some k ->
-        (* Same protocol as [run_traced]: the injection hook runs
-           before obs emission, so the aborted event is recorded by
-           neither the sink nor the counters. *)
-        let count = ref 0 in
-        Vm.set_event_hook m
-          (Some
-             (fun e ->
-               if !count = k then begin
-                 crashed_event := Some (Event.describe e);
-                 raise Crash_injected
-               end;
-               incr count));
-        (try finish_run m with Crash_injected -> ());
-        Vm.set_event_hook m None;
-        Vm.crash m;
-        (match Vm.recover m with
-        | _stats ->
-            Vm.flush_all m;
-            c.c_validate m
-        | exception e ->
-            Error (Printf.sprintf "recovery raised: %s" (Printexc.to_string e)))
+        (None, c.c_validate m)
+    | Some k -> crash_and_recover m k ~validate:c.c_validate
   in
+  let pr_consistency = Vm.obs_check m in
   Vm.set_obs m None;
-  let cn = Ido_nvm.Pmem.counters (Vm.pmem m) in
-  let pr_consistency =
-    Ido_obs.Obs.check obs
-      ~stores:(cn.Ido_nvm.Pmem.stores - stores0)
-      ~writebacks:(cn.Ido_nvm.Pmem.writebacks - writebacks0)
-      ~fences:(cn.Ido_nvm.Pmem.fences - fences0)
-      ~evictions:(cn.Ido_nvm.Pmem.evictions - evictions0)
+  (m, { pr_index = index; pr_event; pr_verdict; pr_obs = obs; pr_consistency })
+
+let probe ?index c =
+  check_index "probe" index;
+  snd (observe ?index c)
+
+let run_traced ?index spec =
+  check_index "run_traced" index;
+  let m, p =
+    observe ?index
+      { (custom_of_spec spec) with
+        c_validate = validate_now spec ~mode:spec.oracle_mode }
   in
-  { pr_index = index; pr_event = !crashed_event; pr_verdict; pr_obs = obs;
-    pr_consistency }
+  {
+    t_spec = spec;
+    t_index = index;
+    t_injection =
+      Option.map
+        (fun k -> { index = k; event = p.pr_event; verdict = p.pr_verdict })
+        index;
+    t_digest = digest_now spec m;
+    t_obs = p.pr_obs;
+    t_consistency = p.pr_consistency;
+  }
 
 let heap_words (m : Ido_vm.Vm.t) ~base ~len =
   let pm = Vm.pmem m in
   Array.init len (fun i -> Ido_nvm.Pmem.load pm (base + i))
-
-let probe_root m = Ido_region.Region.get_root (Vm.region m) 0

@@ -1,7 +1,7 @@
 (** Systematic crash-point exploration.
 
     The simulator is fully deterministic under a fixed config and seed,
-    so the schedule of persist-relevant events ({!Ido_vm.Event.t}) of a
+    so the schedule of crash-point events ({!Ido_obs.Obs.crash_point}) of a
     run names every interesting power-failure instant: "just before the
     k-th event".  This engine
 
@@ -57,7 +57,8 @@ val defaults :
     instrumented scheme and [Prefix] for Origin; [~strict:true] forces
     [Atomic] even for Origin (used to demonstrate a real
     counterexample).
-    @raise Invalid_argument on an unsupported scheme/workload pair. *)
+    @raise Invalid_argument on an unsupported scheme/workload pair, or
+    when [threads] or [ops] is below 1. *)
 
 val base_spec : spec -> Ido_harness.Spec.t
 (** The shared serialisable fields (scheme, workload, seed, threads,
@@ -72,9 +73,11 @@ val of_base :
   spec
 (** Rebuild an engine spec from a harness spec, defaulting the cache
     geometry and deriving the oracle mode from the scheme ([Prefix]
-    for Origin, [Atomic] otherwise) unless overridden. *)
+    for Origin, [Atomic] otherwise) unless overridden.
+    @raise Invalid_argument when [threads] or [ops] is below 1 (a
+    hand-edited trace header). *)
 
-val record : spec -> Ido_vm.Event.t array
+val record : spec -> Ido_obs.Obs.kind array
 (** Run once, crash-free, and return the persist-event schedule of the
     worker phase (setup/init events are excluded; they are made
     durable before workers start). *)
@@ -145,8 +148,11 @@ val final_digest : spec -> string
 
     A traced run is an {!inject}-style execution (or a crash-free one)
     with an {!Ido_obs.Obs} sink attached over the worker phase, the
-    injected crash, and recovery.  Afterwards the sink's rollup is
-    reconciled against the pmem counter deltas of the same window — a
+    injected crash, and recovery.  {!inject}, {!run_traced} and
+    {!probe} share one injection routine, so at the same index they
+    crash before the same event and reach the same verdict.
+    Afterwards {!Ido_vm.Vm.obs_check} reconciles the sink's rollup
+    against the pmem counter deltas of the same window — a
     disagreement means the VM lost or duplicated an emission. *)
 
 type traced = {
@@ -157,7 +163,7 @@ type traced = {
   t_digest : string;  (** {!Oracle.digest} of the final durable image *)
   t_obs : Ido_obs.Obs.t;  (** the sink, fully buffered *)
   t_consistency : (unit, string) result;
-      (** {!Ido_obs.Obs.check} against the counter deltas *)
+      (** {!Ido_vm.Vm.obs_check} over the observed window *)
 }
 
 val run_traced : ?index:int -> spec -> traced
@@ -189,7 +195,7 @@ val custom_of_spec : spec -> custom
 (** The spec's program/geometry with a vacuous validator (callers
     wanting the oracle verdict use {!run_traced}). *)
 
-val record_custom : custom -> Ido_vm.Event.t array
+val record_custom : custom -> Ido_obs.Obs.kind array
 (** {!record} over a custom program. *)
 
 type probe = {

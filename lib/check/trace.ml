@@ -72,10 +72,12 @@ let save (tr : Engine.traced) path =
    scanner sufficient for files this module wrote itself, shared with
    the serve report reader.  Not a general JSON parser. *)
 
-let parse_error path what =
-  failwith (Printf.sprintf "Trace.load: %s: %s" path what)
+exception Malformed of string
 
-let fail_of path what = Failure (Printf.sprintf "Trace.load: %s: %s" path what)
+let fail_of path what =
+  Malformed (Printf.sprintf "%s: malformed trace: %s" path what)
+
+let parse_error path what = raise (fail_of path what)
 
 module Fields = Ido_harness.Spec.Fields
 
@@ -113,9 +115,11 @@ let load path =
     | o -> parse_error path (Printf.sprintf "unknown oracle mode %S" o)
   in
   let spec =
-    Engine.of_base base
-      ~cache_lines:(int_field path header "cache_lines")
-      ~oracle_mode
+    try
+      Engine.of_base base
+        ~cache_lines:(int_field path header "cache_lines")
+        ~oracle_mode
+    with Invalid_argument msg -> parse_error path msg
   in
   let index =
     match int_field path header "index" with -1 -> None | k -> Some k

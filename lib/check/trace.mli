@@ -30,10 +30,15 @@ type summary = {
 val save : Engine.traced -> string -> unit
 (** Write the complete trace (header, events, footer) to a file. *)
 
+exception Malformed of string
+(** A file that is not a trace: the message names the file and the
+    first problem found. *)
+
 val load : string -> summary
 (** Parse a trace's header and footer (the event lines are not
     deserialised — replay re-generates them).
-    @raise Failure on a malformed file. *)
+    @raise Malformed on a file that is not a well-formed trace.
+    @raise Sys_error on an unreadable file. *)
 
 val replay : summary -> Engine.traced
 (** Re-execute the run described by the header.  The result's digest

@@ -144,10 +144,10 @@ let heap_of m =
 let hints_of_schedule evs =
   let out = ref [] in
   Array.iteri
-    (fun k (e : Ido_vm.Event.t) ->
+    (fun k (e : Ido_obs.Obs.kind) ->
       match e with
-      | Ido_vm.Event.Fence | Ido_vm.Event.Lock_acquire _
-      | Ido_vm.Event.Lock_release _ ->
+      | Ido_obs.Obs.Fence _ | Ido_obs.Obs.Lock_acquire _
+      | Ido_obs.Obs.Lock_release _ ->
           out := k :: !out
       | _ -> ())
     evs;

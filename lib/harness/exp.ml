@@ -68,12 +68,11 @@ type profile = {
   consistency : (unit, string) result;
 }
 
-(* The single measurement entry point: every other throughput-style
-   call is a thin wrapper.  [?program] overrides the registry program
-   (the figures sweep custom-sized variants the registry does not
-   name); the spec's [obs] flag decides whether the run carries an
-   unbuffered observability sink reconciled against the pmem
-   counters. *)
+(* The single measurement entry point.  [?program] overrides the
+   registry program (the figures sweep custom-sized variants the
+   registry does not name); the spec's [obs] flag decides whether the
+   run carries an unbuffered observability sink reconciled against the
+   pmem counters. *)
 let measure ?program ?(opt = false) (s : Spec.t) =
   let program =
     match program with Some p -> p | None -> Spec.program s
@@ -82,11 +81,7 @@ let measure ?program ?(opt = false) (s : Spec.t) =
     boot ~seed:s.Spec.seed ?latency:s.Spec.latency ~opt s.Spec.scheme program
   in
   let c0 = Pmem.counters (Vm.pmem m) in
-  let stores0 = c0.Pmem.stores
-  and writebacks0 = c0.Pmem.writebacks
-  and fences0 = c0.Pmem.fences
-  and evictions0 = c0.Pmem.evictions
-  and clwbs0 = c0.Pmem.clwbs in
+  let fences0 = c0.Pmem.fences and clwbs0 = c0.Pmem.clwbs in
   let clock0 = Vm.clock m in
   (* Unbuffered sink: a profiling run only needs the rollups, so long
      sweeps stay constant-memory. *)
@@ -104,20 +99,11 @@ let measure ?program ?(opt = false) (s : Spec.t) =
   | `Idle -> ()
   | `Deadlock -> failwith "Exp: workload deadlocked"
   | _ -> failwith "Exp: workload did not finish");
+  let consistency = Vm.obs_check m in
   Vm.set_obs m None;
   let sim_ns = Vm.clock m - clock0 in
   let ops = Vm.total_ops m in
   let c = Pmem.counters (Vm.pmem m) in
-  let consistency =
-    match obs with
-    | None -> Ok ()
-    | Some obs ->
-        Ido_obs.Obs.check obs
-          ~stores:(c.Pmem.stores - stores0)
-          ~writebacks:(c.Pmem.writebacks - writebacks0)
-          ~fences:(c.Pmem.fences - fences0)
-          ~evictions:(c.Pmem.evictions - evictions0)
-  in
   {
     prun =
       {
@@ -133,55 +119,10 @@ let measure ?program ?(opt = false) (s : Spec.t) =
     rollup =
       (match obs with
       | Some obs -> Ido_obs.Obs.total obs
-      | None -> Ido_obs.Obs.total (Ido_obs.Obs.create ~buffer:false ()));
+      | None -> Ido_obs.Obs.rollup_zero ());
     fases = (match obs with Some obs -> Ido_obs.Obs.fases obs | None -> 0);
     consistency;
   }
-
-(* [workload] is only a label here: wrappers hand the program in
-   directly, preserving the historical signatures. *)
-let spec_of_legacy ?(seed = 42) ?latency ~obs ~scheme ~threads ~total_ops () =
-  Spec.make ~seed ?latency ~obs ~scheme ~workload:"<inline>" ~threads
-    ~ops:(max 1 (total_ops / threads))
-    ()
-
-let throughput ?seed ?latency ?collect_region_stats ~scheme ~threads ~total_ops
-    program =
-  match collect_region_stats with
-  | Some true ->
-      (* Region stats need the collection flag threaded through [boot];
-         keep the historical path for this rarely used combination. *)
-      let m = boot ?seed ?latency ~collect_region_stats:true scheme program in
-      let c0 = Pmem.counters (Vm.pmem m) in
-      let fences0 = c0.Pmem.fences and clwbs0 = c0.Pmem.clwbs in
-      let clock0 = Vm.clock m in
-      spawn_workers m ~threads ~total_ops;
-      (match Vm.run m with
-      | `Idle -> ()
-      | `Deadlock -> failwith "Exp: workload deadlocked"
-      | _ -> failwith "Exp: workload did not finish");
-      let sim_ns = Vm.clock m - clock0 in
-      let ops = Vm.total_ops m in
-      let c = Pmem.counters (Vm.pmem m) in
-      {
-        scheme;
-        mops =
-          (if sim_ns = 0 then 0.0
-           else float_of_int ops /. float_of_int sim_ns *. 1000.0);
-        sim_ns;
-        ops;
-        fences = c.Pmem.fences - fences0;
-        clwbs = c.Pmem.clwbs - clwbs0;
-      }
-  | _ ->
-      (measure ~program
-         (spec_of_legacy ?seed ?latency ~obs:false ~scheme ~threads ~total_ops
-            ()))
-        .prun
-
-let profile ?seed ?latency ?opt ~scheme ~threads ~total_ops program =
-  measure ~program ?opt
-    (spec_of_legacy ?seed ?latency ~obs:true ~scheme ~threads ~total_ops ())
 
 type crash_report = {
   crashed_at : Timebase.ns;
@@ -219,12 +160,6 @@ let crash_check ?program ~crash_at (s : Spec.t) =
     | exception Vm.Vm_error _ -> (false, -1)
   in
   { crashed_at; recovery; check_ok; check_count; undo_records }
-
-let crash_recover_check ?seed ~scheme ~threads ~ops_per_thread ~crash_at program
-    =
-  crash_check ~program ~crash_at
-    (Spec.make ?seed ~scheme ~workload:"<inline>" ~threads ~ops:ops_per_thread
-       ())
 
 let region_stats ?seed ~threads ~total_ops program =
   let m = boot ?seed ~collect_region_stats:true Scheme.Ido program in

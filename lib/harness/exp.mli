@@ -1,5 +1,6 @@
-(** Shared experiment machinery: throughput runs, crash–recover–check
-    runs, and the scale presets that size every figure. *)
+(** Shared experiment machinery: throughput runs ({!measure}),
+    crash–recover–check runs ({!crash_check}), and the scale presets
+    that size every figure. *)
 
 open Ido_util
 open Ido_ir
@@ -79,45 +80,6 @@ val crash_check :
 (** Run the spec's workers, power-fail at [crash_at] (simulated),
     recover, then run the workload's [check] function on the recovered
     heap. *)
-
-(** {1 Deprecated wrappers}
-
-    The pre-[Spec] interface, kept for out-of-tree callers.  Each call
-    forwards to {!measure} / {!crash_check}; [total_ops] is divided
-    among the workers ([max 1 (total_ops / threads)] each).  New code
-    should build a {!Spec.t}. *)
-
-val throughput :
-  ?seed:int ->
-  ?latency:Ido_nvm.Latency.t ->
-  ?collect_region_stats:bool ->
-  scheme:Scheme.t ->
-  threads:int ->
-  total_ops:int ->
-  Ir.program ->
-  run
-(** Deprecated: [(measure ~program spec).prun] with [obs] off. *)
-
-val profile :
-  ?seed:int ->
-  ?latency:Ido_nvm.Latency.t ->
-  ?opt:bool ->
-  scheme:Scheme.t ->
-  threads:int ->
-  total_ops:int ->
-  Ir.program ->
-  profile
-(** Deprecated: {!measure} with [obs] on. *)
-
-val crash_recover_check :
-  ?seed:int ->
-  scheme:Scheme.t ->
-  threads:int ->
-  ops_per_thread:int ->
-  crash_at:Timebase.ns ->
-  Ir.program ->
-  crash_report
-(** Deprecated: {!crash_check}. *)
 
 val region_stats :
   ?seed:int ->

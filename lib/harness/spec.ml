@@ -10,12 +10,22 @@ type t = {
   obs : bool;
 }
 
+(* A run with no workers or no operations measures nothing: reject it
+   instead of reporting a vacuous result. *)
+let check_positive what n =
+  if n < 1 then invalid_arg (Printf.sprintf "%s must be >= 1 (got %d)" what n)
+
 let make ?(seed = 42) ?latency ?(obs = false) ~scheme ~workload ~threads ~ops ()
     =
+  check_positive "threads" threads;
+  check_positive "ops" ops;
   { scheme; workload; seed; threads; ops; latency; obs }
 
 let with_scheme t scheme = { t with scheme }
-let with_threads t threads = { t with threads }
+
+let with_threads t threads =
+  check_positive "threads" threads;
+  { t with threads }
 
 let workload t = Ido_workloads.Workload.get t.workload
 let program t = Ido_workloads.Workload.named t.workload
@@ -50,9 +60,9 @@ module Fields = struct
         let j = ref i in
         if !j < n && line.[!j] = '-' then incr j;
         while !j < n && line.[!j] >= '0' && line.[!j] <= '9' do incr j done;
-        if !j = i then
-          raise (fail (Printf.sprintf "field %S is not a number" key));
-        int_of_string (String.sub line i (!j - i))
+        match int_of_string_opt (String.sub line i (!j - i)) with
+        | Some v -> v
+        | None -> raise (fail (Printf.sprintf "field %S is not a number" key))
 
   let string ~fail line ~key =
     match find line ~key with

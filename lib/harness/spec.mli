@@ -34,10 +34,18 @@ val make :
   ops:int ->
   unit ->
   t
-(** Defaults: [seed 42], default latency, no observability. *)
+(** Defaults: [seed 42], default latency, no observability.
+    @raise Invalid_argument when [threads] or [ops] is below 1. *)
+
+val check_positive : string -> int -> unit
+(** [check_positive what n] raises [Invalid_argument "<what> must be
+    >= 1 (got <n>)"] when [n < 1] — the shared guard of every
+    spec-building entry point. *)
 
 val with_scheme : t -> Scheme.t -> t
+
 val with_threads : t -> int -> t
+(** @raise Invalid_argument when the count is below 1. *)
 
 val workload : t -> Ido_workloads.Workload.t
 (** @raise Invalid_argument for a name missing from the registry. *)

@@ -22,12 +22,6 @@ type counters = {
   mutable evictions : int;
 }
 
-type event =
-  | Ev_store of addr
-  | Ev_clwb of addr
-  | Ev_fence
-  | Ev_evict of addr
-
 (* A dirty line knows its own number, its page and its slot in
    [dirty_index], so the write-back path touches no table at all. *)
 type line = {
@@ -62,7 +56,7 @@ type t = {
   rng : Rng.t;
   counters : counters;
   mutable pending : int;
-  mutable event_hook : (event -> unit) option;
+  mutable event_hook : (Ido_obs.Obs.kind -> unit) option;
 }
 
 let create ?(cache_lines = 1024) ~rng size =
@@ -85,12 +79,6 @@ let size t = t.size
 let counters t = t.counters
 
 let set_event_hook t f = t.event_hook <- f
-
-(* The hook fires BEFORE the operation takes effect, so a hook that
-   raises leaves the persistence domain exactly as a power failure at
-   that instant would.  Simulator-side channels ([poke], [flush_all])
-   never fire it. *)
-let emit t ev = match t.event_hook with Some f -> f ev | None -> ()
 
 let check t addr =
   if addr < 0 || addr >= t.size then
@@ -156,7 +144,9 @@ let evict_random t =
   let n = Vec.length t.dirty_index in
   if n > 0 then begin
     let l = Vec.get t.dirty_index (Rng.int t.rng n) in
-    emit t (Ev_evict (line_base l));
+    (match t.event_hook with
+    | Some f -> f (Ido_obs.Obs.Evict (line_base l))
+    | None -> ());
     write_back t l;
     t.counters.evictions <- t.counters.evictions + 1
   end
@@ -177,9 +167,16 @@ let dirty_line t addr =
     words
   end
 
+(* Each event fires BEFORE its action takes effect, so a hook that
+   raises leaves the persistence domain exactly as a power failure at
+   that instant would.  The match sits at each site so that, with no
+   hook, no event value is built.  Simulator-side channels ([poke],
+   [flush_all]) never fire it. *)
 let store t addr v =
   check t addr;
-  emit t (Ev_store addr);
+  (match t.event_hook with
+  | Some f -> f (Ido_obs.Obs.Store addr)
+  | None -> ());
   t.counters.stores <- t.counters.stores + 1;
   let words = dirty_line t addr in
   words.(offset_of addr) <- v
@@ -197,7 +194,9 @@ let clwb t addr =
   let l = (page_of t addr).lines.(slot_in_page addr) in
   if l == clean then false
   else begin
-    emit t (Ev_clwb addr);
+    (match t.event_hook with
+    | Some f -> f (Ido_obs.Obs.Flush addr)
+    | None -> ());
     write_back t l;
     t.counters.writebacks <- t.counters.writebacks + 1;
     t.pending <- t.pending + 1;
@@ -205,7 +204,9 @@ let clwb t addr =
   end
 
 let fence t =
-  emit t Ev_fence;
+  (match t.event_hook with
+  | Some f -> f (Ido_obs.Obs.Fence t.pending)
+  | None -> ());
   t.counters.fences <- t.counters.fences + 1;
   let pending = t.pending in
   t.pending <- 0;

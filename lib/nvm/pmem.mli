@@ -49,27 +49,22 @@ val counters : t -> counters
 (** {1 Persist-event observation}
 
     Every action that can change (or is ordered with respect to) the
-    persistence domain raises one event: a store into the overlay, an
-    explicit write-back of a dirty line, a persist fence, or a random
-    eviction.  The event fires {e before} the action takes effect, so a
-    hook that raises an exception stops the machine in a state whose
-    persistent image is exactly what a power failure at that instant
-    would leave — the basis of the crash-point exploration engine
-    ({!Ido_check}).  [poke] / [flush_all] / [crash] are simulator-side
-    and never fire events. *)
+    persistence domain raises one {!Ido_obs.Obs.kind}: [Store a] as a
+    store enters the overlay, [Flush a] as a dirty line is written back
+    ([clwb]s that hit a clean line are no-ops and raise nothing),
+    [Fence n] as a persist fence drains the [n] write-backs issued
+    since the previous one, and [Evict base] as a dirty line is evicted.
+    The event fires {e before} the action takes effect, so a hook that
+    raises an exception stops the machine in a state whose persistent
+    image is exactly what a power failure at that instant would leave —
+    the basis of the crash-point exploration engine ({!Ido_check}).
+    [poke] / [flush_all] / [crash] are simulator-side and never fire
+    events.  With no hook installed no event value is built. *)
 
-type event =
-  | Ev_store of addr  (** a store is about to enter the overlay *)
-  | Ev_clwb of addr
-      (** a dirty line is about to be written back ([clwb]s that hit a
-          clean line are no-ops and emit nothing) *)
-  | Ev_fence  (** a persist fence is about to complete *)
-  | Ev_evict of addr
-      (** a dirty line (base address given) is about to be evicted *)
-
-val set_event_hook : t -> (event -> unit) option -> unit
+val set_event_hook : t -> (Ido_obs.Obs.kind -> unit) option -> unit
 (** Install (or remove) the observation hook.  At most one is active;
-    the VM multiplexes it (see {!Ido_vm.Vm.set_event_hook}). *)
+    the VM installs its single emit path here while it has a
+    subscriber (see {!Ido_vm.Vm.set_event_hook}). *)
 
 val load : t -> addr -> int64
 (** Read through the overlay (newest value, persisted or not). *)

@@ -165,6 +165,25 @@ let kind_label = function
   | Crash -> "crash"
   | Recovery_step _ -> "recovery_step"
 
+(* The crash-point kinds: the persistence actions a power failure can
+   precede (stores, write-backs, fences, evictions) and the lock
+   operations that open and close persist-ordering windows. *)
+let crash_point = function
+  | Store _ | Flush _ | Fence _ | Evict _ | Lock_acquire _ | Lock_release _ ->
+      true
+  | Log_append _ | Boundary _ | Fase_enter | Fase_exit | Crash
+  | Recovery_step _ ->
+      false
+
+let describe = function
+  | Store a -> Printf.sprintf "store @%d" a
+  | Flush a -> Printf.sprintf "clwb @%d" a
+  | Fence _ -> "fence"
+  | Evict a -> Printf.sprintf "evict line@%d" a
+  | Lock_acquire id -> Printf.sprintf "lock %d" id
+  | Lock_release id -> Printf.sprintf "unlock %d" id
+  | k -> kind_label k
+
 (* ---------- Coverage export ----------
 
    A small deterministic feature code per event, consumed by the

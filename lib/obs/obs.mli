@@ -1,4 +1,11 @@
-(** Persist-event observability: structured tracing and metrics.
+(** Persist-event observability: the machine's one event type, plus
+    structured tracing and metrics.
+
+    {!kind} is the only event type of the simulated machine: the
+    persistence domain ({!Ido_nvm.Pmem}) raises the four memory kinds,
+    the VM the rest, and every one flows through a single emit path
+    that feeds the crash-injection hook ({!Ido_vm.Vm.set_event_hook},
+    {!crash_point} kinds only) and then the sink.
 
     A sink ({!t}) receives one typed {!event} per observable action of
     the simulated machine — persistence traffic ({!Store}, {!Flush},
@@ -14,10 +21,12 @@
     against {!Ido_nvm.Pmem.counters} deltas with {!check}: the VM emits
     exactly one [Store]/[Flush]/[Fence]/[Evict] per counted pmem
     action, so any disagreement indicates lost or duplicated events.
+    {!Ido_vm.Vm.obs_check} runs that check over the window since the
+    sink was installed.
 
-    Emission is driven by {!Ido_vm.Vm.set_obs}; when no sink is
-    installed the machine takes a [None]-check fast path and performs
-    no work at all.
+    Emission is driven by {!Ido_vm.Vm.set_obs}; when no sink (and no
+    injection hook) is installed the machine takes a [None]-check fast
+    path and builds no event at all.
 
     Events serialise to NDJSON ({!event_to_ndjson}) — one object per
     line — which is the on-disk trace format of [ido_check trace] (see
@@ -45,6 +54,18 @@ type kind =
   | Recovery_step of { scheme : string; what : string }
       (** one unit of post-crash recovery work (a resumed thread, an
           undone record, a replayed transaction, ...) *)
+
+val crash_point : kind -> bool
+(** The kinds a power failure can be injected before: [Store],
+    [Flush], [Fence], [Evict], [Lock_acquire] and [Lock_release].  The
+    crash-injection hook sees exactly these, in emission order; their
+    sequence is the crash-point schedule of [Ido_check]. *)
+
+val describe : kind -> string
+(** A short human-readable rendering of a crash-point kind ("store
+    @325", "clwb @328", "fence", "evict line@912", "lock 3", "unlock
+    3") — the label of a crashed-before event in crash reports and
+    schedules.  Other kinds render as their {!kind_label}. *)
 
 type event = { seq : int; tid : int; fase : int; kind : kind }
 (** [seq] is the 0-based position in this sink's stream.  [tid] / [fase]

@@ -23,12 +23,11 @@ let none = { label = "none"; detect_ns = Topology.detect_ns; events = [] }
 let of_crash pl =
   { label = "crash1"; detect_ns = Topology.detect_ns; events = [ Crash pl ] }
 
-(* The deterministic mid-stream crash point, verbatim from the PR-5
-   [Serve.default_crash]: pick the group from the seed, crash in the
-   batch around the middle of its sub-stream.  Sub-stream lengths come
-   from the plan — nothing is generated.  If the seeded group happens
-   to own no requests, fall back to the busiest one so the crash
-   always lands. *)
+(* The deterministic mid-stream crash point: pick the group from the
+   seed, crash in the batch around the middle of its sub-stream.
+   Sub-stream lengths come from the plan — nothing is generated.  If
+   the seeded group happens to own no requests, fall back to the
+   busiest one so the crash always lands. *)
 let default_crash_plan (config : Config.t) =
   let w = Workload.get config.Config.workload in
   let plan =

@@ -41,14 +41,14 @@ val none : t
 (** The empty scenario (label ["none"]): fault-free serving. *)
 
 val of_crash : crash_plan -> t
-(** Wrap a bare crash plan (label ["crash1"]) — the shim the
-    deprecated [Serve.default_crash] callers go through. *)
+(** Wrap a bare crash plan (label ["crash1"]), for a crash placed by
+    hand. *)
 
 val single_crash : Config.t -> t
-(** The deterministic mid-stream single crash, planned exactly as the
-    PR-5 [Serve.default_crash]: group drawn from the seed (falling
-    back to the busiest), the batch containing the middle request of
-    its sub-stream, 400 ns in. *)
+(** The deterministic mid-stream single crash ({!of_crash} of one
+    plan): group drawn from the seed (falling back to the busiest), the
+    batch containing the middle request of its sub-stream, 400 ns in —
+    the crash [ido_check serve-crash] reports. *)
 
 val storm : ?k:int -> ?at_ns:int -> Config.t -> t
 (** [storm ?k ?at_ns c]: a correlated crash storm — [k] distinct

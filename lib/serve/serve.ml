@@ -91,8 +91,3 @@ let run_cell ?pool ?(chunk = 1) ?(obs = false) ?(fault = Fault.none)
     oracle = first_error outcomes (fun o -> o.Shard.oracle);
     consistency = first_error outcomes (fun o -> o.Shard.consistency);
   }
-
-let default_crash (config : Config.t) =
-  match (Fault.single_crash config).Fault.events with
-  | [ Fault.Crash pl ] -> pl
-  | _ -> assert false

@@ -45,8 +45,3 @@ val run_cell :
     @raise Invalid_argument for a workload missing from the registry
     or a scenario naming a group outside the topology. *)
 
-val default_crash : Config.t -> Fault.crash_plan
-(** @deprecated The PR-5 single-crash plan, now
-    [Fault.single_crash config] under the hood — kept so existing
-    callers (and the [serve-crash] check's output) are unchanged.
-    Prefer building a {!Fault.t} directly. *)

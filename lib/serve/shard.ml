@@ -51,18 +51,8 @@ let oracle_mode (c : Config.t) =
   | Ido_runtime.Scheme.Origin -> Oracle.Prefix
   | _ -> Oracle.Atomic
 
-(* One VM plus the counter snapshot its observation sink reconciles
-   against.  Primaries, replicas and split children are all machines;
-   they differ only in seed salt and in who charges their work. *)
-type machine = {
-  vm : Vm.t;
-  sink : Ido_obs.Obs.t option;
-  stores0 : int;
-  writebacks0 : int;
-  fences0 : int;
-  evictions0 : int;
-}
-
+(* Primaries, replicas and split children are all plain machines; they
+   differ only in seed salt and in who charges their work. *)
 let boot ~obs (c : Config.t) ~seed program =
   let m = Vm.create (vm_config c ~seed) program in
   ignore (Vm.spawn m ~fname:"init" ~args:[]);
@@ -71,55 +61,25 @@ let boot ~obs (c : Config.t) ~seed program =
   | _ -> failwith "Serve: init phase did not finish");
   Vm.flush_all m;
   (* Observed window: everything after durable setup, exactly the
-     [Engine.run_traced] protocol — counters snapshotted here, sink
+     [Engine.run_traced] protocol — the sink is installed here and
      detached only after the machine's final [flush_all]. *)
-  let c0 = Pmem.counters (Vm.pmem m) in
-  let sink =
-    if obs then begin
-      let s = Ido_obs.Obs.create ~buffer:false () in
-      Vm.set_obs m (Some s);
-      Some s
-    end
-    else None
-  in
-  {
-    vm = m;
-    sink;
-    stores0 = c0.Pmem.stores;
-    writebacks0 = c0.Pmem.writebacks;
-    fences0 = c0.Pmem.fences;
-    evictions0 = c0.Pmem.evictions;
-  }
-
-(* A dead machine is discarded without checks — its image is the one
-   the replica replaced; only the sink must stop watching it. *)
-let drop_machine mc =
-  match mc.sink with Some _ -> Vm.set_obs mc.vm None | None -> ()
+  if obs then Vm.set_obs m (Some (Ido_obs.Obs.create ~buffer:false ()));
+  m
 
 (* Final flush + obs reconciliation + oracle on a machine leaving
    service (stream end, or a merge retiring its station early). *)
-let retire_machine ~config ~oracle mc =
-  Vm.flush_all mc.vm;
-  let consistency =
-    match mc.sink with
-    | None -> Ok ()
-    | Some s ->
-        Vm.set_obs mc.vm None;
-        let cts = Pmem.counters (Vm.pmem mc.vm) in
-        Ido_obs.Obs.check s
-          ~stores:(cts.Pmem.stores - mc.stores0)
-          ~writebacks:(cts.Pmem.writebacks - mc.writebacks0)
-          ~fences:(cts.Pmem.fences - mc.fences0)
-          ~evictions:(cts.Pmem.evictions - mc.evictions0)
-  in
-  let root = Ido_region.Region.get_root (Vm.region mc.vm) 0 in
-  let o = Oracle.check oracle ~mode:(oracle_mode config) ~root (mem_of mc.vm) in
+let retire_machine ~config ~oracle m =
+  Vm.flush_all m;
+  let consistency = Vm.obs_check m in
+  Vm.set_obs m None;
+  let root = Ido_region.Region.get_root (Vm.region m) 0 in
+  let o = Oracle.check oracle ~mode:(oracle_mode config) ~root (mem_of m) in
   (o, consistency)
 
 type station = {
   home : int;  (** the group whose outcome owns this station's counters *)
-  mutable prim : machine;
-  mutable reps : machine list;
+  mutable prim : Vm.t;
+  mutable reps : Vm.t list;
   mutable busy : int;
   mutable sim_ns : int;
   mutable replica_ns : int;
@@ -201,31 +161,22 @@ let spawn_batch vm (batch : Gen.request array) =
 let apply_on_replicas st batch =
   List.iter
     (fun rep ->
-      Vm.reap rep.vm;
-      let b0 = Vm.clock rep.vm in
-      ignore (spawn_batch rep.vm batch : Vm.thread array);
-      (match Vm.run rep.vm with
+      Vm.reap rep;
+      let b0 = Vm.clock rep in
+      ignore (spawn_batch rep batch : Vm.thread array);
+      (match Vm.run rep with
       | `Idle -> ()
       | _ -> failwith "Serve: replica batch did not finish");
-      st.replica_ns <- st.replica_ns + (Vm.clock rep.vm - b0))
+      st.replica_ns <- st.replica_ns + (Vm.clock rep - b0))
     st.reps
 
 (* Lose the most recently attached replica; no clock effect — the
    loss only narrows the failover options. *)
 let lose_replica st =
-  let rec split_last = function
-    | [] -> None
-    | [ x ] -> Some ([], x)
-    | x :: tl -> (
-        match split_last tl with
-        | Some (pre, l) -> Some (x :: pre, l)
-        | None -> None)
-  in
-  match split_last st.reps with
-  | None -> ()
-  | Some (keep, lost) ->
-      drop_machine lost;
-      st.reps <- keep;
+  match List.rev st.reps with
+  | [] -> ()
+  | _lost :: kept ->
+      st.reps <- List.rev kept;
       st.replicas_lost <- st.replicas_lost + 1
 
 (* The machine stopped at [crash_clock] mid-batch (power fail).  With
@@ -236,7 +187,7 @@ let lose_replica st =
    batch on the promoted machine — everything serves, nothing drops,
    and the stall is detection plus the replay span. *)
 let crash_mid_batch ~detect_ns ~t0 ~base ~batch ~threads st (ln : lane) =
-  let crash_clock = Vm.clock st.prim.vm in
+  let crash_clock = Vm.clock st.prim in
   let t_crash = t0 + (crash_clock - base) in
   st.crashes <- st.crashes + 1;
   if st.reps = [] then begin
@@ -250,8 +201,8 @@ let crash_mid_batch ~detect_ns ~t0 ~base ~batch ~threads st (ln : lane) =
         end
         else ln.dropped <- ln.dropped + 1)
       threads;
-    Vm.crash st.prim.vm;
-    let stats = Vm.recover st.prim.vm in
+    Vm.crash st.prim;
+    let stats = Vm.recover st.prim in
     let rec_ns = stats.Ido_vm.Recover.simulated_time in
     st.recovery_ns <- st.recovery_ns + rec_ns;
     st.sim_ns <- st.sim_ns + (crash_clock - base) + rec_ns;
@@ -260,16 +211,17 @@ let crash_mid_batch ~detect_ns ~t0 ~base ~batch ~threads st (ln : lane) =
   end
   else begin
     ignore (threads : Vm.thread array);
-    drop_machine st.prim;
+    (* The dead primary is discarded without checks — its image is the
+       one the replica replaces. *)
     let promoted = List.hd st.reps in
     st.reps <- List.tl st.reps;
     st.prim <- promoted;
     st.failovers <- st.failovers + 1;
     let promo = t_crash + detect_ns in
-    Vm.reap promoted.vm;
-    let base' = Vm.clock promoted.vm in
-    let threads' = spawn_batch promoted.vm batch in
-    (match Vm.run promoted.vm with
+    Vm.reap promoted;
+    let base' = Vm.clock promoted in
+    let threads' = spawn_batch promoted batch in
+    (match Vm.run promoted with
     | `Idle -> ()
     | _ -> failwith "Serve: failover replay did not finish");
     Array.iteri
@@ -280,7 +232,7 @@ let crash_mid_batch ~detect_ns ~t0 ~base ~batch ~threads st (ln : lane) =
         ln.served <- ln.served + 1;
         ln.replayed <- ln.replayed + 1)
       threads';
-    let end' = Vm.clock promoted.vm in
+    let end' = Vm.clock promoted in
     st.sim_ns <- st.sim_ns + (crash_clock - base) + (end' - base');
     st.busy <- promo + (end' - base');
     stall st (st.busy - t_crash);
@@ -294,8 +246,8 @@ let crash_mid_batch ~detect_ns ~t0 ~base ~batch ~threads st (ln : lane) =
 let crash_idle ~detect_ns ~at st =
   st.crashes <- st.crashes + 1;
   if st.reps = [] then begin
-    Vm.crash st.prim.vm;
-    let stats = Vm.recover st.prim.vm in
+    Vm.crash st.prim;
+    let stats = Vm.recover st.prim in
     let rec_ns = stats.Ido_vm.Recover.simulated_time in
     st.recovery_ns <- st.recovery_ns + rec_ns;
     st.sim_ns <- st.sim_ns + rec_ns;
@@ -303,7 +255,6 @@ let crash_idle ~detect_ns ~at st =
     stall st rec_ns
   end
   else begin
-    drop_machine st.prim;
     st.prim <- List.hd st.reps;
     st.reps <- List.tl st.reps;
     st.failovers <- st.failovers + 1;
@@ -324,7 +275,7 @@ let complete_batch ~t0 ~base ~batch ~threads st (ln : lane) =
       Lat.add ln.lane_lat (finish - r.Gen.arrival);
       ln.served <- ln.served + 1)
     threads;
-  let end_clock = Vm.clock st.prim.vm in
+  let end_clock = Vm.clock st.prim in
   st.sim_ns <- st.sim_ns + (end_clock - base);
   st.busy <- t0 + (end_clock - base);
   apply_on_replicas st batch
@@ -365,7 +316,7 @@ let run_unit ?(obs = false) ~fault ~config ~program ~oracle ~plan members =
               boot ~obs c ~seed:(Config.shard_seed ~salt:(2 + i) c gid) program)
         in
         let st =
-          fresh_station ~home:gid ~prim ~reps ~busy:(Vm.clock prim.vm)
+          fresh_station ~home:gid ~prim ~reps ~busy:(Vm.clock prim)
         in
         let ln =
           {
@@ -556,9 +507,9 @@ let run_unit ?(obs = false) ~fault ~config ~program ~oracle ~plan members =
               let max_id =
                 Array.fold_left (fun a r -> max a r.Gen.id) (-1) batch
               in
-              Vm.reap st.prim.vm;
-              let base = Vm.clock st.prim.vm in
-              let threads = spawn_batch st.prim.vm batch in
+              Vm.reap st.prim;
+              let base = Vm.clock st.prim in
+              let threads = spawn_batch st.prim batch in
               let crash_here =
                 List.find_opt
                   (fun ((pl : Fault.crash_plan), fired) ->
@@ -568,7 +519,7 @@ let run_unit ?(obs = false) ~fault ~config ~program ~oracle ~plan members =
               match crash_here with
               | Some (pl, fired) ->
                   fired := true;
-                  ignore (Vm.run ~until:(base + pl.Fault.after_ns) st.prim.vm);
+                  ignore (Vm.run ~until:(base + pl.Fault.after_ns) st.prim);
                   crash_mid_batch ~detect_ns ~t0 ~base ~batch ~threads st ln
               | None -> (
                   (* A pending wall-clock crash strictly after [t0]
@@ -582,7 +533,7 @@ let run_unit ?(obs = false) ~fault ~config ~program ~oracle ~plan members =
                   match cut with
                   | Some at_ns -> (
                       match
-                        Vm.run ~until:(base + (at_ns - t0)) st.prim.vm
+                        Vm.run ~until:(base + (at_ns - t0)) st.prim
                       with
                       | `Idle -> complete_batch ~t0 ~base ~batch ~threads st ln
                       | `Until ->
@@ -591,7 +542,7 @@ let run_unit ?(obs = false) ~fault ~config ~program ~oracle ~plan members =
                             st ln
                       | _ -> failwith "Serve: batch deadlocked")
                   | None ->
-                      (match Vm.run st.prim.vm with
+                      (match Vm.run st.prim with
                       | `Idle -> ()
                       | `Deadlock -> failwith "Serve: batch deadlocked"
                       | _ -> failwith "Serve: batch did not finish");

@@ -53,39 +53,13 @@ let create (config : config) (program : Ir.program) =
     tracer = None;
     event_hook = None;
     obs = None;
+    obs_base = counters_snapshot pmem;
     obs_tid = -1;
     obs_fase = -1;
     next_fase_id = 0;
     free_stacks = [];
     free_log_nodes = [];
   }
-
-let obs_kind_of_pmem m (ev : Pmem.event) : Ido_obs.Obs.kind =
-  match ev with
-  | Pmem.Ev_store a -> Ido_obs.Obs.Store a
-  | Pmem.Ev_clwb a -> Ido_obs.Obs.Flush a
-  | Pmem.Ev_fence -> Ido_obs.Obs.Fence (Pmem.pending_flushes m.pmem)
-  | Pmem.Ev_evict a -> Ido_obs.Obs.Evict a
-
-let create config program =
-  let m = create config program in
-  (* Forward pmem traffic to the machine-level hook so one subscriber
-     sees memory and lock events in a single stream.  The crash-
-     injection hook runs first: if it raises, the event's effect never
-     happens, so neither the counters nor the obs sink record it — the
-     trace and `Pmem.counters` stay in exact agreement. *)
-  Ido_nvm.Pmem.set_event_hook m.pmem
-    (Some
-       (fun ev ->
-         (match m.event_hook with
-         | Some f -> f (Event.of_pmem ev)
-         | None -> ());
-         match m.obs with
-         | Some o ->
-             Ido_obs.Obs.emit o ~tid:m.obs_tid ~fase:m.obs_fase
-               (obs_kind_of_pmem m ev)
-         | None -> ()));
-  m
 
 (* Return the machine to the state [create config program] would have
    produced, reusing the expensive parts: the instrumented image, the
@@ -97,12 +71,12 @@ let create config program =
    per injection instead of re-validating and re-instrumenting the
    program per run. *)
 let reset m =
-  (* Quiesce observers first: the pmem forwarding hook stays installed
-     but forwards to nothing, so reinitialisation traffic is exactly as
+  (* Quiesce observers first, so reinitialisation traffic is exactly as
      invisible as it is in [create]. *)
   m.tracer <- None;
   m.event_hook <- None;
   m.obs <- None;
+  sync_pmem_hook m;
   m.obs_tid <- -1;
   m.obs_fase <- -1;
   Rng.assign ~into:m.rng (Rng.create m.config.seed);
@@ -125,9 +99,6 @@ let reset m =
   m.next_fase_id <- 0;
   m.free_stacks <- [];
   m.free_log_nodes <- []
-
-let emit_event m ev =
-  match m.event_hook with Some f -> f ev | None -> ()
 
 let stack_in_pmem (config : config) =
   match config.scheme with
@@ -289,7 +260,7 @@ let abort_txn m (t : thread) (txn : txn) =
   t.rewound <- true;
   t.in_fase <- false;
   if obs_active m then begin
-    obs_emit m Ido_obs.Obs.Fase_exit;
+    emit m Ido_obs.Obs.Fase_exit;
     obs_context m ~tid:t.tid ~fase:(-1)
   end;
   t.fase_id <- -1;
@@ -317,7 +288,7 @@ let txn_store m (t : thread) txn a v =
   if not (Hashtbl.mem txn.writes a) then Vec.push txn.write_order a;
   Hashtbl.replace txn.writes a v;
   (* One redo entry is [addr; value]. *)
-  obs_emit m (Ido_obs.Obs.Log_append { log = "redo"; bytes = 16 });
+  emit m (Ido_obs.Obs.Log_append { log = "redo"; bytes = 16 });
   Redo_log.append t.writer t.log_node ~addr:a ~value:v;
   cost t (lat m).Latency.alu
 
@@ -370,7 +341,7 @@ let do_store m (t : thread) where v =
         t.armed_grant <- Grant_none;
         let page = Page_log.page_of a in
         if not (Hashtbl.mem t.touched_pages page) then begin
-          obs_emit m
+          emit m
             (Ido_obs.Obs.Log_append
                { log = "page"; bytes = 8 * Page_log.entry_words });
           let i = Page_log.log_page t.writer t.log_node ~page in
@@ -396,7 +367,7 @@ let do_store m (t : thread) where v =
           if t.armed_grant = Grant_undo then begin
             t.armed_grant <- Grant_none;
             let old = Pwriter.load t.writer a in
-            obs_emit m
+            emit m
               (Ido_obs.Obs.Log_append
                  { log = "undo"; bytes = 8 * Undo_log.record_words });
             Undo_log.log_write t.writer t.log_node ~addr:a ~old
@@ -506,11 +477,11 @@ let exec_region_boundary m (t : thread) fr (rh : Ir.region_hook) =
        idempotent; re-acquired locks tolerate self-holds and stolen
        releases).  The boundary's OutputSet is owed to the next
        persisted boundary so intRF stays current. *)
-    obs_emit m (Ido_obs.Obs.Boundary { region = rh.region_id; elided = true });
+    emit m (Ido_obs.Obs.Boundary { region = rh.region_id; elided = true });
     t.pending_out_regs <- rh.out_regs @ t.pending_out_regs
   end
   else begin
-    obs_emit m (Ido_obs.Obs.Boundary { region = rh.region_id; elided = false });
+    emit m (Ido_obs.Obs.Boundary { region = rh.region_id; elided = false });
     (* Step 1 (Sec. III-A): persist OutputSet — the closed region's
        output registers (all live-ins at the first boundary of the
        FASE, which must seed intRF), the OutputSets owed by skipped
@@ -527,7 +498,7 @@ let exec_region_boundary m (t : thread) fr (rh : Ir.region_hook) =
     in
     t.first_boundary <- false;
     t.pending_out_regs <- [];
-    obs_emit m
+    emit m
       (Ido_obs.Obs.Log_append
          { log = "intrf"; bytes = 8 * List.length regs_to_log });
     Ido_log.write_out_regs w node
@@ -562,7 +533,7 @@ let exec_fase_enter m (t : thread) _fr =
   m.next_fase_id <- m.next_fase_id + 1;
   if obs_active m then begin
     obs_context m ~tid:t.tid ~fase:t.fase_id;
-    obs_emit m Ido_obs.Obs.Fase_enter
+    emit m Ido_obs.Obs.Fase_enter
   end;
   t.region_stores <- 0;
   Lineset.reset t.region_lines;
@@ -578,7 +549,7 @@ let exec_fase_enter m (t : thread) _fr =
   | Scheme.Atlas | Scheme.Nvml ->
       (* Begin/end records need no fence of their own: they become
          durable with the next fenced record (or the commit flush). *)
-      obs_emit m
+      emit m
         (Ido_obs.Obs.Log_append { log = "undo"; bytes = undo_record_bytes });
       Undo_log.append_unfenced t.writer t.log_node Undo_log.Fase_begin ~a:0L
         ~b:0L ~seq:(next_seq m)
@@ -589,7 +560,7 @@ let exec_fase_exit m (t : thread) _fr =
   t.armed_grant <- Grant_none;
   (match m.config.scheme with
   | Scheme.Atlas ->
-      obs_emit m
+      emit m
         (Ido_obs.Obs.Log_append { log = "undo"; bytes = undo_record_bytes })
   | _ -> ());
   (match m.config.scheme with
@@ -625,7 +596,7 @@ let exec_fase_exit m (t : thread) _fr =
   | Scheme.Nvthreads | Scheme.Mnemosyne | Scheme.Origin -> ());
   t.in_fase <- false;
   if obs_active m then begin
-    obs_emit m Ido_obs.Obs.Fase_exit;
+    emit m Ido_obs.Obs.Fase_exit;
     t.fase_id <- -1;
     obs_context m ~tid:t.tid ~fase:(-1)
   end
@@ -643,7 +614,7 @@ let exec_lock_acquired m (t : thread) _fr =
          persisted boundary.  The ablation knob reverts to JUSTDO's
          intention-log + ownership-log protocol: two fences. *)
       (* Lock record: packed holder word + bitmap word. *)
-      obs_emit m (Ido_obs.Obs.Log_append { log = "ido-lock"; bytes = 16 });
+      emit m (Ido_obs.Obs.Log_append { log = "ido-lock"; bytes = 16 });
       Ido_log.record_acquire t.writer t.log_node ~holder ~epoch:t.epoch;
       if not m.config.single_fence_locks then begin
         Pwriter.fence t.writer;
@@ -653,10 +624,10 @@ let exec_lock_acquired m (t : thread) _fr =
       end
   | Scheme.Justdo ->
       (* Intention word + slot word + bitmap word. *)
-      obs_emit m (Ido_obs.Obs.Log_append { log = "justdo-lock"; bytes = 24 });
+      emit m (Ido_obs.Obs.Log_append { log = "justdo-lock"; bytes = 24 });
       Justdo_log.record_acquire t.writer t.log_node ~holder
   | Scheme.Atlas ->
-      obs_emit m
+      emit m
         (Ido_obs.Obs.Log_append { log = "undo"; bytes = undo_record_bytes });
       Undo_log.append t.writer t.log_node Undo_log.Acquire
         ~a:(Int64.of_int holder) ~b:0L ~seq:(next_seq m)
@@ -673,7 +644,7 @@ let exec_lock_release m (t : thread) fr ~outermost =
          transient mutex).  One fence, durable before the unlock
          executes — closing the double-claim window. *)
       let op = upcoming_unlock m t fr in
-      obs_emit m (Ido_obs.Obs.Log_append { log = "ido-lock"; bytes = 16 });
+      emit m (Ido_obs.Obs.Log_append { log = "ido-lock"; bytes = 16 });
       Ido_log.record_release t.writer t.log_node ~holder:(eval_int fr op);
       if outermost then
         Ido_log.set_recovery_pc t.writer t.log_node ~epoch:t.epoch 0;
@@ -685,11 +656,11 @@ let exec_lock_release m (t : thread) fr ~outermost =
       end
   | Scheme.Justdo ->
       let op = upcoming_unlock m t fr in
-      obs_emit m (Ido_obs.Obs.Log_append { log = "justdo-lock"; bytes = 24 });
+      emit m (Ido_obs.Obs.Log_append { log = "justdo-lock"; bytes = 24 });
       Justdo_log.record_release t.writer t.log_node ~holder:(eval_int fr op)
   | Scheme.Atlas ->
       let op = upcoming_unlock m t fr in
-      obs_emit m
+      emit m
         (Ido_obs.Obs.Log_append { log = "undo"; bytes = undo_record_bytes });
       Undo_log.append t.writer t.log_node Undo_log.Release
         ~a:(eval fr op) ~b:0L ~seq:(next_seq m)
@@ -729,7 +700,7 @@ let exec_justdo_store m (t : thread) fr =
   Justdo_log.snapshot_regs m.pmem t.log_node fr.regs;
   Justdo_log.set_sim_stack m.pmem t.log_node ~base:t.stack_base ~sp:t.sp;
   (* Resumption tuple: pc + addr + value. *)
-  obs_emit m (Ido_obs.Obs.Log_append { log = "justdo"; bytes = 24 });
+  emit m (Ido_obs.Obs.Log_append { log = "justdo"; bytes = 24 });
   Justdo_log.log_store t.writer t.log_node ~pc:store_pc ~addr:a
     ~value:(eval fr src)
 
@@ -739,7 +710,7 @@ let exec_undo_store m (t : thread) fr =
       match resolve m t fr space base off with
       | In_pmem a ->
           let old = Pwriter.load t.writer a in
-          obs_emit m
+          emit m
             (Ido_obs.Obs.Log_append { log = "undo"; bytes = undo_record_bytes });
           Undo_log.log_write t.writer t.log_node ~addr:a ~old ~seq:(next_seq m)
       | In_vmem _ -> ())
@@ -756,7 +727,7 @@ let exec_page_log m (t : thread) fr =
       | In_pmem a ->
           let page = Page_log.page_of a in
           if not (Hashtbl.mem t.touched_pages page) then begin
-            obs_emit m
+            emit m
               (Ido_obs.Obs.Log_append
                  { log = "page"; bytes = 8 * Page_log.entry_words });
             let i = Page_log.log_page t.writer t.log_node ~page in
@@ -775,7 +746,7 @@ let exec_txn_begin m (t : thread) fr =
   m.next_fase_id <- m.next_fase_id + 1;
   if obs_active m then begin
     obs_context m ~tid:t.tid ~fase:t.fase_id;
-    obs_emit m Ido_obs.Obs.Fase_enter
+    emit m Ido_obs.Obs.Fase_enter
   end;
   Redo_log.begin_txn t.writer t.log_node;
   t.txn <-
@@ -842,7 +813,7 @@ let exec_txn_commit m (t : thread) _fr =
         t.txn <- None;
         t.in_fase <- false;
         if obs_active m then begin
-          obs_emit m Ido_obs.Obs.Fase_exit;
+          emit m Ido_obs.Obs.Fase_exit;
           obs_context m ~tid:t.tid ~fase:(-1)
         end;
         t.fase_id <- -1
@@ -921,12 +892,10 @@ let exec_lock m (t : thread) fr op =
   cost t (lat m).Latency.lock_op;
   match l.holder with
   | Some h when h = t.tid ->
-      emit_event m (Event.Lock_acquire id);
-      obs_emit m (Ido_obs.Obs.Lock_acquire id);
+      emit m (Ido_obs.Obs.Lock_acquire id);
       fr.idx <- fr.idx + 1 (* recovery re-acquire / post-hand-off re-run *)
   | None ->
-      emit_event m (Event.Lock_acquire id);
-      obs_emit m (Ido_obs.Obs.Lock_acquire id);
+      emit m (Ido_obs.Obs.Lock_acquire id);
       l.holder <- Some t.tid;
       l.acquired_at <- t.clock;
       fr.idx <- fr.idx + 1
@@ -941,8 +910,7 @@ let exec_unlock m (t : thread) fr op =
   let id = eval_int fr op in
   t.last_lock <- id;
   let l = lock_of m id in
-  emit_event m (Event.Lock_release id);
-  obs_emit m (Ido_obs.Obs.Lock_release id);
+  emit m (Ido_obs.Obs.Lock_release id);
   cost t (lat m).Latency.lock_op;
   (match l.holder with
   | Some h when h = t.tid ->
@@ -1097,13 +1065,13 @@ let step m (t : thread) =
   let fr = current_frame t in
   let blk = fr.func.blocks.(fr.blk) in
   (match m.tracer with
-  | Some emit ->
+  | Some trace ->
       let what =
         if fr.idx < Array.length blk.instrs then
           Format.asprintf "%a" Ir.pp_instr blk.instrs.(fr.idx)
         else Format.asprintf "%a" Ir.pp_terminator blk.term
       in
-      emit
+      trace
         (Printf.sprintf "t%d @%-9d %s.%d.%d%s  %s" t.tid t.clock fr.fname
            fr.blk fr.idx
            (if t.in_fase then " [FASE]" else "")
@@ -1193,7 +1161,7 @@ let crash m =
   m.crashed <- true;
   if obs_active m then begin
     obs_context m ~tid:(-1) ~fase:(-1);
-    obs_emit m Ido_obs.Obs.Crash
+    emit m Ido_obs.Obs.Crash
   end;
   (* On an NV-cache machine the cache contents are themselves
      persistent: a power failure loses nothing that was stored. *)

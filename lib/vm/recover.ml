@@ -119,7 +119,7 @@ let locks_to_reacquire ~pc_epoch held =
 let recovery_step m ~scheme fmt =
   Printf.ksprintf
     (fun what ->
-      obs_emit m (Ido_obs.Obs.Recovery_step { scheme; what }))
+      emit m (Ido_obs.Obs.Recovery_step { scheme; what }))
     fmt
 
 let run_recovery_threads m =

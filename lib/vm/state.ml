@@ -144,12 +144,14 @@ type t = {
   mutable crashed : bool;
   mutable tracer : (string -> unit) option;
       (* when set, receives one line per executed instruction *)
-  mutable event_hook : (Event.t -> unit) option;
-      (* when set, receives every persist-relevant event (pmem traffic
-         forwarded by Interp.create, lock ops emitted by the
-         interpreter); may raise to stop the machine mid-flight *)
+  mutable event_hook : (Ido_obs.Obs.kind -> unit) option;
+      (* crash-injection hook: receives every crash-point event (see
+         [emit]); may raise to stop the machine mid-flight *)
   mutable obs : Ido_obs.Obs.t option;
       (* observability sink; when None the machine does no obs work *)
+  mutable obs_base : Pmem.counters;
+      (* pmem counters when the sink was installed: the start of the
+         window [Vm.obs_check] reconciles *)
   mutable obs_tid : int;  (* thread context for pmem-level obs events *)
   mutable obs_fase : int;  (* FASE context; -1 outside any FASE *)
   mutable next_fase_id : int;  (* global FASE id allocator *)
@@ -164,6 +166,10 @@ type t = {
          the log-head chain *)
 }
 
+let counters_snapshot pmem =
+  let c = Pmem.counters pmem in
+  { c with Pmem.loads = c.Pmem.loads }
+
 (* Tag subsequent pmem-level obs events with a thread's identity (or
    the machine's, tid = fase = -1). *)
 let obs_context m ~tid ~fase =
@@ -175,10 +181,27 @@ let obs_context m ~tid ~fase =
    installed. *)
 let obs_active m = match m.obs with Some _ -> true | None -> false
 
-let obs_emit m kind =
+(* The machine's one event path.  The crash-injection hook runs first
+   and sees only crash-point kinds: if it raises, the event's effect
+   never happens, so neither the pmem counters nor the sink record it
+   and the two stay in exact agreement.  The sink then gets every kind,
+   tagged with the current thread/FASE context. *)
+let emit m kind =
+  (match m.event_hook with
+  | Some f when Ido_obs.Obs.crash_point kind -> f kind
+  | _ -> ());
   match m.obs with
   | None -> ()
   | Some o -> Ido_obs.Obs.emit o ~tid:m.obs_tid ~fase:m.obs_fase kind
+
+(* The persistence domain raises its events through [emit], but only
+   while something listens: with neither hook nor sink, pmem builds no
+   event at all. *)
+let sync_pmem_hook m =
+  Pmem.set_event_hook m.pmem
+    (match (m.event_hook, m.obs) with
+    | None, None -> None
+    | _ -> Some (emit m))
 
 let next_seq m =
   m.seq <- m.seq + 1;

@@ -50,14 +50,30 @@ let image (m : t) = m.State.image
 let region_stats (m : t) = (m.State.stores_per_region, m.State.livein_per_region)
 
 let set_tracer (m : t) f = m.State.tracer <- f
-let set_event_hook (m : t) f = m.State.event_hook <- f
+
+let set_event_hook (m : t) f =
+  m.State.event_hook <- f;
+  State.sync_pmem_hook m
 
 let set_obs (m : t) o =
   m.State.obs <- o;
+  m.State.obs_base <- State.counters_snapshot m.State.pmem;
   (* Reset the attribution context: machine-level until a thread steps. *)
-  State.obs_context m ~tid:(-1) ~fase:(-1)
+  State.obs_context m ~tid:(-1) ~fase:(-1);
+  State.sync_pmem_hook m
 
 let obs (m : t) = m.State.obs
+
+let obs_check (m : t) =
+  match m.State.obs with
+  | None -> Ok ()
+  | Some o ->
+      let c = Ido_nvm.Pmem.counters m.State.pmem and b = m.State.obs_base in
+      Ido_obs.Obs.check o
+        ~stores:(c.stores - b.stores)
+        ~writebacks:(c.writebacks - b.writebacks)
+        ~fences:(c.fences - b.fences)
+        ~evictions:(c.evictions - b.evictions)
 
 let undo_records_total (m : t) =
   let pm = m.State.pmem in

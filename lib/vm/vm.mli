@@ -120,24 +120,38 @@ val set_tracer : t -> (string -> unit) option -> unit
     membership, instruction text.  Survives across crash/recovery, so
     resumption can be watched. *)
 
-val set_event_hook : t -> (Event.t -> unit) option -> unit
-(** Install (or remove) the persist-event observer (see {!Event}).
-    The hook fires {e before} each event takes effect; raising from it
-    aborts {!run} with the persistent image exactly as a power failure
-    at that instant would leave it — the crash-injection mechanism used
-    by [Ido_check].  Events fire regardless of scheme; the stream is
-    deterministic under a fixed config and seed. *)
+val set_event_hook : t -> (Ido_obs.Obs.kind -> unit) option -> unit
+(** Install (or remove) the crash-injection hook.  It receives every
+    event satisfying {!Ido_obs.Obs.crash_point} — stores, write-backs,
+    fences, evictions, lock acquires and releases — in emission order,
+    {e before} each takes effect; raising from it aborts {!run} with
+    the persistent image exactly as a power failure at that instant
+    would leave it — the crash-injection mechanism used by [Ido_check].
+    Events fire regardless of scheme; the stream is deterministic under
+    a fixed config and seed, so "the k-th event" names one precise
+    power-failure instant. *)
 
 val set_obs : t -> Ido_obs.Obs.t option -> unit
 (** Install (or remove) the observability sink (see {!Ido_obs.Obs}).
-    While installed, the machine feeds it every persist-level event
-    (tagged with thread and FASE ids) plus VM-level events: log
-    appends, region boundaries, lock operations, FASE enter/exit,
-    crash and recovery steps.  With no sink installed the machine
-    performs no observability work at all.  Unlike the crash-injection
+    While installed, the machine feeds it every event of the same
+    stream — persist-level and VM-level alike: log appends, region
+    boundaries, lock operations, FASE enter/exit, crash and recovery
+    steps — tagged with thread and FASE ids, after the injection hook
+    has seen it.  With neither sink nor hook installed the machine
+    performs no event work at all.  Unlike the crash-injection
     {!set_event_hook}, the sink must never raise.  Installation does
     not perturb execution: clocks, scheduling, and the persist-event
-    schedule are identical with and without a sink. *)
+    schedule are identical with and without a sink.
+
+    Installing (or removing) a sink also opens the observed window of
+    {!obs_check}: the pmem counters are snapshotted here. *)
+
+val obs_check : t -> (unit, string) result
+(** Reconcile the installed sink's rollup against the pmem counter
+    deltas since the {!set_obs} call that installed it
+    ({!Ido_obs.Obs.check}): [Error] names the first counter whose event
+    count disagrees — a lost or duplicated emission.  [Ok ()] when no
+    sink is installed.  Call it before removing the sink. *)
 
 val obs : t -> Ido_obs.Obs.t option
 

@@ -5,7 +5,6 @@
    fast.  The exhaustive sweeps live behind bin/ido_check. *)
 
 open Ido_runtime
-open Ido_vm
 open Ido_check
 
 let spec ?threads ?ops ?cache_lines ?strict ~scheme ~workload () =
@@ -23,7 +22,7 @@ let recording_deterministic () =
     (fun i e ->
       Alcotest.(check string)
         (Printf.sprintf "event %d" i)
-        (Event.describe e) (Event.describe b.(i)))
+        (Ido_obs.Obs.describe e) (Ido_obs.Obs.describe b.(i)))
     a
 
 (* A crash at every sampled point of an instrumented scheme must

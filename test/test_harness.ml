@@ -1,26 +1,28 @@
 open Ido_runtime
 open Ido_harness
 
+let measure ?(threads = 1) ~ops scheme =
+  (Exp.measure (Exp.Spec.make ~scheme ~workload:"stack" ~threads ~ops ()))
+    .Exp.prun
+
 let test_throughput_run () =
-  let prog = Ido_workloads.Workload.named "stack" in
-  let r = Exp.throughput ~scheme:Scheme.Ido ~threads:2 ~total_ops:400 prog in
+  let r = measure ~threads:2 ~ops:200 Scheme.Ido in
   Alcotest.(check int) "all ops performed" 400 r.Exp.ops;
   Alcotest.(check bool) "positive throughput" true (r.Exp.mops > 0.0);
   Alcotest.(check bool) "time advanced" true (r.Exp.sim_ns > 0);
   Alcotest.(check bool) "persistence traffic counted" true (r.Exp.fences > 0)
 
 let test_throughput_origin_fastest () =
-  let prog = Ido_workloads.Workload.named "stack" in
-  let t s = (Exp.throughput ~scheme:s ~threads:1 ~total_ops:400 prog).Exp.mops in
+  let t s = (measure ~ops:400 s).Exp.mops in
   let origin = t Scheme.Origin and ido = t Scheme.Ido and justdo = t Scheme.Justdo in
   Alcotest.(check bool) "origin > ido" true (origin > ido);
   Alcotest.(check bool) "ido > justdo" true (ido > justdo)
 
 let test_crash_report () =
-  let prog = Ido_workloads.Workload.named "queue" in
   let r =
-    Exp.crash_recover_check ~scheme:Scheme.Ido ~threads:2 ~ops_per_thread:50_000
-      ~crash_at:100_000 prog
+    Exp.crash_check ~crash_at:100_000
+      (Exp.Spec.make ~scheme:Scheme.Ido ~workload:"queue" ~threads:2
+         ~ops:50_000 ())
   in
   Alcotest.(check bool) "recovered and consistent" true r.Exp.check_ok;
   Alcotest.(check bool) "crash happened mid-run" true (r.Exp.crashed_at >= 100_000)

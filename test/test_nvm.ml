@@ -1,5 +1,6 @@
 open Ido_util
 open Ido_nvm
+module Obs = Ido_obs.Obs
 
 let qtest = QCheck_alcotest.to_alcotest
 
@@ -159,7 +160,7 @@ let test_reset_is_fresh () =
   let fill pm =
     let evicted = ref [] in
     Pmem.set_event_hook pm
-      (Some (function Pmem.Ev_evict a -> evicted := a :: !evicted | _ -> ()));
+      (Some (function Obs.Evict a -> evicted := a :: !evicted | _ -> ()));
     for i = 0 to 63 do
       Pmem.store pm (i * 16) 1L
     done;
@@ -241,7 +242,7 @@ module Flat = struct
     rng : Rng.t;
     counters : Pmem.counters;
     mutable pending : int;
-    mutable events : Pmem.event list;  (* newest first *)
+    mutable events : Obs.kind list;  (* newest first *)
   }
 
   let wpl = Pmem.words_per_line
@@ -281,7 +282,7 @@ module Flat = struct
     end
 
   let store m a v =
-    emit m (Pmem.Ev_store a);
+    emit m (Obs.Store a);
     m.counters.stores <- m.counters.stores + 1;
     let l =
       match find m a with
@@ -289,7 +290,7 @@ module Flat = struct
       | None ->
           if Hashtbl.length m.overlay >= m.cache_lines then begin
             let victim = Vec.get m.index (Rng.int m.rng (Vec.length m.index)) in
-            emit m (Pmem.Ev_evict (victim.lineno * wpl));
+            emit m (Obs.Evict (victim.lineno * wpl));
             write_back m victim;
             m.counters.evictions <- m.counters.evictions + 1
           end;
@@ -312,7 +313,7 @@ module Flat = struct
     m.counters.clwbs <- m.counters.clwbs + 1;
     match find m a with
     | Some l ->
-        emit m (Pmem.Ev_clwb a);
+        emit m (Obs.Flush a);
         write_back m l;
         m.counters.writebacks <- m.counters.writebacks + 1;
         m.pending <- m.pending + 1;
@@ -320,7 +321,7 @@ module Flat = struct
     | None -> false
 
   let fence m =
-    emit m Pmem.Ev_fence;
+    emit m (Obs.Fence m.pending);
     m.counters.fences <- m.counters.fences + 1;
     let p = m.pending in
     m.pending <- 0;

@@ -1,7 +1,9 @@
 (* The observability layer (lib/obs) and its contract with the rest of
    the machine: the sink's rollup must agree exactly with the pmem
    counters on every run — random programs x all schemes, crash and
-   recovery included — a saved trace must replay to the same digest
+   recovery included — the crash-injection hook must see exactly the
+   sink's crash-point events, the engine's crashed-run entry points
+   must agree, a saved trace must replay to the same digest
    and the same bytes, the per-log overflow exceptions must carry
    their typed payloads, and the O(1) dirty-line index must keep the
    eviction stream deterministic under a fixed seed. *)
@@ -104,6 +106,20 @@ let test_sink_no_perturbation () =
    recovery included, the sink sees exactly one event per counted pmem
    action.  Reuses the random single-FASE generator of the idempotence
    suite. *)
+let crash_recover_resume m =
+  ignore (Vm.spawn m ~fname:"init" ~args:[]);
+  ignore (Vm.run m);
+  Vm.flush_all m;
+  ignore (Vm.spawn m ~fname:"worker" ~args:[ 0L ]);
+  let t0 = Vm.clock m in
+  (match Vm.run ~until:(t0 + 500) m with
+  | `Until ->
+      Vm.crash m;
+      ignore (Vm.recover m)
+  | `Idle -> ()
+  | _ -> failwith "worker stuck");
+  match Vm.run m with `Idle -> () | _ -> failwith "resume stuck"
+
 let prop_rollup_matches_counters =
   QCheck.Test.make
     ~name:"obs rollup equals pmem counters (all schemes, crash+recovery)"
@@ -113,32 +129,33 @@ let prop_rollup_matches_counters =
       List.for_all
         (fun scheme ->
           let m = Vm.create { (Vm.config scheme) with seed } prog in
-          let obs = Obs.create ~buffer:false () in
+          Vm.set_obs m (Some (Obs.create ~buffer:false ()));
+          crash_recover_resume m;
+          Vm.obs_check m = Ok ())
+        Scheme.all)
+
+(* One stream: the crash-injection hook sees exactly the sink's
+   crash-point events, in the same order — through the worker phase,
+   the crash and recovery, and the resumed threads alike. *)
+let prop_hook_is_filtered_sink =
+  QCheck.Test.make
+    ~name:"hook stream = sink stream filtered by crash_point (all schemes)"
+    ~count:20 Test_idempotence.ops_arb (fun ops ->
+      let prog = Test_idempotence.program_of ops in
+      let seed = 1 + (Hashtbl.hash ops mod 1000) in
+      List.for_all
+        (fun scheme ->
+          let m = Vm.create { (Vm.config scheme) with seed } prog in
+          let hooked = ref [] in
+          let obs = Obs.create () in
+          Vm.set_event_hook m (Some (fun k -> hooked := k :: !hooked));
           Vm.set_obs m (Some obs);
-          let c0 = Pmem.counters (Vm.pmem m) in
-          let stores0 = c0.Pmem.stores
-          and writebacks0 = c0.Pmem.writebacks
-          and fences0 = c0.Pmem.fences
-          and evictions0 = c0.Pmem.evictions in
-          ignore (Vm.spawn m ~fname:"init" ~args:[]);
-          ignore (Vm.run m);
-          Vm.flush_all m;
-          ignore (Vm.spawn m ~fname:"worker" ~args:[ 0L ]);
-          let t0 = Vm.clock m in
-          (match Vm.run ~until:(t0 + 500) m with
-          | `Until ->
-              Vm.crash m;
-              ignore (Vm.recover m)
-          | `Idle -> ()
-          | _ -> failwith "worker stuck");
-          (match Vm.run m with `Idle -> () | _ -> failwith "resume stuck");
-          let c = Pmem.counters (Vm.pmem m) in
-          Obs.check obs
-            ~stores:(c.Pmem.stores - stores0)
-            ~writebacks:(c.Pmem.writebacks - writebacks0)
-            ~fences:(c.Pmem.fences - fences0)
-            ~evictions:(c.Pmem.evictions - evictions0)
-          = Ok ())
+          crash_recover_resume m;
+          let kinds =
+            List.map (fun (e : Obs.event) -> e.Obs.kind) (Obs.events obs)
+          in
+          !hooked <> []
+          && List.rev !hooked = List.filter Obs.crash_point kinds)
         Scheme.all)
 
 (* Every supported scheme x workload pair reconciles on a crash-free
@@ -157,6 +174,48 @@ let test_traced_all_pairs () =
                 Alcotest.failf "%s/%s: %s" (Scheme.name scheme) workload m)
         Scheme.all)
     Ido_workloads.Workload.names
+
+(* The engine's three crashed-run entry points share one injection
+   protocol, so at any index they must name the same crashed-before
+   event and reach the same verdict. *)
+let test_injection_entry_points_agree () =
+  List.iter
+    (fun scheme ->
+      let workload = if scheme = Scheme.Nvml then "objstore" else "queue" in
+      let spec =
+        Engine.defaults ~threads:2 ~ops:4 ~cache_lines:4 ~scheme ~workload ()
+      in
+      let oracle m =
+        let pm = Vm.pmem m in
+        Ido_workloads.Oracle.validate ~workload
+          ~mode:spec.Engine.oracle_mode ~root:(Engine.probe_root m)
+          { Ido_workloads.Oracle.load = Pmem.load pm; size = Pmem.size pm }
+      in
+      let custom =
+        { (Engine.custom_of_spec spec) with Engine.c_validate = oracle }
+      in
+      let total = Array.length (Engine.record spec) in
+      let label = Printf.sprintf "%s/%s" (Scheme.name scheme) workload in
+      List.iter
+        (fun k ->
+          let inj = Engine.inject spec k in
+          let traced =
+            match (Engine.run_traced ~index:k spec).Engine.t_injection with
+            | Some i -> i
+            | None -> Alcotest.failf "%s@%d: traced run not crashed" label k
+          in
+          let pr = Engine.probe ~index:k custom in
+          let at = Printf.sprintf "%s@%d" label k in
+          Alcotest.(check (option string))
+            (at ^ " traced event") inj.Engine.event traced.Engine.event;
+          Alcotest.(check (option string))
+            (at ^ " probe event") inj.Engine.event pr.Engine.pr_event;
+          Alcotest.(check bool) (at ^ " traced verdict") true
+            (inj.Engine.verdict = traced.Engine.verdict);
+          Alcotest.(check bool) (at ^ " probe verdict") true
+            (inj.Engine.verdict = pr.Engine.pr_verdict))
+        (List.init 6 (fun i -> i * total / 5)))
+    Scheme.all
 
 (* A trace file is a complete, portable repro: loading it and
    replaying from the header alone reproduces the digest, and saving
@@ -199,7 +258,7 @@ let test_evict_stream_deterministic () =
     let pm = Pmem.create ~cache_lines:4 ~rng:(Rng.create 99) (1 lsl 12) in
     let evs = ref [] in
     Pmem.set_event_hook pm
-      (Some (function Pmem.Ev_evict a -> evs := a :: !evs | _ -> ()));
+      (Some (function Obs.Evict a -> evs := a :: !evs | _ -> ()));
     let r = Rng.create 5 in
     for _ = 1 to 500 do
       Pmem.store pm (Rng.int r (1 lsl 12)) 1L
@@ -260,11 +319,14 @@ let suites =
         Alcotest.test_case "sink does not perturb execution" `Quick
           test_sink_no_perturbation;
         qtest prop_rollup_matches_counters;
+        qtest prop_hook_is_filtered_sink;
       ] );
     ( "obs.traced",
       [
         Alcotest.test_case "obs/counters reconcile on every pair" `Quick
           test_traced_all_pairs;
+        Alcotest.test_case "inject, run_traced and probe agree" `Quick
+          test_injection_entry_points_agree;
         Alcotest.test_case "trace replays to the same digest and bytes" `Quick
           test_trace_replay_digest;
       ] );

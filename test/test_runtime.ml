@@ -48,7 +48,7 @@ let test_pwriter_coalescing () =
   List.iter (fun a -> Pwriter.store w a 3L) [ 0; 64; 128 ];
   let order = ref [] in
   Pmem.set_event_hook pm
-    (Some (function Pmem.Ev_clwb a -> order := a :: !order | _ -> ()));
+    (Some (function Ido_obs.Obs.Flush a -> order := a :: !order | _ -> ()));
   let clwbs = (Pmem.counters pm).Pmem.clwbs in
   Pwriter.clwb_lines w [ 129; 64; 130; 65; 0; 128 ];
   Alcotest.(check (list int)) "first-occurrence order" [ 128; 64; 0 ]
