@@ -34,6 +34,7 @@ let defaults ?threads ?ops ?(cache_lines = 4096) ?(strict = false) ?(seed = 42)
   let ops = Option.value ops ~default:60 in
   Ido_harness.Spec.check_positive "threads" threads;
   Ido_harness.Spec.check_positive "ops" ops;
+  Ido_harness.Spec.check_positive "cache-lines" cache_lines;
   let oracle_mode =
     if strict then Oracle.Atomic
     else match scheme with Scheme.Origin -> Oracle.Prefix | _ -> Oracle.Atomic
@@ -51,6 +52,7 @@ let of_base ?(cache_lines = 4096) ?oracle_mode ?(opt = false)
     (b : Ido_harness.Spec.t) : spec =
   Ido_harness.Spec.check_positive "threads" b.Ido_harness.Spec.threads;
   Ido_harness.Spec.check_positive "ops" b.Ido_harness.Spec.ops;
+  Ido_harness.Spec.check_positive "cache-lines" cache_lines;
   let oracle_mode =
     match oracle_mode with
     | Some m -> m

@@ -58,7 +58,7 @@ val defaults :
     [Atomic] even for Origin (used to demonstrate a real
     counterexample).
     @raise Invalid_argument on an unsupported scheme/workload pair, or
-    when [threads] or [ops] is below 1. *)
+    when [threads], [ops] or [cache_lines] is below 1. *)
 
 val base_spec : spec -> Ido_harness.Spec.t
 (** The shared serialisable fields (scheme, workload, seed, threads,
@@ -74,8 +74,8 @@ val of_base :
 (** Rebuild an engine spec from a harness spec, defaulting the cache
     geometry and deriving the oracle mode from the scheme ([Prefix]
     for Origin, [Atomic] otherwise) unless overridden.
-    @raise Invalid_argument when [threads] or [ops] is below 1 (a
-    hand-edited trace header). *)
+    @raise Invalid_argument when [threads], [ops] or [cache_lines] is
+    below 1 (a hand-edited trace header). *)
 
 val record : spec -> Ido_obs.Obs.kind array
 (** Run once, crash-free, and return the persist-event schedule of the

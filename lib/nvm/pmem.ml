@@ -61,6 +61,10 @@ type t = {
 
 let create ?(cache_lines = 1024) ~rng size =
   if size <= 0 then invalid_arg "Pmem.create: size must be positive";
+  if cache_lines < 1 then
+    invalid_arg
+      (Printf.sprintf "Pmem.create: cache_lines must be >= 1 (got %d)"
+         cache_lines);
   {
     size;
     pages = Array.make ((size + page_words - 1) lsr page_shift) zero_page;
@@ -77,12 +81,14 @@ let create ?(cache_lines = 1024) ~rng size =
 
 let size t = t.size
 let counters t = t.counters
+let materialised_pages t = Vec.length t.touched
 
 let set_event_hook t f = t.event_hook <- f
 
-let check t addr =
-  if addr < 0 || addr >= t.size then
-    invalid_arg (Printf.sprintf "Pmem: address %d out of bounds" addr)
+let out_of_bounds addr =
+  invalid_arg (Printf.sprintf "Pmem: address %d out of bounds" addr)
+
+let check t addr = if addr < 0 || addr >= t.size then out_of_bounds addr
 
 let page_of t addr = t.pages.(addr lsr page_shift)
 let word_in_page addr = addr land (page_words - 1)
@@ -187,6 +193,36 @@ let poke t addr v =
   p.persisted.(word_in_page addr) <- v;
   let l = p.lines.(slot_in_page addr) in
   if l != clean then l.words.(offset_of addr) <- v
+
+(* [poke a 0L] over [addr, addr + n), page by page.  A page still
+   sharing [zero_page] already reads 0 and has no dirty line, so it is
+   skipped rather than materialised; a materialised page has its words
+   and any dirty lines of the range filled in place.  The bounds are
+   checked before anything is written. *)
+let zero t addr n =
+  if n > 0 then begin
+    check t addr;
+    if addr + n > t.size then out_of_bounds t.size;
+    let last = addr + n - 1 in
+    let a = ref addr in
+    while !a <= last do
+      let hi = Stdlib.min last (!a lor (page_words - 1)) in
+      let p = page_of t !a in
+      if p != zero_page then begin
+        Array.fill p.persisted (word_in_page !a) (hi - !a + 1) 0L;
+        for s = slot_in_page !a to slot_in_page hi do
+          let l = p.lines.(s) in
+          if l != clean then begin
+            let base = line_base l in
+            let lo = Stdlib.max !a base in
+            let up = Stdlib.min hi (base + words_per_line - 1) in
+            Array.fill l.words (lo - base) (up - lo + 1) 0L
+          end
+        done
+      end;
+      a := hi + 1
+    done
+  end
 
 let clwb t addr =
   check t addr;

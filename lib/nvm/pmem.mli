@@ -38,6 +38,8 @@ val create : ?cache_lines:int -> rng:Rng.t -> int -> t
     zero-initialised and fully persisted.  [cache_lines] bounds the
     number of distinct {e dirty} lines held in the volatile overlay
     before pseudo-random eviction begins (default 1024).
+    @raise Invalid_argument when [size] is not positive or
+    [cache_lines] is below 1.
 
     The persistence domain is paged in 512-word pages, and a page is
     allocated only when first written, so creation costs one pointer
@@ -45,6 +47,11 @@ val create : ?cache_lines:int -> rng:Rng.t -> int -> t
 
 val size : t -> int
 val counters : t -> counters
+
+val materialised_pages : t -> int
+(** Pages holding a private copy: those written by [store] or [poke]
+    since {!create} ([zero] never materialises one).  The memory's
+    footprint is about 4.5 KiB per such page. *)
 
 (** {1 Persist-event observation}
 
@@ -77,6 +84,18 @@ val poke : t -> addr -> int64 -> unit
     (still updating any cached copy).  For initialising freshly
     allocated blocks and for simulator-side metadata; not part of the
     simulated machine's store path. *)
+
+val zero : t -> addr -> int -> unit
+(** [zero t addr n] has the effect of [poke t a 0L] for every [a] in
+    [addr, addr + n), and is a no-op when [n <= 0].  Pages never written
+    since {!create} already read 0 and hold no dirty line, so they are
+    skipped rather than materialised; a materialised page is filled in
+    place, including any dirty cached line in the range.  Zeroing a
+    large, mostly untouched arena therefore costs little and leaves
+    {!reset} nothing extra to re-zero.  Raises no event.
+    @raise Invalid_argument, writing nothing, when any word of the
+    range is out of bounds (naming the first such address, as the
+    equivalent [poke] loop would). *)
 
 val clwb : t -> addr -> bool
 (** Initiate write-back of the line containing [addr].  Returns whether

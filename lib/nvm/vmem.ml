@@ -23,6 +23,13 @@ let store t addr v =
   ensure t addr;
   t.cells.(addr) <- v
 
+let zero t addr n =
+  if n > 0 then begin
+    if addr < 0 then invalid_arg "Vmem: negative address";
+    ensure t (addr + n - 1);
+    Array.fill t.cells addr n 0L
+  end
+
 let alloc t n =
   if n < 0 then invalid_arg "Vmem.alloc: negative size";
   let base = t.used in

@@ -13,6 +13,10 @@ val load : t -> addr -> int64
 val store : t -> addr -> int64 -> unit
 (** Grows the memory on demand; addresses must be non-negative. *)
 
+val zero : t -> addr -> int -> unit
+(** [zero t addr n] stores 0 into the [n] words from [addr] (a no-op
+    when [n <= 0]), growing the memory as {!store} would. *)
+
 val alloc : t -> int -> addr
 (** Bump-allocate [n] fresh zeroed words and return their base. *)
 

@@ -103,9 +103,7 @@ let alloc t n =
   in
   (* Zero the payload so recovered code never sees stale bytes; direct
      initialisation, not simulated store traffic. *)
-  for i = base to base + n - 1 do
-    Pmem.poke pm i 0L
-  done;
+  Pmem.zero pm base n;
   let count = Pmem.load pm off_alloc_count in
   Pmem.store pm off_alloc_count (Int64.add count (Int64.of_int n));
   base

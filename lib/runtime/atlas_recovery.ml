@@ -47,6 +47,58 @@ let parse_fases records =
     records;
   List.rev !fases
 
+(* Lock words are compared exactly, as int64s; the hash is a cheap
+   multiplicative one, with no call into the polymorphic hash. *)
+module Lock_tbl = Hashtbl.Make (struct
+  type t = int64
+
+  let equal = Int64.equal
+  let hash l = (Int64.to_int l * 0x2545F4914F6CDD1D) lsr 17
+end)
+
+(* The least set containing every interrupted FASE and closed under
+   G rolled back, G released l at s', F acquired l at s >= s'
+   ==> F rolled back.  Each lock's acquires are sorted newest first,
+   and a worklist expands each rolled-back FASE once.  A release at s'
+   marks its lock's acquires from the newest down to s' and drops them
+   from the index: any later release of that lock reaches the same
+   marked prefix, so every acquire record is visited at most once. *)
+let rollback_set fases =
+  let pending = Lock_tbl.create 16 in
+  Array.iteri
+    (fun fi f ->
+      List.iter
+        (fun (lock, s) ->
+          match Lock_tbl.find pending lock with
+          | l -> l := (s, fi) :: !l
+          | exception Not_found -> Lock_tbl.add pending lock (ref [ (s, fi) ]))
+        f.acquires)
+    fases;
+  Lock_tbl.iter
+    (fun _ l -> l := List.sort (fun (s1, _) (s2, _) -> compare s2 s1) !l)
+    pending;
+  let rolled = Array.map (fun f -> not f.complete) fases in
+  let work = Stack.create () in
+  Array.iteri (fun i r -> if r then Stack.push i work) rolled;
+  while not (Stack.is_empty work) do
+    List.iter
+      (fun (lock, s') ->
+        let rec mark = function
+          | (s, fi) :: rest when s >= s' ->
+              if not rolled.(fi) then begin
+                rolled.(fi) <- true;
+                Stack.push fi work
+              end;
+              mark rest
+          | rest -> rest
+        in
+        match Lock_tbl.find_opt pending lock with
+        | Some l -> l := mark !l
+        | None -> ())
+      fases.(Stack.pop work).releases
+  done;
+  rolled
+
 let recover w region =
   let pm = Pwriter.pmem w in
   let nodes = ref [] in
@@ -65,32 +117,7 @@ let recover w region =
     !nodes;
   let fases = Array.of_list !all_fases in
   let n = Array.length fases in
-  (* Seed the rollback set with interrupted FASEs, then propagate
-     along happens-before edges: G rolled back, G released l at s',
-     F acquired l at s >= s'  ==>  F rolled back. *)
-  let rolled = Array.make n false in
-  Array.iteri (fun i f -> if not f.complete then rolled.(i) <- true) fases;
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    Array.iteri
-      (fun gi g ->
-        if rolled.(gi) then
-          List.iter
-            (fun (lock, s') ->
-              Array.iteri
-                (fun fi f ->
-                  if (not rolled.(fi)) && fi <> gi then
-                    if
-                      List.exists (fun (l, s) -> l = lock && s >= s') f.acquires
-                    then begin
-                      rolled.(fi) <- true;
-                      changed := true
-                    end)
-                fases)
-            g.releases)
-      fases
-  done;
+  let rolled = rollback_set fases in
   (* Undo in reverse global order. *)
   let writes = ref [] in
   Array.iteri (fun i f -> if rolled.(i) then writes := f.writes @ !writes) fases;

@@ -21,6 +21,28 @@ type stats = {
   cost : Ido_util.Timebase.ns;  (** simulated time spent in recovery *)
 }
 
+(** {1 The happens-before closure} *)
+
+type fase = {
+  mutable complete : bool;  (** its [Fase_end] record is in the log *)
+  mutable writes : (int * int64 * int) list;
+      (** [(addr, old, seq)], newest first *)
+  mutable acquires : (int64 * int) list;  (** [(lock, seq)], newest first *)
+  mutable releases : (int64 * int) list;  (** [(lock, seq)], newest first *)
+}
+
+val parse_fases : Undo_log.record list -> fase list
+(** Group one thread's chronological records into its FASEs, oldest
+    first.  Records outside any FASE are ignored. *)
+
+val rollback_set : fase array -> bool array
+(** [rollback_set fases] marks the FASEs recovery discards: the least
+    set containing every incomplete FASE and, whenever it contains a
+    FASE that released lock [l] at sequence number [s'], every FASE
+    that acquired [l] at some [s >= s'].  Acquires are indexed by lock
+    and sorted, and a worklist expands each marked FASE once, visiting
+    each acquire record at most once: O(r log r) in the lock records. *)
+
 val recover : Pwriter.t -> Region.t -> stats
 (** Scan, roll back, persist the restored values, truncate the logs.
     After [recover] the persistent heap reflects only FASEs that

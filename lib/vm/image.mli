@@ -21,8 +21,29 @@ val pos_of_pc : t -> int -> string * Ir.pos
 (** Inverse of {!pc_of_pos}.
     @raise Invalid_argument for pc 0 or out of range. *)
 
-val func : t -> string -> Ir.func
+(** {1 Resolved functions}
+
+    Each function is resolved once at {!build}: its IR, the pc of each
+    block's first slot, its region metadata by region id and the
+    callee of each [Call].  An interpreter frame holds its function's
+    entry, so the per-step lookups below are array indexings. *)
+
+type entry
+
+val entry : t -> string -> entry
 (** @raise Invalid_argument when absent. *)
+
+val name : entry -> string
+val ir : entry -> Ir.func
+
+val pc : entry -> blk:int -> idx:int -> int
+(** [pc e ~blk ~idx = pc_of_pos t ~fname:(name e) {blk; idx}].
+    @raise Invalid_argument for a position outside the function. *)
+
+val callee : entry -> blk:int -> idx:int -> entry
+(** The function called by the [Call] at [(blk, idx)].
+    @raise Invalid_argument for a bad position, a slot holding no
+    [Call], or a callee absent from the program. *)
 
 (** {1 Region-boundary metadata}
 
@@ -37,7 +58,7 @@ type region_meta = {
   out_sorted : int list;  (** [sort_uniq out_regs] *)
 }
 
-val region_meta : t -> fname:string -> int -> region_meta
+val region : entry -> int -> region_meta
 (** Metadata of a region hook by its per-function [region_id].
     @raise Invalid_argument when absent. *)
 

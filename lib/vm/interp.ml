@@ -37,14 +37,14 @@ let create (config : config) (program : Ir.program) =
     pmem;
     region;
     vmem = Vmem.create ();
-    locks = Hashtbl.create 64;
+    locks = Int_tbl.create 64;
     rng;
     threads = Vec.create ();
     clock_floor = 0;
     next_tid = 0;
     seq = 0;
     commit_version = 0;
-    write_versions = Hashtbl.create 256;
+    write_versions = Int_tbl.create 256;
     commit_token_free_at = 0;
     stores_per_region = Cdf.create ();
     livein_per_region = Cdf.create ();
@@ -84,13 +84,13 @@ let reset m =
   ignore (Region.create m.pmem : Region.t);
   Region.mark_running m.region;
   m.vmem <- Vmem.create ();
-  Hashtbl.reset m.locks;
+  Int_tbl.reset m.locks;
   Vec.truncate m.threads;
   m.clock_floor <- 0;
   m.next_tid <- 0;
   m.seq <- 0;
   m.commit_version <- 0;
-  Hashtbl.reset m.write_versions;
+  Int_tbl.reset m.write_versions;
   m.commit_token_free_at <- 0;
   Cdf.clear m.stores_per_region;
   Cdf.clear m.livein_per_region;
@@ -105,20 +105,18 @@ let stack_in_pmem (config : config) =
   | Scheme.Ido | Scheme.Justdo -> true
   | _ -> false
 
-let make_thread m ~tid ~fname ~args ~stack_base ~stack_in_pmem ~log_node
+let make_thread m ~tid ~code ~args ~stack_base ~stack_in_pmem ~log_node
     ~recovery_mode =
-  let func = Image.func m.image fname in
+  let func = Image.ir code in
   let regs = Array.make func.nregs 0L in
-  List.iteri
-    (fun i r -> regs.(r) <- (try List.nth args i with _ -> 0L))
-    func.params;
+  List.iter2 (fun r v -> regs.(r) <- v) func.params args;
   {
     tid;
     writer = Pwriter.create m.pmem m.config.latency;
     rng = Rng.split m.rng;
     clock = 0;
     status = Runnable;
-    frames = [ { fname; func; blk = 0; idx = 0; regs; ret_to = None; saved_sp = 0 } ];
+    frames = [ { code; blk = 0; idx = 0; regs; ret_to = None; saved_sp = 0 } ];
     sp = 0;
     stack_base;
     stack_in_pmem;
@@ -144,6 +142,12 @@ let make_thread m ~tid ~fname ~args ~stack_base ~stack_in_pmem ~log_node
   }
 
 let spawn m ~fname ~args =
+  let code = Image.entry m.image fname in
+  let arity = List.length (Image.ir code).params in
+  if List.length args <> arity then
+    invalid_arg
+      (Printf.sprintf "Vm.spawn: %s takes %d argument(s), got %d" fname arity
+         (List.length args));
   let tid = m.next_tid in
   m.next_tid <- tid + 1;
   let in_pmem = stack_in_pmem m.config in
@@ -151,18 +155,12 @@ let spawn m ~fname ~args =
     match m.free_stacks with
     | base :: rest ->
         (* Recycled stack: zero it so the new thread sees exactly what
-           a fresh allocation would have given it.  Poke, not store:
+           a fresh allocation would have given it.  Zero, not store:
            allocator-side initialisation, no persist events or cost —
            the same convention as fresh (zeroed) memory. *)
         m.free_stacks <- rest;
-        if in_pmem then
-          for a = base to base + m.config.stack_words - 1 do
-            Pmem.poke m.pmem a 0L
-          done
-        else
-          for a = base to base + m.config.stack_words - 1 do
-            Vmem.store m.vmem a 0L
-          done;
+        if in_pmem then Pmem.zero m.pmem base m.config.stack_words
+        else Vmem.zero m.vmem base m.config.stack_words;
         base
     | [] ->
         if in_pmem then Region.alloc m.region m.config.stack_words
@@ -204,7 +202,7 @@ let spawn m ~fname ~args =
   in
   ignore (Pwriter.take_cost w);
   let t =
-    make_thread m ~tid ~fname ~args ~stack_base ~stack_in_pmem:in_pmem
+    make_thread m ~tid ~code ~args ~stack_base ~stack_in_pmem:in_pmem
       ~log_node ~recovery_mode:false
   in
   (* A thread spawned now begins at the machine's current time, not at
@@ -277,7 +275,7 @@ let txn_load m (t : thread) txn a =
   | None ->
       let v = Pwriter.load t.writer a in
       (* Eager validation gives opacity: never compute on stale data. *)
-      (match Hashtbl.find_opt m.write_versions a with
+      (match Int_tbl.find_opt m.write_versions a with
       | Some ver when ver > txn.start_version -> raise Exit
       | _ -> ());
       Hashtbl.replace txn.reads a ();
@@ -383,7 +381,7 @@ let do_store m (t : thread) where v =
 (* Helpers for hooks that refer to a neighbouring instruction *)
 
 let upcoming m t fr pred =
-  let blk = fr.func.blocks.(fr.blk) in
+  let blk = block fr in
   let n = Array.length blk.instrs in
   let rec go i =
     if i >= n then vm_error "hook: expected instruction not found after (%d,%d)" fr.blk fr.idx
@@ -401,7 +399,7 @@ let upcoming_store m t fr =
 (* Like [upcoming_store] but total: a grant hook the optimizer hoisted
    out of a loop (O104) has its consuming store in another block. *)
 let upcoming_store_opt (fr : frame) =
-  let blk = fr.func.blocks.(fr.blk) in
+  let blk = block fr in
   let n = Array.length blk.instrs in
   let rec go i =
     if i >= n then None
@@ -415,9 +413,7 @@ let upcoming_store_opt (fr : frame) =
 let upcoming_unlock m t fr =
   upcoming m t fr (function Ir.Unlock op -> Some op | _ -> None)
 
-let pc_here m (t : thread) fr =
-  ignore t;
-  Image.pc_of_pos m.image ~fname:fr.fname { Ir.blk = fr.blk; idx = fr.idx }
+let pc_here fr = Image.pc fr.code ~blk:fr.blk ~idx:fr.idx
 
 (* Write back the tracked dirty lines in first-store order (the set is
    already deduplicated, so each member is one clwb): deterministic by
@@ -434,7 +430,7 @@ let flush_tracked (t : thread) lines =
 let upcoming_release_is_outermost m (t : thread) (fr : frame) =
   ignore m;
   ignore t;
-  let blk = fr.func.blocks.(fr.blk) in
+  let blk = block fr in
   let n = Array.length blk.instrs in
   let rec go i =
     if i >= n then false
@@ -464,7 +460,7 @@ let rec merge_uniq a b =
 let exec_region_boundary m (t : thread) fr (rh : Ir.region_hook) =
   let w = t.writer in
   let node = t.log_node in
-  let meta = Image.region_meta m.image ~fname:fr.fname rh.region_id in
+  let meta = Image.region fr.code rh.region_id in
   record_region_stats m t meta.Image.n_live_in;
   let clean = Lineset.is_empty t.region_lines in
   if
@@ -512,11 +508,11 @@ let exec_region_boundary m (t : thread) fr (rh : Ir.region_hook) =
     t.epoch <- t.epoch + 1;
     if rh.at_release then begin
       if not (upcoming_release_is_outermost m t fr) then
-        Ido_log.set_recovery_pc w node ~epoch:t.epoch (pc_here m t fr)
+        Ido_log.set_recovery_pc w node ~epoch:t.epoch (pc_here fr)
       (* fence deferred to the release record *)
     end
     else begin
-      Ido_log.set_recovery_pc w node ~epoch:t.epoch (pc_here m t fr);
+      Ido_log.set_recovery_pc w node ~epoch:t.epoch (pc_here fr);
       Pwriter.fence w
     end
   end
@@ -682,7 +678,7 @@ let exec_justdo_store m (t : thread) fr =
     t.pending_data_line <- -1
   end;
   let store_pc =
-    let blk = fr.func.blocks.(fr.blk) in
+    let blk = block fr in
     let n = Array.length blk.instrs in
     let rec find i =
       if i >= n then vm_error "justdo: store vanished"
@@ -691,7 +687,7 @@ let exec_justdo_store m (t : thread) fr =
         | Ir.Store _ -> i
         | _ -> find (i + 1)
     in
-    Image.pc_of_pos m.image ~fname:fr.fname { Ir.blk = fr.blk; idx = find (fr.idx + 1) }
+    Image.pc fr.code ~blk:fr.blk ~idx:(find (fr.idx + 1))
   in
   (* Simulator-side snapshot: memory-resident state in real JUSTDO.
      It must land before [log_store] arms the new pc so the whole
@@ -774,7 +770,7 @@ let exec_txn_commit m (t : thread) _fr =
           (fun a () acc ->
             acc
             &&
-            match Hashtbl.find_opt m.write_versions a with
+            match Int_tbl.find_opt m.write_versions a with
             | Some ver -> ver <= txn.start_version
             | None -> true)
           txn.reads true
@@ -804,7 +800,7 @@ let exec_txn_commit m (t : thread) _fr =
         Redo_log.persist_status w t.log_node Redo_log.Idle;
         m.commit_version <- m.commit_version + 1;
         Hashtbl.iter
-          (fun a _ -> Hashtbl.replace m.write_versions a m.commit_version)
+          (fun a _ -> Int_tbl.replace m.write_versions a m.commit_version)
           txn.writes;
         let work = Pwriter.take_cost w in
         m.commit_token_free_at <- start + work;
@@ -974,17 +970,16 @@ let exec_intrinsic m (t : thread) fr dst intr args =
       cost t (lat m).Latency.alu);
   fr.idx <- fr.idx + 1
 
-let exec_call m (t : thread) fr dst fname args =
-  let callee = Image.func m.image fname in
+(* [Validate] guarantees the call's arity matches the callee's. *)
+let exec_call m (t : thread) fr dst args =
+  let code = Image.callee fr.code ~blk:fr.blk ~idx:fr.idx in
+  let callee = Image.ir code in
   let regs = Array.make callee.nregs 0L in
-  List.iteri
-    (fun i r -> regs.(r) <- (try eval fr (List.nth args i) with _ -> 0L))
-    callee.params;
+  List.iter2 (fun r a -> regs.(r) <- eval fr a) callee.params args;
   cost t (lat m).Latency.call;
   fr.idx <- fr.idx + 1;
   t.frames <-
-    { fname; func = callee; blk = 0; idx = 0; regs; ret_to = dst; saved_sp = t.sp }
-    :: t.frames
+    { code; blk = 0; idx = 0; regs; ret_to = dst; saved_sp = t.sp } :: t.frames
 
 let exec_ret m (t : thread) fr value =
   cost t (lat m).Latency.call;
@@ -1034,7 +1029,7 @@ let exec_instr m (t : thread) fr instr =
   | Durable_begin | Durable_end ->
       cost t (lat m).Latency.alu;
       fr.idx <- fr.idx + 1
-  | Call { dst; func; args } -> exec_call m t fr dst func args
+  | Call { dst; args; _ } -> exec_call m t fr dst args
   | Intrinsic { dst; intr; args } -> exec_intrinsic m t fr dst intr args
   | Hook h ->
       exec_hook m t fr h;
@@ -1063,7 +1058,7 @@ let step m (t : thread) =
      sink is installed — the disabled path costs one comparison. *)
   if obs_active m then obs_context m ~tid:t.tid ~fase:t.fase_id;
   let fr = current_frame t in
-  let blk = fr.func.blocks.(fr.blk) in
+  let blk = block fr in
   (match m.tracer with
   | Some trace ->
       let what =
@@ -1072,7 +1067,8 @@ let step m (t : thread) =
         else Format.asprintf "%a" Ir.pp_terminator blk.term
       in
       trace
-        (Printf.sprintf "t%d @%-9d %s.%d.%d%s  %s" t.tid t.clock fr.fname
+        (Printf.sprintf "t%d @%-9d %s.%d.%d%s  %s" t.tid t.clock
+           (Image.name fr.code)
            fr.blk fr.idx
            (if t.in_fase then " [FASE]" else "")
            what)
@@ -1082,57 +1078,55 @@ let step m (t : thread) =
   t.steps <- t.steps + 1;
   t.clock <- t.clock + Pwriter.take_cost t.writer
 
-let min_runnable m =
-  Vec.fold_left
-    (fun acc t ->
-      if t.status <> Runnable then acc
-      else
-        match acc with
-        | None -> Some t
-        | Some best -> if t.clock < best.clock then Some t else acc)
-    None m.threads
-
-let second_min_clock m (chosen : thread) =
-  Vec.fold_left
-    (fun acc t ->
-      if t.status = Runnable && t.tid <> chosen.tid && t.clock < acc then t.clock
-      else acc)
-    max_int m.threads
-
 let run ?until ?(max_steps = max_int) m : run_outcome =
   let steps = ref 0 in
   let rec loop () =
     if !steps >= max_steps then `Max_steps
-    else
-      match min_runnable m with
-      | None ->
-          if Vec.exists (fun t -> t.status = Blocked) m.threads then `Deadlock
-          else `Idle
-      | Some t -> (
-          match until with
-          | Some u when t.clock >= u -> `Until
-          | _ ->
-              let horizon = second_min_clock m t in
-              let limit = match until with Some u -> Stdlib.min horizon u | None -> horizon in
-              (* Burst while this thread stays the earliest. *)
-              let continue_ = ref true in
-              while
-                !continue_ && t.status = Runnable && t.clock <= limit
-                && !steps < max_steps
-              do
-                step m t;
-                incr steps;
-                if t.status <> Runnable then continue_ := false
-              done;
-              loop ())
+    else begin
+      (* One allocation-free scan: the earliest runnable thread (the
+         first in spawn order on a tie) and, as the burst horizon, the
+         earliest clock among the other runnable threads. *)
+      let best = ref (-1) and best_clock = ref 0 and horizon = ref max_int in
+      for i = 0 to Vec.length m.threads - 1 do
+        let t = Vec.get m.threads i in
+        if t.status = Runnable then
+          if !best < 0 || t.clock < !best_clock then begin
+            if !best >= 0 then horizon := !best_clock;
+            best := i;
+            best_clock := t.clock
+          end
+          else if t.clock < !horizon then horizon := t.clock
+      done;
+      if !best < 0 then
+        if Vec.exists (fun t -> t.status = Blocked) m.threads then `Deadlock
+        else `Idle
+      else
+        let t = Vec.get m.threads !best in
+        match until with
+        | Some u when t.clock >= u -> `Until
+        | _ ->
+            let limit =
+              match until with Some u -> Stdlib.min !horizon u | None -> !horizon
+            in
+            (* Burst while this thread stays the earliest. *)
+            let continue_ = ref true in
+            while
+              !continue_ && t.status = Runnable && t.clock <= limit
+              && !steps < max_steps
+            do
+              step m t;
+              incr steps;
+              if t.status <> Runnable then continue_ := false
+            done;
+            loop ()
+    end
   in
   loop ()
 
 (* Drop finished threads from the scheduler's table.  The per-burst
-   scans ([min_runnable], [second_min_clock], [max_clock]) fold over
-   every thread record ever spawned, so a driver that spawns one thread
-   per request (the serving layer) would otherwise go quadratic in the
-   request count.  The clock floor preserves [max_clock] — and with it
+   scan in [run] and [max_clock] walk every thread record ever spawned,
+   so a driver that spawns one thread per request (the serving layer)
+   would otherwise go quadratic in the request count.  The clock floor preserves [max_clock] — and with it
    the "spawns begin now" invariant — when the reaped threads were the
    ones carrying the latest time. *)
 let reap m =
@@ -1168,8 +1162,8 @@ let crash m =
   if m.config.latency.Latency.nv_caches then Pmem.flush_all m.pmem;
   Pmem.crash m.pmem;
   m.vmem <- Vmem.create ();
-  m.locks <- Hashtbl.create 64;
-  m.write_versions <- Hashtbl.create 64;
+  m.locks <- Int_tbl.create 64;
+  m.write_versions <- Int_tbl.create 64;
   m.commit_token_free_at <- 0;
   Vec.iter (fun t -> t.status <- Done) m.threads;
   Vec.clear m.threads;

@@ -53,7 +53,8 @@ let resume_thread m ~node ~fname ~(pos : Ir.pos) ~regs ~stack ~held =
   (* The resumed tail is a fresh dynamic FASE for attribution. *)
   let fase = m.next_fase_id in
   m.next_fase_id <- fase + 1;
-  let func = Image.func m.image fname in
+  let code = Image.entry m.image fname in
+  let func = Image.ir code in
   let frame_regs = Array.make func.nregs 0L in
   Array.blit regs 0 frame_regs 0 (min (Array.length regs) func.nregs);
   let base, sp = stack in
@@ -65,7 +66,7 @@ let resume_thread m ~node ~fname ~(pos : Ir.pos) ~regs ~stack ~held =
       clock = 0;
       status = Runnable;
       frames =
-        [ { fname; func; blk = pos.blk; idx = pos.idx; regs = frame_regs; ret_to = None; saved_sp = 0 } ];
+        [ { code; blk = pos.blk; idx = pos.idx; regs = frame_regs; ret_to = None; saved_sp = 0 } ];
       sp;
       stack_base = base;
       stack_in_pmem = true;

@@ -49,6 +49,16 @@ let default_config scheme =
     single_fence_locks = true;
   }
 
+(* Int-keyed tables for the step path (lock ids, Mnemosyne write
+   versions): a multiplicative hash instead of the polymorphic one.
+   Nothing iterates them, so bucket order never shows. *)
+module Int_tbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal (a : int) b = a = b
+  let hash x = (x * 0x2545F4914F6CDD1D) lsr 17
+end)
+
 type lock_state = {
   mutable holder : int option;  (* tid *)
   mutable acquired_at : Timebase.ns;
@@ -79,8 +89,7 @@ type thread_status = Runnable | Blocked | Done
 type armed = Grant_none | Grant_undo | Grant_page
 
 type frame = {
-  fname : string;
-  func : Ir.func;
+  code : Image.entry;  (* the executing function, resolved *)
   mutable blk : int;
   mutable idx : int;
   regs : int64 array;
@@ -126,7 +135,7 @@ type t = {
   pmem : Pmem.t;
   region : Region.t;
   mutable vmem : Vmem.t;
-  mutable locks : (int, lock_state) Hashtbl.t;
+  mutable locks : lock_state Int_tbl.t;
   rng : Rng.t;
   threads : thread Vec.t;  (* in spawn order *)
   mutable clock_floor : Timebase.ns;
@@ -136,7 +145,7 @@ type t = {
   mutable next_tid : int;
   mutable seq : int;  (* global sequence for happens-before records *)
   mutable commit_version : int;  (* Mnemosyne global commit clock *)
-  mutable write_versions : (int, int) Hashtbl.t;
+  mutable write_versions : int Int_tbl.t;
   mutable commit_token_free_at : Timebase.ns;  (* STM commit serialization *)
   stores_per_region : Cdf.t;
   livein_per_region : Cdf.t;
@@ -208,17 +217,18 @@ let next_seq m =
   m.seq
 
 let lock_of m id =
-  match Hashtbl.find_opt m.locks id with
-  | Some l -> l
-  | None ->
-      let l = fresh_lock () in
-      Hashtbl.replace m.locks id l;
-      l
+  try Int_tbl.find m.locks id
+  with Not_found ->
+    let l = fresh_lock () in
+    Int_tbl.replace m.locks id l;
+    l
 
 let find_thread m tid =
   match Vec.find_opt (fun t -> t.tid = tid) m.threads with
   | Some t -> t
   | None -> raise Not_found
+
+let block (fr : frame) = (Image.ir fr.code).Ir.blocks.(fr.blk)
 
 let current_frame t =
   match t.frames with

@@ -69,6 +69,10 @@ val reset : t -> unit
 type thread = State.thread
 
 val spawn : t -> fname:string -> args:int64 list -> thread
+(** Start a thread running [fname] with [args] bound to its parameters.
+    @raise Invalid_argument for an unknown function or when [args] does
+    not match its parameter count (the same arity rule {!create}'s
+    validation applies to every [Call]). *)
 
 val run : ?until:Timebase.ns -> ?max_steps:int -> t -> run_outcome
 (** Advance simulated execution.  [`Idle]: every thread finished.

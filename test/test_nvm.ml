@@ -211,6 +211,39 @@ let test_bounds () =
     (Invalid_argument "Pmem: address -1 out of bounds") (fun () ->
       Pmem.store pm (-1) 0L)
 
+let test_zero () =
+  let pm = mk ~size:2048 () in
+  (* A dirty line straddling the range start, a persisted word past
+     its end, and a page never written. *)
+  Pmem.store pm 509 5L;
+  Pmem.store pm 515 6L;
+  Pmem.poke pm 700 7L;
+  Pmem.poke pm 1520 8L;
+  let pages = Pmem.materialised_pages pm in
+  Pmem.zero pm 510 1000;
+  Alcotest.(check int64) "dirty word before the range kept" 5L (Pmem.load pm 509);
+  Alcotest.(check int64) "dirty word in range zeroed" 0L (Pmem.load pm 515);
+  Alcotest.(check bool) "line stays dirty" true (Pmem.is_dirty pm 515);
+  Alcotest.(check int64) "persisted word zeroed" 0L (Pmem.persisted pm 700);
+  Alcotest.(check int64) "word past the range kept" 8L (Pmem.load pm 1520);
+  Pmem.zero pm 1536 512;
+  Alcotest.(check int) "zero pages stay shared" pages
+    (Pmem.materialised_pages pm);
+  Alcotest.check_raises "range past the end, first bad address"
+    (Invalid_argument "Pmem: address 2048 out of bounds") (fun () ->
+      Pmem.zero pm 1520 1000);
+  Alcotest.(check int64) "nothing written on a bad range" 8L
+    (Pmem.load pm 1520);
+  Alcotest.check_raises "negative start"
+    (Invalid_argument "Pmem: address -1 out of bounds") (fun () ->
+      Pmem.zero pm (-1) 4);
+  Pmem.zero pm (-5) 0
+
+let test_bad_cache_lines () =
+  Alcotest.check_raises "zero cache lines"
+    (Invalid_argument "Pmem.create: cache_lines must be >= 1 (got 0)")
+    (fun () -> ignore (mk ~cache_lines:0 ()))
+
 let prop_flushed_survives_crash =
   QCheck.Test.make ~name:"flushed words always survive a crash" ~count:50
     QCheck.(pair small_int (list_of_size Gen.(int_range 1 40) (int_bound 500)))
@@ -355,6 +388,7 @@ type op =
   | Store of int * int64
   | Load of int
   | Poke of int * int64
+  | Zero of int * int
   | Clwb of int
   | Fence
   | Crash
@@ -365,6 +399,7 @@ let show_op = function
   | Store (a, v) -> Printf.sprintf "store %d %Ld" a v
   | Load a -> Printf.sprintf "load %d" a
   | Poke (a, v) -> Printf.sprintf "poke %d %Ld" a v
+  | Zero (a, n) -> Printf.sprintf "zero %d %d" a n
   | Clwb a -> Printf.sprintf "clwb %d" a
   | Fence -> "fence"
   | Crash -> "crash"
@@ -386,11 +421,24 @@ let gen_op =
       ]
   in
   let value = map Int64.of_int small_nat in
+  (* Zero ranges: within a line, across a few lines, across a page
+     boundary, up to the memory's end, and empty. *)
+  let zero =
+    frequency
+      [
+        (3, pair addr (int_range 1 16));
+        (2, pair (int_range 400 600) (int_range 20 700));
+        (1, map (fun a -> (a, diff_size - a)) addr);
+        (1, pair addr (return 0));
+      ]
+    >|= fun (a, n) -> Zero (a, Stdlib.min n (diff_size - a))
+  in
   frequency
     [
       (6, map2 (fun a v -> Store (a, v)) addr value);
       (4, map (fun a -> Load a) addr);
       (2, map2 (fun a v -> Poke (a, v)) addr value);
+      (3, zero);
       (3, map (fun a -> Clwb a) addr);
       (2, return Fence);
       (1, return Crash);
@@ -426,6 +474,12 @@ let prop_paged_matches_flat =
         | Poke (a, v) ->
             Pmem.poke pm a v;
             Flat.poke flat a v;
+            true
+        | Zero (a, n) ->
+            Pmem.zero pm a n;
+            for i = a to a + n - 1 do
+              Flat.poke flat i 0L
+            done;
             true
         | Clwb a -> Pmem.clwb pm a = Flat.clwb flat a
         | Fence -> Pmem.fence pm = Flat.fence flat
@@ -488,6 +542,8 @@ let suites =
           test_flush_all_dirty_index_order;
         Alcotest.test_case "reset = fresh create" `Quick test_reset_is_fresh;
         Alcotest.test_case "bounds" `Quick test_bounds;
+        Alcotest.test_case "zero skips zero pages" `Quick test_zero;
+        Alcotest.test_case "cache_lines >= 1" `Quick test_bad_cache_lines;
         Alcotest.test_case "8M words, few pages" `Quick test_footprint;
         qtest prop_flushed_survives_crash;
         qtest prop_paged_matches_flat;

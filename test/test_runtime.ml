@@ -333,6 +333,92 @@ let test_atlas_undo_order () =
   ignore (Atlas_recovery.recover w region);
   Alcotest.(check int64) "original value restored" 5L (Pmem.load pm 100)
 
+(* The closure as first written, kept as the reference: sweep every
+   (rolled-back FASE, release, FASE) triple until nothing changes. *)
+let pairwise_rollback (fases : Atlas_recovery.fase array) =
+  let rolled = Array.map (fun f -> not f.Atlas_recovery.complete) fases in
+  let changed = ref true in
+  while !changed do
+    changed := false;
+    Array.iteri
+      (fun gi (g : Atlas_recovery.fase) ->
+        if rolled.(gi) then
+          List.iter
+            (fun (lock, s') ->
+              Array.iteri
+                (fun fi (f : Atlas_recovery.fase) ->
+                  if
+                    (not rolled.(fi)) && fi <> gi
+                    && List.exists (fun (l, s) -> l = lock && s >= s') f.acquires
+                  then begin
+                    rolled.(fi) <- true;
+                    changed := true
+                  end)
+                fases)
+            g.releases)
+      fases
+  done;
+  rolled
+
+(* Hand-built per-thread undo logs.  A fixed prefix makes a chain of
+   three: T0's FASE is interrupted after releasing lock 0 to T1, whose
+   completed FASE releases lock 1 to T2.  Random records follow on
+   T1..Tn-1, interleaved record by record, each thread's last FASE
+   possibly left open by the crash. *)
+let undo_logs (nthreads, steps) =
+  let logs = Array.make nthreads [] in
+  let open_fase = Array.make nthreads false in
+  let seq = ref 0 in
+  let emit t tag a =
+    incr seq;
+    logs.(t) <-
+      { Undo_log.tag; a = Int64.of_int a; b = 0L; seq = !seq } :: logs.(t)
+  in
+  let fase t body =
+    emit t Undo_log.Fase_begin 0;
+    List.iter (fun (tag, a) -> emit t tag a) body
+  in
+  fase 0 Undo_log.[ (Acquire, 0); (Write, 100); (Release, 0) ];
+  fase 1
+    Undo_log.
+      [ (Acquire, 0); (Acquire, 1); (Write, 101); (Release, 0); (Release, 1);
+        (Fase_end, 0) ];
+  fase 2 Undo_log.[ (Acquire, 1); (Write, 102); (Release, 1); (Fase_end, 0) ];
+  List.iter
+    (fun (t, action, lock) ->
+      let t = 1 + (t mod (nthreads - 1)) in
+      if not open_fase.(t) then begin
+        emit t Undo_log.Fase_begin 0;
+        open_fase.(t) <- true
+      end
+      else if action < 3 then emit t Undo_log.Acquire lock
+      else if action < 6 then emit t Undo_log.Release lock
+      else if action < 8 then emit t Undo_log.Write (200 + lock)
+      else begin
+        emit t Undo_log.Fase_end 0;
+        open_fase.(t) <- false
+      end)
+    steps;
+  Array.map List.rev logs
+
+let prop_atlas_closure_matches_pairwise =
+  QCheck.Test.make ~name:"indexed rollback closure = pairwise fixpoint"
+    ~count:300
+    QCheck.(
+      pair (int_range 3 5)
+        (list_of_size Gen.(int_range 0 80)
+           (triple (int_bound 3) (int_bound 9) (int_bound 2))))
+    (fun case ->
+      let fases =
+        undo_logs case |> Array.to_list
+        |> List.concat_map Atlas_recovery.parse_fases
+        |> Array.of_list
+      in
+      let rolled = Atlas_recovery.rollback_set fases in
+      (* T0's interrupted FASE and the two it reaches are always in. *)
+      Array.fold_left (fun n r -> if r then n + 1 else n) 0 rolled >= 3
+      && rolled = pairwise_rollback fases)
+
 (* ------------------------------------------------------------------ *)
 (* REDO log *)
 
@@ -482,6 +568,7 @@ let suites =
         Alcotest.test_case "independent FASE survives" `Quick
           test_atlas_independent_fase_survives;
         Alcotest.test_case "undo order" `Quick test_atlas_undo_order;
+        qtest prop_atlas_closure_matches_pairwise;
       ] );
     ( "runtime.redo_log",
       [
