@@ -5,13 +5,18 @@ type addr = int
 let words_per_line = 8
 
 (* The persistence domain is paged.  A page is 512 words (4 KiB, 64
-   lines) and holds both its persisted words and the dirty-line slots
-   of its 64 lines, so a read is two array indexings with no hashing
-   and no allocation. *)
+   lines) held twice, unboxed: [cur] has the newest value of every word
+   (the only image [load] reads) and [persisted] the persistence
+   domain.  A clean line reads the same in both.  [slots] gives each
+   line's position in the dirty index, or -1 when it is clean, so a
+   read is two array indexings and a word load, with no hashing and no
+   allocation. *)
 let line_shift = 3
 let page_shift = 9
 let page_words = 1 lsl page_shift
 let lines_per_page = page_words / words_per_line
+let line_bytes = words_per_line * 8
+let page_bytes = page_words * 8
 
 type counters = {
   mutable loads : int;
@@ -22,36 +27,35 @@ type counters = {
   mutable evictions : int;
 }
 
-(* A dirty line knows its own number, its page and its slot in
-   [dirty_index], so the write-back path touches no table at all. *)
-type line = {
-  lineno : int;
-  words : int64 array;
-  page : page;
-  mutable slot : int;
+type page = {
+  cur : Bytes.t;  (* [page_words] words: the newest values *)
+  persisted : Bytes.t;  (* [page_words] words: the persistence domain *)
+  slots : int array;  (* [lines_per_page]: dirty-index position or -1 *)
 }
 
-and page = {
-  persisted : int64 array;  (* [page_words] words *)
-  lines : line array;  (* [lines_per_page] slots, [clean] unless dirty *)
-}
+(* Every word offset is masked into its page, so the unchecked word
+   accessors never leave the 4 KiB buffer. *)
+external get_word : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set_word : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
-(* The sentinel filling every clean slot.  It is never in a dirty
-   index, so nothing writes through it. *)
-let rec clean = { lineno = -1; words = [||]; page = no_page; slot = -1 }
-and no_page = { persisted = [||]; lines = [||] }
+let new_page () =
+  {
+    cur = Bytes.make page_bytes '\000';
+    persisted = Bytes.make page_bytes '\000';
+    slots = Array.make lines_per_page (-1);
+  }
 
 (* Every page table entry starts here, shared by all memories: reads
    see zeros, and the first write to a page gives it a private copy
    ([writable]).  Nothing ever writes into it. *)
-let zero_page =
-  { persisted = Array.make page_words 0L; lines = Array.make lines_per_page clean }
+let zero_page = new_page ()
 
 type t = {
   size : int;
   pages : page array;
   touched : page Vec.t;  (* the pages [writable] materialised *)
-  dirty_index : line Vec.t;  (* the dirty lines, in insertion order *)
+  mutable dirty : int array;  (* dirty line numbers, [0, ndirty) *)
+  mutable ndirty : int;
   cache_lines : int;
   rng : Rng.t;
   counters : counters;
@@ -69,7 +73,8 @@ let create ?(cache_lines = 1024) ~rng size =
     size;
     pages = Array.make ((size + page_words - 1) lsr page_shift) zero_page;
     touched = Vec.create ();
-    dirty_index = Vec.create ();
+    dirty = Array.make (Stdlib.min cache_lines 64) 0;
+    ndirty = 0;
     cache_lines;
     rng;
     counters =
@@ -91,20 +96,18 @@ let out_of_bounds addr =
 let check t addr = if addr < 0 || addr >= t.size then out_of_bounds addr
 
 let page_of t addr = t.pages.(addr lsr page_shift)
-let word_in_page addr = addr land (page_words - 1)
-let slot_in_page addr = (addr lsr line_shift) land (lines_per_page - 1)
-let offset_of addr = addr land (words_per_line - 1)
-let line_base (l : line) = l.lineno lsl line_shift
+let byte_in_page addr = (addr land (page_words - 1)) lsl 3
+let page_of_line t lineno = t.pages.(lineno lsr (page_shift - line_shift))
+let line_slot lineno = lineno land (lines_per_page - 1)
+let slot_in_page addr = line_slot (addr lsr line_shift)
+let line_byte lineno = line_slot lineno * line_bytes
 
 (* The page holding [addr], materialised on its first write. *)
 let writable t addr =
   let p = page_of t addr in
   if p != zero_page then p
   else begin
-    let p =
-      { persisted = Array.make page_words 0L;
-        lines = Array.make lines_per_page clean }
-    in
+    let p = new_page () in
     t.pages.(addr lsr page_shift) <- p;
     Vec.push t.touched p;
     p
@@ -113,92 +116,109 @@ let writable t addr =
 let load t addr =
   check t addr;
   t.counters.loads <- t.counters.loads + 1;
-  let p = page_of t addr in
-  let l = p.lines.(slot_in_page addr) in
-  if l == clean then p.persisted.(word_in_page addr)
-  else l.words.(offset_of addr)
+  get_word (page_of t addr).cur (byte_in_page addr)
 
-(* The dirty-line index lists the dirty lines in a flat vector so a
+(* The dirty index lists the dirty lines' numbers in a flat array so a
    uniformly random one is one [Rng.int] away; removal swaps the last
-   slot in (order inside the vector is irrelevant — the victim choice
+   entry in (order inside the array is irrelevant — the victim choice
    is random anyway). *)
-let index_add t (l : line) =
-  l.slot <- Vec.length t.dirty_index;
-  Vec.push t.dirty_index l
+let index_add t p lineno =
+  if t.ndirty = Array.length t.dirty then begin
+    let grown = Array.make (2 * t.ndirty) 0 in
+    Array.blit t.dirty 0 grown 0 t.ndirty;
+    t.dirty <- grown
+  end;
+  p.slots.(line_slot lineno) <- t.ndirty;
+  t.dirty.(t.ndirty) <- lineno;
+  t.ndirty <- t.ndirty + 1
 
-let index_remove t (l : line) =
-  let last = Vec.pop t.dirty_index in
-  if last != l then begin
-    Vec.set t.dirty_index l.slot last;
-    last.slot <- l.slot
+(* Copy a dirty line from [cur] into the persistence domain and mark it
+   clean, leaving the index to the caller. *)
+let persist_line t lineno =
+  let p = page_of_line t lineno in
+  let o = line_byte lineno in
+  Bytes.unsafe_blit p.cur o p.persisted o line_bytes;
+  p.slots.(line_slot lineno) <- -1
+
+let write_back t lineno =
+  let pos = (page_of_line t lineno).slots.(line_slot lineno) in
+  persist_line t lineno;
+  let n = t.ndirty - 1 in
+  t.ndirty <- n;
+  let last = t.dirty.(n) in
+  if last <> lineno then begin
+    t.dirty.(pos) <- last;
+    (page_of_line t last).slots.(line_slot last) <- pos
   end
-
-(* Copy a dirty line's words into the persistence domain and mark the
-   line clean in its (already materialised) page. *)
-let persist_words (l : line) =
-  let base = line_base l in
-  Array.blit l.words 0 l.page.persisted (word_in_page base) words_per_line;
-  l.page.lines.(slot_in_page base) <- clean
-
-let write_back t (l : line) =
-  persist_words l;
-  index_remove t l
 
 let evict_random t =
   (* Pick a uniformly random dirty line in O(1) via the index.  This is
      the "arbitrary write-back order" of the paper. *)
-  let n = Vec.length t.dirty_index in
-  if n > 0 then begin
-    let l = Vec.get t.dirty_index (Rng.int t.rng n) in
+  if t.ndirty > 0 then begin
+    let lineno = t.dirty.(Rng.int t.rng t.ndirty) in
     (match t.event_hook with
-    | Some f -> f (Ido_obs.Obs.Evict (line_base l))
+    | Some f -> f (Ido_obs.Obs.Evict (lineno lsl line_shift))
     | None -> ());
-    write_back t l;
+    write_back t lineno;
     t.counters.evictions <- t.counters.evictions + 1
-  end
-
-let dirty_line t addr =
-  let l = (page_of t addr).lines.(slot_in_page addr) in
-  if l != clean then l.words
-  else begin
-    if Vec.length t.dirty_index >= t.cache_lines then evict_random t;
-    let p = writable t addr in
-    let lineno = addr lsr line_shift in
-    let words =
-      Array.sub p.persisted (word_in_page (lineno lsl line_shift)) words_per_line
-    in
-    let l = { lineno; words; page = p; slot = 0 } in
-    p.lines.(slot_in_page addr) <- l;
-    index_add t l;
-    words
   end
 
 (* Each event fires BEFORE its action takes effect, so a hook that
    raises leaves the persistence domain exactly as a power failure at
    that instant would.  The match sits at each site so that, with no
    hook, no event value is built.  Simulator-side channels ([poke],
-   [flush_all]) never fire it. *)
+   [flush_all]) never fire it.  A clean line reads the same in both
+   images, so dirtying one copies nothing. *)
 let store t addr v =
   check t addr;
   (match t.event_hook with
   | Some f -> f (Ido_obs.Obs.Store addr)
   | None -> ());
   t.counters.stores <- t.counters.stores + 1;
-  let words = dirty_line t addr in
-  words.(offset_of addr) <- v
+  let p = page_of t addr in
+  let p =
+    if p.slots.(slot_in_page addr) >= 0 then p
+    else begin
+      if t.ndirty >= t.cache_lines then evict_random t;
+      let p = writable t addr in
+      index_add t p (addr lsr line_shift);
+      p
+    end
+  in
+  set_word p.cur (byte_in_page addr) v
 
 let poke t addr v =
   check t addr;
   let p = writable t addr in
-  p.persisted.(word_in_page addr) <- v;
-  let l = p.lines.(slot_in_page addr) in
-  if l != clean then l.words.(offset_of addr) <- v
+  let o = byte_in_page addr in
+  set_word p.persisted o v;
+  set_word p.cur o v
+
+(* [poke] of every whole word of [src], page by page, after one bounds
+   check of the whole range. *)
+let poke_bytes t addr src =
+  let n = Bytes.length src / 8 in
+  if n > 0 then begin
+    check t addr;
+    if addr + n > t.size then out_of_bounds t.size;
+    let a = ref addr in
+    while !a < addr + n do
+      let len =
+        Stdlib.min (addr + n - !a) (page_words - (!a land (page_words - 1)))
+      in
+      let p = writable t !a in
+      let o = byte_in_page !a in
+      Bytes.blit src ((!a - addr) * 8) p.persisted o (len * 8);
+      Bytes.blit src ((!a - addr) * 8) p.cur o (len * 8);
+      a := !a + len
+    done
+  end
 
 (* [poke a 0L] over [addr, addr + n), page by page.  A page still
    sharing [zero_page] already reads 0 and has no dirty line, so it is
-   skipped rather than materialised; a materialised page has its words
-   and any dirty lines of the range filled in place.  The bounds are
-   checked before anything is written. *)
+   skipped rather than materialised; a materialised page has both
+   images of the range filled in place.  The bounds are checked before
+   anything is written. *)
 let zero t addr n =
   if n > 0 then begin
     check t addr;
@@ -209,16 +229,9 @@ let zero t addr n =
       let hi = Stdlib.min last (!a lor (page_words - 1)) in
       let p = page_of t !a in
       if p != zero_page then begin
-        Array.fill p.persisted (word_in_page !a) (hi - !a + 1) 0L;
-        for s = slot_in_page !a to slot_in_page hi do
-          let l = p.lines.(s) in
-          if l != clean then begin
-            let base = line_base l in
-            let lo = Stdlib.max !a base in
-            let up = Stdlib.min hi (base + words_per_line - 1) in
-            Array.fill l.words (lo - base) (up - lo + 1) 0L
-          end
-        done
+        let o = byte_in_page !a and len = (hi - !a + 1) * 8 in
+        Bytes.fill p.persisted o len '\000';
+        Bytes.fill p.cur o len '\000'
       end;
       a := hi + 1
     done
@@ -227,13 +240,12 @@ let zero t addr n =
 let clwb t addr =
   check t addr;
   t.counters.clwbs <- t.counters.clwbs + 1;
-  let l = (page_of t addr).lines.(slot_in_page addr) in
-  if l == clean then false
+  if (page_of t addr).slots.(slot_in_page addr) < 0 then false
   else begin
     (match t.event_hook with
     | Some f -> f (Ido_obs.Obs.Flush addr)
     | None -> ());
-    write_back t l;
+    write_back t (addr lsr line_shift);
     t.counters.writebacks <- t.counters.writebacks + 1;
     t.pending <- t.pending + 1;
     true
@@ -253,34 +265,36 @@ let drain_pending t = t.pending <- 0
 
 let persisted t addr =
   check t addr;
-  (page_of t addr).persisted.(word_in_page addr)
+  get_word (page_of t addr).persisted (byte_in_page addr)
 
 let is_dirty t addr =
   check t addr;
-  (page_of t addr).lines.(slot_in_page addr) != clean
+  (page_of t addr).slots.(slot_in_page addr) >= 0
 
-let dirty_lines t = Vec.length t.dirty_index
+let dirty_lines t = t.ndirty
+let dirty_linenos t = Array.to_list (Array.sub t.dirty 0 t.ndirty)
 
-let dirty_linenos t =
-  List.map (fun (l : line) -> l.lineno) (Vec.to_list t.dirty_index)
-
-(* Forget every dirty line without persisting it. *)
-let drop_overlay t =
-  Vec.iter
-    (fun (l : line) -> l.page.lines.(slot_in_page (line_base l)) <- clean)
-    t.dirty_index
-
+(* Forget every dirty line without persisting it: its newest values
+   revert to the persisted ones. *)
 let crash t =
-  drop_overlay t;
-  Vec.clear t.dirty_index;
+  for i = 0 to t.ndirty - 1 do
+    let lineno = t.dirty.(i) in
+    let p = page_of_line t lineno in
+    let o = line_byte lineno in
+    Bytes.unsafe_blit p.persisted o p.cur o line_bytes;
+    p.slots.(line_slot lineno) <- -1
+  done;
+  t.ndirty <- 0;
   t.pending <- 0
 
 (* Every line is written back, so skip per-line index maintenance:
    persist in dirty-index (insertion) order — deterministic, no
    intermediate list — then drop the index wholesale. *)
 let flush_all t =
-  Vec.iter persist_words t.dirty_index;
-  Vec.truncate t.dirty_index;
+  for i = 0 to t.ndirty - 1 do
+    persist_line t t.dirty.(i)
+  done;
+  t.ndirty <- 0;
   t.pending <- 0
 
 (* Return the arena to its just-created state (same size, same
@@ -288,9 +302,16 @@ let flush_all t =
    materialised pages hold anything to zero, and they stay in the table
    for the next run to write into. *)
 let reset ~rng t =
-  drop_overlay t;
-  Vec.truncate t.dirty_index;
-  Vec.iter (fun p -> Array.fill p.persisted 0 page_words 0L) t.touched;
+  for i = 0 to t.ndirty - 1 do
+    let lineno = t.dirty.(i) in
+    (page_of_line t lineno).slots.(line_slot lineno) <- -1
+  done;
+  t.ndirty <- 0;
+  Vec.iter
+    (fun p ->
+      Bytes.fill p.persisted 0 page_bytes '\000';
+      Bytes.fill p.cur 0 page_bytes '\000')
+    t.touched;
   t.pending <- 0;
   Rng.assign ~into:t.rng rng;
   let c = t.counters in

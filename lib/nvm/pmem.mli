@@ -10,7 +10,19 @@
     data back in arbitrary order" hazard of Sec. I.
 
     A {e crash} discards the overlay: the post-crash contents are
-    exactly the words that had persisted. *)
+    exactly the words that had persisted.
+
+    Representation: the memory is paged in 512-word (4 KiB) pages, and
+    a page is materialised only when first written.  A materialised
+    page stores its words unboxed, twice: a {e current} image holding
+    the newest value of every word (the only one {!load} reads) and a
+    {e persisted} image holding the persistence domain.  A clean line
+    reads the same in both, so dirtying it copies nothing; a write-back
+    or eviction copies the line from the current image to the
+    persisted one, and a crash copies every dirty line back.  The
+    dirty index is a flat array of line numbers, and each page records
+    its lines' positions in it.  With a pre-boxed value, {!store},
+    {!clwb} and {!fence} allocate nothing once the index has grown. *)
 
 open Ido_util
 
@@ -41,9 +53,8 @@ val create : ?cache_lines:int -> rng:Rng.t -> int -> t
     @raise Invalid_argument when [size] is not positive or
     [cache_lines] is below 1.
 
-    The persistence domain is paged in 512-word pages, and a page is
-    allocated only when first written, so creation costs one pointer
-    per page and a memory holds only the pages it touched. *)
+    Creation costs one pointer per page, and a memory holds only the
+    pages it touched. *)
 
 val size : t -> int
 val counters : t -> counters
@@ -51,7 +62,8 @@ val counters : t -> counters
 val materialised_pages : t -> int
 (** Pages holding a private copy: those written by [store] or [poke]
     since {!create} ([zero] never materialises one).  The memory's
-    footprint is about 4.5 KiB per such page. *)
+    footprint is about 8.5 KiB per such page: two 4 KiB images and
+    the line-to-index table. *)
 
 (** {1 Persist-event observation}
 
@@ -84,6 +96,14 @@ val poke : t -> addr -> int64 -> unit
     (still updating any cached copy).  For initialising freshly
     allocated blocks and for simulator-side metadata; not part of the
     simulated machine's store path. *)
+
+val poke_bytes : t -> addr -> Bytes.t -> unit
+(** [poke_bytes t addr b] has the effect of [poke t (addr + i) w] for
+    the [i]-th 8-byte word [w] of [b] (native byte order), for every
+    whole word of [b].  It boxes nothing, so a register file held as
+    bytes can be recorded word for word.
+    @raise Invalid_argument, writing nothing, when any word of the
+    range is out of bounds. *)
 
 val zero : t -> addr -> int -> unit
 (** [zero t addr n] has the effect of [poke t a 0L] for every [a] in

@@ -1,33 +1,37 @@
 type addr = int
 
-type t = { mutable cells : int64 array; mutable used : int }
+(* Words are stored unboxed, 8 bytes each, in native byte order. *)
+type t = { mutable cells : Bytes.t; mutable used : int }
 
 let create ?(initial = 1024) () =
-  { cells = Array.make (Stdlib.max 16 initial) 0L; used = 0 }
+  { cells = Bytes.make (8 * Stdlib.max 16 initial) '\000'; used = 0 }
+
+let words t = Bytes.length t.cells / 8
 
 let ensure t addr =
   if addr < 0 then invalid_arg "Vmem: negative address";
-  let n = Array.length t.cells in
+  let n = words t in
   if addr >= n then begin
     let n' = Stdlib.max (addr + 1) (2 * n) in
-    let a = Array.make n' 0L in
-    Array.blit t.cells 0 a 0 n;
-    t.cells <- a
+    let b = Bytes.make (8 * n') '\000' in
+    Bytes.blit t.cells 0 b 0 (8 * n);
+    t.cells <- b
   end;
   if addr >= t.used then t.used <- addr + 1
 
 let load t addr =
-  if addr < 0 || addr >= Array.length t.cells then 0L else t.cells.(addr)
+  if addr < 0 || addr >= words t then 0L
+  else Bytes.get_int64_ne t.cells (8 * addr)
 
 let store t addr v =
   ensure t addr;
-  t.cells.(addr) <- v
+  Bytes.set_int64_ne t.cells (8 * addr) v
 
 let zero t addr n =
   if n > 0 then begin
     if addr < 0 then invalid_arg "Vmem: negative address";
     ensure t (addr + n - 1);
-    Array.fill t.cells addr n 0L
+    Bytes.fill t.cells (8 * addr) (8 * n) '\000'
   end
 
 let alloc t n =

@@ -1,7 +1,9 @@
 (** Transient (volatile DRAM) memory.
 
-    A growable array of 8-byte words.  Its entire contents vanish at a
-    crash — the simulator simply discards the structure.  Used for the
+    A growable array of 8-byte words, stored unboxed in one byte
+    buffer that doubles when a store lands past its end.  Its entire
+    contents vanish at a crash — the simulator simply discards the
+    structure.  Used for the
     hybrid machine's DRAM portion (Fig. 1) and for transient mutexes
     under indirect locking (Sec. III-B). *)
 
@@ -10,6 +12,8 @@ type t
 
 val create : ?initial:int -> unit -> t
 val load : t -> addr -> int64
+(** Words never stored read 0, at any address. *)
+
 val store : t -> addr -> int64 -> unit
 (** Grows the memory on demand; addresses must be non-negative. *)
 

@@ -137,7 +137,7 @@ let snapshot_regs pm node regs =
   (* Crash-proof and free of crash windows: real JUSTDO keeps this
      state memory-resident by construction, so the simulator writes it
      straight into the persistence domain without surfacing events. *)
-  Array.iteri (fun r v -> Pmem.poke pm (node + off_regs + r) v) regs
+  Pmem.poke_bytes pm (node + off_regs) regs
 
 let read_all_regs pm node =
   let nregs = Int64.to_int (Pmem.load pm (node + off_nregs)) in

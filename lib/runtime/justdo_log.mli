@@ -43,8 +43,10 @@ val record_release : Pwriter.t -> Pmem.addr -> holder:int -> unit
 
 val held_locks : Pmem.t -> Pmem.addr -> int list
 
-val snapshot_regs : Pmem.t -> Pmem.addr -> int64 array -> unit
-(** Simulator-side: record the register file (no cost charged). *)
+val snapshot_regs : Pmem.t -> Pmem.addr -> Bytes.t -> unit
+(** Simulator-side: record a register file held unboxed, 8 bytes per
+    register in native byte order as the VM keeps it (no cost
+    charged). *)
 
 val read_all_regs : Pmem.t -> Pmem.addr -> int64 array
 

@@ -105,11 +105,20 @@ let stack_in_pmem (config : config) =
   | Scheme.Ido | Scheme.Justdo -> true
   | _ -> false
 
+(* ------------------------------------------------------------------ *)
+(* Register file *)
+
+(* The register accessors stay in this module so they inline: the
+   library is compiled [-opaque] in the dev profile, and any
+   cross-module call that takes or returns an [int64] boxes it. *)
+let[@inline] reg (fr : frame) r = Bytes.get_int64_ne fr.regs (8 * r)
+let[@inline] set_reg (fr : frame) r v = Bytes.set_int64_ne fr.regs (8 * r) v
+
 let make_thread m ~tid ~code ~args ~stack_base ~stack_in_pmem ~log_node
     ~recovery_mode =
   let func = Image.ir code in
-  let regs = Array.make func.nregs 0L in
-  List.iter2 (fun r v -> regs.(r) <- v) func.params args;
+  let regs = new_regs func.nregs in
+  List.iter2 (fun r v -> Bytes.set_int64_ne regs (8 * r) v) func.params args;
   {
     tid;
     writer = Pwriter.create m.pmem m.config.latency;
@@ -129,7 +138,7 @@ let make_thread m ~tid ~code ~args ~stack_base ~stack_in_pmem ~log_node
     last_lock = 0;
     armed_grant = Grant_none;
     pending_data_line = -1;
-    touched_pages = Hashtbl.create 8;
+    touched_pages = Int_tbl.create 8;
     txn = None;
     rewound = false;
     first_boundary = false;
@@ -214,31 +223,41 @@ let spawn m ~fname ~args =
 (* ------------------------------------------------------------------ *)
 (* Operand evaluation and addressing *)
 
-let eval (fr : frame) = function
-  | Ir.Reg r -> fr.regs.(r)
-  | Ir.Imm i -> i
+(* Both arms must yield an unboxed value for [eval] to stay unboxed
+   once inlined: an [Imm] payload is a pointer to a boxed int64, and
+   returning it as is would make the compiler box the register read of
+   the other arm.  Adding 0 reads the payload instead. *)
+let[@inline] eval (fr : frame) = function
+  | Ir.Reg r -> reg fr r
+  | Ir.Imm i -> Int64.add i 0L
 
-let eval_int fr op = Int64.to_int (eval fr op)
+let[@inline] eval_int fr op = Int64.to_int (eval fr op)
 
 exception Vm_error of string
 
 let vm_error fmt = Printf.ksprintf (fun s -> raise (Vm_error s)) fmt
 
-type where = In_pmem of int | In_vmem of int
-
+(* The checked word address of a memory operand.  Which memory it
+   names is [in_pmem]'s answer, kept separate so that resolving an
+   address allocates nothing. *)
 let resolve m (t : thread) fr (space : Ir.space) base off =
   let a = eval_int fr base + off in
-  match space with
+  (match space with
   | Ir.Persistent ->
       if a < 0 || a >= Pmem.size m.pmem then
-        vm_error "persistent address %d out of range" a;
-      In_pmem a
-  | Ir.Transient -> In_vmem a
+        vm_error "persistent address %d out of range" a
+  | Ir.Transient -> if a < 0 then vm_error "transient address %d out of range" a
   | Ir.Stack ->
       if a < t.stack_base || a >= t.stack_base + m.config.stack_words then
         vm_error "stack address %d outside [%d,%d)" a t.stack_base
-          (t.stack_base + m.config.stack_words);
-      if t.stack_in_pmem then In_pmem a else In_vmem a
+          (t.stack_base + m.config.stack_words));
+  a
+
+let in_pmem (t : thread) (space : Ir.space) =
+  match space with
+  | Ir.Persistent -> true
+  | Ir.Transient -> false
+  | Ir.Stack -> t.stack_in_pmem
 
 let line_of a = a / Pmem.words_per_line
 
@@ -246,12 +265,17 @@ let lat m = m.config.latency
 
 let cost (t : thread) c = Pwriter.add_cost t.writer c
 
+(* A log-append event reaches only the sink, so its payload is built
+   only while one is installed. *)
+let log_append m log bytes =
+  if obs_active m then emit m (Ido_obs.Obs.Log_append { log; bytes })
+
 (* ------------------------------------------------------------------ *)
 (* Transactions (Mnemosyne) *)
 
 let abort_txn m (t : thread) (txn : txn) =
   let fr = current_frame t in
-  Array.blit txn.snap_regs 0 fr.regs 0 (Array.length fr.regs);
+  Bytes.blit txn.snap_regs 0 fr.regs 0 (Bytes.length fr.regs);
   fr.blk <- txn.snap_blk;
   fr.idx <- txn.snap_idx;
   t.txn <- Some txn;  (* keep only to carry the retry count *)
@@ -268,7 +292,7 @@ let abort_txn m (t : thread) (txn : txn) =
   cost t backoff
 
 let txn_load m (t : thread) txn a =
-  match Hashtbl.find_opt txn.writes a with
+  match Int_tbl.find_opt txn.writes a with
   | Some v ->
       cost t (lat m).Latency.alu;
       v
@@ -278,15 +302,15 @@ let txn_load m (t : thread) txn a =
       (match Int_tbl.find_opt m.write_versions a with
       | Some ver when ver > txn.start_version -> raise Exit
       | _ -> ());
-      Hashtbl.replace txn.reads a ();
+      Int_tbl.replace txn.reads a ();
       cost t (2 * (lat m).Latency.alu);
       v
 
 let txn_store m (t : thread) txn a v =
-  if not (Hashtbl.mem txn.writes a) then Vec.push txn.write_order a;
-  Hashtbl.replace txn.writes a v;
+  if not (Int_tbl.mem txn.writes a) then Vec.push txn.write_order a;
+  Int_tbl.replace txn.writes a v;
   (* One redo entry is [addr; value]. *)
-  emit m (Ido_obs.Obs.Log_append { log = "redo"; bytes = 16 });
+  log_append m "redo" 16;
   Redo_log.append t.writer t.log_node ~addr:a ~value:v;
   cost t (lat m).Latency.alu
 
@@ -298,28 +322,28 @@ let txn_store m (t : thread) txn a v =
    commit. *)
 let page_copy_slot (t : thread) a =
   let page = Page_log.page_of a in
-  match Hashtbl.find_opt t.touched_pages page with
+  match Int_tbl.find_opt t.touched_pages page with
   | Some i -> Some (i, a mod Page_log.page_words)
   | None -> None
 
-let do_load m (t : thread) where =
-  match where with
-  | In_pmem a when m.config.scheme = Scheme.Nvthreads && t.in_fase -> (
-      match page_copy_slot t a with
-      | Some (i, off) ->
-          Pwriter.load t.writer (Page_log.copy_word_addr t.log_node i ~off)
-      | None -> Pwriter.load t.writer a)
-  | In_pmem a -> (
-      match t.txn with
-      | Some txn -> (
-          try txn_load m t txn a
-          with Exit ->
-            abort_txn m t { txn with retries = txn.retries + 1 };
-            0L)
-      | None -> Pwriter.load t.writer a)
-  | In_vmem a ->
-      cost t (lat m).Latency.mem;
-      Vmem.load m.vmem a
+let do_load m (t : thread) ~pmem a =
+  if not pmem then begin
+    cost t (lat m).Latency.mem;
+    Vmem.load m.vmem a
+  end
+  else if m.config.scheme = Scheme.Nvthreads && t.in_fase then
+    match page_copy_slot t a with
+    | Some (i, off) ->
+        Pwriter.load t.writer (Page_log.copy_word_addr t.log_node i ~off)
+    | None -> Pwriter.load t.writer a
+  else
+    match t.txn with
+    | Some txn -> (
+        try txn_load m t txn a
+        with Exit ->
+          abort_txn m t { txn with retries = txn.retries + 1 };
+          0L)
+    | None -> Pwriter.load t.writer a
 
 let track_store m (t : thread) a =
   if t.in_fase then begin
@@ -330,52 +354,53 @@ let track_store m (t : thread) a =
     if m.config.scheme = Scheme.Justdo then t.pending_data_line <- line
   end
 
-let do_store m (t : thread) where v =
-  match where with
-  | In_pmem a when m.config.scheme = Scheme.Nvthreads && t.in_fase -> (
-      (* A hoisted Hpage_log (O104) armed the grant; the first in-FASE
-         store consumes it, with exec_page_log's page dedup. *)
-      if t.armed_grant = Grant_page then begin
-        t.armed_grant <- Grant_none;
-        let page = Page_log.page_of a in
-        if not (Hashtbl.mem t.touched_pages page) then begin
-          emit m
-            (Ido_obs.Obs.Log_append
-               { log = "page"; bytes = 8 * Page_log.entry_words });
-          let i = Page_log.log_page t.writer t.log_node ~page in
-          Hashtbl.replace t.touched_pages page i
-        end
-      end;
-      match page_copy_slot t a with
-      | Some (i, off) ->
-          Pwriter.store t.writer (Page_log.copy_word_addr t.log_node i ~off) v;
-          Page_log.mark_dirty t.writer t.log_node i ~off;
-          t.region_stores <- t.region_stores + 1
-      | None ->
-          (* The Hpage_log hook precedes every in-FASE store, so the
-             copy must exist. *)
-          vm_error "nvthreads: store to uncopied page at %d" a)
-  | In_pmem a -> (
-      match t.txn with
-      | Some txn -> txn_store m t txn a v
-      | None ->
-          (* A hoisted Hundo_store armed the grant: capture the old
-             value now, append-before-store exactly as the eager path
-             does. *)
-          if t.armed_grant = Grant_undo then begin
-            t.armed_grant <- Grant_none;
-            let old = Pwriter.load t.writer a in
-            emit m
-              (Ido_obs.Obs.Log_append
-                 { log = "undo"; bytes = 8 * Undo_log.record_words });
-            Undo_log.log_write t.writer t.log_node ~addr:a ~old
-              ~seq:(next_seq m)
-          end;
-          Pwriter.store t.writer a v;
-          track_store m t a)
-  | In_vmem a ->
-      cost t (lat m).Latency.mem;
-      Vmem.store m.vmem a v
+(* NVThreads: log [page] once per FASE segment and map it to its
+   copy. *)
+let log_page_once m (t : thread) page =
+  if not (Int_tbl.mem t.touched_pages page) then begin
+    log_append m "page" (8 * Page_log.entry_words);
+    let i = Page_log.log_page t.writer t.log_node ~page in
+    Int_tbl.replace t.touched_pages page i
+  end
+
+let do_store m (t : thread) ~pmem a v =
+  if not pmem then begin
+    cost t (lat m).Latency.mem;
+    Vmem.store m.vmem a v
+  end
+  else if m.config.scheme = Scheme.Nvthreads && t.in_fase then begin
+    (* A hoisted Hpage_log (O104) armed the grant; the first in-FASE
+       store consumes it, with exec_page_log's page dedup. *)
+    if t.armed_grant = Grant_page then begin
+      t.armed_grant <- Grant_none;
+      log_page_once m t (Page_log.page_of a)
+    end;
+    match page_copy_slot t a with
+    | Some (i, off) ->
+        Pwriter.store t.writer (Page_log.copy_word_addr t.log_node i ~off) v;
+        Page_log.mark_dirty t.writer t.log_node i ~off;
+        t.region_stores <- t.region_stores + 1
+    | None ->
+        (* The Hpage_log hook precedes every in-FASE store, so the copy
+           must exist. *)
+        vm_error "nvthreads: store to uncopied page at %d" a
+  end
+  else
+    match t.txn with
+    | Some txn -> txn_store m t txn a v
+    | None ->
+        (* A hoisted Hundo_store armed the grant: capture the old
+           value now, append-before-store exactly as the eager path
+           does. *)
+        if t.armed_grant = Grant_undo then begin
+          t.armed_grant <- Grant_none;
+          let old = Pwriter.load t.writer a in
+          log_append m "undo" (8 * Undo_log.record_words);
+          Undo_log.log_write t.writer t.log_node ~addr:a ~old
+            ~seq:(next_seq m)
+        end;
+        Pwriter.store t.writer a v;
+        track_store m t a
 
 (* ------------------------------------------------------------------ *)
 (* Helpers for hooks that refer to a neighbouring instruction *)
@@ -473,11 +498,13 @@ let exec_region_boundary m (t : thread) fr (rh : Ir.region_hook) =
        idempotent; re-acquired locks tolerate self-holds and stolen
        releases).  The boundary's OutputSet is owed to the next
        persisted boundary so intRF stays current. *)
-    emit m (Ido_obs.Obs.Boundary { region = rh.region_id; elided = true });
-    t.pending_out_regs <- rh.out_regs @ t.pending_out_regs
+    if obs_active m then
+      emit m (Ido_obs.Obs.Boundary { region = rh.region_id; elided = true });
+    t.pending_out_regs <- rh.out_regs :: t.pending_out_regs
   end
   else begin
-    emit m (Ido_obs.Obs.Boundary { region = rh.region_id; elided = false });
+    if obs_active m then
+      emit m (Ido_obs.Obs.Boundary { region = rh.region_id; elided = false });
     (* Step 1 (Sec. III-A): persist OutputSet — the closed region's
        output registers (all live-ins at the first boundary of the
        FASE, which must seed intRF), the OutputSets owed by skipped
@@ -489,17 +516,17 @@ let exec_region_boundary m (t : thread) fr (rh : Ir.region_hook) =
         match t.pending_out_regs with
         | [] -> meta.Image.out_sorted
         | pending ->
-            let owed = List.filter (Image.live_in_mem meta) pending in
+            let owed =
+              List.concat_map (List.filter (Image.live_in_mem meta)) pending
+            in
             merge_uniq (List.sort_uniq compare owed) meta.Image.out_sorted
     in
     t.first_boundary <- false;
     t.pending_out_regs <- [];
-    emit m
-      (Ido_obs.Obs.Log_append
-         { log = "intrf"; bytes = 8 * List.length regs_to_log });
+    log_append m "intrf" (8 * List.length regs_to_log);
     Ido_log.write_out_regs w node
       ~coalesce:m.config.coalesce_registers
-      (List.map (fun r -> (r, fr.regs.(r))) regs_to_log);
+      (List.map (fun r -> (r, reg fr r)) regs_to_log);
     flush_tracked t t.region_lines;
     Pwriter.fence w;
     (* Step 2: advance recovery_pc to this boundary.  When a release
@@ -534,7 +561,7 @@ let exec_fase_enter m (t : thread) _fr =
   t.region_stores <- 0;
   Lineset.reset t.region_lines;
   Lineset.reset t.fase_lines;
-  Hashtbl.reset t.touched_pages;
+  Int_tbl.reset t.touched_pages;
   match m.config.scheme with
   | Scheme.Ido ->
       Ido_log.set_sim_stack m.pmem t.log_node ~base:t.stack_base ~sp:t.sp;
@@ -545,8 +572,7 @@ let exec_fase_enter m (t : thread) _fr =
   | Scheme.Atlas | Scheme.Nvml ->
       (* Begin/end records need no fence of their own: they become
          durable with the next fenced record (or the commit flush). *)
-      emit m
-        (Ido_obs.Obs.Log_append { log = "undo"; bytes = undo_record_bytes });
+      log_append m "undo" undo_record_bytes;
       Undo_log.append_unfenced t.writer t.log_node Undo_log.Fase_begin ~a:0L
         ~b:0L ~seq:(next_seq m)
   | Scheme.Nvthreads -> Page_log.begin_fase t.writer t.log_node ~seq:(next_seq m)
@@ -555,9 +581,7 @@ let exec_fase_enter m (t : thread) _fr =
 let exec_fase_exit m (t : thread) _fr =
   t.armed_grant <- Grant_none;
   (match m.config.scheme with
-  | Scheme.Atlas ->
-      emit m
-        (Ido_obs.Obs.Log_append { log = "undo"; bytes = undo_record_bytes })
+  | Scheme.Atlas -> log_append m "undo" undo_record_bytes
   | _ -> ());
   (match m.config.scheme with
   | Scheme.Ido ->
@@ -610,7 +634,7 @@ let exec_lock_acquired m (t : thread) _fr =
          persisted boundary.  The ablation knob reverts to JUSTDO's
          intention-log + ownership-log protocol: two fences. *)
       (* Lock record: packed holder word + bitmap word. *)
-      emit m (Ido_obs.Obs.Log_append { log = "ido-lock"; bytes = 16 });
+      log_append m "ido-lock" 16;
       Ido_log.record_acquire t.writer t.log_node ~holder ~epoch:t.epoch;
       if not m.config.single_fence_locks then begin
         Pwriter.fence t.writer;
@@ -620,11 +644,10 @@ let exec_lock_acquired m (t : thread) _fr =
       end
   | Scheme.Justdo ->
       (* Intention word + slot word + bitmap word. *)
-      emit m (Ido_obs.Obs.Log_append { log = "justdo-lock"; bytes = 24 });
+      log_append m "justdo-lock" 24;
       Justdo_log.record_acquire t.writer t.log_node ~holder
   | Scheme.Atlas ->
-      emit m
-        (Ido_obs.Obs.Log_append { log = "undo"; bytes = undo_record_bytes });
+      log_append m "undo" undo_record_bytes;
       Undo_log.append t.writer t.log_node Undo_log.Acquire
         ~a:(Int64.of_int holder) ~b:0L ~seq:(next_seq m)
   | _ -> ()
@@ -640,7 +663,7 @@ let exec_lock_release m (t : thread) fr ~outermost =
          transient mutex).  One fence, durable before the unlock
          executes — closing the double-claim window. *)
       let op = upcoming_unlock m t fr in
-      emit m (Ido_obs.Obs.Log_append { log = "ido-lock"; bytes = 16 });
+      log_append m "ido-lock" 16;
       Ido_log.record_release t.writer t.log_node ~holder:(eval_int fr op);
       if outermost then
         Ido_log.set_recovery_pc t.writer t.log_node ~epoch:t.epoch 0;
@@ -652,23 +675,20 @@ let exec_lock_release m (t : thread) fr ~outermost =
       end
   | Scheme.Justdo ->
       let op = upcoming_unlock m t fr in
-      emit m (Ido_obs.Obs.Log_append { log = "justdo-lock"; bytes = 24 });
+      log_append m "justdo-lock" 24;
       Justdo_log.record_release t.writer t.log_node ~holder:(eval_int fr op)
   | Scheme.Atlas ->
       let op = upcoming_unlock m t fr in
-      emit m
-        (Ido_obs.Obs.Log_append { log = "undo"; bytes = undo_record_bytes });
+      log_append m "undo" undo_record_bytes;
       Undo_log.append t.writer t.log_node Undo_log.Release
         ~a:(eval fr op) ~b:0L ~seq:(next_seq m)
   | _ -> ()
 
 let exec_justdo_store m (t : thread) fr =
   let space, base, off, src = upcoming_store m t fr in
-  let a =
-    match resolve m t fr space base off with
-    | In_pmem a -> a
-    | In_vmem _ -> vm_error "justdo store hook on volatile location"
-  in
+  let a = resolve m t fr space base off in
+  if not (in_pmem t space) then
+    vm_error "justdo store hook on volatile location";
   (* The previous store must be durable before its log entry is
      overwritten: flush + fence (the second fence JUSTDO pays per
      store on volatile-cache machines). *)
@@ -696,20 +716,19 @@ let exec_justdo_store m (t : thread) fr =
   Justdo_log.snapshot_regs m.pmem t.log_node fr.regs;
   Justdo_log.set_sim_stack m.pmem t.log_node ~base:t.stack_base ~sp:t.sp;
   (* Resumption tuple: pc + addr + value. *)
-  emit m (Ido_obs.Obs.Log_append { log = "justdo"; bytes = 24 });
+  log_append m "justdo" 24;
   Justdo_log.log_store t.writer t.log_node ~pc:store_pc ~addr:a
     ~value:(eval fr src)
 
 let exec_undo_store m (t : thread) fr =
   match upcoming_store_opt fr with
-  | Some (space, base, off, _src) -> (
-      match resolve m t fr space base off with
-      | In_pmem a ->
-          let old = Pwriter.load t.writer a in
-          emit m
-            (Ido_obs.Obs.Log_append { log = "undo"; bytes = undo_record_bytes });
-          Undo_log.log_write t.writer t.log_node ~addr:a ~old ~seq:(next_seq m)
-      | In_vmem _ -> ())
+  | Some (space, base, off, _src) ->
+      let a = resolve m t fr space base off in
+      if in_pmem t space then begin
+        let old = Pwriter.load t.writer a in
+        log_append m "undo" undo_record_bytes;
+        Undo_log.log_write t.writer t.log_node ~addr:a ~old ~seq:(next_seq m)
+      end
   | None ->
       (* No store left in this block: a hoisted grant (O104).  Arm the
          slot; the consuming store captures its own address, so the
@@ -718,18 +737,9 @@ let exec_undo_store m (t : thread) fr =
 
 let exec_page_log m (t : thread) fr =
   match upcoming_store_opt fr with
-  | Some (space, base, off, _src) -> (
-      match resolve m t fr space base off with
-      | In_pmem a ->
-          let page = Page_log.page_of a in
-          if not (Hashtbl.mem t.touched_pages page) then begin
-            emit m
-              (Ido_obs.Obs.Log_append
-                 { log = "page"; bytes = 8 * Page_log.entry_words });
-            let i = Page_log.log_page t.writer t.log_node ~page in
-            Hashtbl.replace t.touched_pages page i
-          end
-      | In_vmem _ -> ())
+  | Some (space, base, off, _src) ->
+      let a = resolve m t fr space base off in
+      if in_pmem t space then log_page_once m t (Page_log.page_of a)
   | None -> t.armed_grant <- Grant_page
 
 let exec_txn_begin m (t : thread) fr =
@@ -749,10 +759,10 @@ let exec_txn_begin m (t : thread) fr =
     Some
       {
         start_version = m.commit_version;
-        reads = Hashtbl.create 16;
-        writes = Hashtbl.create 16;
+        reads = Int_tbl.create 16;
+        writes = Int_tbl.create 16;
         write_order = Vec.create ();
-        snap_regs = Array.copy fr.regs;
+        snap_regs = Bytes.copy fr.regs;
         snap_blk = blk;
         snap_idx = idx;
         retries;
@@ -766,7 +776,7 @@ let exec_txn_commit m (t : thread) _fr =
   | Some txn ->
       (* Validate the read set against commits since txn start. *)
       let valid =
-        Hashtbl.fold
+        Int_tbl.fold
           (fun a () acc ->
             acc
             &&
@@ -775,7 +785,7 @@ let exec_txn_commit m (t : thread) _fr =
             | None -> true)
           txn.reads true
       in
-      cost t (Hashtbl.length txn.reads * (lat m).Latency.alu);
+      cost t (Int_tbl.length txn.reads * (lat m).Latency.alu);
       if not valid then begin
         let txn = { txn with retries = txn.retries + 1 } in
         abort_txn m t txn
@@ -794,12 +804,12 @@ let exec_txn_commit m (t : thread) _fr =
         Redo_log.apply w t.log_node;
         (* Flush the applied data before truncating the redo log — in
            first-store order, so the write-back schedule is a property
-           of the program, not of Hashtbl iteration order. *)
+           of the program, not of table iteration order. *)
         Pwriter.clwb_lines w (Vec.to_list txn.write_order);
         Pwriter.fence w;
         Redo_log.persist_status w t.log_node Redo_log.Idle;
         m.commit_version <- m.commit_version + 1;
-        Hashtbl.iter
+        Int_tbl.iter
           (fun a _ -> Int_tbl.replace m.write_versions a m.commit_version)
           txn.writes;
         let work = Pwriter.take_cost w in
@@ -825,7 +835,7 @@ let exec_durable_commit m (t : thread) _fr =
       Pwriter.fence t.writer
   | Scheme.Nvthreads ->
       Page_log.commit t.writer t.log_node;
-      Hashtbl.reset t.touched_pages;
+      Int_tbl.reset t.touched_pages;
       (* Non-final release: re-arm the page set for the rest of the
          FASE. *)
       if t.in_fase then
@@ -849,9 +859,10 @@ let exec_hook m (t : thread) fr = function
 (* ------------------------------------------------------------------ *)
 (* Instructions *)
 
-let binop_eval op a b =
+(* Inlined into [exec_instr], so neither operand nor result is boxed;
+   it therefore has no local closures, which would stop inlining. *)
+let[@inline] binop_eval op (a : int64) (b : int64) =
   let open Int64 in
-  let bool_ c = if c then 1L else 0L in
   match (op : Ir.binop) with
   | Add -> add a b
   | Sub -> sub a b
@@ -863,12 +874,12 @@ let binop_eval op a b =
   | Xor -> logxor a b
   | Shl -> shift_left a (to_int b land 63)
   | Shr -> shift_right_logical a (to_int b land 63)
-  | Eq -> bool_ (a = b)
-  | Ne -> bool_ (a <> b)
-  | Lt -> bool_ (compare a b < 0)
-  | Le -> bool_ (compare a b <= 0)
-  | Gt -> bool_ (compare a b > 0)
-  | Ge -> bool_ (compare a b >= 0)
+  | Eq -> if a = b then 1L else 0L
+  | Ne -> if a <> b then 1L else 0L
+  | Lt -> if a < b then 1L else 0L
+  | Le -> if a <= b then 1L else 0L
+  | Gt -> if a > b then 1L else 0L
+  | Ge -> if a >= b then 1L else 0L
 
 let justdo_penalty m (t : thread) =
   (* No register caching inside JUSTDO FASEs (Sec. I): every
@@ -888,10 +899,10 @@ let exec_lock m (t : thread) fr op =
   cost t (lat m).Latency.lock_op;
   match l.holder with
   | Some h when h = t.tid ->
-      emit m (Ido_obs.Obs.Lock_acquire id);
+      if listening m then emit m (Ido_obs.Obs.Lock_acquire id);
       fr.idx <- fr.idx + 1 (* recovery re-acquire / post-hand-off re-run *)
   | None ->
-      emit m (Ido_obs.Obs.Lock_acquire id);
+      if listening m then emit m (Ido_obs.Obs.Lock_acquire id);
       l.holder <- Some t.tid;
       l.acquired_at <- t.clock;
       fr.idx <- fr.idx + 1
@@ -906,7 +917,7 @@ let exec_unlock m (t : thread) fr op =
   let id = eval_int fr op in
   t.last_lock <- id;
   let l = lock_of m id in
-  emit m (Ido_obs.Obs.Lock_release id);
+  if listening m then emit m (Ido_obs.Obs.Lock_release id);
   cost t (lat m).Latency.lock_op;
   (match l.holder with
   | Some h when h = t.tid ->
@@ -929,57 +940,68 @@ let exec_unlock m (t : thread) fr op =
         vm_error "unlock of lock held by thread %d" other);
   fr.idx <- fr.idx + 1
 
+let set_dst fr dst v = match dst with Some d -> set_reg fr d v | None -> ()
+
 let exec_intrinsic m (t : thread) fr dst intr args =
-  let arg i = List.nth args i in
   (match (intr : Ir.intrinsic) with
   | Rand ->
-      let bound = eval_int fr (arg 0) in
+      let bound = eval_int fr (List.nth args 0) in
       let v = if bound <= 0 then 0 else Rng.int t.rng bound in
-      Option.iter (fun d -> fr.regs.(d) <- Int64.of_int v) dst;
+      set_dst fr dst (Int64.of_int v);
       cost t (lat m).Latency.alu
   | Thread_id ->
-      Option.iter (fun d -> fr.regs.(d) <- Int64.of_int t.tid) dst;
+      set_dst fr dst (Int64.of_int t.tid);
       cost t (lat m).Latency.alu
   | Nv_alloc ->
-      let n = eval_int fr (arg 0) in
+      let n = eval_int fr (List.nth args 0) in
       let a = Region.alloc m.region n in
-      Option.iter (fun d -> fr.regs.(d) <- Int64.of_int a) dst;
+      set_dst fr dst (Int64.of_int a);
       cost t (lat m).Latency.alloc
   | Nv_free ->
-      Region.free m.region (eval_int fr (arg 0));
+      Region.free m.region (eval_int fr (List.nth args 0));
       cost t (lat m).Latency.alloc
-  | Work -> cost t (eval_int fr (arg 0))
+  | Work -> cost t (eval_int fr (List.nth args 0))
   | Observe ->
-      let v = eval fr (arg 0) in
+      let v = eval fr (List.nth args 0) in
       t.observations <- v :: t.observations;
       t.ops <- t.ops + 1;
       m.total_ops <- m.total_ops + 1;
       cost t (lat m).Latency.alu
   | Root_get ->
-      let slot = eval_int fr (arg 0) in
-      Option.iter (fun d -> fr.regs.(d) <- Region.get_root m.region slot) dst;
+      let slot = eval_int fr (List.nth args 0) in
+      set_dst fr dst (Region.get_root m.region slot);
       cost t (lat m).Latency.mem
   | Root_set ->
-      let slot = eval_int fr (arg 0) in
-      Region.set_root m.region slot (eval fr (arg 1));
+      let slot = eval_int fr (List.nth args 0) in
+      Region.set_root m.region slot (eval fr (List.nth args 1));
       cost t
         ((lat m).Latency.mem + (lat m).Latency.clwb_issue
         + Latency.fence_cost (lat m) ~pending:1)
   | Assert_nz ->
-      if eval fr (arg 0) = 0L then vm_error "assertion failed (thread %d)" t.tid;
+      if eval fr (List.nth args 0) = 0L then
+        vm_error "assertion failed (thread %d)" t.tid;
       cost t (lat m).Latency.alu);
   fr.idx <- fr.idx + 1
+
+let rec bind_args (callee : frame) fr params args =
+  match (params, args) with
+  | r :: params, a :: args ->
+      set_reg callee r (eval fr a);
+      bind_args callee fr params args
+  | _ -> ()
 
 (* [Validate] guarantees the call's arity matches the callee's. *)
 let exec_call m (t : thread) fr dst args =
   let code = Image.callee fr.code ~blk:fr.blk ~idx:fr.idx in
-  let callee = Image.ir code in
-  let regs = Array.make callee.nregs 0L in
-  List.iter2 (fun r a -> regs.(r) <- eval fr a) callee.params args;
+  let func = Image.ir code in
+  let callee =
+    { code; blk = 0; idx = 0; regs = new_regs func.nregs; ret_to = dst;
+      saved_sp = t.sp }
+  in
+  bind_args callee fr func.params args;
   cost t (lat m).Latency.call;
   fr.idx <- fr.idx + 1;
-  t.frames <-
-    { code; blk = 0; idx = 0; regs; ret_to = dst; saved_sp = t.sp } :: t.frames
+  t.frames <- callee :: t.frames
 
 let exec_ret m (t : thread) fr value =
   cost t (lat m).Latency.call;
@@ -988,8 +1010,8 @@ let exec_ret m (t : thread) fr value =
   | _ :: (caller :: _ as rest) ->
       t.sp <- fr.saved_sp;
       (match (fr.ret_to, value) with
-      | Some d, Some v -> caller.regs.(d) <- v
-      | Some d, None -> caller.regs.(d) <- 0L
+      | Some d, Some op -> set_reg caller d (eval fr op)
+      | Some d, None -> set_reg caller d 0L
       | None, _ -> ());
       t.frames <- rest
   | [] -> vm_error "return with no frame"
@@ -997,29 +1019,31 @@ let exec_ret m (t : thread) fr value =
 let exec_instr m (t : thread) fr instr =
   match (instr : Ir.instr) with
   | Bin (d, op, a, b) ->
-      fr.regs.(d) <- binop_eval op (eval fr a) (eval fr b);
+      set_reg fr d (binop_eval op (eval fr a) (eval fr b));
       cost t (lat m).Latency.alu;
       justdo_penalty m t;
       fr.idx <- fr.idx + 1
   | Mov (d, a) ->
-      fr.regs.(d) <- eval fr a;
+      set_reg fr d (eval fr a);
       cost t (lat m).Latency.alu;
       justdo_penalty m t;
       fr.idx <- fr.idx + 1
   | Load { dst; space; base; off } ->
-      let v = do_load m t (resolve m t fr space base off) in
+      let a = resolve m t fr space base off in
+      let v = do_load m t ~pmem:(in_pmem t space) a in
       if t.rewound then t.rewound <- false
       else begin
-        fr.regs.(dst) <- v;
+        set_reg fr dst v;
         justdo_penalty m t;
         fr.idx <- fr.idx + 1
       end
   | Store { space; base; off; src } ->
-      do_store m t (resolve m t fr space base off) (eval fr src);
+      let a = resolve m t fr space base off in
+      do_store m t ~pmem:(in_pmem t space) a (eval fr src);
       justdo_penalty m t;
       fr.idx <- fr.idx + 1
   | Alloca (d, n) ->
-      fr.regs.(d) <- Int64.of_int (t.stack_base + t.sp);
+      set_reg fr d (Int64.of_int (t.stack_base + t.sp));
       t.sp <- t.sp + n;
       if t.sp > m.config.stack_words then vm_error "stack overflow";
       cost t (lat m).Latency.alu;
@@ -1047,7 +1071,7 @@ let exec_term m (t : thread) fr term =
       let b = if eval fr c <> 0L then bt else bf in
       fr.blk <- b;
       fr.idx <- 0
-  | Ret v -> exec_ret m t fr (Option.map (eval fr) v)
+  | Ret v -> exec_ret m t fr v
 
 (* ------------------------------------------------------------------ *)
 (* Scheduler *)

@@ -21,7 +21,7 @@ val reset : State.t -> unit
 (** Return the machine to the state {!create} left it in — same config,
     same program, RNG re-seeded, persistent region re-formatted,
     observers removed — while reusing every large allocation (the
-    instrumented image, the pmem word array, recycled tables).  Runs on
+    instrumented image, the materialised pmem pages, recycled tables).  Runs on
     a reset machine are byte-identical to runs on a fresh one; existing
     thread handles become invalid.  This is the arena-reuse path of the
     crash explorer. *)

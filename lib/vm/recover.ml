@@ -55,8 +55,10 @@ let resume_thread m ~node ~fname ~(pos : Ir.pos) ~regs ~stack ~held =
   m.next_fase_id <- fase + 1;
   let code = Image.entry m.image fname in
   let func = Image.ir code in
-  let frame_regs = Array.make func.nregs 0L in
-  Array.blit regs 0 frame_regs 0 (min (Array.length regs) func.nregs);
+  let frame_regs = new_regs func.nregs in
+  for r = 0 to min (Array.length regs) func.nregs - 1 do
+    Bytes.set_int64_ne frame_regs (8 * r) regs.(r)
+  done;
   let base, sp = stack in
   let t =
     {
@@ -79,7 +81,7 @@ let resume_thread m ~node ~fname ~(pos : Ir.pos) ~regs ~stack ~held =
       last_lock = 0;
       armed_grant = Grant_none;
       pending_data_line = -1;
-      touched_pages = Hashtbl.create 8;
+      touched_pages = Int_tbl.create 8;
       txn = None;
       rewound = false;
       first_boundary = false;

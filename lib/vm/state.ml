@@ -50,8 +50,11 @@ let default_config scheme =
   }
 
 (* Int-keyed tables for the step path (lock ids, Mnemosyne write
-   versions): a multiplicative hash instead of the polymorphic one.
-   Nothing iterates them, so bucket order never shows. *)
+   versions and transaction read/write sets, NVThreads page copies): a
+   multiplicative hash instead of the polymorphic one.  Nothing depends
+   on their bucket order: the only iterations are a transaction's
+   read-set validation (a conjunction) and its write-version update (an
+   idempotent [replace] per address). *)
 module Int_tbl = Hashtbl.Make (struct
   type t = int
 
@@ -69,12 +72,12 @@ let fresh_lock () = { holder = None; acquired_at = 0; waiters = Queue.create () 
 
 type txn = {
   start_version : int;
-  reads : (int, unit) Hashtbl.t;
-  writes : (int, int64) Hashtbl.t;
+  reads : unit Int_tbl.t;
+  writes : int64 Int_tbl.t;
   write_order : int Vec.t;
       (* distinct written addresses in first-store order: the commit
-         write-back schedule, independent of Hashtbl iteration order *)
-  snap_regs : int64 array;
+         write-back schedule, independent of table iteration order *)
+  snap_regs : Bytes.t;  (* the register file at begin, as [frame.regs] *)
   snap_blk : int;
   snap_idx : int;
   mutable retries : int;
@@ -88,14 +91,20 @@ type thread_status = Runnable | Blocked | Done
    the optimizer's loop-preheader hoists (O104). *)
 type armed = Grant_none | Grant_undo | Grant_page
 
+(* A register file holds each 64-bit register unboxed, 8 bytes per
+   register in native byte order, so computing a value allocates
+   nothing and writing one is a plain store with no write barrier.  Its
+   accessors live in [Interp], where they inline. *)
 type frame = {
   code : Image.entry;  (* the executing function, resolved *)
   mutable blk : int;
   mutable idx : int;
-  regs : int64 array;
+  regs : Bytes.t;  (* [nregs] registers, 8 bytes each *)
   ret_to : int option;  (* destination register in the caller *)
   saved_sp : int;
 }
+
+let new_regs nregs = Bytes.make (8 * nregs) '\000'
 
 type thread = {
   tid : int;
@@ -116,12 +125,13 @@ type thread = {
   mutable last_lock : int;  (* operand of the last Lock executed *)
   mutable armed_grant : armed;
   mutable pending_data_line : int;  (* JUSTDO: line awaiting flush; -1 none *)
-  touched_pages : (int, int) Hashtbl.t;  (* NVThreads: page -> entry index *)
+  touched_pages : int Int_tbl.t;  (* NVThreads: page -> entry index *)
   mutable txn : txn option;
   mutable rewound : bool;  (* an abort just rewound the frame *)
   mutable first_boundary : bool;  (* next Hregion seeds full live-in set *)
-  mutable pending_out_regs : int list;
-      (* out_regs of skipped boundaries, owed to the next persisted one *)
+  mutable pending_out_regs : int list list;
+      (* out_regs of skipped boundaries, owed to the next persisted one:
+         one list per skipped boundary, newest first *)
   mutable epoch : int;  (* persisted-boundary counter (iDO stamps) *)
   mutable ops : int;
   mutable observations : int64 list;  (* newest first *)
@@ -189,6 +199,13 @@ let obs_context m ~tid ~fase =
    per-instruction hot path and must cost nothing when no sink is
    installed. *)
 let obs_active m = match m.obs with Some _ -> true | None -> false
+
+(* Whether an event of any kind would reach a hook or the sink: the
+   guard for building an allocated crash-point payload on the step path
+   (non-crash-point kinds only ever reach the sink, so [obs_active]
+   guards those). *)
+let listening m =
+  match (m.event_hook, m.obs) with None, None -> false | _ -> true
 
 (* The machine's one event path.  The crash-injection hook runs first
    and sees only crash-point kinds: if it raises, the event's effect

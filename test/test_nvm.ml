@@ -389,6 +389,7 @@ type op =
   | Load of int
   | Poke of int * int64
   | Zero of int * int
+  | Poke_bytes of int * int64 list
   | Clwb of int
   | Fence
   | Crash
@@ -400,6 +401,9 @@ let show_op = function
   | Load a -> Printf.sprintf "load %d" a
   | Poke (a, v) -> Printf.sprintf "poke %d %Ld" a v
   | Zero (a, n) -> Printf.sprintf "zero %d %d" a n
+  | Poke_bytes (a, vs) ->
+      Printf.sprintf "poke_bytes %d [%s]" a
+        (String.concat "; " (List.map Int64.to_string vs))
   | Clwb a -> Printf.sprintf "clwb %d" a
   | Fence -> "fence"
   | Crash -> "crash"
@@ -420,7 +424,20 @@ let gen_op =
         (2, oneofl [ 0; 7; 8; 511; 512; 513; 1023; 1024; diff_size - 1 ]);
       ]
   in
-  let value = map Int64.of_int small_nat in
+  (* Full-range words: the extremes, all-ones, and byte-distinct
+     patterns, so a byte-offset or sign bug in the unboxed images shows
+     as a wrong word. *)
+  let value =
+    frequency
+      [
+        ( 2,
+          oneofl
+            [ Int64.min_int; Int64.max_int; -1L; 0x0102030405060708L;
+              0x8070605040302010L; 0xFF00000000000001L ] );
+        (3, ui64);
+        (1, map Int64.of_int small_nat);
+      ]
+  in
   (* Zero ranges: within a line, across a few lines, across a page
      boundary, up to the memory's end, and empty. *)
   let zero =
@@ -438,6 +455,12 @@ let gen_op =
       (6, map2 (fun a v -> Store (a, v)) addr value);
       (4, map (fun a -> Load a) addr);
       (2, map2 (fun a v -> Poke (a, v)) addr value);
+      ( 1,
+        map2
+          (fun a vs ->
+            Poke_bytes (a, List.filteri (fun i _ -> a + i < diff_size) vs))
+          addr
+          (list_size (int_range 0 20) value) );
       (3, zero);
       (3, map (fun a -> Clwb a) addr);
       (2, return Fence);
@@ -481,6 +504,12 @@ let prop_paged_matches_flat =
               Flat.poke flat i 0L
             done;
             true
+        | Poke_bytes (a, vs) ->
+            let b = Bytes.create (8 * List.length vs) in
+            List.iteri (fun i v -> Bytes.set_int64_ne b (8 * i) v) vs;
+            Pmem.poke_bytes pm a b;
+            List.iteri (fun i v -> Flat.poke flat (a + i) v) vs;
+            true
         | Clwb a -> Pmem.clwb pm a = Flat.clwb flat a
         | Fence -> Pmem.fence pm = Flat.fence flat
         | Crash ->
@@ -511,6 +540,16 @@ let test_vmem () =
   let vm = Vmem.create () in
   Vmem.store vm 5 42L;
   Alcotest.(check int64) "read" 42L (Vmem.load vm 5);
+  let words = [ Int64.min_int; Int64.max_int; -1L; 0x0102030405060708L ] in
+  List.iteri (fun i w -> Vmem.store vm (10 + i) w) words;
+  List.iteri
+    (fun i w -> Alcotest.(check int64) "full-range word" w (Vmem.load vm (10 + i)))
+    words;
+  Vmem.zero vm 11 2;
+  Alcotest.(check (list int64)) "zeroed in place"
+    [ Int64.min_int; 0L; 0L; 0x0102030405060708L ]
+    (List.init 4 (fun i -> Vmem.load vm (10 + i)));
+  Alcotest.(check int64) "negative reads 0" 0L (Vmem.load vm (-1));
   Alcotest.(check int64) "unwritten" 0L (Vmem.load vm 100000);
   let a = Vmem.alloc vm 10 in
   let b = Vmem.alloc vm 10 in
@@ -521,6 +560,45 @@ let test_vmem_grows () =
   let vm = Vmem.create ~initial:4 () in
   Vmem.store vm 1000 1L;
   Alcotest.(check int64) "grown" 1L (Vmem.load vm 1000)
+
+let test_poke_bytes_bounds () =
+  let pm = mk ~size:600 () in
+  let b = Bytes.make 16 '\001' in
+  Alcotest.check_raises "past the end"
+    (Invalid_argument "Pmem: address 600 out of bounds") (fun () ->
+      Pmem.poke_bytes pm 599 b);
+  Alcotest.(check int64) "nothing written" 0L (Pmem.load pm 599);
+  Pmem.poke_bytes pm 510 (Bytes.cat b b);
+  Alcotest.(check int64) "spans a page boundary" 0x0101010101010101L
+    (Pmem.persisted pm 513)
+
+(* Allocation guard (native code only): once the page is materialised
+   and the dirty index has grown, store, clwb and fence of a pre-boxed
+   value allocate nothing, on a clean line and on a dirty one. *)
+let test_hot_path_allocates_nothing () =
+  if Sys.backend_type = Sys.Native then begin
+    let pm = mk ~cache_lines:64 () in
+    let v = Sys.opaque_identity 0x0102030405060708L in
+    let round () =
+      for line = 0 to 15 do
+        let a = line * Pmem.words_per_line in
+        Pmem.store pm a v;  (* clean -> dirty *)
+        Pmem.store pm (a + 3) v;  (* already dirty *)
+        ignore (Pmem.clwb pm a : bool);
+        ignore (Pmem.clwb pm a : bool)  (* clean: a no-op *)
+      done;
+      ignore (Pmem.fence pm : int)
+    in
+    round ();
+    let before = Gc.minor_words () in
+    for _ = 1 to 1000 do
+      round ()
+    done;
+    let words = Gc.minor_words () -. before in
+    Alcotest.(check bool)
+      (Printf.sprintf "%.0f minor words over 64k stores" words)
+      true (words < 100.)
+  end
 
 let suites =
   [
@@ -547,6 +625,9 @@ let suites =
         Alcotest.test_case "8M words, few pages" `Quick test_footprint;
         qtest prop_flushed_survives_crash;
         qtest prop_paged_matches_flat;
+        Alcotest.test_case "poke_bytes bounds" `Quick test_poke_bytes_bounds;
+        Alcotest.test_case "hot path allocates nothing" `Quick
+          test_hot_path_allocates_nothing;
       ] );
     ( "nvm.vmem",
       [

@@ -170,7 +170,9 @@ let test_justdo_log () =
   Alcotest.(check (triple int int int64)) "entry" (77, 4000, 42L)
     (let a, b, c = Justdo_log.entry pm node in
      (a, b, c));
-  Justdo_log.snapshot_regs pm node [| 1L; 2L; 3L; 4L |];
+  let regs = Bytes.create 32 in
+  List.iteri (fun r v -> Bytes.set_int64_ne regs (8 * r) v) [ 1L; 2L; 3L; 4L ];
+  Justdo_log.snapshot_regs pm node regs;
   Alcotest.(check int64) "snapshot" 3L (Justdo_log.read_all_regs pm node).(2);
   Justdo_log.clear w node;
   Alcotest.(check bool) "cleared" false (Justdo_log.armed pm node)

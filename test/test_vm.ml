@@ -405,6 +405,214 @@ let test_deep_nesting_within_capacity () =
   (match Vm.run m with `Idle -> () | _ -> Alcotest.fail "stuck");
   Alcotest.(check int64) "increment applied" 1L (counter_value m)
 
+let test_transient_bounds () =
+  (* A negative transient address is a program fault for loads and
+     stores alike, reported as [Vm_error] like the other spaces. *)
+  let run_one name body =
+    let b, _ = Builder.create ~name:"w" ~nparams:1 in
+    body b;
+    Builder.ret b None;
+    let m =
+      Vm.create (Vm.config Scheme.Ido) { Ir.funcs = [ ("w", Builder.finish b) ] }
+    in
+    ignore (Vm.spawn m ~fname:"w" ~args:[ 0L ]);
+    match Vm.run m with
+    | exception Vm.Vm_error msg ->
+        Alcotest.(check string) name "transient address -5 out of range" msg
+    | _ -> Alcotest.fail (name ^ ": expected Vm_error")
+  in
+  run_one "load" (fun b ->
+      let v = Builder.load b Ir.Transient (Ir.Imm (-5L)) 0 in
+      Wcommon.observe b (Ir.Reg v));
+  run_one "store" (fun b ->
+      Builder.store b Ir.Transient (Ir.Imm (-8L)) 3 (Ir.Imm 1L))
+
+(* Random straight-line programs over full-range 64-bit words, run on
+   the machine and on a boxed [Int64] reference.  Every register and
+   memory slot is observed at the end, so a byte-offset or sign bug in
+   the unboxed register file or memory shows as a wrong observation. *)
+type operand = R of int | I of int64
+
+type sl_op =
+  | Sbin of int * Ir.binop * operand * operand
+  | Smov of int * operand
+  | Sstore of int * operand
+  | Sload of int * int
+  | Sobserve of operand
+
+let sl_regs = 5
+let sl_slots = 12
+
+let binops =
+  Ir.
+    [ (Add, "+"); (Sub, "-"); (Mul, "*"); (Div, "/"); (Rem, "%"); (And, "&");
+      (Or, "|"); (Xor, "^"); (Shl, "<<"); (Shr, ">>>"); (Eq, "=="); (Ne, "!=");
+      (Lt, "<"); (Le, "<="); (Gt, ">"); (Ge, ">=") ]
+
+let gen_word =
+  QCheck.Gen.(
+    frequency
+      [
+        ( 3,
+          oneofl
+            [ Int64.min_int; Int64.max_int; -1L; 0L; 1L; 2L; 63L; 64L; 65L;
+              127L; 128L; 0x0102030405060708L; 0x8000000000000001L;
+              0xFF00FF00FF00FF00L; 0x7FFFFFFF00000000L ] );
+        (3, ui64);
+        (1, map Int64.of_int small_signed_int);
+      ])
+
+let gen_sl_op =
+  QCheck.Gen.(
+    let reg = int_bound (sl_regs - 1) and slot = int_bound (sl_slots - 1) in
+    let operand =
+      frequency [ (2, map (fun r -> R r) reg); (1, map (fun w -> I w) gen_word) ]
+    in
+    frequency
+      [
+        ( 5,
+          map3
+            (fun d (op, a) b -> Sbin (d, op, a, b))
+            reg (pair (map fst (oneofl binops)) operand) operand );
+        (* Division by zero and by -1 at the extremes, shifts by 64 or
+           more: cases random words rarely hit. *)
+        ( 2,
+          map3
+            (fun d (op, _) (a, b) -> Sbin (d, op, I a, I b))
+            reg (oneofl binops)
+            (oneofl
+               [ (Int64.min_int, -1L); (Int64.min_int, 0L); (-7L, 0L);
+                 (Int64.max_int, -1L); (1L, 64L); (-1L, 65L);
+                 (0x0102030405060708L, 127L); (0x0102030405060708L, -1L) ]) );
+        (1, map2 (fun d a -> Smov (d, a)) reg operand);
+        (2, map2 (fun s a -> Sstore (s, a)) slot operand);
+        (2, map2 (fun d s -> Sload (d, s)) reg slot);
+        (1, map (fun a -> Sobserve a) operand);
+      ])
+
+(* The memory configurations to cover: persistent memory, the stack in
+   pmem (ido) and in DRAM (atlas), and transient memory. *)
+let sl_spaces =
+  [ (Ir.Persistent, Scheme.Ido); (Ir.Stack, Scheme.Ido);
+    (Ir.Stack, Scheme.Atlas); (Ir.Transient, Scheme.Ido) ]
+
+let ref_binop op a b =
+  let bool c = if c then 1L else 0L in
+  let shift b = Int64.to_int b land 63 in
+  match (op : Ir.binop) with
+  | Add -> Int64.add a b
+  | Sub -> Int64.sub a b
+  | Mul -> Int64.mul a b
+  | Div -> if b = 0L then 0L else Int64.div a b
+  | Rem -> if b = 0L then 0L else Int64.rem a b
+  | And -> Int64.logand a b
+  | Or -> Int64.logor a b
+  | Xor -> Int64.logxor a b
+  | Shl -> Int64.shift_left a (shift b)
+  | Shr -> Int64.shift_right_logical a (shift b)
+  | Eq -> bool (Int64.equal a b)
+  | Ne -> bool (not (Int64.equal a b))
+  | Lt -> bool (Int64.compare a b < 0)
+  | Le -> bool (Int64.compare a b <= 0)
+  | Gt -> bool (Int64.compare a b > 0)
+  | Ge -> bool (Int64.compare a b >= 0)
+
+let reference init ops =
+  let regs = Array.of_list init and mem = Array.make sl_slots 0L in
+  let value = function R r -> regs.(r) | I w -> w in
+  let obs = ref [] in
+  List.iter
+    (function
+      | Sbin (d, op, a, b) -> regs.(d) <- ref_binop op (value a) (value b)
+      | Smov (d, a) -> regs.(d) <- value a
+      | Sstore (s, a) -> mem.(s) <- value a
+      | Sload (d, s) -> regs.(d) <- mem.(s)
+      | Sobserve a -> obs := value a :: !obs)
+    ops;
+  Array.iter (fun v -> obs := v :: !obs) regs;
+  Array.iter (fun v -> obs := v :: !obs) mem;
+  List.rev !obs
+
+let machine (space, scheme) init ops =
+  let b, _ = Builder.create ~name:"w" ~nparams:1 in
+  let regs = Array.of_list (List.map (fun w -> Builder.mov b (Ir.Imm w)) init) in
+  let operand = function R r -> Ir.Reg regs.(r) | I w -> Ir.Imm w in
+  let base =
+    match (space : Ir.space) with
+    | Persistent -> Ir.Reg (Builder.intr b Ir.Nv_alloc [ Ir.Imm (Int64.of_int sl_slots) ])
+    | Stack -> Ir.Reg (Builder.alloca b sl_slots)
+    | Transient -> Ir.Imm 40L
+  in
+  List.iter
+    (function
+      | Sbin (d, op, a, c) -> Builder.assign_bin b regs.(d) op (operand a) (operand c)
+      | Smov (d, a) -> Builder.assign b regs.(d) (operand a)
+      | Sstore (s, a) -> Builder.store b space base s (operand a)
+      | Sload (d, s) -> Builder.assign b regs.(d) (Ir.Reg (Builder.load b space base s))
+      | Sobserve a -> Wcommon.observe b (operand a))
+    ops;
+  Array.iter (fun r -> Wcommon.observe b (Ir.Reg r)) regs;
+  for s = 0 to sl_slots - 1 do
+    Wcommon.observe b (Ir.Reg (Builder.load b space base s))
+  done;
+  Builder.ret b None;
+  let m = Vm.create (Vm.config scheme) { Ir.funcs = [ ("w", Builder.finish b) ] } in
+  let t = Vm.spawn m ~fname:"w" ~args:[ 0L ] in
+  (match Vm.run m with `Idle -> () | _ -> Alcotest.fail "stuck");
+  Vm.observations t
+
+let show_operand = function R r -> Printf.sprintf "r%d" r | I w -> Printf.sprintf "%LdL" w
+
+let show_sl_op = function
+  | Sbin (d, op, a, b) ->
+      Printf.sprintf "r%d := %s %s %s" d (show_operand a) (List.assoc op binops)
+        (show_operand b)
+  | Smov (d, a) -> Printf.sprintf "r%d := %s" d (show_operand a)
+  | Sstore (s, a) -> Printf.sprintf "[%d] := %s" s (show_operand a)
+  | Sload (d, s) -> Printf.sprintf "r%d := [%d]" d s
+  | Sobserve a -> Printf.sprintf "observe %s" (show_operand a)
+
+let prop_straight_line_matches_int64 =
+  QCheck.Test.make ~name:"full-range straight-line = Int64 reference" ~count:200
+    (QCheck.make
+       ~print:(fun (k, init, ops) ->
+         Printf.sprintf "config %d, init [%s]\n%s" k
+           (String.concat "; " (List.map Int64.to_string init))
+           (String.concat "\n" (List.map show_sl_op ops)))
+       QCheck.Gen.(
+         triple
+           (int_bound (List.length sl_spaces - 1))
+           (list_repeat sl_regs gen_word)
+           (list_size (int_range 1 40) gen_sl_op)))
+    (fun (k, init, ops) ->
+      machine (List.nth sl_spaces k) init ops = reference init ops)
+
+(* Allocation guard (native code only, where words are unboxed): an
+   uninstrumented Bin/Mov/Cbr/Br loop allocates nothing per step, so
+   100k steps allocate no more than the run's constant set-up. *)
+let test_step_allocates_nothing () =
+  if Sys.backend_type = Sys.Native then begin
+    let b, ps = Builder.create ~name:"w" ~nparams:1 in
+    let acc = Builder.mov b (Ir.Imm 0x0102030405060708L) in
+    Wcommon.for_loop b (Ir.Reg (List.nth ps 0)) (fun i ->
+        Builder.assign_bin b acc Ir.Mul (Ir.Reg acc) (Ir.Imm 3L);
+        Builder.assign_bin b acc Ir.Xor (Ir.Reg acc) (Ir.Reg i);
+        Builder.assign b acc (Ir.Reg acc));
+    Builder.ret b None;
+    let m =
+      Vm.create (Vm.config Scheme.Origin) { Ir.funcs = [ ("w", Builder.finish b) ] }
+    in
+    ignore (Vm.spawn m ~fname:"w" ~args:[ Int64.max_int ]);
+    ignore (Vm.run ~max_steps:100 m);
+    let before = Gc.minor_words () in
+    let outcome = Vm.run ~max_steps:100_000 m in
+    let words = Gc.minor_words () -. before in
+    Alcotest.(check bool) "ran 100k steps" true (outcome = `Max_steps);
+    Alcotest.(check bool)
+      (Printf.sprintf "%.0f minor words over 100k steps" words)
+      true (words < 100.)
+  end
+
 let suites =
   [
     ( "vm",
@@ -432,5 +640,10 @@ let suites =
         Alcotest.test_case "spawn arity" `Quick test_spawn_arity;
         Alcotest.test_case "atlas spawn footprint" `Quick
           test_atlas_spawn_footprint;
+        Alcotest.test_case "transient address bounds" `Quick
+          test_transient_bounds;
+        QCheck_alcotest.to_alcotest prop_straight_line_matches_int64;
+        Alcotest.test_case "step allocates nothing" `Quick
+          test_step_allocates_nothing;
       ] );
   ]
