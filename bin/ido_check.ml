@@ -568,6 +568,10 @@ let fuzz_cmd =
   let run seed budget scheme workload rediscover min_found out shrink_budget
       opt jobs chunk =
     guard @@ fun () ->
+    (match min_found with
+    | Some n when n < 0 ->
+        invalid_arg (Printf.sprintf "min-found must be >= 0 (got %d)" n)
+    | _ -> ());
     let d = Ido_fuzz.Fuzz.default_config in
     let config =
       {

@@ -393,23 +393,19 @@ type traced = {
   t_consistency : (unit, string) result;
 }
 
-let record_custom c = record_on (setup_custom c)
-
 type probe = {
   pr_index : int option;
   pr_event : string option;
   pr_verdict : (unit, string) result;
-  pr_obs : Ido_obs.Obs.t;
   pr_consistency : (unit, string) result;
 }
 
-(* One run with a buffered sink watching the worker phase, the
-   injected crash (if any) and recovery; the sink is installed after
-   durable setup, so [Vm.obs_check] reconciles exactly what it saw.
-   Returns the final machine too, for callers that digest its image. *)
-let observe ?index (c : custom) =
+(* One run with [obs] watching the worker phase, the injected crash (if
+   any) and recovery; the sink is installed after durable setup, so
+   [Vm.obs_check] reconciles exactly what it saw.  Returns the final
+   machine too, for callers that digest its image. *)
+let observe ?index ~obs (c : custom) =
   let m = setup_custom c in
-  let obs = Ido_obs.Obs.create () in
   Vm.set_obs m (Some obs);
   let pr_event, pr_verdict =
     match index with
@@ -421,16 +417,17 @@ let observe ?index (c : custom) =
   in
   let pr_consistency = Vm.obs_check m in
   Vm.set_obs m None;
-  (m, { pr_index = index; pr_event; pr_verdict; pr_obs = obs; pr_consistency })
+  (m, { pr_index = index; pr_event; pr_verdict; pr_consistency })
 
-let probe ?index c =
+let probe ?index ~obs c =
   check_index "probe" index;
-  snd (observe ?index c)
+  snd (observe ?index ~obs c)
 
 let run_traced ?index spec =
   check_index "run_traced" index;
+  let obs = Ido_obs.Obs.create () in
   let m, p =
-    observe ?index
+    observe ?index ~obs
       { (custom_of_spec spec) with
         c_validate = validate_now spec ~mode:spec.oracle_mode }
   in
@@ -442,7 +439,7 @@ let run_traced ?index spec =
         (fun k -> { index = k; event = p.pr_event; verdict = p.pr_verdict })
         index;
     t_digest = digest_now spec m;
-    t_obs = p.pr_obs;
+    t_obs = obs;
     t_consistency = p.pr_consistency;
   }
 

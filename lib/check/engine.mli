@@ -195,9 +195,6 @@ val custom_of_spec : spec -> custom
 (** The spec's program/geometry with a vacuous validator (callers
     wanting the oracle verdict use {!run_traced}). *)
 
-val record_custom : custom -> Ido_obs.Obs.kind array
-(** {!record} over a custom program. *)
-
 type probe = {
   pr_index : int option;  (** [None]: the run was crash-free *)
   pr_event : string option;
@@ -205,14 +202,23 @@ type probe = {
   pr_verdict : (unit, string) result;
       (** [c_validate] on the final machine; recovery raising is
           reported as an [Error] here, as in {!inject} *)
-  pr_obs : Ido_obs.Obs.t;
   pr_consistency : (unit, string) result;
+      (** {!Ido_vm.Vm.obs_check} of [obs] over the observed window *)
 }
 
-val probe : ?index:int -> custom -> probe
-(** One fully-observed run of a custom program, crash-free or crashed
-    just before event [index] — {!run_traced} without the registry
-    oracle.  Deterministic under the custom and [index]. *)
+val probe : ?index:int -> obs:Ido_obs.Obs.t -> custom -> probe
+(** One run of a custom program observed by [obs] (a fresh sink),
+    crash-free or crashed just before event [index] — {!run_traced}
+    without the registry oracle.  Deterministic under the custom and
+    [index].
+
+    The crash-free run emits the same worker-phase event stream that
+    {!record} would return for the same program and geometry: the
+    crash-injection hook sees exactly the {!Ido_obs.Obs.crash_point}
+    subsequence of the sink's stream, and the final
+    {!Ido_vm.Vm.flush_all} emits nothing.  A sink with a [tap]
+    therefore derives a run's crash-point schedule without a separate
+    recording run. *)
 
 val heap_words : Ido_vm.Vm.t -> base:int -> len:int -> int64 array
 (** [len] persistent words starting at [base] — the raw material of a

@@ -23,71 +23,130 @@ let fase_salt = 0x3C
 let diag_salt = 0x4D
 let shape_salt = 0x5E
 
-let is_fase_level (ev : Obs.event) =
-  match ev.Obs.kind with
+(* ---------- bucket sets ----------
+
+   One bit per bucket of the 2^16 space, plus a population count; read
+   back in ascending bucket order, so a feature array comes out sorted
+   and deduplicated without a sort. *)
+
+type bits = { set : Bytes.t; mutable card : int }
+
+let bits () = { set = Bytes.make ((bucket_mask + 1) / 8) '\000'; card = 0 }
+
+let mem b k =
+  let k = k land bucket_mask in
+  Char.code (Bytes.get b.set (k lsr 3)) land (1 lsl (k land 7)) <> 0
+
+let put b k =
+  let k = k land bucket_mask in
+  let i = k lsr 3 and m = 1 lsl (k land 7) in
+  let c = Char.code (Bytes.get b.set i) in
+  if c land m = 0 then begin
+    Bytes.set b.set i (Char.unsafe_chr (c lor m));
+    b.card <- b.card + 1
+  end
+
+let to_array b =
+  let out = Array.make b.card 0 in
+  let n = ref 0 in
+  Bytes.iteri
+    (fun i c ->
+      let c = Char.code c in
+      if c <> 0 then
+        for j = 0 to 7 do
+          if c land (1 lsl j) <> 0 then begin
+            out.(!n) <- (i lsl 3) lor j;
+            incr n
+          end
+        done)
+    b.set;
+  out
+
+(* ---------- streamed trace features ----------
+
+   Each thread's stream (machine-level events, tid = -1, form their
+   own, which is what makes recovery-path coverage a first-class
+   signal) carries four pieces of state: its last two coverage points,
+   its last boundary region and its last FASE-level point.  Every event
+   then closes at most one 2-gram, one 3-gram, one boundary edge and
+   one FASE-transition edge of its own thread's stream, so how threads
+   interleave never changes the feature set. *)
+
+let none = min_int
+
+(* Per-thread state, four slots per stream at [4 * (tid + 1)]. *)
+let older = 0
+let last = 1
+let region = 2
+let fase_pt = 3
+
+type acc = {
+  bits : bits;
+  ngram : int;  (* the salted seeds of the three feature classes *)
+  boundary : int;
+  fase : int;
+  mutable streams : int array;
+}
+
+let acc ~scheme =
+  let salt0 = strseed scheme in
+  {
+    bits = bits ();
+    ngram = mix salt0 ngram_salt;
+    boundary = mix salt0 boundary_salt;
+    fase = mix salt0 fase_salt;
+    streams = Array.make 16 none;
+  }
+
+let new_run a = Array.fill a.streams 0 (Array.length a.streams) none
+
+let stream a tid =
+  let s = 4 * (tid + 1) in
+  let n = Array.length a.streams in
+  if s + 4 > n then begin
+    let grown = Array.make (max (s + 4) (2 * n)) none in
+    Array.blit a.streams 0 grown 0 n;
+    a.streams <- grown
+  end;
+  s
+
+let is_fase_level = function
   | Obs.Boundary _ | Obs.Fase_enter | Obs.Fase_exit | Obs.Crash
   | Obs.Recovery_step _ ->
       true
   | _ -> false
 
+let observe a (ev : Obs.event) =
+  let s = stream a ev.Obs.tid in
+  let st = a.streams in
+  let p = Obs.coverage_point ev in
+  let p1 = st.(s + last) in
+  if p1 <> none then begin
+    put a.bits (mix (mix a.ngram p1) p);
+    let p2 = st.(s + older) in
+    if p2 <> none then put a.bits (mix (mix (mix a.ngram p2) p1) p)
+  end;
+  st.(s + older) <- p1;
+  st.(s + last) <- p;
+  (match ev.Obs.kind with
+  | Obs.Boundary { region = r; elided } ->
+      let q = st.(s + region) in
+      if q <> none then
+        put a.bits (mix (mix (mix a.boundary q) r) (if elided then 1 else 0));
+      st.(s + region) <- r
+  | _ -> ());
+  if is_fase_level ev.Obs.kind then begin
+    let q = st.(s + fase_pt) in
+    if q <> none then put a.bits (mix (mix a.fase q) p);
+    st.(s + fase_pt) <- p
+  end
+
+let collect a = to_array a.bits
+
 let features ~scheme events =
-  let salt0 = strseed scheme in
-  let seen = Hashtbl.create 256 in
-  let put salt parts =
-    let h = List.fold_left mix (mix salt0 salt) parts land bucket_mask in
-    if not (Hashtbl.mem seen h) then Hashtbl.replace seen h ()
-  in
-  (* Per-thread streams, in emission order.  Machine-level events
-     (tid = -1: crash, recovery) form their own stream, which is what
-     makes recovery-path coverage a first-class signal. *)
-  let streams = Hashtbl.create 8 in
-  List.iter
-    (fun (ev : Obs.event) ->
-      let tid = ev.Obs.tid in
-      let prev = try Hashtbl.find streams tid with Not_found -> [] in
-      Hashtbl.replace streams tid (ev :: prev))
-    events;
-  Hashtbl.iter
-    (fun _tid rev ->
-      let evs = Array.of_list (List.rev rev) in
-      let n = Array.length evs in
-      let pt i = Obs.coverage_point evs.(i) in
-      for i = 0 to n - 2 do
-        put ngram_salt [ pt i; pt (i + 1) ];
-        if i + 2 < n then put ngram_salt [ pt i; pt (i + 1); pt (i + 2) ]
-      done;
-      (* Boundary edges: consecutive region ids this thread crossed. *)
-      let last_region = ref None in
-      (* FASE-transition edges: consecutive FASE-level points. *)
-      let last_fase_pt = ref None in
-      Array.iter
-        (fun (ev : Obs.event) ->
-          (match ev.Obs.kind with
-          | Obs.Boundary { region; elided } ->
-              (match !last_region with
-              | Some r ->
-                  put boundary_salt [ r; region; (if elided then 1 else 0) ]
-              | None -> ());
-              last_region := Some region
-          | _ -> ());
-          if is_fase_level ev then begin
-            let p = Obs.coverage_point ev in
-            (match !last_fase_pt with
-            | Some q -> put fase_salt [ q; p ]
-            | None -> ());
-            last_fase_pt := Some p
-          end)
-        evs)
-    streams;
-  let out = Array.make (Hashtbl.length seen) 0 in
-  let i = ref 0 in
-  Hashtbl.iter
-    (fun b () ->
-      out.(!i) <- b;
-      incr i)
-    seen;
-  Array.sort compare out;
-  out
+  let a = acc ~scheme in
+  List.iter (observe a) events;
+  collect a
 
 (* Statically-evaluated inputs have no trace; their behaviour is the
    diagnostic set the linter produced (plus a shape bucket, so distinct
@@ -95,33 +154,21 @@ let features ~scheme events =
    trace features lets one seen-set cover both kinds of candidate. *)
 let static_features ~scheme ~codes ~shape =
   let salt0 = strseed scheme in
-  let seen = Hashtbl.create 16 in
-  let put salt parts =
-    let h = List.fold_left mix (mix salt0 salt) parts land bucket_mask in
-    if not (Hashtbl.mem seen h) then Hashtbl.replace seen h ()
-  in
-  List.iter (fun code -> put diag_salt [ strseed code ]) codes;
-  put shape_salt [ strseed shape ];
-  let out = Array.make (Hashtbl.length seen) 0 in
-  let i = ref 0 in
-  Hashtbl.iter
-    (fun b () ->
-      out.(!i) <- b;
-      incr i)
-    seen;
-  Array.sort compare out;
-  out
+  let b = bits () in
+  List.iter (fun code -> put b (mix (mix salt0 diag_salt) (strseed code))) codes;
+  put b (mix (mix salt0 shape_salt) (strseed shape));
+  to_array b
 
 let digest fs =
   let h = Array.fold_left mix 0x9E3779B1 fs in
   Printf.sprintf "%08x-%d" h (Array.length fs)
 
-type t = { seen : (int, unit) Hashtbl.t }
+type t = bits
 
-let create () = { seen = Hashtbl.create 4096 }
-let buckets t = Hashtbl.length t.seen
+let create = bits
+let buckets t = t.card
 
 let novel t fs =
-  Array.fold_left (fun n b -> if Hashtbl.mem t.seen b then n else n + 1) 0 fs
+  Array.fold_left (fun n b -> if mem t b then n else n + 1) 0 fs
 
-let add t fs = Array.iter (fun b -> Hashtbl.replace t.seen b ()) fs
+let add t fs = Array.iter (put t) fs

@@ -21,11 +21,34 @@
     shape under two schemes counts as two behaviours ("per scheme" in
     the digest definition).  The seen-set accumulates buckets across
     the whole campaign; an input is {e novel} when it contributes at
-    least one unseen bucket. *)
+    least one unseen bucket.
+
+    Extraction is streamed: an {!acc} is fed one event at a time
+    (typically from an {!Ido_obs.Obs.create} [~tap], so no event is
+    ever buffered) and keeps only a few integers of state per thread
+    plus a bitset over the 2^16-bucket space. *)
+
+type acc
+(** A feature accumulator: the bucket set of everything observed so
+    far plus the per-thread stream state of the current run. *)
+
+val acc : scheme:string -> acc
+(** An empty accumulator whose features are salted with [scheme]. *)
+
+val observe : acc -> Ido_obs.Obs.event -> unit
+(** Feed the next event of the current run, in emission order. *)
+
+val new_run : acc -> unit
+(** Start another run: forget every thread's stream state but keep the
+    buckets, so the accumulator collects the union of per-run feature
+    sets (n-grams and edges never span two runs). *)
+
+val collect : acc -> int array
+(** The buckets accumulated so far, sorted and deduplicated. *)
 
 val features : scheme:string -> Ido_obs.Obs.event list -> int array
-(** The input's feature buckets, sorted and deduplicated —
-    deterministic for a given event list. *)
+(** The features of one buffered run: {!observe} over a fresh {!acc},
+    then {!collect}.  Deterministic for a given event list. *)
 
 val static_features :
   scheme:string -> codes:string list -> shape:string -> int array
@@ -38,7 +61,8 @@ val digest : int array -> string
     the corpus key of a survivor. *)
 
 type t
-(** The campaign-wide seen-set. *)
+(** The campaign-wide seen-set (a bitset over the same bucket
+    space). *)
 
 val create : unit -> t
 val buckets : t -> int

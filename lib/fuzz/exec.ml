@@ -35,23 +35,6 @@ let instrumented ?(opt = false) (input : Input.t) =
 
 let dedup_sorted xs = List.sort_uniq compare xs
 
-(* Feature sets from several runs, merged. *)
-let merge_features sets =
-  let seen = Hashtbl.create 256 in
-  List.iter
-    (fun fs ->
-      Array.iter (fun b -> Hashtbl.replace seen b ()) fs)
-    sets;
-  let out = Array.make (Hashtbl.length seen) 0 in
-  let i = ref 0 in
-  Hashtbl.iter
-    (fun b () ->
-      out.(!i) <- b;
-      incr i)
-    seen;
-  Array.sort compare out;
-  out
-
 (* ---------- static path ---------- *)
 
 let run_static ~opt (input : Input.t) =
@@ -114,13 +97,11 @@ let genome_seed base =
     s;
   1 + (!h mod 1000)
 
-let custom_of_input ?(opt = false) (input : Input.t) ~validate =
+let custom_of_input ~opt (input : Input.t) =
   match input.Input.base with
   | Input.Workload workload ->
-      let spec =
-        Engine.defaults ~opt ~scheme:input.Input.scheme ~workload ()
-      in
-      { (Engine.custom_of_spec spec) with Engine.c_validate = validate }
+      Engine.custom_of_spec
+        (Engine.defaults ~opt ~scheme:input.Input.scheme ~workload ())
   | Input.Random _ ->
       {
         Engine.c_program = Input.source_program input;
@@ -130,7 +111,7 @@ let custom_of_input ?(opt = false) (input : Input.t) ~validate =
         c_threads = 1;
         c_worker_arg = 0L;
         c_opt = opt;
-        c_validate = validate;
+        c_validate = (fun _ -> Ok ());
       }
 
 let initial_heap = Array.init Input.cells (fun i -> Input.initial_cell i)
@@ -138,20 +119,6 @@ let initial_heap = Array.init Input.cells (fun i -> Input.initial_cell i)
 let heap_of m =
   let base = Int64.to_int (Engine.probe_root m) in
   Engine.heap_words m ~base ~len:Input.cells
-
-(* Crash indices at fence/lock events: where boundary persists and
-   FASE transitions happen, the reseeding frontier for the mutator. *)
-let hints_of_schedule evs =
-  let out = ref [] in
-  Array.iteri
-    (fun k (e : Ido_obs.Obs.kind) ->
-      match e with
-      | Ido_obs.Obs.Fence _ | Ido_obs.Obs.Lock_acquire _
-      | Ido_obs.Obs.Lock_release _ ->
-          out := k :: !out
-      | _ -> ())
-    evs;
-  List.rev !out
 
 let classify_verdict msg =
   let is_recovery =
@@ -186,7 +153,7 @@ let run_dynamic ~opt (input : Input.t) =
         | Some _ -> Error "torn heap: neither reference nor initial state"
         | None -> Error "internal: reference heap missing")
   in
-  match custom_of_input ~opt input ~validate:(fun _ -> Ok ()) with
+  match custom_of_input ~opt input with
   | exception (Failure msg | Invalid_argument msg) ->
       {
         o_input = input;
@@ -197,14 +164,30 @@ let run_dynamic ~opt (input : Input.t) =
         o_hints = [];
       }
   | base_custom -> (
+      (* One accumulator for the whole candidate: every probe streams
+         its events into it through the sink's tap, none is buffered.
+         The crash-free probe's tap also derives the crash-point
+         schedule — its length and the indices of fence/lock events,
+         where boundary persists and FASE transitions happen, the
+         reseeding frontier for the mutator — exactly as a separate
+         recording run would see it (see [Engine.probe]). *)
+      let acc = Cov.acc ~scheme:scheme_name in
+      let len = ref 0 in
+      let hints = ref [] in
+      let schedule (ev : Obs.event) =
+        Cov.observe acc ev;
+        if Obs.crash_point ev.Obs.kind then begin
+          (match ev.Obs.kind with
+          | Obs.Fence _ | Obs.Lock_acquire _ | Obs.Lock_release _ ->
+              hints := !len :: !hints
+          | _ -> ());
+          incr len
+        end
+      in
+      let sink tap = Obs.create ~buffer:false ~tap () in
       match
-        let evs =
-          Engine.record_custom
-            { base_custom with Engine.c_validate = (fun _ -> Ok ()) }
-        in
-        let len = Array.length evs in
         let free =
-          Engine.probe
+          Engine.probe ~obs:(sink schedule)
             { base_custom with Engine.c_validate = validate_crash_free }
         in
         let crashed_custom =
@@ -213,11 +196,14 @@ let run_dynamic ~opt (input : Input.t) =
         let crashed =
           List.map
             (fun c ->
-              let index = c mod (len + 1) in
-              (index, Engine.probe ~index crashed_custom))
+              let index = c mod (!len + 1) in
+              Cov.new_run acc;
+              ( index,
+                Engine.probe ~index ~obs:(sink (Cov.observe acc))
+                  crashed_custom ))
             input.Input.crashes
         in
-        (evs, len, free, crashed)
+        (free, crashed)
       with
       | exception (Failure msg | Invalid_argument msg) ->
           {
@@ -228,14 +214,7 @@ let run_dynamic ~opt (input : Input.t) =
               Some { f_codes = [ "F801" ]; f_detail = msg; f_crash = None };
             o_hints = [];
           }
-      | evs, len, free, crashed ->
-          let features =
-            merge_features
-              (List.map
-                 (fun (p : Engine.probe) ->
-                   Cov.features ~scheme:scheme_name (Obs.events p.Engine.pr_obs))
-                 (free :: List.map snd crashed))
-          in
+      | free, crashed ->
           let failures = ref [] in
           let consider crash (p : Engine.probe) =
             (match p.Engine.pr_verdict with
@@ -264,10 +243,10 @@ let run_dynamic ~opt (input : Input.t) =
           in
           {
             o_input = input;
-            o_features = features;
-            o_schedule = len;
+            o_features = Cov.collect acc;
+            o_schedule = !len;
             o_failure;
-            o_hints = hints_of_schedule evs;
+            o_hints = List.rev !hints;
           })
 
 let run ?(opt = false) input =

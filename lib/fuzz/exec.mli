@@ -3,11 +3,14 @@
     Every input is first taken through edits → instrumentation → the
     static linter.  Clean inputs that are dynamically executable
     ({!Input.static_only} false) then run under the crash-injection
-    engine: a crash-free recording plus one probed run per crash point
-    in the input, each validated (registry oracle for workload bases,
-    all-or-nothing heap equality for random genomes) and reconciled
-    against the obs counters.  The outcome carries the coverage
-    features of everything observed, plus crash-reseeding hints.
+    engine: one crash-free probe plus one probed run per crash point in
+    the input — exactly 1 + |crashes| machines — each validated
+    (registry oracle for workload bases, all-or-nothing heap equality
+    for random genomes) and reconciled against the obs counters.  Every
+    probe streams its events into one coverage accumulator ({!Cov.acc})
+    through its sink's tap; none is buffered.  The crash-free probe's
+    stream also yields the crash-point schedule and the crash-reseeding
+    hints, so no separate recording run is needed.
 
     Failures carry stable codes:
     - the linter's own [L]-codes for static findings;
@@ -28,10 +31,12 @@ type failure = {
 type outcome = {
   o_input : Input.t;
   o_features : int array;  (** union over all runs; sorted, deduped *)
-  o_schedule : int;  (** recorded worker-phase events; [0] if static *)
+  o_schedule : int;
+      (** crash-point events of the crash-free worker phase (the
+          length {!Ido_check.Engine.record} returns); [0] if static *)
   o_failure : failure option;
   o_hints : int list;
-      (** crash indices at fence/lock events of the recorded schedule —
+      (** crash indices at fence/lock events of that schedule —
           where region boundaries and FASE transitions persist *)
 }
 

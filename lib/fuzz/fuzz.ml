@@ -235,7 +235,11 @@ let base_key = function
   | Input.Random _ -> "random"
 
 let run ?pool ?(chunk = 0) config =
-  if config.budget < 1 then invalid_arg "Fuzz.run: budget must be positive";
+  Ido_harness.Spec.check_positive "budget" config.budget;
+  if config.shrink_budget < 0 then
+    invalid_arg
+      (Printf.sprintf "shrink-budget must be >= 0 (got %d)"
+         config.shrink_budget);
   if chunk < 0 then invalid_arg "Fuzz.run: chunk must be >= 0";
   let rng = Rng.create config.seed in
   let seen = Cov.create () in

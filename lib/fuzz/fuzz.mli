@@ -63,11 +63,18 @@ type report = {
           [rediscover] *)
 }
 
+val pairs_of : config -> (Scheme.t * string) list
+(** The campaign's clean scheme/workload pairs: every supported pair of
+    the configured schemes and workloads, Origin excluded (no recovery
+    — every crash point would "fail"), workload-major. *)
+
 val run : ?pool:Ido_util.Pool.t -> ?chunk:int -> config -> report
 (** Byte-identical for a given config at every pool size and chunk
     size.  [chunk] batches consecutive candidate executions into one
     pool task ([0], the default: auto-size per wave — see
-    {!Ido_util.Pool.default_chunk}). *)
+    {!Ido_util.Pool.default_chunk}).
+    @raise Invalid_argument when [budget] is below 1 ("budget must be
+    >= 1 (got 0)"), [shrink_budget] or [chunk] below 0. *)
 
 val organic : report -> finding list
 

@@ -35,7 +35,7 @@ type t = {
   edits : Ido_lint.Mutate.edit list;  (** applied in order, at their stage *)
   variant : string option;  (** buggy hook-model protocol *)
   crashes : int list;
-      (** raw crash points; injected modulo the recorded schedule
+      (** raw crash points; injected modulo the crash-free schedule
           length (+1 for the terminal index) *)
 }
 

@@ -60,18 +60,26 @@ let rollup_equal a b =
 
 type t = {
   buffer : bool;
+  tap : (event -> unit) option;
   events : event Ido_util.Vec.t;
   total : rollup;
-  by_fase : (int, rollup) Hashtbl.t;
+  mutable by_fase : rollup array;
+      (* indexed by FASE id (the machine allocates ids densely from 0);
+         [absent] marks an id with no attributed event yet *)
+  mutable fases : int;
   mutable count : int;
 }
 
-let create ?(buffer = true) () =
+let absent = rollup_zero ()
+
+let create ?(buffer = true) ?tap () =
   {
     buffer;
+    tap;
     events = Ido_util.Vec.create ();
     total = rollup_zero ();
-    by_fase = Hashtbl.create 64;
+    by_fase = [||];
+    fases = 0;
     count = 0;
   }
 
@@ -93,32 +101,46 @@ let bump r = function
   | Crash -> r.crashes <- r.crashes + 1
   | Recovery_step _ -> r.recovery_steps <- r.recovery_steps + 1
 
-let emit t ~tid ~fase kind =
-  let ev = { seq = t.count; tid; fase; kind } in
-  t.count <- t.count + 1;
-  bump t.total kind;
-  if fase >= 0 then begin
-    let r =
-      match Hashtbl.find_opt t.by_fase fase with
-      | Some r -> r
-      | None ->
-          let r = rollup_zero () in
-          Hashtbl.add t.by_fase fase r;
-          r
-    in
-    bump r kind
+let fase_rollup t fase =
+  let n = Array.length t.by_fase in
+  if fase >= n then begin
+    let grown = Array.make (max (fase + 1) (2 * n)) absent in
+    Array.blit t.by_fase 0 grown 0 n;
+    t.by_fase <- grown
   end;
-  if t.buffer then Ido_util.Vec.push t.events ev
+  let r = t.by_fase.(fase) in
+  if r != absent then r
+  else begin
+    let r = rollup_zero () in
+    t.by_fase.(fase) <- r;
+    t.fases <- t.fases + 1;
+    r
+  end
+
+let emit t ~tid ~fase kind =
+  bump t.total kind;
+  if fase >= 0 then bump (fase_rollup t fase) kind;
+  (match t.tap with
+  | None when not t.buffer -> ()
+  | tap -> (
+      let ev = { seq = t.count; tid; fase; kind } in
+      if t.buffer then Ido_util.Vec.push t.events ev;
+      match tap with Some f -> f ev | None -> ()));
+  t.count <- t.count + 1
 
 let count t = t.count
 let events t = Ido_util.Vec.to_list t.events
 let total t = t.total
 
 let per_fase t =
-  Hashtbl.fold (fun fase r acc -> (fase, r) :: acc) t.by_fase []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
+  let out = ref [] in
+  for fase = Array.length t.by_fase - 1 downto 0 do
+    let r = t.by_fase.(fase) in
+    if r != absent then out := (fase, r) :: !out
+  done;
+  !out
 
-let fases t = Hashtbl.length t.by_fase
+let fases t = t.fases
 
 let check t ~stores ~writebacks ~fences ~evictions =
   let r = t.total in

@@ -17,7 +17,8 @@
 
     The sink keeps cheap rollups ({!total}, {!per_fase}) incrementally;
     full event buffering is optional ([~buffer]) so long profiling runs
-    pay only the counter updates.  Rollups are designed to be checked
+    pay only the counter updates, and a [~tap] callback can consume the
+    stream as it is produced instead of buffering it.  Rollups are designed to be checked
     against {!Ido_nvm.Pmem.counters} deltas with {!check}: the VM emits
     exactly one [Store]/[Flush]/[Fence]/[Evict] per counted pmem
     action, so any disagreement indicates lost or duplicated events.
@@ -93,10 +94,17 @@ val rollup_equal : rollup -> rollup -> bool
 
 type t
 
-val create : ?buffer:bool -> unit -> t
+val create : ?buffer:bool -> ?tap:(event -> unit) -> unit -> t
 (** Fresh sink.  [buffer] (default [true]) keeps the full event list
     for {!events} / {!event_to_ndjson}; with [~buffer:false] only the
-    rollups are maintained (constant memory, for profiling). *)
+    rollups are maintained (constant memory, for profiling).
+
+    [tap], when given, is called once per event, in emission order,
+    after the rollups are updated — the same sequence {!events} would
+    buffer.  With [~buffer:false ~tap:f] the sink keeps no events and
+    [f] consumes the stream as it is produced (the fuzzer's coverage
+    and schedule extraction).  Like the sink itself, [f] must not
+    raise. *)
 
 val emit : t -> tid:int -> fase:int -> kind -> unit
 val count : t -> int
@@ -110,7 +118,8 @@ val total : t -> rollup
 
 val per_fase : t -> (int * rollup) list
 (** Per-FASE rollups, sorted by global FASE id; only events with
-    [fase >= 0] are attributed. *)
+    [fase >= 0] are attributed.  Stored in an array indexed by FASE id,
+    which the machine allocates densely from 0. *)
 
 val fases : t -> int
 (** Number of distinct FASE ids observed. *)

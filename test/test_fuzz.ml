@@ -121,6 +121,206 @@ let cov_static () =
   Alcotest.(check bool) "deterministic" true (f1 = f2);
   Alcotest.(check bool) "code-sensitive" true (f1 <> f3)
 
+(* The list-based extraction the streamed one replaced, kept as the
+   reference: per-thread streams rebuilt from the buffered run, every
+   2-gram, 3-gram and edge folded over a part list, deduplicated in a
+   table and sorted. *)
+let reference_features ~scheme (events : Ido_obs.Obs.event list) =
+  let module Obs = Ido_obs.Obs in
+  let mix h x = (((h lsl 5) + h) lxor x) land 0x3FFFFFFF in
+  let strseed s =
+    let h = ref 0x811c9dc5 in
+    String.iter
+      (fun c -> h := (!h lxor Char.code c) * 0x01000193 land 0x3FFFFFFF)
+      s;
+    !h
+  in
+  let salt0 = strseed scheme in
+  let seen = Hashtbl.create 256 in
+  let put salt parts =
+    Hashtbl.replace seen
+      (List.fold_left mix (mix salt0 salt) parts land 0xFFFF)
+      ()
+  in
+  let is_fase_level (ev : Obs.event) =
+    match ev.Obs.kind with
+    | Obs.Boundary _ | Obs.Fase_enter | Obs.Fase_exit | Obs.Crash
+    | Obs.Recovery_step _ ->
+        true
+    | _ -> false
+  in
+  let streams = Hashtbl.create 8 in
+  List.iter
+    (fun (ev : Obs.event) ->
+      let prev = try Hashtbl.find streams ev.Obs.tid with Not_found -> [] in
+      Hashtbl.replace streams ev.Obs.tid (ev :: prev))
+    events;
+  Hashtbl.iter
+    (fun _tid rev ->
+      let evs = Array.of_list (List.rev rev) in
+      let n = Array.length evs in
+      let pt i = Obs.coverage_point evs.(i) in
+      for i = 0 to n - 2 do
+        put 0x1A [ pt i; pt (i + 1) ];
+        if i + 2 < n then put 0x1A [ pt i; pt (i + 1); pt (i + 2) ]
+      done;
+      let last_region = ref None in
+      let last_fase_pt = ref None in
+      Array.iter
+        (fun (ev : Obs.event) ->
+          (match ev.Obs.kind with
+          | Obs.Boundary { region; elided } ->
+              (match !last_region with
+              | Some r -> put 0x2B [ r; region; (if elided then 1 else 0) ]
+              | None -> ());
+              last_region := Some region
+          | _ -> ());
+          if is_fase_level ev then begin
+            let p = Obs.coverage_point ev in
+            (match !last_fase_pt with
+            | Some q -> put 0x3C [ q; p ]
+            | None -> ());
+            last_fase_pt := Some p
+          end)
+        evs)
+    streams;
+  List.sort_uniq compare (Hashtbl.fold (fun b () acc -> b :: acc) seen [])
+
+let reference_merge sets = List.sort_uniq compare (List.concat sets)
+
+(* A coverage case: a workload pair crashed at some raw indices (each
+   reduced modulo the schedule, as the fuzzer does), or a random genome
+   under a scheme. *)
+let cov_case_gen =
+  QCheck.Gen.(
+    let scheme = oneofl Scheme.[ Ido; Justdo; Atlas; Mnemosyne; Nvthreads ] in
+    let crashes = list_size (int_range 0 2) (int_bound 2000) in
+    frequency
+      [
+        ( 1,
+          map3
+            (fun s w cs -> (s, Input.Workload w, cs))
+            scheme
+            (oneofl Ido_workloads.Workload.names)
+            crashes );
+        ( 1,
+          map3
+            (fun s ts cs -> (s, Input.Random ts, cs))
+            scheme
+            (list_size (int_range 1 4) tree_gen)
+            crashes );
+      ])
+
+let cov_case_arb =
+  QCheck.make
+    ~print:(fun (s, base, cs) -> Input.label (Input.make ~crashes:cs ~scheme:s base))
+    cov_case_gen
+
+(* Streamed coverage equals the list-based reference, run by run and
+   merged across a candidate's runs.  Workload cases take their streams
+   from [Engine.run_traced] and also check the fuzzer's own evaluation
+   ([Exec.run] streams every probe through one accumulator); genome
+   cases stream through a sink's tap while it buffers. *)
+let prop_streamed_coverage_matches_reference =
+  QCheck.Test.make
+    ~name:"streamed coverage = list-based reference (per run and merged)"
+    ~count:60 cov_case_arb (fun (scheme, base, crashes) ->
+      let sname = Scheme.name scheme in
+      let check_runs runs =
+        let acc = Cov.acc ~scheme:sname in
+        let per_run =
+          List.map
+            (fun evs ->
+              Cov.new_run acc;
+              List.iter (Cov.observe acc) evs;
+              let r = reference_features ~scheme:sname evs in
+              if Array.to_list (Cov.features ~scheme:sname evs) <> r then
+                QCheck.Test.fail_report "per-run features differ";
+              r)
+            runs
+        in
+        let merged = reference_merge per_run in
+        if Array.to_list (Cov.collect acc) <> merged then
+          QCheck.Test.fail_report "merged features differ";
+        merged
+      in
+      match base with
+      | Input.Workload workload ->
+          QCheck.assume (Engine.supported scheme workload);
+          let spec = Engine.defaults ~scheme ~workload () in
+          let total = Array.length (Engine.record spec) in
+          let indices = List.map (fun c -> c mod (total + 1)) crashes in
+          let events tr = Ido_obs.Obs.events tr.Engine.t_obs in
+          let merged =
+            check_runs
+              (events (Engine.run_traced spec)
+              :: List.map
+                   (fun index -> events (Engine.run_traced ~index spec))
+                   indices)
+          in
+          let o = Exec.run (Input.make ~crashes ~scheme base) in
+          Array.to_list o.Exec.o_features = merged
+      | Input.Random _ ->
+          let custom =
+            {
+              Engine.c_program =
+                Input.source_program (Input.make ~scheme base);
+              c_scheme = scheme;
+              c_seed = 7;
+              c_cache_lines = 64;
+              c_threads = 1;
+              c_worker_arg = 0L;
+              c_opt = false;
+              c_validate = (fun _ -> Ok ());
+            }
+          in
+          let acc = Cov.acc ~scheme:sname in
+          let probe ?index () =
+            Cov.new_run acc;
+            let obs = Ido_obs.Obs.create ~tap:(Cov.observe acc) () in
+            ignore (Engine.probe ?index ~obs custom);
+            Ido_obs.Obs.events obs
+          in
+          let free = probe () in
+          let total =
+            List.length
+              (List.filter
+                 (fun (e : Ido_obs.Obs.event) ->
+                   Ido_obs.Obs.crash_point e.Ido_obs.Obs.kind)
+                 free)
+          in
+          let crashed =
+            List.map (fun c -> probe ~index:(c mod (total + 1)) ()) crashes
+          in
+          let merged = check_runs (free :: crashed) in
+          Array.to_list (Cov.collect acc) = merged)
+
+(* The schedule the fuzzer derives from its crash-free probe equals the
+   one a separate recording run returns: same length, same fence/lock
+   hint indices, for every pair the default campaign seeds. *)
+let schedule_without_recording () =
+  List.iter
+    (fun (scheme, workload) ->
+      let label = Printf.sprintf "%s/%s" (Scheme.name scheme) workload in
+      let recorded =
+        Engine.record (Engine.defaults ~scheme ~workload ())
+      in
+      let hints =
+        List.filter
+          (fun k ->
+            match recorded.(k) with
+            | Ido_obs.Obs.Fence _ | Ido_obs.Obs.Lock_acquire _
+            | Ido_obs.Obs.Lock_release _ ->
+                true
+            | _ -> false)
+          (List.init (Array.length recorded) Fun.id)
+      in
+      let o = Exec.run (Input.make ~scheme (Input.Workload workload)) in
+      Alcotest.(check int) (label ^ " schedule length")
+        (Array.length recorded) o.Exec.o_schedule;
+      Alcotest.(check (list int)) (label ^ " hints") hints o.Exec.o_hints)
+    (Fuzz.pairs_of Fuzz.default_config)
+
 (* ---------- input codec ---------- *)
 
 let prop_input_json_roundtrip =
@@ -382,5 +582,8 @@ let suites =
           corpus_entry_traces;
         Alcotest.test_case "rediscovers the pair's seeded mutants" `Slow
           rediscover_pair;
+        qtest prop_streamed_coverage_matches_reference;
+        Alcotest.test_case "schedule derived without a recording run" `Quick
+          schedule_without_recording;
       ] );
   ]

@@ -158,6 +158,52 @@ let prop_hook_is_filtered_sink =
           && List.rev !hooked = List.filter Obs.crash_point kinds)
         Scheme.all)
 
+(* A tap sees exactly what the buffer keeps, in the same order, and the
+   FASE-indexed rollups equal a regrouping of the buffered stream by
+   FASE id, each group re-fed to a fresh sink's aggregate rollup. *)
+let prop_tap_is_buffer =
+  QCheck.Test.make
+    ~name:"tap stream = buffered stream; per-FASE rollups = fold over it"
+    ~count:20 Test_idempotence.ops_arb (fun ops ->
+      let prog = Test_idempotence.program_of ops in
+      let seed = 1 + (Hashtbl.hash ops mod 1000) in
+      List.for_all
+        (fun scheme ->
+          let m = Vm.create { (Vm.config scheme) with seed } prog in
+          let tapped = ref [] in
+          let obs = Obs.create ~tap:(fun e -> tapped := e :: !tapped) () in
+          Vm.set_obs m (Some obs);
+          crash_recover_resume m;
+          let evs = Obs.events obs in
+          let groups = Hashtbl.create 16 in
+          List.iter
+            (fun (e : Obs.event) ->
+              if e.Obs.fase >= 0 then begin
+                let g =
+                  match Hashtbl.find_opt groups e.Obs.fase with
+                  | Some g -> g
+                  | None ->
+                      let g = Obs.create ~buffer:false () in
+                      Hashtbl.add groups e.Obs.fase g;
+                      g
+                in
+                Obs.emit g ~tid:e.Obs.tid ~fase:(-1) e.Obs.kind
+              end)
+            evs;
+          let expected =
+            Hashtbl.fold (fun f g acc -> (f, Obs.total g) :: acc) groups []
+            |> List.sort (fun (a, _) (b, _) -> compare a b)
+          in
+          let got = Obs.per_fase obs in
+          evs <> []
+          && List.rev !tapped = evs
+          && Obs.fases obs = Hashtbl.length groups
+          && List.length got = List.length expected
+          && List.for_all2
+               (fun (f, r) (f', r') -> f = f' && Obs.rollup_equal r r')
+               got expected)
+        Scheme.all)
+
 (* Every supported scheme x workload pair reconciles on a crash-free
    traced run (the same check `ido_check trace` performs). *)
 let test_traced_all_pairs () =
@@ -204,7 +250,7 @@ let test_injection_entry_points_agree () =
             | Some i -> i
             | None -> Alcotest.failf "%s@%d: traced run not crashed" label k
           in
-          let pr = Engine.probe ~index:k custom in
+          let pr = Engine.probe ~index:k ~obs:(Obs.create ()) custom in
           let at = Printf.sprintf "%s@%d" label k in
           Alcotest.(check (option string))
             (at ^ " traced event") inj.Engine.event traced.Engine.event;
@@ -320,6 +366,7 @@ let suites =
           test_sink_no_perturbation;
         qtest prop_rollup_matches_counters;
         qtest prop_hook_is_filtered_sink;
+        qtest prop_tap_is_buffer;
       ] );
     ( "obs.traced",
       [
