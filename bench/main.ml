@@ -42,10 +42,8 @@ let regenerate () =
   print_endline "==========================================================";
   print_newline ();
   let panels =
-    if jobs = 1 then Ido_harness.Figures.all scale
-    else
-      Ido_util.Pool.with_pool jobs (fun pool ->
-          Ido_harness.Figures.all ~pool scale)
+    Ido_util.Pool.with_jobs jobs (fun pool ->
+        Ido_harness.Figures.all ?pool scale)
   in
   List.iter
     (fun (name, panel) ->
@@ -212,8 +210,7 @@ let serve_panel () =
       [ Scheme.Ido; Scheme.Justdo ]
   in
   let cells =
-    if jobs = 1 then run None
-    else Ido_util.Pool.with_pool jobs (fun pool -> run (Some pool))
+    Ido_util.Pool.with_jobs jobs run
   in
   Printf.printf "---- serving: open-loop tail latency ----\n%s\n"
     (Ido_serve.Report.render cells);

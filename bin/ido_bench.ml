@@ -79,15 +79,10 @@ let jobs_arg =
            recommended domain count; 1 = serial).  Panels are identical \
            at every -j.")
 
-(* [f None] when serial, else [f (Some pool)] inside with_pool. *)
-let with_jobs jobs f =
-  if jobs < 1 then invalid_arg "ido_bench: -j must be >= 1"
-  else if jobs = 1 then f None
-  else Ido_util.Pool.with_pool jobs (fun pool -> f (Some pool))
-
 let figure_cmd name doc render =
   let run scale jobs =
-    with_jobs jobs (fun pool ->
+    usage_guard @@ fun () ->
+    Ido_util.Pool.with_jobs jobs (fun pool ->
         print_string (render ?pool scale);
         print_newline ())
   in
@@ -218,7 +213,8 @@ let dump_cmd =
 let all_cmd =
   let doc = "Regenerate every table and figure." in
   let run scale jobs =
-    with_jobs jobs (fun pool ->
+    usage_guard @@ fun () ->
+    Ido_util.Pool.with_jobs jobs (fun pool ->
         List.iter
           (fun (_, panel) ->
             print_string panel;
@@ -423,7 +419,8 @@ let selftime_cmd =
     Printf.eprintf "selftime: explore budget=%d -j %d...\n%!" budget jobs;
     let explore_par =
       time (fun () ->
-          with_jobs jobs (fun pool ->
+          usage_guard @@ fun () ->
+          Ido_util.Pool.with_jobs jobs (fun pool ->
               note explore_jobs pool;
               Ido_check.Engine.explore ?pool spec ~budget))
     in
@@ -432,7 +429,8 @@ let selftime_cmd =
     Printf.eprintf "selftime: fig7 quick -j %d...\n%!" jobs;
     let fig7_par =
       time (fun () ->
-          with_jobs jobs (fun pool ->
+          usage_guard @@ fun () ->
+          Ido_util.Pool.with_jobs jobs (fun pool ->
               note fig7_jobs pool;
               Figures.fig7 ?pool Exp.Quick))
     in
@@ -653,15 +651,12 @@ let serve_cmd =
         batches;
       }
     in
-    let configs = usage_guard (fun () -> Ido_serve.Sweep.cells sweep_spec) in
-    with_jobs jobs (fun pool ->
+    usage_guard @@ fun () ->
+    let configs = Ido_serve.Sweep.cells sweep_spec in
+    Ido_util.Pool.with_jobs jobs (fun pool ->
         let faults config =
           if storm then
-            usage_guard (fun () ->
-                [
-                  Ido_serve.Fault.single_crash config;
-                  Ido_serve.Fault.storm config;
-                ])
+            [ Ido_serve.Fault.single_crash config; Ido_serve.Fault.storm config ]
           else [ Ido_serve.Fault.none ]
         in
         let sweep =
@@ -696,7 +691,7 @@ let serve_cmd =
               in
               List.map
                 (fun config -> Ido_serve.Serve.run_cell ?pool ~chunk config)
-                (usage_guard (fun () -> Ido_serve.Sweep.cells spec))
+                (Ido_serve.Sweep.cells spec)
           | _ -> []
         in
         let cells = sweep @ scale_cells in

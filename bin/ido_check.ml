@@ -98,12 +98,6 @@ let chunk_arg =
            -j, 1 = one task per item.  Results are byte-identical at every \
            chunk size.")
 
-(* [f None] when serial, else [f (Some pool)] inside with_pool. *)
-let with_jobs jobs f =
-  if jobs < 1 then invalid_arg "jobs must be >= 1"
-  else if jobs = 1 then f None
-  else Ido_util.Pool.with_pool jobs (fun pool -> f (Some pool))
-
 let spec_of ?(opt = false) scheme workload seed threads ops cache_lines oracle
     strict =
   let spec =
@@ -192,7 +186,7 @@ let explore_cmd =
       last := k
     in
     let r =
-      with_jobs jobs (fun pool ->
+      Ido_util.Pool.with_jobs jobs (fun pool ->
           Engine.explore ~progress ?pool ~chunk spec ~budget)
     in
     Printf.printf
@@ -425,7 +419,7 @@ let lint_cmd =
       | None -> Ido_workloads.Workload.names
     in
     let pairs =
-      with_jobs jobs (fun pool ->
+      Ido_util.Pool.with_jobs jobs (fun pool ->
           Lintrun.sweep ?pool ~chunk ~schemes ~workloads ())
     in
     let dirty = List.filter (fun p -> p.Lintrun.diags <> []) pairs in
@@ -481,7 +475,9 @@ let mutants_cmd =
           match Ido_lint.Mutate.find n with
           | Some m -> [ Lintrun.run_mutant m ]
           | None -> invalid_arg (Printf.sprintf "unknown mutant %S" n))
-      | None -> with_jobs jobs (fun pool -> Lintrun.run_corpus ?pool ~chunk ())
+      | None ->
+          Ido_util.Pool.with_jobs jobs (fun pool ->
+              Lintrun.run_corpus ?pool ~chunk ())
     in
     List.iter
       (fun (o : Lintrun.outcome) ->
@@ -591,7 +587,8 @@ let fuzz_cmd =
       }
     in
     let r =
-      with_jobs jobs (fun pool -> Ido_fuzz.Fuzz.run ?pool ~chunk config)
+      Ido_util.Pool.with_jobs jobs (fun pool ->
+          Ido_fuzz.Fuzz.run ?pool ~chunk config)
     in
     (match out with
     | Some path ->
@@ -665,7 +662,7 @@ let optimize_cmd =
       | None -> Ido_workloads.Workload.names
     in
     let cells =
-      with_jobs jobs (fun pool ->
+      Ido_util.Pool.with_jobs jobs (fun pool ->
           Optrun.sweep ?pool ~chunk ~schemes ~workloads ~budget ())
     in
     print_string (Optrun.render cells);
@@ -716,7 +713,7 @@ let serve_crash_cmd =
     in
     let fault = Ido_serve.Fault.single_crash config in
     let cell =
-      with_jobs jobs (fun pool ->
+      Ido_util.Pool.with_jobs jobs (fun pool ->
           Ido_serve.Serve.run_cell ?pool ~chunk ~obs:true ~fault config)
     in
     let pp_result = function Ok () -> "ok" | Error m -> "FAIL: " ^ m in
@@ -812,7 +809,7 @@ let serve_failover_cmd =
     in
     let fault = Ido_serve.Fault.single_crash config in
     let cell =
-      with_jobs jobs (fun pool ->
+      Ido_util.Pool.with_jobs jobs (fun pool ->
           Ido_serve.Serve.run_cell ?pool ~chunk ~obs:true ~fault config)
     in
     let pp_result = function Ok () -> "ok" | Error m -> "FAIL: " ^ m in

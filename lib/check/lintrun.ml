@@ -14,12 +14,6 @@ let lint_pair scheme workload =
   let p = Instrument.instrument scheme (Workload.named workload) in
   Lint.lint_program scheme p
 
-(* [opt_map_list] degrades to [List.map] without a pool and keeps
-   submission order either way, so sweeps stay byte-identical at every
-   [-j] and every [--chunk]. *)
-let map_maybe_pool ?chunk pool f xs =
-  Ido_util.Pool.opt_map_list ?chunk pool f xs
-
 let sweep ?pool ?chunk ?(schemes = Scheme.all) ?(workloads = Workload.names) ()
     =
   let pairs =
@@ -32,7 +26,7 @@ let sweep ?pool ?chunk ?(schemes = Scheme.all) ?(workloads = Workload.names) ()
           schemes)
       workloads
   in
-  map_maybe_pool ?chunk pool
+  Ido_util.Pool.opt_map_list ?chunk pool
     (fun (scheme, workload) ->
       { scheme; workload; diags = lint_pair scheme workload })
     pairs
@@ -56,4 +50,4 @@ let run_mutant (m : Mutate.t) =
   { mutant = m; mdiags; caught }
 
 let run_corpus ?pool ?chunk () =
-  map_maybe_pool ?chunk pool run_mutant Mutate.corpus
+  Ido_util.Pool.opt_map_list ?chunk pool run_mutant Mutate.corpus

@@ -5,15 +5,6 @@ module Vm = Ido_vm.Vm
 
 type scale = Quick | Full
 
-(* Order-preserving parallel map over independent experiment cells.
-   Every cell boots its own machine (programs are immutable IR), so
-   cells can run on a domain pool; results come back in input order,
-   keeping rendered panels identical to a serial run.  [chunk]
-   batches consecutive cells into one pool task ([0] = auto, [1] =
-   one task per cell — the default, since sweep cells are already
-   coarse). *)
-let pmap ?pool ?(chunk = 1) f xs = Pool.opt_map_list ~chunk pool f xs
-
 let thread_counts = function
   | Quick -> [ 1; 2; 4; 8; 16; 32 ]
   | Full -> [ 1; 2; 4; 8; 16; 32; 64 ]

@@ -12,16 +12,6 @@ open Ido_runtime
     machine. *)
 type scale = Quick | Full
 
-val pmap : ?pool:Pool.t -> ?chunk:int -> ('a -> 'b) -> 'a list -> 'b list
-(** Order-preserving map over independent experiment cells: on a pool
-    of size > 1 the cells run on worker domains (each boots a private
-    machine), and results return in input order, so rendered panels
-    are identical to a serial run at every [-j] and chunk size.
-    [chunk] batches consecutive cells into one pool task ([1], the
-    default: one task per cell — sweep cells are already coarse;
-    [0]: auto-size from the list length and pool width).  Without a
-    pool this is [List.map]. *)
-
 val thread_counts : scale -> int list
 (** Worker counts for the scalability sweeps. *)
 

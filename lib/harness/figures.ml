@@ -36,7 +36,7 @@ let sweep ?pool ~x_label ~title ~schemes ~xs run =
   let cells =
     List.concat_map (fun x -> List.map (fun s -> (x, s)) schemes) xs
   in
-  let vals = Exp.pmap ?pool (fun (x, s) -> run s x) cells in
+  let vals = Pool.opt_map_list pool (fun (x, s) -> run s x) cells in
   let rows =
     List.map2
       (fun x row -> (string_of_int x, row))
@@ -92,7 +92,7 @@ let fig6 ?pool scale =
       sizes
   in
   let vals =
-    Exp.pmap ?pool
+    Pool.opt_map_list pool
       (fun (program, scheme) ->
         mops_cell ~program ~workload:"objstore" ~scheme ~threads:1 ~total_ops ())
       cells
@@ -151,7 +151,7 @@ let fig8_benchmarks =
 let fig8 ?pool scale =
   let total_ops = Exp.micro_total_ops scale / 2 in
   let stats =
-    Exp.pmap ?pool
+    Pool.opt_map_list pool
       (fun (name, program, threads) ->
         (name, Exp.region_stats ~threads ~total_ops program))
       fig8_benchmarks
@@ -191,7 +191,7 @@ let table1 ?pool scale =
   let atlas_base = Timebase.ms 50 in
   let atlas_per_record = 75 in
   let rows =
-    Exp.pmap ?pool
+    Pool.opt_map_list pool
       (fun (name, workload) ->
         let spec scheme =
           Exp.Spec.make ~scheme ~workload ~threads ~ops:1_000_000 ()
@@ -244,7 +244,7 @@ let fig9 ?pool scale =
       List.concat_map (fun d -> List.map (fun s -> (d, s)) schemes) delays
     in
     let vals =
-      Exp.pmap ?pool
+      Pool.opt_map_list pool
         (fun (d, scheme) ->
           let latency = Latency.with_nvm_extra Latency.default d in
           mops_cell ~latency ?program ~workload ~scheme ~threads ~total_ops ())
@@ -320,7 +320,9 @@ let ablation ?pool scale =
       (fun (_, cfg) -> List.map (fun (_, program) -> (cfg, program)) workloads)
       variants
   in
-  let vals = Exp.pmap ?pool (fun (cfg, program) -> run_with cfg program) cells in
+  let vals =
+    Pool.opt_map_list pool (fun (cfg, program) -> run_with cfg program) cells
+  in
   let rows =
     List.map2
       (fun (vname, _) row -> (vname, row))
@@ -350,7 +352,7 @@ let ablation ?pool scale =
       machines
   in
   let machine_vals =
-    Exp.pmap ?pool
+    Pool.opt_map_list pool
       (fun (latency, scheme) ->
         mops_cell ~latency ~workload:"hmap" ~scheme ~threads ~total_ops ())
       machine_cells

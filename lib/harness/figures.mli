@@ -5,7 +5,8 @@
     against actual output in EXPERIMENTS.md.
 
     Every sweep evaluates its (x-point × scheme) cells through
-    {!Exp.pmap}: pass [?pool] to run the cells on a domain pool.
+    {!Ido_util.Pool.opt_map_list}, one pool task per cell: pass [?pool]
+    to run the cells on a domain pool.
     Cells are independent (each boots a private machine) and results
     are reassembled in input order, so the rendered panels are
     identical to a serial run. *)

@@ -1,368 +1,180 @@
-(* A fixed-size pool of worker domains, scheduled by work stealing.
+(* The contract (submission-order results, a serial pool that runs each
+   task at [submit]) is documented in pool.mli.
 
-   The drivers of this repository (crash-matrix exploration, figure
-   sweeps, fuzz campaigns, serve shards) decompose into many
-   independent deterministic simulations; the pool runs them on OCaml 5
-   domains while keeping every observable ordering identical to a
-   serial run: [map_list]/[map_array]/[map_chunks] return results
-   indexed by submission order, never completion order, and a serial
-   pool ([jobs <= 1]) executes each task synchronously at [submit] time
-   on the calling domain — byte-identical to a plain loop, including
-   the interleaving of any output the tasks produce.
-
-   Scheduling: every participant — the submitting domain plus
-   [jobs - 1] spawned workers — owns a Chase–Lev deque.  The owner
-   pushes and pops at the bottom without locks; idle participants steal
-   from the top of a victim's deque with a single compare-and-set.
-   [await] on the submitting domain {e helps}: while its future is
-   pending it pops/steals tasks like any worker, so the submitter is a
-   full compute participant and a pool of [jobs] uses exactly [jobs]
-   domains.  Idle workers spin with exponential backoff before parking
-   on a condition variable; [submit] only touches that mutex when a
-   sleeper is registered, so the steady-state dispatch path is
-   lock-free.
-
-   Tasks must not share mutable state; each exploration/sweep cell
-   boots (or resets) its own machine, so nothing is shared in
-   practice. *)
-
-(* ------------------------------------------------------------------ *)
-(* Chase–Lev work-stealing deque.
-
-   Single owner pushes/pops at [bottom]; any domain steals at [top].
-   Slots are atomics and the buffer is published through an atomic, so
-   growth is safe under the OCaml memory model: a stealer that reads a
-   stale buffer still reads the element values it copied, and its
-   compare-and-set on [top] arbitrates ownership of the element. *)
-
-module Deque = struct
-  type 'a buf = { slots : 'a option Atomic.t array; mask : int }
-
-  let make_buf cap =
-    { slots = Array.init cap (fun _ -> Atomic.make None); mask = cap - 1 }
-
-  type 'a t = {
-    top : int Atomic.t;
-    bottom : int Atomic.t;
-    buf : 'a buf Atomic.t;
-  }
-
-  let create () =
-    { top = Atomic.make 0; bottom = Atomic.make 0; buf = Atomic.make (make_buf 64) }
-
-  (* Owner only.  Copy live elements [t, b) into a doubled buffer and
-     publish it; the old buffer stays valid for concurrent stealers. *)
-  let grow q buf b t =
-    let nbuf = make_buf (2 * (buf.mask + 1)) in
-    for i = t to b - 1 do
-      Atomic.set nbuf.slots.(i land nbuf.mask) (Atomic.get buf.slots.(i land buf.mask))
-    done;
-    Atomic.set q.buf nbuf;
-    nbuf
-
-  (* Owner only. *)
-  let push q v =
-    let b = Atomic.get q.bottom in
-    let t = Atomic.get q.top in
-    let buf = Atomic.get q.buf in
-    let buf = if b - t > buf.mask then grow q buf b t else buf in
-    Atomic.set buf.slots.(b land buf.mask) (Some v);
-    Atomic.set q.bottom (b + 1)
-
-  (* Owner only: LIFO pop at the bottom.  The only contended case is
-     the last element, arbitrated by a compare-and-set on [top]. *)
-  let pop q =
-    let b = Atomic.get q.bottom - 1 in
-    Atomic.set q.bottom b;
-    let t = Atomic.get q.top in
-    if b < t then begin
-      Atomic.set q.bottom t;
-      None
-    end
-    else begin
-      let buf = Atomic.get q.buf in
-      let slot = buf.slots.(b land buf.mask) in
-      let v = Atomic.get slot in
-      if b > t then begin
-        Atomic.set slot None;
-        v
-      end
-      else begin
-        let won = Atomic.compare_and_set q.top t (t + 1) in
-        Atomic.set q.bottom (t + 1);
-        if won then begin
-          Atomic.set slot None;
-          v
-        end
-        else None
-      end
-    end
-
-  (* Any domain: FIFO steal at the top.  [None] means "empty or lost a
-     race" — in either case some other participant made progress, so
-     callers just move on to the next victim. *)
-  let steal q =
-    let t = Atomic.get q.top in
-    let b = Atomic.get q.bottom in
-    if b - t <= 0 then None
-    else begin
-      let buf = Atomic.get q.buf in
-      let v = Atomic.get buf.slots.(t land buf.mask) in
-      if Atomic.compare_and_set q.top t (t + 1) then v else None
-    end
-end
-
-(* ------------------------------------------------------------------ *)
+   Scheduling: one mutex guards the queue, the [closed] flag and every
+   future's state.  Workers wait on [work] ("a task was queued or the
+   pool closed") and take the oldest task until the pool is closed and
+   the queue is drained.  [await] {e helps}: while its future is
+   pending it takes and runs the newest queued task, and it waits on
+   [finished] ("a task finished") only when the queue is empty — by
+   then its own task has been claimed by another domain, so the wait
+   cannot deadlock, and a pool of [jobs] computes on exactly [jobs]
+   domains.  Taking from opposite ends makes the workers and the
+   awaiting domain meet in the middle of a batch, so a costly tail
+   (the fuzzer appends random genomes to its seed batch) starts early
+   instead of running alone at the end.  Each task is a whole
+   simulation or a batch of them (milliseconds), so one lock per
+   dispatch costs nothing measurable. *)
 
 type 'a state =
   | Pending
   | Done of 'a
   | Failed of exn * Printexc.raw_backtrace
 
-type task = unit -> unit
-
 type t = {
   jobs : int;
-  deques : task Deque.t array; (* deques.(i) owned by participant i; 0 = creator *)
-  mutable owners : Domain.id array; (* owners.(i) = domain that owns deques.(i) *)
-  closed : bool Atomic.t;
-  work_epoch : int Atomic.t; (* bumped on every submit; sleepers recheck it *)
-  sleepers : int Atomic.t;
-  sleep_mut : Mutex.t;
-  sleep_cond : Condition.t;
-  inbox : task Queue.t; (* submits from domains that own no deque *)
-  inbox_mut : Mutex.t;
-  inbox_size : int Atomic.t;
+  mutex : Mutex.t; (* guards the fields below and every future's state *)
+  work : Condition.t; (* a task was queued, or the pool closed *)
+  finished : Condition.t; (* a task finished *)
+  mutable tasks : (unit -> unit) array;
+      (* the queue: tasks.(first) .. tasks.(last - 1), oldest first *)
+  mutable first : int;
+  mutable last : int;
+  mutable closed : bool;
   mutable domains : unit Domain.t list;
 }
 
-type 'a future = {
-  fmut : Mutex.t;
-  fcond : Condition.t;
-  cell : 'a state Atomic.t;
-  origin : t option; (* the pool that will run it; [None] = already resolved *)
-}
+type 'a future = { pool : t; mutable state : 'a state }
 
 let default_jobs () = Domain.recommended_domain_count ()
+let size pool = pool.jobs
+let no_task () = ()
 
-let participant_index pool =
-  let self = Domain.self () in
-  let owners = pool.owners in
-  let n = Array.length owners in
-  let rec go k = if k >= n then None else if owners.(k) = self then Some k else go (k + 1) in
-  go 0
+(* Queue operations; the caller holds [pool.mutex].  A push onto a full
+   array moves the queued tasks into a fresh array with room for as many
+   again. *)
 
-let inbox_take pool =
-  if Atomic.get pool.inbox_size = 0 then None
+let push pool task =
+  if pool.last = Array.length pool.tasks then begin
+    let queued = pool.last - pool.first in
+    let tasks = Array.make (max 16 (2 * queued)) no_task in
+    Array.blit pool.tasks pool.first tasks 0 queued;
+    pool.tasks <- tasks;
+    pool.first <- 0;
+    pool.last <- queued
+  end;
+  pool.tasks.(pool.last) <- task;
+  pool.last <- pool.last + 1
+
+let take pool ~newest =
+  if pool.first = pool.last then None
   else begin
-    Mutex.lock pool.inbox_mut;
-    let r = Queue.take_opt pool.inbox in
-    (match r with Some _ -> Atomic.decr pool.inbox_size | None -> ());
-    Mutex.unlock pool.inbox_mut;
-    r
+    let i = if newest then pool.last - 1 else pool.first in
+    let task = pool.tasks.(i) in
+    (* Clear the slot: the queue must not keep a taken closure alive. *)
+    pool.tasks.(i) <- no_task;
+    if newest then pool.last <- i else pool.first <- i + 1;
+    Some task
   end
 
-(* One scheduling round for participant [i]: own deque first (LIFO),
-   then steal from the others in ring order (FIFO at their top), then
-   the foreign-submit inbox. *)
-let take pool i =
-  match Deque.pop pool.deques.(i) with
-  | Some _ as r -> r
-  | None ->
-      let n = pool.jobs in
-      let rec steal k =
-        if k >= n then inbox_take pool
-        else
-          match Deque.steal pool.deques.((i + k) mod n) with
-          | Some _ as r -> r
-          | None -> steal (k + 1)
-      in
-      steal 1
-
-(* Idle protocol: a few rounds of exponentially longer spins, then park.
-   The epoch read before the final recheck makes the sleep race-free:
-   either the sleeper sees the new work, or the submitter's epoch bump
-   invalidates the wait condition. *)
-let spin_rounds = 10
-
-let worker_loop pool i =
-  let rec loop spins =
-    match take pool i with
-    | Some task -> task (); loop 0
-    | None ->
-        if Atomic.get pool.closed then ()
-        else if spins < spin_rounds then begin
-          for _ = 1 to 1 lsl min spins 6 do
-            Domain.cpu_relax ()
-          done;
-          loop (spins + 1)
-        end
-        else begin
-          let epoch = Atomic.get pool.work_epoch in
-          match take pool i with
-          | Some task -> task (); loop 0
-          | None ->
-              if Atomic.get pool.closed then ()
-              else begin
-                Mutex.lock pool.sleep_mut;
-                Atomic.incr pool.sleepers;
-                while
-                  Atomic.get pool.work_epoch = epoch && not (Atomic.get pool.closed)
-                do
-                  Condition.wait pool.sleep_cond pool.sleep_mut
-                done;
-                Atomic.decr pool.sleepers;
-                Mutex.unlock pool.sleep_mut;
-                loop 0
-              end
-        end
+(* Run queued tasks until the pool is closed and the queue is empty. *)
+let rec work_loop pool =
+  let next =
+    Mutex.protect pool.mutex (fun () ->
+        while pool.first = pool.last && not pool.closed do
+          Condition.wait pool.work pool.mutex
+        done;
+        take pool ~newest:false)
   in
-  loop 0
+  match next with
+  | Some task ->
+      task ();
+      work_loop pool
+  | None -> ()
+
+(* Close, then drain on the calling domain alongside the workers (no
+   submitted task is dropped), then join.  Idempotent. *)
+let shutdown pool =
+  Mutex.protect pool.mutex (fun () ->
+      pool.closed <- true;
+      Condition.broadcast pool.work);
+  work_loop pool;
+  List.iter Domain.join pool.domains;
+  pool.domains <- []
 
 let create jobs =
-  if jobs < 1 then invalid_arg "Pool.create: jobs must be >= 1";
+  if jobs < 1 then
+    invalid_arg (Printf.sprintf "jobs must be >= 1 (got %d)" jobs);
   let pool =
     {
       jobs;
-      deques = Array.init jobs (fun _ -> Deque.create ());
-      owners = [| Domain.self () |];
-      closed = Atomic.make false;
-      work_epoch = Atomic.make 0;
-      sleepers = Atomic.make 0;
-      sleep_mut = Mutex.create ();
-      sleep_cond = Condition.create ();
-      inbox = Queue.create ();
-      inbox_mut = Mutex.create ();
-      inbox_size = Atomic.make 0;
+      mutex = Mutex.create ();
+      work = Condition.create ();
+      finished = Condition.create ();
+      tasks = [||];
+      first = 0;
+      last = 0;
+      closed = false;
       domains = [];
     }
   in
-  if jobs > 1 then begin
-    let owners = Array.make jobs (Domain.self ()) in
-    let domains =
-      List.init (jobs - 1) (fun k -> Domain.spawn (fun () -> worker_loop pool (k + 1)))
-    in
-    List.iteri (fun k d -> owners.(k + 1) <- Domain.get_id d) domains;
-    pool.owners <- owners;
-    pool.domains <- domains
-  end;
+  (try
+     for _ = 2 to jobs do
+       pool.domains <- Domain.spawn (fun () -> work_loop pool) :: pool.domains
+     done
+   with Failure _ ->
+     (* The runtime's domain limit (or memory) ran out part-way. *)
+     let started = List.length pool.domains + 1 in
+     shutdown pool;
+     invalid_arg
+       (Printf.sprintf
+          "jobs must be <= %d (got %d): the runtime cannot start more domains"
+          started jobs));
   pool
-
-let size pool = pool.jobs
-
-let resolved state =
-  { fmut = Mutex.create (); fcond = Condition.create (); cell = Atomic.make state; origin = None }
-
-let run_to_state f =
-  match f () with
-  | v -> Done v
-  | exception e -> Failed (e, Printexc.get_raw_backtrace ())
-
-let wake_sleepers pool =
-  if Atomic.get pool.sleepers > 0 then begin
-    Mutex.lock pool.sleep_mut;
-    Condition.broadcast pool.sleep_cond;
-    Mutex.unlock pool.sleep_mut
-  end
-
-let submit pool f =
-  if pool.jobs <= 1 then resolved (run_to_state f)
-  else begin
-    if Atomic.get pool.closed then invalid_arg "Pool.submit: pool is shut down";
-    let fut =
-      {
-        fmut = Mutex.create ();
-        fcond = Condition.create ();
-        cell = Atomic.make Pending;
-        origin = Some pool;
-      }
-    in
-    let task () =
-      let st = run_to_state f in
-      Mutex.lock fut.fmut;
-      Atomic.set fut.cell st;
-      Condition.broadcast fut.fcond;
-      Mutex.unlock fut.fmut
-    in
-    (match participant_index pool with
-    | Some i -> Deque.push pool.deques.(i) task
-    | None ->
-        Mutex.lock pool.inbox_mut;
-        Queue.add task pool.inbox;
-        Atomic.incr pool.inbox_size;
-        Mutex.unlock pool.inbox_mut);
-    Atomic.incr pool.work_epoch;
-    wake_sleepers pool;
-    fut
-  end
-
-let is_pending fut = match Atomic.get fut.cell with Pending -> true | _ -> false
-
-let await fut =
-  (* Help: while the future is pending, a deque-owning awaiter runs
-     queued tasks instead of blocking.  When no task is runnable the
-     future's own task has been claimed by another participant, so
-     blocking on the condition below is deadlock-free. *)
-  (match fut.origin with
-  | Some pool when is_pending fut -> (
-      match participant_index pool with
-      | Some i ->
-          let rec help () =
-            if is_pending fut then
-              match take pool i with
-              | Some task ->
-                  task ();
-                  help ()
-              | None -> ()
-          in
-          help ()
-      | None -> ())
-  | _ -> ());
-  Mutex.lock fut.fmut;
-  while is_pending fut do
-    Condition.wait fut.fcond fut.fmut
-  done;
-  let st = Atomic.get fut.cell in
-  Mutex.unlock fut.fmut;
-  match st with
-  | Done v -> v
-  | Failed (e, bt) -> Printexc.raise_with_backtrace e bt
-  | Pending -> assert false
-
-let shutdown pool =
-  if not (Atomic.get pool.closed) then begin
-    Atomic.set pool.closed true;
-    Mutex.lock pool.sleep_mut;
-    Condition.broadcast pool.sleep_cond;
-    Mutex.unlock pool.sleep_mut;
-    (* Drain: the caller runs anything still queued so no submitted
-       task is dropped; workers exit once every deque is empty. *)
-    (match participant_index pool with
-    | Some i ->
-        let rec drain () =
-          match take pool i with
-          | Some task ->
-              task ();
-              drain ()
-          | None -> ()
-        in
-        drain ()
-    | None -> ());
-    List.iter Domain.join pool.domains;
-    pool.domains <- []
-  end
 
 let with_pool jobs f =
   let pool = create jobs in
   Fun.protect ~finally:(fun () -> shutdown pool) (fun () -> f pool)
 
+let with_jobs jobs f =
+  if jobs = 1 then f None else with_pool jobs (fun pool -> f (Some pool))
+
+let submit pool f =
+  let fut = { pool; state = Pending } in
+  let task () =
+    let st =
+      match f () with
+      | v -> Done v
+      | exception e -> Failed (e, Printexc.get_raw_backtrace ())
+    in
+    Mutex.protect pool.mutex (fun () ->
+        fut.state <- st;
+        Condition.broadcast pool.finished)
+  in
+  Mutex.protect pool.mutex (fun () ->
+      if pool.closed then invalid_arg "Pool.submit: pool is shut down";
+      if pool.jobs > 1 then begin
+        push pool task;
+        Condition.signal pool.work
+      end);
+  if pool.jobs = 1 then task ();
+  fut
+
+let await fut =
+  let pool = fut.pool in
+  Mutex.lock pool.mutex;
+  let rec wait () =
+    match fut.state with
+    | Done v ->
+        Mutex.unlock pool.mutex;
+        v
+    | Failed (e, bt) ->
+        Mutex.unlock pool.mutex;
+        Printexc.raise_with_backtrace e bt
+    | Pending ->
+        (match take pool ~newest:true with
+        | Some task ->
+            Mutex.unlock pool.mutex;
+            task ();
+            Mutex.lock pool.mutex
+        | None -> Condition.wait pool.finished pool.mutex);
+        wait ()
+  in
+  wait ()
+
 (* Order-preserving maps.  All tasks are submitted before any await;
    results are awaited (and any exception re-raised) in submission
    order, making the result independent of completion order. *)
-
-let map_array pool f xs =
-  let futs = Array.map (fun x -> submit pool (fun () -> f x)) xs in
-  Array.map await futs
 
 let map_list pool f xs =
   List.map await (List.map (fun x -> submit pool (fun () -> f x)) xs)

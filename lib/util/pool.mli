@@ -1,20 +1,19 @@
 (** A fixed-size pool of worker domains for independent deterministic
-    tasks, scheduled by work stealing.
+    tasks, fed from one shared task queue.
 
     The crash-matrix explorer, figure sweeps, fuzz campaigns and serve
     shards decompose into hundreds of independent simulations; the pool
     spreads them over OCaml 5 domains while keeping results
     {e deterministic}: maps return results in submission order, never
-    completion order, and a serial pool ([jobs <= 1]) spawns no domains
+    completion order, and a serial pool ([jobs = 1]) spawns no domains
     at all — every task runs synchronously at {!submit} on the calling
     domain, byte-identical to a plain loop.
 
-    Internally every participant (the creating domain plus [jobs - 1]
-    spawned workers) owns a Chase–Lev deque: lock-free push/pop for the
-    owner, compare-and-set steals for everyone else, exponential
-    backoff before an idle worker parks.  {!await} on the creating
-    domain {e helps} — it runs queued tasks while its future is pending
-    — so a pool of [jobs] computes on exactly [jobs] domains.
+    Internally one mutex guards the queue; the [jobs - 1] spawned
+    workers take its oldest task, and {!await} {e helps} — it runs the
+    newest queued task while its future is pending and blocks only once
+    the queue is empty — so a pool of [jobs] computes on exactly [jobs]
+    domains.
 
     Tasks must not share mutable state with each other. *)
 
@@ -24,7 +23,9 @@ val create : int -> t
 (** [create jobs] starts [jobs - 1] worker domains ([jobs > 1]; the
     creating domain is the [jobs]-th participant), or a serial pool
     with no domains ([jobs = 1]).
-    @raise Invalid_argument if [jobs < 1]. *)
+    @raise Invalid_argument if [jobs < 1], or if the runtime cannot
+    start [jobs - 1] more domains (the workers already started are
+    joined first). *)
 
 val default_jobs : unit -> int
 (** [Domain.recommended_domain_count ()] — the [-j] default. *)
@@ -48,8 +49,6 @@ val map_list : t -> ('a -> 'b) -> 'a list -> 'b list
     in submission order.  On a serial pool this is exactly
     [List.map]. *)
 
-val map_array : t -> ('a -> 'b) -> 'a array -> 'b array
-
 val default_chunk : jobs:int -> int -> int
 (** [default_chunk ~jobs n] is the batch size the chunked maps use for
     [n] elements when none is given: large enough to amortise per-task
@@ -70,8 +69,14 @@ val opt_map_list : ?chunk:int -> t option -> ('a -> 'b) -> 'a list -> 'b list
     other [chunk] ([0] = auto). *)
 
 val shutdown : t -> unit
-(** Drain the queues, stop and join the workers.  Idempotent.  Further
-    {!submit}s raise. *)
+(** Drain the queue, stop and join the workers.  Idempotent.  Further
+    {!submit}s raise [Invalid_argument], on a serial pool too. *)
 
 val with_pool : int -> (t -> 'a) -> 'a
 (** [create] / run / [shutdown] (also on exception). *)
+
+val with_jobs : int -> (t option -> 'a) -> 'a
+(** The drivers' [-j] entry point: [f None] for [jobs = 1], otherwise
+    {!with_pool} with [f (Some pool)].
+    @raise Invalid_argument as {!create} does, with a one-line message
+    such as ["jobs must be >= 1 (got 0)"]. *)

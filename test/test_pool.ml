@@ -1,8 +1,9 @@
 (* Tier-1 coverage for the domain pool (lib/util/pool.ml) and the
    parallel drivers built on it: results come back in submission
    order, task exceptions re-raise at await, a serial pool runs tasks
-   synchronously, and a pooled exploration produces a report
-   digest-identical to the serial path. *)
+   synchronously, an awaiting domain helps run queued tasks, and a
+   pooled exploration produces a report digest-identical to the serial
+   path. *)
 
 open Ido_util
 open Ido_runtime
@@ -28,14 +29,23 @@ let ordering () =
         (List.map (fun i -> i * i) xs)
         ys)
 
-let map_array_ordering () =
-  Pool.with_pool 3 (fun pool ->
-      let xs = Array.init 33 Fun.id in
-      let ys = Pool.map_array pool (fun i -> i + 1) xs in
-      Alcotest.(check (array int))
-        "array in submission order"
-        (Array.map (fun i -> i + 1) xs)
-        ys)
+(* A pool of 2 must compute on 2 domains: each task waits for the
+   other to start, so the pair finishes only if the awaiting domain
+   runs one of them while the single worker runs the other.  The
+   deadline turns a non-helping await into a failure, not a hang. *)
+let await_helps () =
+  Pool.with_pool 2 (fun pool ->
+      let started = Atomic.make 0 in
+      let deadline = Unix.gettimeofday () +. 10. in
+      let rendezvous _ =
+        Atomic.incr started;
+        while Atomic.get started < 2 do
+          if Unix.gettimeofday () > deadline then
+            Alcotest.fail "the other task never started: await did not help";
+          Domain.cpu_relax ()
+        done
+      in
+      ignore (Pool.map_list pool rendezvous [ 0; 1 ]))
 
 exception Boom of int
 
@@ -75,24 +85,42 @@ let opt_map_none () =
 
 let invalid_jobs () =
   Alcotest.check_raises "jobs = 0 rejected"
-    (Invalid_argument "Pool.create: jobs must be >= 1") (fun () ->
+    (Invalid_argument "jobs must be >= 1 (got 0)") (fun () ->
       ignore (Pool.create 0))
 
 let submit_after_shutdown () =
-  let pool = Pool.create 2 in
-  Pool.shutdown pool;
-  Pool.shutdown pool;
-  (* idempotent *)
-  Alcotest.check_raises "submit after shutdown rejected"
-    (Invalid_argument "Pool.submit: pool is shut down") (fun () ->
-      ignore (Pool.submit pool (fun () -> 0)))
+  List.iter
+    (fun jobs ->
+      let pool = Pool.create jobs in
+      Pool.shutdown pool;
+      Pool.shutdown pool;
+      (* idempotent *)
+      Alcotest.check_raises
+        (Printf.sprintf "submit after shutdown rejected (jobs = %d)" jobs)
+        (Invalid_argument "Pool.submit: pool is shut down") (fun () ->
+          ignore (Pool.submit pool (fun () -> 0))))
+    [ 1; 2 ]
+
+(* OCaml 5.1 runs at most 128 domains: a pool that cannot start all
+   its workers joins the ones it started and raises, and the runtime
+   is left able to start a fresh pool. *)
+let domain_limit () =
+  (match Pool.create 129 with
+  | pool ->
+      Pool.shutdown pool;
+      Alcotest.fail "create 129 should exceed the domain limit"
+  | exception Invalid_argument _ -> ());
+  Alcotest.(check (list int))
+    "with_pool 2 still works" [ 1; 2 ]
+    (Pool.with_pool 2 (fun pool -> Pool.map_list pool succ [ 0; 1 ]))
 
 (* ------------------------------------------------------------------ *)
-(* Stress: the work-stealing scheduler under a deep queue of uneven
+(* Stress: the shared-queue scheduler under a deep queue of uneven
    tasks must keep every ordering guarantee it makes when idle. *)
 
-(* Durations spanning ~3 orders of magnitude, so steals, helping
-   awaits and the idle spin/park protocol all trigger. *)
+(* Durations spanning ~3 orders of magnitude, so helping awaits, idle
+   workers waiting for work and awaits blocking on a claimed task all
+   trigger. *)
 let uneven_work i =
   if i mod 97 = 0 then ignore (Sys.opaque_identity (Array.init 30_000 Fun.id))
   else if i mod 13 = 0 then
@@ -229,7 +257,7 @@ let prop_map_chunks_is_map =
           Pool.map_chunks ~chunk pool (fun x -> (3 * x) + 1) xs
           = List.map (fun x -> (3 * x) + 1) xs))
 
-(* The figure sweeps route their cells through Exp.pmap; a pooled
+(* The figure sweeps route their cells through Pool.opt_map_list; a pooled
    panel must render byte-identically to the serial one. *)
 let parallel_sweep_identical () =
   let serial = Ido_harness.Figures.fig6 Ido_harness.Exp.Quick in
@@ -244,7 +272,8 @@ let suites =
     ( "pool",
       [
         Alcotest.test_case "map_list preserves order" `Quick ordering;
-        Alcotest.test_case "map_array preserves order" `Quick map_array_ordering;
+        Alcotest.test_case "await helps: 2 jobs compute on 2 domains" `Quick
+          await_helps;
         Alcotest.test_case "exceptions re-raise at await" `Quick
           exception_propagation;
         Alcotest.test_case "serial pool runs at submit" `Quick
@@ -260,6 +289,8 @@ let suites =
         Alcotest.test_case "shutdown drains 1000 queued tasks" `Quick
           stress_shutdown_under_load;
         qtest prop_map_chunks_is_map;
+        Alcotest.test_case "create past the domain limit raises" `Quick
+          domain_limit;
       ] );
     ( "pool-drivers",
       [
