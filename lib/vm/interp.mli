@@ -34,6 +34,9 @@ val run : ?until:Timebase.ns -> ?max_steps:int -> State.t -> run_outcome
 (** Advance the simulation: always steps the earliest runnable thread,
     so cross-thread interactions happen in one causal order. *)
 
+val step : State.t -> State.thread -> unit
+(** Execute one instruction of the thread and advance its clock. *)
+
 val reap : State.t -> unit
 (** Drop [Done] threads from the scheduler table after raising the
     clock floor, so scheduling stays O(live threads) on machines that
