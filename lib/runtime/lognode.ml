@@ -19,11 +19,10 @@ let payload_base = 3
 
 let push w region ~kind ~tid ~payload_words =
   let r = Region.alloc region (payload_base + payload_words) in
-  let pm = Pwriter.pmem w in
   let head = Region.log_head region in
   Pwriter.store w r head;
-  Pwriter.store w (r + 1) (Int64.of_int tid);
-  Pwriter.store w (r + 2) (Int64.of_int kind);
+  Pwriter.store_int w (r + 1) tid;
+  Pwriter.store_int w (r + 2) kind;
   Pwriter.clwb w r;
   Pwriter.fence w;
   (* Region.set_log_head persists through the raw pmem; charge the
@@ -33,16 +32,15 @@ let push w region ~kind ~tid ~payload_words =
     ((Pwriter.latency w).Latency.mem
     + (Pwriter.latency w).Latency.clwb_issue
     + Latency.fence_cost (Pwriter.latency w) ~pending:1);
-  ignore pm;
   r
 
 (* Unflushed: rebind sequences in the scheme runtimes batch the tid
    store with their own state resets under one write-back + fence. *)
-let store_tid w addr ~tid = Pwriter.store w (addr + 1) (Int64.of_int tid)
+let store_tid w addr ~tid = Pwriter.store_int w (addr + 1) tid
 
-let next pm addr = Int64.to_int (Pmem.load pm addr)
-let tid pm addr = Int64.to_int (Pmem.load pm (addr + 1))
-let kind pm addr = Int64.to_int (Pmem.load pm (addr + 2))
+let next pm addr = Pmem.load_int pm addr
+let tid pm addr = Pmem.load_int pm (addr + 1)
+let kind pm addr = Pmem.load_int pm (addr + 2)
 
 let iter pm region f =
   let rec go a = if a <> 0 then begin f a; go (next pm a) end in

@@ -29,7 +29,7 @@ let off_buf = 6
 let create w region ~kind ~tid ~cap_records =
   let cap = cap_records * record_words in
   let node = Lognode.push w region ~kind ~tid ~payload_words:(3 + cap) in
-  Pwriter.store w (node + off_cap) (Int64.of_int cap);
+  Pwriter.store_int w (node + off_cap) cap;
   Pwriter.clwb w (node + off_cap);
   Pwriter.fence w;
   node
@@ -43,34 +43,34 @@ let create w region ~kind ~tid ~cap_records =
    still to come.  {!Ido_vm.Vm.reap} enforces that discipline. *)
 let rebind w node ~tid =
   Lognode.store_tid w node ~tid;
-  Pwriter.store w (node + off_head) 0L;
-  Pwriter.store w (node + off_total) 0L;
-  Pwriter.clwb_lines w [ node + 1; node + off_head; node + off_total ];
+  Pwriter.store_int w (node + off_head) 0;
+  Pwriter.store_int w (node + off_total) 0;
+  Pwriter.clwb3 w (node + 1) (node + off_head) (node + off_total);
   Pwriter.fence w
 
-let cap pm node = Int64.to_int (Pmem.load pm (node + off_cap))
-let head pm node = Int64.to_int (Pmem.load pm (node + off_head))
-let total pm node = Int64.to_int (Pmem.load pm (node + off_total))
+let cap pm node = Pmem.load_int pm (node + off_cap)
+let head pm node = Pmem.load_int pm (node + off_head)
+let total pm node = Pmem.load_int pm (node + off_total)
 
 let append_unfenced w node tag ~a ~b ~seq =
-  let pm = Pwriter.pmem w in
+  let pm = w.Pwriter.pm in
   let c = cap pm node in
   let h = head pm node in
   let base = node + off_buf + h in
-  Pwriter.store w base (Int64.of_int (tag_code tag));
+  Pwriter.store_int w base (tag_code tag);
   Pwriter.store w (base + 1) a;
   Pwriter.store w (base + 2) b;
-  Pwriter.store w (base + 3) (Int64.of_int seq);
+  Pwriter.store_int w (base + 3) seq;
   (* Write-ahead order: the record's words must be durable before head
      and total publish it, or a crash between the write-backs (or an
      eviction of the counter line) makes recovery read an unwritten
      record.  head and total usually share a line; when they straddle
      one, both must reach the persistence domain or recovery sees a
      truncated log. *)
-  Pwriter.clwb_lines w [ base; base + 3 ];
-  Pwriter.store w (node + off_head) (Int64.of_int ((h + record_words) mod c));
-  Pwriter.store w (node + off_total) (Int64.of_int (total pm node + 1));
-  Pwriter.clwb_lines w [ node + off_head; node + off_total ]
+  Pwriter.clwb2 w base (base + 3);
+  Pwriter.store_int w (node + off_head) ((h + record_words) mod c);
+  Pwriter.store_int w (node + off_total) (total pm node + 1);
+  Pwriter.clwb2 w (node + off_head) (node + off_total)
 
 let append w node tag ~a ~b ~seq =
   append_unfenced w node tag ~a ~b ~seq;
@@ -89,10 +89,10 @@ let records pm node =
       let off = (start + (i * record_words)) mod c in
       let base = node + off_buf + off in
       {
-        tag = tag_of_code (Int64.to_int (Pmem.load pm base));
+        tag = tag_of_code (Pmem.load_int pm base);
         a = Pmem.load pm (base + 1);
         b = Pmem.load pm (base + 2);
-        seq = Int64.to_int (Pmem.load pm (base + 3));
+        seq = Pmem.load_int pm (base + 3);
       })
 
 let in_fase pm node =
@@ -109,7 +109,7 @@ let in_fase pm node =
   last_state false (records pm node)
 
 let reset w node =
-  Pwriter.store w (node + off_head) 0L;
-  Pwriter.store w (node + off_total) 0L;
+  Pwriter.store_int w (node + off_head) 0;
+  Pwriter.store_int w (node + off_total) 0;
   Pwriter.clwb w (node + off_head);
   Pwriter.fence w
