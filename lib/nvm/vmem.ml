@@ -19,13 +19,16 @@ let ensure t addr =
   end;
   if addr >= t.used then t.used <- addr + 1
 
-let load t addr =
+let[@inline] load t addr =
   if addr < 0 || addr >= words t then 0L
   else Bytes.get_int64_ne t.cells (8 * addr)
 
-let store t addr v =
+let[@inline] store t addr v =
   ensure t addr;
   Bytes.set_int64_ne t.cells (8 * addr) v
+
+let load_into t addr dst off = Bytes.set_int64_ne dst off (load t addr)
+let store_from t addr src off = store t addr (Bytes.get_int64_ne src off)
 
 let zero t addr n =
   if n > 0 then begin

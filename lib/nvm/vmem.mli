@@ -17,6 +17,15 @@ val load : t -> addr -> int64
 val store : t -> addr -> int64 -> unit
 (** Grows the memory on demand; addresses must be non-negative. *)
 
+val load_into : t -> addr -> Bytes.t -> int -> unit
+(** [load_into t addr b off] writes [load t addr] into bytes
+    [[off, off + 8)] of [b] in native byte order, boxing nothing: a
+    load straight into a register file held as bytes. *)
+
+val store_from : t -> addr -> Bytes.t -> int -> unit
+(** [store_from t addr b off] stores the word in bytes [[off, off + 8)]
+    of [b], boxing nothing. *)
+
 val zero : t -> addr -> int -> unit
 (** [zero t addr n] stores 0 into the [n] words from [addr] (a no-op
     when [n <= 0]), growing the memory as {!store} would. *)

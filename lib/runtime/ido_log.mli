@@ -40,6 +40,13 @@ val write_out_regs :
     [~coalesce:false], one write-back per register — the ablation).
     No fence. *)
 
+val write_regs :
+  Pwriter.t -> Pmem.addr -> coalesce:bool -> Bytes.t -> int list -> unit
+(** [write_regs w node ~coalesce regs rs] is [write_out_regs ~coalesce
+    w node] of each register [r] of [rs] with its value read from
+    [regs], a register file held unboxed (8 bytes per register, native
+    byte order), building no list and boxing no value. *)
+
 val read_reg : Pmem.t -> Pmem.addr -> int -> int64
 val read_all_regs : Pmem.t -> Pmem.addr -> int64 array
 
