@@ -21,7 +21,7 @@ let create w region ~tid ~cap_entries =
     Lognode.push w region ~kind:Lognode.kind_redo ~tid
       ~payload_words:(4 + (2 * cap_entries))
   in
-  Pwriter.store w (node + off_cap) (Int64.of_int cap_entries);
+  Pwriter.store_int w (node + off_cap) cap_entries;
   Pwriter.clwb w (node + off_cap);
   Pwriter.fence w;
   node
@@ -31,44 +31,47 @@ let create w region ~tid ~cap_entries =
    previous owner's entries under the new tid. *)
 let rebind w node ~tid =
   Lognode.store_tid w node ~tid;
-  Pwriter.store w (node + off_status) 0L;
-  Pwriter.store w (node + off_count) 0L;
-  Pwriter.clwb_lines w [ node + 1; node + off_status; node + off_count ];
+  Pwriter.store_int w (node + off_status) 0;
+  Pwriter.store_int w (node + off_count) 0;
+  Pwriter.clwb3 w (node + 1) (node + off_status) (node + off_count);
   Pwriter.fence w
 
-let count pm node = Int64.to_int (Pmem.load pm (node + off_count))
+let count pm node = Pmem.load_int pm (node + off_count)
 
 let begin_txn w node =
-  Pwriter.store w (node + off_count) 0L;
-  Pwriter.store w (node + off_status) 1L
+  Pwriter.store_int w (node + off_count) 0;
+  Pwriter.store_int w (node + off_status) 1
 
 let append w node ~addr ~value =
-  let pm = Pwriter.pmem w in
+  let pm = w.Pwriter.pm in
   let c = count pm node in
-  let cap = Int64.to_int (Pmem.load pm (node + off_cap)) in
+  let cap = Pmem.load_int pm (node + off_cap) in
   if c >= cap then
     Lognode.overflow ~scheme:"mnemosyne" ~tid:(Lognode.tid pm node)
       ~log:"write_set" ~capacity:cap;
   let base = node + off_buf + (2 * c) in
-  Pwriter.store w base (Int64.of_int addr);
+  Pwriter.store_int w base addr;
   Pwriter.store w (base + 1) value;
-  Pwriter.store w (node + off_count) (Int64.of_int (c + 1))
+  Pwriter.store_int w (node + off_count) (c + 1)
 
 let entry pm node i =
   let base = node + off_buf + (2 * i) in
-  (Int64.to_int (Pmem.load pm base), Pmem.load pm (base + 1))
+  (Pmem.load_int pm base, Pmem.load pm (base + 1))
 
+(* The count word's line, then each line of the [c] entries in order:
+   [clwb_lines] of [count; entry words...], whose entry words ascend
+   and start past the count word. *)
 let persist_entries w node =
-  let pm = Pwriter.pmem w in
-  let c = count pm node in
-  let addrs =
-    List.concat
-      (List.init c (fun i -> [ node + off_buf + (2 * i); node + off_buf + (2 * i) + 1 ]))
-  in
-  Pwriter.clwb_lines w ((node + off_count) :: addrs)
+  let c = count w.Pwriter.pm node in
+  let wpl = Pmem.words_per_line in
+  let first = (node + off_count) / wpl in
+  Pwriter.clwb w (first * wpl);
+  if c > 0 then
+    for line = (node + off_buf) / wpl to (node + off_buf + (2 * c) - 1) / wpl do
+      if line <> first then Pwriter.clwb w (line * wpl)
+    done
 
-let set_status w node st =
-  Pwriter.store w (node + off_status) (Int64.of_int (status_code st))
+let set_status w node st = Pwriter.store_int w (node + off_status) (status_code st)
 
 let persist_status w node st =
   set_status w node st;
@@ -80,7 +83,7 @@ let persist_status w node st =
   Pwriter.clwb w (node + off_status);
   Pwriter.fence w
 
-let status pm node = status_of_code (Int64.to_int (Pmem.load pm (node + off_status)))
+let status pm node = status_of_code (Pmem.load_int pm (node + off_status))
 
 let apply w node =
   let pm = Pwriter.pmem w in
@@ -90,4 +93,4 @@ let apply w node =
     Pwriter.store w addr value
   done
 
-let total_commits pm node = Int64.to_int (Pmem.load pm (node + off_commits))
+let total_commits pm node = Pmem.load_int pm (node + off_commits)

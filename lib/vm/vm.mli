@@ -162,7 +162,7 @@ val obs : t -> Ido_obs.Obs.t option
 val region_stats : t -> Cdf.t * Cdf.t
 (** (stores per dynamic idempotent region, live-in registers per
     region) — the Fig. 8 distributions; populated under the iDO
-    scheme. *)
+    scheme when the configuration's [collect_region_stats] is set. *)
 
 val undo_records_total : t -> int
 (** Total UNDO records ever appended across threads (drives the
