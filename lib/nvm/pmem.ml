@@ -53,7 +53,7 @@ let zero_page = new_page ()
 type t = {
   size : int;
   pages : page array;
-  touched : page Vec.t;  (* the pages [writable] materialised *)
+  touched : int Vec.t;  (* numbers of the pages [writable] materialised *)
   mutable dirty : int array;  (* dirty line numbers, [0, ndirty) *)
   mutable ndirty : int;
   cache_lines : int;
@@ -109,7 +109,7 @@ let writable t addr =
   else begin
     let p = new_page () in
     t.pages.(addr lsr page_shift) <- p;
-    Vec.push t.touched p;
+    Vec.push t.touched (addr lsr page_shift);
     p
   end
 
@@ -308,22 +308,27 @@ let flush_all t =
   t.ndirty <- 0;
   t.pending <- 0
 
-(* Return the arena to its just-created state (same size, same
-   cache-line budget, hook preserved) without reallocating: only the
-   materialised pages hold anything to zero, and they stay in the table
-   for the next run to write into. *)
-let reset ~rng t =
+(* Empty the overlay without persisting or reverting anything: every
+   line is marked clean and no write-back is pending. *)
+let drop_overlay t =
   for i = 0 to t.ndirty - 1 do
     let lineno = t.dirty.(i) in
     (page_of_line t lineno).slots.(line_slot lineno) <- -1
   done;
   t.ndirty <- 0;
-  Vec.iter
-    (fun p ->
-      Bytes.fill p.persisted 0 page_bytes '\000';
-      Bytes.fill p.cur 0 page_bytes '\000')
-    t.touched;
-  t.pending <- 0;
+  t.pending <- 0
+
+let clear_page p =
+  Bytes.fill p.persisted 0 page_bytes '\000';
+  Bytes.fill p.cur 0 page_bytes '\000'
+
+(* Return the arena to its just-created state (same size, same
+   cache-line budget, hook preserved) without reallocating: only the
+   materialised pages hold anything to zero, and they stay in the table
+   for the next run to write into. *)
+let reset ~rng t =
+  drop_overlay t;
+  Vec.iter (fun i -> clear_page t.pages.(i)) t.touched;
   Rng.assign ~into:t.rng rng;
   let c = t.counters in
   c.loads <- 0;
@@ -332,3 +337,65 @@ let reset ~rng t =
   c.writebacks <- 0;
   c.fences <- 0;
   c.evictions <- 0
+
+(* A crash image holds what a power failure would leave: the surviving
+   words of every materialised page (pages never written read 0 in any
+   memory), plus the generator and counters, which a crash keeps. *)
+type image = {
+  im_size : int;
+  im_pages : int array;  (* materialised page numbers, ascending *)
+  im_data : Bytes.t;  (* their surviving words, [page_bytes] each *)
+  im_rng : Rng.t;
+  im_counters : counters;
+}
+
+let crash_image ?(cache_survives = false) t =
+  let pages = Array.of_list (Vec.to_list t.touched) in
+  Array.sort Int.compare pages;
+  let data = Bytes.create (Array.length pages * page_bytes) in
+  Array.iteri
+    (fun j i ->
+      let p = t.pages.(i) in
+      (* With a persistent cache the newest value of every word survives. *)
+      let src = if cache_survives then p.cur else p.persisted in
+      Bytes.unsafe_blit src 0 data (j * page_bytes) page_bytes)
+    pages;
+  { im_size = t.size; im_pages = pages; im_data = data; im_rng = Rng.copy t.rng;
+    im_counters = { t.counters with loads = t.counters.loads } }
+
+let rec mem_sorted a x lo hi =
+  lo < hi
+  &&
+  let mid = (lo + hi) lsr 1 in
+  let y = a.(mid) in
+  if y = x then true else if y < x then mem_sorted a x (mid + 1) hi
+  else mem_sorted a x lo mid
+
+(* Empty the overlay, then write the image's pages into both images of
+   each page, so every line reads its surviving value.  A page this
+   memory materialised that the image lacks is zeroed; one the image
+   has that this memory lacks is materialised. *)
+let restore_crashed t im =
+  if im.im_size <> t.size then
+    invalid_arg
+      (Printf.sprintf "Pmem.restore_crashed: image of %d words, memory of %d"
+         im.im_size t.size);
+  drop_overlay t;
+  let n = Array.length im.im_pages in
+  Vec.iter
+    (fun i -> if not (mem_sorted im.im_pages i 0 n) then clear_page t.pages.(i))
+    t.touched;
+  Array.iteri
+    (fun j i ->
+      let p = writable t (i lsl page_shift) in
+      Bytes.unsafe_blit im.im_data (j * page_bytes) p.persisted 0 page_bytes;
+      Bytes.unsafe_blit im.im_data (j * page_bytes) p.cur 0 page_bytes)
+    im.im_pages;
+  Rng.assign ~into:t.rng im.im_rng;
+  let c = t.counters and s = im.im_counters in
+  c.loads <- s.loads;
+  c.stores <- s.stores;
+  c.clwbs <- s.clwbs;
+  c.writebacks <- s.writebacks;
+  c.fences <- s.fences;
+  c.evictions <- s.evictions

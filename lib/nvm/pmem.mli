@@ -193,3 +193,27 @@ val reset : rng:Rng.t -> t -> unit
     resetting a mostly-untouched memory is cheap.  The
     arena-reuse path of the crash explorer calls this between
     injections instead of allocating a fresh memory. *)
+
+(** {1 Crash images}
+
+    A crash image is what a power failure leaves of a memory: its
+    persistence domain, plus the eviction generator and the counters,
+    which {!crash} keeps.  Taking one leaves the memory untouched, so a
+    single forward run can yield the post-crash state of many crash
+    instants. *)
+
+type image
+
+val crash_image : ?cache_survives:bool -> t -> image
+(** The state {!crash} would leave now, copied out: the persisted words
+    of every materialised page.  With [~cache_survives:true] (an
+    NV-cache machine, where a crash first drains the cache) the newest
+    value of every word is copied instead. *)
+
+val restore_crashed : t -> image -> unit
+(** Put the memory into the image's post-crash state: an empty
+    overlay, no pending write-back, the image's persistence domain,
+    generator and counters.  The memory's own pages are reused, as
+    {!reset} reuses them, and the event hook is kept.
+    @raise Invalid_argument when the image was taken of a memory of
+    another size. *)

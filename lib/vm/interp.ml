@@ -65,46 +65,55 @@ let create (config : config) (program : Ir.program) =
     runq_len = 0;
   }
 
+(* Remove every observer, so what follows is as unobserved as [create]. *)
+let quiesce m =
+  m.tracer <- None;
+  m.event_hook <- None;
+  m.obs <- None;
+  sync_pmem_hook m;
+  m.obs_tid <- -1;
+  m.obs_fase <- -1
+
+(* Discard the volatile structures a power failure loses, apart from
+   the thread table. *)
+let drop_volatile m =
+  m.vmem <- Vmem.create ();
+  m.locks <- lock_table ();
+  m.write_versions <- version_table ();
+  m.commit_token_free_at <- 0;
+  m.sched <- [||];
+  m.runq_len <- 0;
+  (* Volatile allocator bookkeeping does not survive power failure;
+     recovery walks the persistent log chain, not these lists. *)
+  m.free_stacks <- [];
+  m.free_log_nodes <- []
+
 (* Return the machine to the state [create config program] would have
    produced, reusing the expensive parts: the instrumented image, the
    pmem pages already written, the lock tables and thread vector.
    Deterministic equivalence holds because (a) the RNG is re-seeded
    exactly as [create] seeds it, (b) nothing iterates the recycled
    hashtables in a capacity-dependent order, and (c) every written
-   pmem page is re-zeroed.  The crash explorer resets one arena machine
-   per injection instead of re-validating and re-instrumenting the
+   pmem page is re-zeroed.  The crash explorer resets its arena machine
+   between runs instead of re-validating and re-instrumenting the
    program per run. *)
 let reset m =
-  (* Quiesce observers first, so reinitialisation traffic is exactly as
-     invisible as it is in [create]. *)
-  m.tracer <- None;
-  m.event_hook <- None;
-  m.obs <- None;
-  sync_pmem_hook m;
-  m.obs_tid <- -1;
-  m.obs_fase <- -1;
+  quiesce m;
   Rng.assign ~into:m.rng (Rng.create m.config.seed);
   Pmem.reset ~rng:(Rng.split m.rng) m.pmem;
   ignore (Region.create m.pmem : Region.t);
   Region.mark_running m.region;
-  m.vmem <- Vmem.create ();
-  m.locks <- lock_table ();
   Vec.truncate m.threads;
+  drop_volatile m;
   m.clock_floor <- 0;
   m.next_tid <- 0;
   m.seq <- 0;
   m.commit_version <- 0;
-  m.write_versions <- version_table ();
-  m.commit_token_free_at <- 0;
   Cdf.clear m.stores_per_region;
   Cdf.clear m.livein_per_region;
   m.total_ops <- 0;
   m.crashed <- false;
-  m.next_fase_id <- 0;
-  m.free_stacks <- [];
-  m.free_log_nodes <- [];
-  m.sched <- [||];
-  m.runq_len <- 0
+  m.next_fase_id <- 0
 
 let stack_in_pmem (config : config) =
   match config.scheme with
@@ -1315,15 +1324,50 @@ let crash m =
      persistent: a power failure loses nothing that was stored. *)
   if m.config.latency.Latency.nv_caches then Pmem.flush_all m.pmem;
   Pmem.crash m.pmem;
-  m.vmem <- Vmem.create ();
-  m.locks <- lock_table ();
-  m.write_versions <- version_table ();
-  m.commit_token_free_at <- 0;
   Vec.iter (fun t -> t.status <- Done) m.threads;
   Vec.clear m.threads;
-  m.sched <- [||];
-  m.runq_len <- 0;
-  (* Volatile allocator bookkeeping does not survive power failure;
-     recovery walks the persistent log chain, not these lists. *)
-  m.free_stacks <- [];
-  m.free_log_nodes <- []
+  drop_volatile m
+
+(* Everything [crash] keeps: the persistence domain and the machine's
+   counters and generator.  The rest is volatile and [crash] discards
+   it. *)
+type crash_image = {
+  ci_pmem : Pmem.image;
+  ci_rng : Rng.t;
+  ci_clock_floor : Timebase.ns;
+  ci_next_tid : int;
+  ci_seq : int;
+  ci_commit_version : int;
+  ci_total_ops : int;
+  ci_next_fase_id : int;
+}
+
+let crash_image m =
+  {
+    ci_pmem =
+      Pmem.crash_image ~cache_survives:m.config.latency.Latency.nv_caches
+        m.pmem;
+    ci_rng = Rng.copy m.rng;
+    ci_clock_floor = m.clock_floor;
+    ci_next_tid = m.next_tid;
+    ci_seq = m.seq;
+    ci_commit_version = m.commit_version;
+    ci_total_ops = m.total_ops;
+    ci_next_fase_id = m.next_fase_id;
+  }
+
+let restore_crashed m ci =
+  quiesce m;
+  Rng.assign ~into:m.rng ci.ci_rng;
+  Pmem.restore_crashed m.pmem ci.ci_pmem;
+  Vec.truncate m.threads;
+  drop_volatile m;
+  m.clock_floor <- ci.ci_clock_floor;
+  m.next_tid <- ci.ci_next_tid;
+  m.seq <- ci.ci_seq;
+  m.commit_version <- ci.ci_commit_version;
+  Cdf.clear m.stores_per_region;
+  Cdf.clear m.livein_per_region;
+  m.total_ops <- ci.ci_total_ops;
+  m.crashed <- true;
+  m.next_fase_id <- ci.ci_next_fase_id

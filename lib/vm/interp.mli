@@ -46,3 +46,17 @@ val crash : State.t -> unit
 (** Power failure: discard every volatile structure (cache overlay,
     DRAM, transient mutexes, threads).  On an NV-cache machine the
     cache contents are persistent and survive. *)
+
+type crash_image
+(** What a power failure keeps of a machine (see {!crash_image}). *)
+
+val crash_image : State.t -> crash_image
+(** The state {!crash} would leave now, copied out without changing the
+    machine: the persistence domain, the pmem generator and counters,
+    and the machine's generator, clock floor and id counters. *)
+
+val restore_crashed : State.t -> crash_image -> unit
+(** Put a machine built from the same config and program into the
+    image's post-crash state, ready for recovery, reusing its large
+    allocations as {!reset} does.  Observers are removed and the
+    region-statistics collectors start empty. *)

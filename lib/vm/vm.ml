@@ -34,6 +34,11 @@ let spawn = Interp.spawn
 let run = Interp.run
 let reap = Interp.reap
 let crash = Interp.crash
+
+type crash_image = Interp.crash_image
+
+let crash_image = Interp.crash_image
+let restore_crashed = Interp.restore_crashed
 let recover = Recover.recover
 
 let flush_all (m : t) = Ido_nvm.Pmem.flush_all m.State.pmem

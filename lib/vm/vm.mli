@@ -93,6 +93,32 @@ val crash : t -> unit
 (** Power failure now: volatile state (cache overlay, DRAM, transient
     locks, threads) is discarded; only persisted lines survive. *)
 
+type crash_image
+(** A power failure's survivors, held apart from any machine. *)
+
+val crash_image : t -> crash_image
+(** Exactly the state {!crash} would leave behind, captured without
+    changing the machine: the persistence domain (the whole cache too,
+    on an NV-cache machine), the eviction generator, the pmem counters,
+    and the machine's generator, clock floor and thread, FASE, sequence
+    and commit counters.  Everything else a crash discards.  Taking
+    images from the event hook ({!set_event_hook}) of one run yields
+    the post-crash state of many crash instants from a single run.
+
+    An image holds a copy of every page the machine has written (4 KiB
+    each), so keep only the images still to be restored. *)
+
+val restore_crashed : t -> crash_image -> unit
+(** Put the machine into the image's post-crash state, ready for
+    {!recover}: the machine must come from the same config and program
+    as the one imaged.  Afterwards {!recover} and everything after it
+    behave exactly as after {!crash} on the imaged machine.  Like
+    {!reset} it reuses the machine's large allocations and removes any
+    tracer, event hook or obs sink; the {!region_stats} collectors
+    start empty.  {!crash} itself stays in place and copies nothing.
+    @raise Invalid_argument when the image comes from a machine with
+    another persistent-memory size. *)
+
 val recover : t -> Recover.stats
 (** Scheme-appropriate recovery; afterwards the machine accepts fresh
     [spawn]s against the recovered heap. *)
