@@ -85,9 +85,10 @@ let jobs_arg =
     & opt int (Ido_util.Pool.default_jobs ())
     & info [ "j"; "jobs" ]
         ~doc:
-          "Worker domains for parallel crash injection (default: the \
-           machine's recommended domain count; 1 = serial).  Reports are \
-           byte-identical at every -j.")
+          "Worker domains for parallel work (default: the machine's \
+           recommended domain count; 1 = serial).  Reports are \
+           byte-identical at every -j; explore runs serially whatever \
+           -j.")
 
 let chunk_arg =
   Arg.(
@@ -185,10 +186,12 @@ let explore_cmd =
       end;
       last := k
     in
-    let r =
-      Ido_util.Pool.with_jobs jobs (fun pool ->
-          Engine.explore ~progress ?pool ~chunk spec ~budget)
-    in
+    (* The explorer runs on the calling domain whatever -j, so no pool
+       stays up while it runs (idle worker domains still stop for every
+       minor collection); -j is only checked, as every command checks
+       it. *)
+    Ido_util.Pool.with_jobs jobs ignore;
+    let r = Engine.explore ~progress ~chunk spec ~budget in
     Printf.printf
       "%s on %s: %d events in schedule; tested %d crash points (%s), %d \
        violation(s)\n"
