@@ -297,215 +297,6 @@ let profile_cmd =
       const run $ scheme_arg $ workload_arg $ threads_arg $ ops_arg $ seed_arg
       $ opt_arg $ out_arg)
 
-(* Minimal float-field scanner for the baseline record (the harness's
-   [Spec.Fields] parses ints and strings only). *)
-let float_field text key =
-  let pat = Printf.sprintf {|"%s":|} key in
-  let n = String.length text and pn = String.length pat in
-  let rec scan i =
-    if i + pn > n then None
-    else if String.sub text i pn = pat then begin
-      let j = ref (i + pn) in
-      while !j < n && (text.[!j] = ' ' || text.[!j] = '\t') do incr j done;
-      let s = !j in
-      while
-        !j < n
-        && (text.[!j] = '-' || text.[!j] = '.'
-           || (text.[!j] >= '0' && text.[!j] <= '9'))
-      do
-        incr j
-      done;
-      if !j = s then None else float_of_string_opt (String.sub text s (!j - s))
-    end
-    else scan (i + 1)
-  in
-  scan 0
-
-type baseline = {
-  b_explore : float;
-  b_fig7 : float;
-  b_jobs : int;  (** domains the recorded parallel cells actually used *)
-  b_domains : int;  (** recommended_domains of the recording host *)
-}
-
-let read_baseline path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      let text = really_input_string ic (in_channel_length ic) in
-      let int_field key ~default =
-        match float_field text key with
-        | Some v -> int_of_float v
-        | None -> default
-      in
-      match
-        (float_field text "explore_speedup", float_field text "fig7_quick_speedup")
-      with
-      | Some e, Some f ->
-          {
-            b_explore = e;
-            b_fig7 = f;
-            b_jobs = int_field "jobs" ~default:1;
-            b_domains = int_field "recommended_domains" ~default:1;
-          }
-      | _ ->
-          Printf.eprintf "selftime: baseline %s lacks speedup fields\n" path;
-          exit 2)
-
-let selftime_cmd =
-  let doc =
-    "Time the drivers serial vs parallel and write the results as JSON \
-     (the CI drivers benchmark).  With --baseline, the record is still \
-     regenerated first, then the run fails (exit 1) if either speedup \
-     regressed below tolerance x the recorded value; if either the \
-     baseline or the current run is single-domain the comparison is \
-     vacuous and the run exits 2 instead of pretending it gated anything."
-  in
-  let out_arg =
-    Arg.(
-      value
-      & opt string "BENCH_drivers.json"
-      & info [ "out" ] ~doc:"Output path for the JSON record")
-  in
-  let budget_arg =
-    Arg.(
-      value & opt int 120
-      & info [ "budget" ] ~doc:"Crash-injection budget for the explore timing")
-  in
-  let baseline_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "baseline" ]
-          ~doc:
-            "Compare against the speedups recorded in this JSON file \
-             (typically the committed BENCH_drivers.json; read before \
-             --out overwrites it)")
-  in
-  let tolerance_arg =
-    Arg.(
-      value & opt float 0.8
-      & info [ "tolerance" ]
-          ~doc:
-            "Fraction of the baseline speedup that still passes (timing \
-             noise allowance)")
-  in
-  let run jobs out budget baseline tolerance =
-    (* Read the baseline before timing: --out usually points at the
-       same file. *)
-    let recorded = Option.map read_baseline baseline in
-    let time f =
-      let t0 = Unix.gettimeofday () in
-      ignore (f ());
-      Unix.gettimeofday () -. t0
-    in
-    let spec =
-      Ido_check.Engine.defaults ~scheme:Scheme.Ido ~workload:"queue" ()
-    in
-    Printf.eprintf "selftime: explore budget=%d serial...\n%!" budget;
-    let explore_serial =
-      time (fun () -> Ido_check.Engine.explore spec ~budget)
-    in
-    (* Per-cell domain counts come from the pool each cell actually ran
-       under, not from the -j request: the record stays honest when -j 1
-       (or a 1-domain host) silently degrades a cell to serial. *)
-    let explore_jobs = ref 1 and fig7_jobs = ref 1 in
-    let note cell pool =
-      match pool with
-      | Some p -> cell := Ido_util.Pool.size p
-      | None -> cell := 1
-    in
-    Printf.eprintf "selftime: explore budget=%d -j %d...\n%!" budget jobs;
-    let explore_par =
-      time (fun () ->
-          usage_guard @@ fun () ->
-          Ido_util.Pool.with_jobs jobs (fun pool ->
-              note explore_jobs pool;
-              Ido_check.Engine.explore ?pool spec ~budget))
-    in
-    Printf.eprintf "selftime: fig7 quick serial...\n%!";
-    let fig7_serial = time (fun () -> Figures.fig7 Exp.Quick) in
-    Printf.eprintf "selftime: fig7 quick -j %d...\n%!" jobs;
-    let fig7_par =
-      time (fun () ->
-          usage_guard @@ fun () ->
-          Ido_util.Pool.with_jobs jobs (fun pool ->
-              note fig7_jobs pool;
-              Figures.fig7 ?pool Exp.Quick))
-    in
-    let speedup a b = a /. Float.max 1e-9 b in
-    let oc = open_out out in
-    Printf.fprintf oc
-      "{\n\
-      \  \"jobs\": %d,\n\
-      \  \"recommended_domains\": %d,\n\
-      \  \"explore_budget\": %d,\n\
-      \  \"explore_jobs\": %d,\n\
-      \  \"explore_serial_s\": %.3f,\n\
-      \  \"explore_parallel_s\": %.3f,\n\
-      \  \"explore_speedup\": %.2f,\n\
-      \  \"fig7_quick_jobs\": %d,\n\
-      \  \"fig7_quick_serial_s\": %.3f,\n\
-      \  \"fig7_quick_parallel_s\": %.3f,\n\
-      \  \"fig7_quick_speedup\": %.2f\n\
-       }\n"
-      jobs
-      (Ido_util.Pool.default_jobs ())
-      budget !explore_jobs explore_serial explore_par
-      (speedup explore_serial explore_par)
-      !fig7_jobs fig7_serial fig7_par
-      (speedup fig7_serial fig7_par);
-    close_out oc;
-    let explore_x = speedup explore_serial explore_par in
-    let fig7_x = speedup fig7_serial fig7_par in
-    Printf.printf "wrote %s: explore %.2fx, fig7 %.2fx at -j %d\n" out
-      explore_x fig7_x jobs;
-    match recorded with
-    | None -> ()
-    | Some base ->
-        (* A speedup gate over a serial run measures scheduling noise,
-           not the scheduler.  Surface that as its own exit status (2)
-           so CI can warn instead of green-lighting a vacuous pass. *)
-        let current_jobs = max !explore_jobs !fig7_jobs in
-        if current_jobs <= 1 || Ido_util.Pool.default_jobs () <= 1 then begin
-          Printf.eprintf
-            "selftime: baseline comparison is vacuous: this run had no real \
-             parallelism (used %d domain(s) on a host recommending %d) — \
-             rerun with -j >= 2 on a multi-core host\n"
-            current_jobs
-            (Ido_util.Pool.default_jobs ());
-          exit 2
-        end;
-        if base.b_jobs <= 1 || base.b_domains <= 1 then begin
-          Printf.eprintf
-            "selftime: baseline comparison is vacuous: the recorded \
-             baseline was single-domain (jobs=%d, recommended_domains=%d) \
-             — re-record it with -j >= 2 before gating on speedups\n"
-            base.b_jobs base.b_domains;
-          exit 2
-        end;
-        let check name got base =
-          if got < base *. tolerance then begin
-            Printf.eprintf
-              "selftime: %s speedup regressed: %.2fx < %.2f x recorded \
-               %.2fx (re-record the baseline only if the slowdown is \
-               intended)\n"
-              name got tolerance base;
-            false
-          end
-          else true
-        in
-        let ok_explore = check "explore" explore_x base.b_explore in
-        let ok_fig7 = check "fig7-quick" fig7_x base.b_fig7 in
-        if not (ok_explore && ok_fig7) then exit 1
-  in
-  Cmd.v
-    (Cmd.info "selftime" ~doc)
-    Term.(
-      const run $ jobs_arg $ out_arg $ budget_arg $ baseline_arg
-      $ tolerance_arg)
-
 let resolve_topology name =
   match Ido_serve.Topology.of_name name with
   | Ok t -> t
@@ -779,7 +570,6 @@ let () =
       dump_cmd;
       all_cmd;
       profile_cmd;
-      selftime_cmd;
       serve_cmd;
     ]
   in
@@ -791,8 +581,8 @@ let () =
     (try Cmd.eval ~catch:false (Cmd.group info cmds)
      with
      | Sys_error msg ->
-         (* Unreadable --baseline / unwritable --out: a usage problem,
-            one line on stderr and exit 2, never a backtrace. *)
+         (* Unwritable --out: a usage problem, one line on stderr
+            and exit 2, never a backtrace. *)
          Printf.eprintf "ido_bench: %s\n" msg;
          2
      | Lognode.Log_overflow ov ->

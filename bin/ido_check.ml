@@ -55,11 +55,15 @@ let cache_lines_arg =
     & info [ "cache-lines" ] ~doc:"Volatile dirty-line capacity")
 
 let oracle_conv =
-  Arg.enum [ ("auto", `Auto); ("atomic", `Atomic); ("prefix", `Prefix) ]
+  Arg.enum
+    (("auto", None)
+    :: List.map
+         (fun m -> (Ido_workloads.Oracle.mode_name m, Some m))
+         Ido_workloads.Oracle.[ Atomic; Prefix ])
 
 let oracle_arg =
   Arg.(
-    value & opt oracle_conv `Auto
+    value & opt oracle_conv None
     & info [ "oracle" ]
         ~doc:
           "Oracle strictness: auto (atomic for instrumented schemes, prefix \
@@ -87,8 +91,7 @@ let jobs_arg =
         ~doc:
           "Worker domains for parallel work (default: the machine's \
            recommended domain count; 1 = serial).  Reports are \
-           byte-identical at every -j; explore runs serially whatever \
-           -j.")
+           byte-identical at every -j.")
 
 let chunk_arg =
   Arg.(
@@ -105,10 +108,7 @@ let spec_of ?(opt = false) scheme workload seed threads ops cache_lines oracle
     Engine.defaults ?threads ~ops ~cache_lines ~strict ~seed ~opt ~scheme
       ~workload ()
   in
-  match oracle with
-  | `Auto -> spec
-  | `Atomic -> { spec with oracle_mode = Ido_workloads.Oracle.Atomic }
-  | `Prefix -> { spec with oracle_mode = Ido_workloads.Oracle.Prefix }
+  match oracle with None -> spec | Some m -> { spec with oracle_mode = m }
 
 let overflow_diag (ov : Lognode.overflow) =
   Ido_analysis.Diag.vf ~func:"runtime" ~code:"R601"
@@ -171,7 +171,7 @@ let explore_cmd =
     Arg.(value & flag & info [ "verbose"; "v" ] ~doc:"Print every injection")
   in
   let run scheme workload seed threads ops cache_lines oracle strict opt budget
-      verbose jobs chunk =
+      verbose =
     guard @@ fun () ->
     let spec =
       spec_of ~opt scheme workload seed threads ops cache_lines oracle strict
@@ -186,12 +186,7 @@ let explore_cmd =
       end;
       last := k
     in
-    (* The explorer runs on the calling domain whatever -j, so no pool
-       stays up while it runs (idle worker domains still stop for every
-       minor collection); -j is only checked, as every command checks
-       it. *)
-    Ido_util.Pool.with_jobs jobs ignore;
-    let r = Engine.explore ~progress ~chunk spec ~budget in
+    let r = Engine.explore ~progress spec ~budget in
     Printf.printf
       "%s on %s: %d events in schedule; tested %d crash points (%s), %d \
        violation(s)\n"
@@ -213,7 +208,7 @@ let explore_cmd =
     Term.(
       const run $ scheme_arg $ workload_arg $ seed_arg $ threads_arg $ ops_arg
       $ cache_lines_arg $ oracle_arg $ strict_arg $ opt_arg $ budget_arg
-      $ verbose_arg $ jobs_arg $ chunk_arg)
+      $ verbose_arg)
 
 let replay_cmd =
   let doc = "Replay a single crash index from a repro line." in

@@ -36,8 +36,7 @@ let defaults ?threads ?ops ?(cache_lines = 4096) ?(strict = false) ?(seed = 42)
   Ido_harness.Spec.check_positive "ops" ops;
   Ido_harness.Spec.check_positive "cache-lines" cache_lines;
   let oracle_mode =
-    if strict then Oracle.Atomic
-    else match scheme with Scheme.Origin -> Oracle.Prefix | _ -> Oracle.Atomic
+    if strict then Oracle.Atomic else Oracle.default_mode scheme
   in
   { scheme; workload; seed; threads; ops; cache_lines; oracle_mode; opt }
 
@@ -56,10 +55,7 @@ let of_base ?(cache_lines = 4096) ?oracle_mode ?(opt = false)
   let oracle_mode =
     match oracle_mode with
     | Some m -> m
-    | None -> (
-        match b.Ido_harness.Spec.scheme with
-        | Scheme.Origin -> Oracle.Prefix
-        | _ -> Oracle.Atomic)
+    | None -> Oracle.default_mode b.Ido_harness.Spec.scheme
   in
   {
     scheme = b.Ido_harness.Spec.scheme;
@@ -317,14 +313,12 @@ type report = {
   counterexample : injection option;
 }
 
-let mode_name = function Oracle.Atomic -> "atomic" | Oracle.Prefix -> "prefix"
-
 let repro_line spec index =
   Printf.sprintf
     "ido_check replay --scheme %s --workload %s --seed %d --threads %d \
      --ops %d --cache-lines %d --oracle %s --index %d%s"
     (Scheme.name spec.scheme) spec.workload spec.seed spec.threads spec.ops
-    spec.cache_lines (mode_name spec.oracle_mode) index
+    spec.cache_lines (Oracle.mode_name spec.oracle_mode) index
     (if spec.opt then " --opt" else "")
 
 (* Crash indices to visit: ascending, so the first violation of an

@@ -20,8 +20,6 @@ type summary = {
   consistency : (unit, string) result;
 }
 
-let mode_name = function Oracle.Atomic -> "atomic" | Oracle.Prefix -> "prefix"
-
 let verdict_string = function
   | None -> "none"
   | Some (Ok ()) -> "ok"
@@ -35,7 +33,7 @@ let header_line (spec : Engine.spec) index =
   Printf.sprintf {|{"type":"header","format":1,%s,"cache_lines":%d,"oracle":"%s","index":%d}|}
     (Ido_harness.Spec.json_fields (Engine.base_spec spec))
     spec.Engine.cache_lines
-    (mode_name spec.Engine.oracle_mode)
+    (Oracle.mode_name spec.Engine.oracle_mode)
     (Option.value index ~default:(-1))
 
 let footer_line ~events ~digest ~verdict ~consistency =
@@ -109,10 +107,10 @@ let load path =
     parse_error path "last line is not a trace footer";
   let base = Ido_harness.Spec.of_json ~fail:(fail_of path) header in
   let oracle_mode =
-    match string_field path header "oracle" with
-    | "atomic" -> Oracle.Atomic
-    | "prefix" -> Oracle.Prefix
-    | o -> parse_error path (Printf.sprintf "unknown oracle mode %S" o)
+    let o = string_field path header "oracle" in
+    match Oracle.mode_of_name o with
+    | Some m -> m
+    | None -> parse_error path (Printf.sprintf "unknown oracle mode %S" o)
   in
   let spec =
     try

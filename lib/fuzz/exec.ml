@@ -84,9 +84,6 @@ let mem_of m =
   let pm = Vm.pmem m in
   { Oracle.load = Ido_nvm.Pmem.load pm; size = Ido_nvm.Pmem.size pm }
 
-let oracle_mode scheme =
-  match scheme with Scheme.Origin -> Oracle.Prefix | _ -> Oracle.Atomic
-
 (* A random genome's seed: pure FNV of its textual form, so the VM
    schedule is stable across processes (no [Hashtbl.hash]). *)
 let genome_seed base =
@@ -132,11 +129,11 @@ let run_dynamic ~opt (input : Input.t) =
      random genomes the reference heap of the crash-free run is, with
      the untouched initial heap also legal (FASE never started). *)
   let reference = ref None in
+  let mode = Oracle.default_mode input.Input.scheme in
   let validate_crash_free m =
     match input.Input.base with
     | Input.Workload workload ->
-        Oracle.validate ~workload ~mode:(oracle_mode input.Input.scheme)
-          ~root:(Engine.probe_root m) (mem_of m)
+        Oracle.validate ~workload ~mode ~root:(Engine.probe_root m) (mem_of m)
     | Input.Random _ ->
         reference := Some (heap_of m);
         Ok ()
@@ -144,8 +141,7 @@ let run_dynamic ~opt (input : Input.t) =
   let validate_crashed m =
     match input.Input.base with
     | Input.Workload workload ->
-        Oracle.validate ~workload ~mode:(oracle_mode input.Input.scheme)
-          ~root:(Engine.probe_root m) (mem_of m)
+        Oracle.validate ~workload ~mode ~root:(Engine.probe_root m) (mem_of m)
     | Input.Random _ -> (
         let got = heap_of m in
         match !reference with

@@ -21,7 +21,7 @@ let default_config =
   {
     seed = 1;
     budget = 4000;
-    schemes = List.filter (fun s -> s <> Scheme.Origin) Scheme.all;
+    schemes = List.filter Scheme.failure_atomic Scheme.all;
     workloads = Workload.names;
     rediscover = false;
     shrink_budget = 200;
@@ -63,8 +63,8 @@ let pairs_of config =
     (fun workload ->
       List.filter_map
         (fun scheme ->
-          if scheme <> Scheme.Origin && Engine.supported scheme workload then
-            Some (scheme, workload)
+          if Scheme.failure_atomic scheme && Engine.supported scheme workload
+          then Some (scheme, workload)
           else None)
         config.schemes)
     config.workloads
@@ -127,7 +127,7 @@ let rng_tree rng =
 
 let fresh_genome rng config =
   let scheme = pickl rng config.schemes in
-  let scheme = if scheme = Scheme.Origin then Scheme.Ido else scheme in
+  let scheme = if Scheme.failure_atomic scheme then scheme else Scheme.Ido in
   Input.make ~scheme
     (Input.Random (List.init (1 + Rng.int rng 4) (fun _ -> rng_tree rng)))
 

@@ -9,8 +9,7 @@ type t = { func : Ir.func; scheme : Scheme.t; ins : bool array }
    function dirty here; may-analysis errs toward "dirty"). *)
 let dirties scheme = function
   | Ir.Store { space = Ir.Persistent; _ } -> true
-  | Ir.Store { space = Ir.Stack; _ } -> (
-      match scheme with Scheme.Ido | Scheme.Justdo -> true | _ -> false)
+  | Ir.Store { space = Ir.Stack; _ } -> Scheme.stack_in_pmem scheme
   | Ir.Call _ -> true
   | Ir.Intrinsic { intr = Ir.Nv_alloc | Ir.Nv_free | Ir.Root_set; _ } -> true
   | _ -> false

@@ -77,9 +77,7 @@ let store_dirties_data scheme st (space : Ir.space) =
   &&
   match space with
   | Ir.Persistent -> true
-  | Ir.Stack -> (
-      (* simulated stacks live in NVM only under the resumption schemes *)
-      match scheme with Scheme.Ido | Scheme.Justdo -> true | _ -> false)
+  | Ir.Stack -> Scheme.stack_in_pmem scheme
   | Ir.Transient -> false
 
 let store_needs_grant scheme st (space : Ir.space) =

@@ -14,6 +14,9 @@ let name = function
 let of_name s =
   List.find_opt (fun t -> name t = String.lowercase_ascii s) all
 
+let failure_atomic = function Origin -> false | _ -> true
+let stack_in_pmem = function Ido | Justdo -> true | _ -> false
+
 let table2_header =
   [
     "System";

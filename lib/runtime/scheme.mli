@@ -14,6 +14,16 @@ val all : t list
 val name : t -> string
 val of_name : string -> t option
 
+val failure_atomic : t -> bool
+(** Whether recovery restores a consistent image after any crash:
+    every scheme but [Origin], which persists nothing deliberately and
+    has no recovery. *)
+
+val stack_in_pmem : t -> bool
+(** Whether simulated thread stacks live in persistent memory: only
+    under the resumption schemes (iDO, JUSTDO), whose recovery resumes
+    a FASE from its persisted frame. *)
+
 val table2_header : string list
 val table2_row : t -> string list
 (** One row of Table II: region semantics, recovery method, logging

@@ -46,11 +46,6 @@ let mem_of m =
   let pm = Vm.pmem m in
   { Oracle.load = Pmem.load pm; size = Pmem.size pm }
 
-let oracle_mode (c : Config.t) =
-  match c.Config.scheme with
-  | Ido_runtime.Scheme.Origin -> Oracle.Prefix
-  | _ -> Oracle.Atomic
-
 (* Primaries, replicas and split children are all plain machines; they
    differ only in seed salt and in who charges their work. *)
 let boot ~obs (c : Config.t) ~seed program =
@@ -73,7 +68,8 @@ let retire_machine ~config ~oracle m =
   let consistency = Vm.obs_check m in
   Vm.set_obs m None;
   let root = Ido_region.Region.get_root (Vm.region m) 0 in
-  let o = Oracle.check oracle ~mode:(oracle_mode config) ~root (mem_of m) in
+  let mode = Oracle.default_mode config.Config.scheme in
+  let o = Oracle.check oracle ~mode ~root (mem_of m) in
   (o, consistency)
 
 type station = {

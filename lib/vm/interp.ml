@@ -115,11 +115,6 @@ let reset m =
   m.crashed <- false;
   m.next_fase_id <- 0
 
-let stack_in_pmem (config : config) =
-  match config.scheme with
-  | Scheme.Ido | Scheme.Justdo -> true
-  | _ -> false
-
 (* ------------------------------------------------------------------ *)
 (* Register file *)
 
@@ -203,7 +198,7 @@ let spawn m ~fname ~args =
          (List.length args));
   let tid = m.next_tid in
   m.next_tid <- tid + 1;
-  let in_pmem = stack_in_pmem m.config in
+  let in_pmem = Scheme.stack_in_pmem m.config.scheme in
   let stack_base =
     match m.free_stacks with
     | base :: rest ->

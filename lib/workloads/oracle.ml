@@ -7,6 +7,16 @@ type mem = { load : int -> int64; size : int }
 
 type mode = Atomic | Prefix
 
+let default_mode scheme =
+  if Ido_runtime.Scheme.failure_atomic scheme then Atomic else Prefix
+
+let mode_name = function Atomic -> "atomic" | Prefix -> "prefix"
+
+let mode_of_name = function
+  | "atomic" -> Some Atomic
+  | "prefix" -> Some Prefix
+  | _ -> None
+
 exception Bad of string
 
 let badf fmt = Format.kasprintf (fun s -> raise (Bad s)) fmt

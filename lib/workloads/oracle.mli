@@ -27,6 +27,17 @@ type mem = { load : int -> int64; size : int }
 
 type mode = Atomic | Prefix
 
+val default_mode : Ido_runtime.Scheme.t -> mode
+(** [Atomic] for a {!Ido_runtime.Scheme.failure_atomic} scheme,
+    [Prefix] for Origin. *)
+
+val mode_name : mode -> string
+(** ["atomic"] or ["prefix"]: the spelling of [--oracle] and of trace
+    headers. *)
+
+val mode_of_name : string -> mode option
+(** Inverse of {!mode_name}. *)
+
 exception Bad of string
 (** Raised (internally) by the structure checkers on the first violated
     invariant.  The driver-facing entry points {!check} / {!render} /
