@@ -78,16 +78,20 @@ let compute cfg =
   done;
   { cfg; entry }
 
+(* The last definition of [reg] before [pos] in its block kills every
+   other, so scan back from [pos] and fall back to the block-entry
+   table only when the block defines nothing earlier. *)
 let defs_at t (pos : Ir.pos) reg =
-  let f = Cfg.func t.cfg in
-  let tbl = clone_tbl t.entry.(pos.blk) in
-  let blk = f.Ir.blocks.(pos.blk) in
-  for i = 0 to min pos.idx (Array.length blk.Ir.instrs) - 1 do
-    transfer tbl { Ir.blk = pos.blk; idx = i } blk.Ir.instrs.(i)
-  done;
-  match Hashtbl.find_opt tbl reg with
-  | Some s -> PosSet.elements s
-  | None -> []
+  let instrs = (Cfg.func t.cfg).Ir.blocks.(pos.blk).Ir.instrs in
+  let rec scan i =
+    if i < 0 then
+      match Hashtbl.find_opt t.entry.(pos.blk) reg with
+      | Some s -> PosSet.elements s
+      | None -> []
+    else if Ir.defines instrs.(i) reg then [ { Ir.blk = pos.blk; idx = i } ]
+    else scan (i - 1)
+  in
+  scan (min pos.idx (Array.length instrs) - 1)
 
 let unique_def t pos reg =
   match defs_at t pos reg with [ d ] -> Some d | _ -> None

@@ -135,9 +135,15 @@ let arena_machine a =
       a.a_machine <- Some m;
       m
 
+(* Every boot in this process, counted so a test can tell how many
+   machines a caller's runs started. *)
+let boot_count = Atomic.make 0
+let boots () = Atomic.get boot_count
+
 let arena_boot a =
   if Option.is_some a.a_machine then Vm.reset (arena_machine a);
   let m = arena_machine a in
+  Atomic.incr boot_count;
   boot_phases a.a_custom m;
   m
 
@@ -221,23 +227,21 @@ let crash_and_recover m index ~validate =
   let event = crash_at m index in
   (event, snd (recover_checked m ~validate))
 
-(* Crash at each of [indices] (ascending) from one forward run of a
-   freshly booted [home] machine.  The image of each crash is taken
-   exactly where a crash there strikes: just before event [k] takes
-   effect, the instant at which [crash_at] raises, or at idle for a [k]
-   past the end of the run ([event = None]).  Taking an image leaves the
-   run undisturbed.  Each image is restored into [target]'s machine (a
-   restore needs no boot) as soon as it is taken, so one image is held
-   at a time, and [f k event m] then recovers and checks the restored
-   [m]; [f] may raise to stop the run. *)
-let restore_each ~home ~target indices f =
-  let m = arena_boot home in
+(* Finish the worker phase of the booted [m], capturing at each of
+   [indices] (ascending, distinct) the instant a crash there strikes:
+   just before event [k] takes effect, the instant at which [crash_at]
+   raises, or at idle for a [k] past the end of the run.  [take event]
+   copies out what the caller needs of that instant ([event]: the
+   description of the event the crash precedes, [None] at idle) and
+   must leave the run undisturbed, as {!Vm.crash_image} does; one take
+   at idle serves every index past the end.  [f k taken] then consumes
+   it and may raise to stop the run.  The one capture loop of the
+   explorer and of the fuzzer's forward probes. *)
+let capture_each m indices ~take f =
   let n = Array.length indices in
   let next = ref 0 and count = ref 0 in
-  let restore event image =
-    let r = arena_machine target in
-    Vm.restore_crashed r image;
-    f indices.(!next) event r;
+  let capture taken =
+    f indices.(!next) taken;
     incr next
   in
   Fun.protect
@@ -247,14 +251,30 @@ let restore_each ~home ~target indices f =
         (Some
            (fun e ->
              if !next < n && indices.(!next) = !count then
-               restore (Some (Ido_obs.Obs.describe e)) (Vm.crash_image m);
+               capture (take (Some (Ido_obs.Obs.describe e)));
              incr count));
-      if n > 0 then finish_run m);
+      finish_run m);
   if !next < n then begin
-    let idle = Vm.crash_image m in
+    let idle = take None in
     while !next < n do
-      restore None idle
+      capture idle
     done
+  end
+
+(* Crash at each of [indices] (ascending) from one forward run of a
+   freshly booted [home] machine.  Each image is restored into
+   [target]'s machine (a restore needs no boot) as soon as it is taken,
+   so one image is held at a time, and [f k event m] then recovers and
+   checks the restored [m]; [f] may raise to stop the run. *)
+let restore_each ~home ~target indices f =
+  if Array.length indices > 0 then begin
+    let m = arena_boot home in
+    capture_each m indices
+      ~take:(fun event -> (event, Vm.crash_image m))
+      (fun k (event, image) ->
+        let r = arena_machine target in
+        Vm.restore_crashed r image;
+        f k event r)
   end
 
 (* Recover the crashed [m] and check it against the spec's oracle. *)
@@ -453,28 +473,106 @@ type probe = {
   pr_consistency : (unit, string) result;
 }
 
-(* One run with [obs] watching the worker phase, the injected crash (if
-   any) and recovery; the sink is installed after durable setup, so
-   [Vm.obs_check] reconciles exactly what it saw.  Returns the final
-   machine too, for callers that digest its image. *)
-let observe ?index ~obs (c : custom) =
-  let m = setup_custom c in
+(* One run of the booted [m] with [obs] watching the worker phase, the
+   injected crash (if any) and recovery; the sink is installed after
+   durable setup, so [Vm.obs_check] reconciles exactly what it saw.  A
+   crash-free run finishes its worker phase with [finish]. *)
+let observe_on ?(finish = finish_run) ?index ~obs (c : custom) m =
   Vm.set_obs m (Some obs);
   let pr_event, pr_verdict =
     match index with
     | None ->
-        finish_run m;
+        finish m;
         Vm.flush_all m;
         (None, c.c_validate m)
     | Some k -> crash_and_recover m k ~validate:c.c_validate
   in
   let pr_consistency = Vm.obs_check m in
   Vm.set_obs m None;
-  (m, { pr_index = index; pr_event; pr_verdict; pr_consistency })
+  { pr_index = index; pr_event; pr_verdict; pr_consistency }
+
+(* The same on a fresh machine, which is returned too, for callers that
+   digest its image. *)
+let observe ?index ~obs c =
+  let m = setup_custom c in
+  (m, observe_on ?index ~obs c m)
 
 let probe ?index ~obs c =
   check_index "probe" index;
   snd (observe ?index ~obs c)
+
+(* What a forward probe keeps of one crash instant: the image, the
+   event the crash precedes, the forward sink's rollup so far (the
+   observed window's prefix) and the caller's snapshot. *)
+type 'a captured = {
+  cp_image : Vm.crash_image;
+  cp_event : string option;
+  cp_prior : Ido_obs.Obs.rollup;
+  cp_snap : 'a;
+}
+
+type 'a forward = {
+  fw_arena : arena;
+  fw_base : Ido_nvm.Pmem.counters;
+      (* the pmem counters where the forward sink's window opened *)
+  fw_captured : (int, 'a captured) Hashtbl.t;
+}
+
+let probe_forward ~obs ~at ~snap (c : custom) =
+  let a = arena c in
+  let m = arena_boot a in
+  let fw_base =
+    let k = Ido_nvm.Pmem.counters (Vm.pmem m) in
+    { k with loads = k.loads }
+  in
+  let indices =
+    Array.of_list (List.sort_uniq compare (List.filter (fun k -> k >= 0) at))
+  in
+  let fw_captured = Hashtbl.create (Array.length indices) in
+  let finish m =
+    capture_each m indices
+      ~take:(fun cp_event ->
+        let r = Ido_obs.Obs.total obs in
+        {
+          cp_image = Vm.crash_image m;
+          cp_event;
+          cp_prior = { r with stores = r.stores };
+          cp_snap = snap ();
+        })
+      (Hashtbl.replace fw_captured)
+  in
+  let p = observe_on ~finish ~obs c m in
+  (p, { fw_arena = a; fw_base; fw_captured })
+
+let probe_crashed fw ~index ~obs ~validate =
+  check_index "probe" (Some index);
+  match Hashtbl.find_opt fw.fw_captured index with
+  | None ->
+      let sink = obs None in
+      observe_on ~index ~obs:sink
+        { fw.fw_arena.a_custom with c_validate = validate }
+        (arena_boot fw.fw_arena)
+  | Some cp ->
+      let m = arena_machine fw.fw_arena in
+      Vm.restore_crashed m cp.cp_image;
+      let sink = obs (Some cp.cp_snap) in
+      Vm.set_obs m (Some sink);
+      (* The event [Vm.crash] emits and a restore does not. *)
+      Ido_obs.Obs.emit sink ~tid:(-1) ~fase:(-1) Ido_obs.Obs.Crash;
+      let pr_verdict = snd (recover_checked m ~validate) in
+      (* The window runs from the forward run's boot: its prefix is in
+         [cp_prior], the restored part in [sink]. *)
+      let k = Ido_nvm.Pmem.counters (Vm.pmem m) and b = fw.fw_base in
+      let pr_consistency =
+        Ido_obs.Obs.check ~prior:cp.cp_prior sink
+          ~stores:(k.stores - b.stores)
+          ~writebacks:(k.writebacks - b.writebacks)
+          ~fences:(k.fences - b.fences)
+          ~evictions:(k.evictions - b.evictions)
+      in
+      Vm.set_obs m None;
+      { pr_index = Some index; pr_event = cp.cp_event; pr_verdict;
+        pr_consistency }
 
 let run_traced ?index spec =
   check_index "run_traced" index;

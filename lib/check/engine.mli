@@ -241,7 +241,9 @@ val probe : ?index:int -> obs:Ido_obs.Obs.t -> custom -> probe
 (** One run of a custom program observed by [obs] (a fresh sink),
     crash-free or crashed just before event [index] — {!run_traced}
     without the registry oracle.  Deterministic under the custom and
-    [index].
+    [index].  Each call boots its own machine and, when crashed,
+    re-runs the whole prefix up to [index]: the from-boot reference
+    that {!probe_forward} and {!probe_crashed} reproduce from one run.
 
     The crash-free run emits the same worker-phase event stream that
     {!record} would return for the same program and geometry: the
@@ -250,6 +252,50 @@ val probe : ?index:int -> obs:Ido_obs.Obs.t -> custom -> probe
     {!Ido_vm.Vm.flush_all} emits nothing.  A sink with a [tap]
     therefore derives a run's crash-point schedule without a separate
     recording run. *)
+
+type 'a forward
+(** A custom's machine after its crash-free probe, with the crash
+    instants that probe captured on the way. *)
+
+val probe_forward :
+  obs:Ido_obs.Obs.t ->
+  at:int list ->
+  snap:(unit -> 'a) ->
+  custom ->
+  probe * 'a forward
+(** The crash-free [probe ~obs c], which also captures, at each index
+    [k] of [at] that the run reaches ([0 <= k <=] the schedule length;
+    unsorted, duplicates and out-of-range values allowed), the
+    {!Ido_vm.Vm.crash_image} a crash just before event [k] (at idle
+    for [k] = the length) would leave, through the same capture loop
+    as {!explore}.  [snap ()] is called at each capture, when [obs] has
+    seen every event before the crash and none after; the caller
+    snapshots its own tap state there.  Boots one machine. *)
+
+val probe_crashed :
+  'a forward ->
+  index:int ->
+  obs:('a option -> Ido_obs.Obs.t) ->
+  validate:(Ido_vm.Vm.t -> (unit, string) result) ->
+  probe
+(** [probe ~index] of the forward probe's custom with [validate] as
+    its validator, with the same verdict, consistency and sink stream
+    after the crash point: the [Crash] event, recovery's events and the
+    final flush.  When [index] was captured the probe restores that
+    image into the forward probe's machine and boots nothing; [obs]
+    receives the capture's snapshot and returns the sink, which sees
+    only the events after the crash point, while
+    [pr_consistency] still reconciles the whole window from boot (the
+    forward sink's prefix plus this sink).  Otherwise it re-runs from
+    boot on the same machine after {!Ido_vm.Vm.reset}, with [obs None]
+    as its sink.  Any number of probes, in any order, may follow one
+    forward probe.
+    @raise Invalid_argument on a negative [index], as {!probe}. *)
+
+val boots : unit -> int
+(** Machines booted (created or reset, then set up) by every engine
+    run in this process so far: each from-boot {!probe} or injection
+    boots one, a restored {!probe_crashed} none. *)
 
 val heap_words : Ido_vm.Vm.t -> base:int -> len:int -> int64 array
 (** [len] persistent words starting at [base] — the raw material of a

@@ -166,7 +166,13 @@ let run_dynamic ~opt (input : Input.t) =
          schedule — its length and the indices of fence/lock events,
          where boundary persists and FASE transitions happen, the
          reseeding frontier for the mutator — exactly as a separate
-         recording run would see it (see [Engine.probe]). *)
+         recording run would see it (see [Engine.probe]).  The same
+         run captures a crash image, with the accumulator's stream
+         state, at every crash point of the input it reaches; each
+         such crashed probe restores its image and continues the
+         streams from there.  Only a crash point past the schedule,
+         wrapped modulo its length + 1 onto an index no other crash
+         point captured, re-runs from boot. *)
       let acc = Cov.acc ~scheme:scheme_name in
       let len = ref 0 in
       let hints = ref [] in
@@ -181,22 +187,25 @@ let run_dynamic ~opt (input : Input.t) =
         end
       in
       let sink tap = Obs.create ~buffer:false ~tap () in
+      let crashed_sink snap =
+        (match snap with
+        | Some s -> Cov.restore acc s
+        | None -> Cov.new_run acc);
+        sink (Cov.observe acc)
+      in
       match
-        let free =
-          Engine.probe ~obs:(sink schedule)
+        let free, forward =
+          Engine.probe_forward ~obs:(sink schedule) ~at:input.Input.crashes
+            ~snap:(fun () -> Cov.snapshot acc)
             { base_custom with Engine.c_validate = validate_crash_free }
-        in
-        let crashed_custom =
-          { base_custom with Engine.c_validate = validate_crashed }
         in
         let crashed =
           List.map
             (fun c ->
               let index = c mod (!len + 1) in
-              Cov.new_run acc;
               ( index,
-                Engine.probe ~index ~obs:(sink (Cov.observe acc))
-                  crashed_custom ))
+                Engine.probe_crashed forward ~index ~obs:crashed_sink
+                  ~validate:validate_crashed ))
             input.Input.crashes
         in
         (free, crashed)

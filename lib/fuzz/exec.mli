@@ -1,16 +1,30 @@
 (** Candidate evaluation: one {!Input.t} through the full pipeline.
 
-    Every input is first taken through edits → instrumentation → the
-    static linter.  Clean inputs that are dynamically executable
-    ({!Input.static_only} false) then run under the crash-injection
-    engine: one crash-free probe plus one probed run per crash point in
-    the input — exactly 1 + |crashes| machines — each validated
-    (registry oracle for workload bases, all-or-nothing heap equality
-    for random genomes) and reconciled against the obs counters.  Every
-    probe streams its events into one coverage accumulator ({!Cov.acc})
+    An input the VM does not run ({!Input.static_only}: it carries
+    edits, a variant or an unlocked tree) is taken through edits →
+    instrumentation → the static linter.  Every other input runs under
+    the crash-injection engine, unlinted: one crash-free probe plus one
+    crashed probe per crash point
+    in the input, each validated (registry oracle for workload bases,
+    all-or-nothing heap equality for random genomes) and reconciled
+    against the obs counters over its whole window.  Every probe
+    streams its events into one coverage accumulator ({!Cov.acc})
     through its sink's tap; none is buffered.  The crash-free probe's
     stream also yields the crash-point schedule and the crash-reseeding
     hints, so no separate recording run is needed.
+
+    The candidate boots one machine.  Its crash-free probe is the one
+    forward run ({!Ido_check.Engine.probe_forward}): at every crash
+    point of the input that the run reaches it captures a crash image
+    and the accumulator's stream state, and each such crashed probe
+    restores both on the same machine and goes on from there.  A crash
+    point past the schedule wraps to [c mod (length + 1)], which the
+    run cannot know in advance; unless that index was captured for
+    another crash point, its probe re-runs from boot on the same
+    machine ({!Ido_vm.Vm.reset}), one more boot.  The outcome is the
+    one from-boot probes ({!Ido_check.Engine.probe}) give, byte for
+    byte: features, schedule, hints and failures, in the input's crash
+    order, duplicates included.
 
     Failures carry stable codes:
     - the linter's own [L]-codes for static findings;

@@ -126,8 +126,7 @@ let rng_tree rng =
   | _ -> Input.Loop (1 + Rng.int rng 4, rng_ops rng 6)
 
 let fresh_genome rng config =
-  let scheme = pickl rng config.schemes in
-  let scheme = if Scheme.failure_atomic scheme then scheme else Scheme.Ido in
+  let scheme = pickl rng (List.filter Scheme.failure_atomic config.schemes) in
   Input.make ~scheme
     (Input.Random (List.init (1 + Rng.int rng 4) (fun _ -> rng_tree rng)))
 
@@ -241,6 +240,21 @@ let run ?pool ?(chunk = 0) config =
       (Printf.sprintf "shrink-budget must be >= 0 (got %d)"
          config.shrink_budget);
   if chunk < 0 then invalid_arg "Fuzz.run: chunk must be >= 0";
+  let pairs = pairs_of config in
+  (* A filter that leaves nothing to fuzz is a usage error, not an
+     empty campaign. *)
+  let schemes = String.concat "," (List.map Scheme.name config.schemes) in
+  if not (List.exists Scheme.failure_atomic config.schemes) then
+    invalid_arg
+      (Printf.sprintf
+         "fuzz: no failure-atomic scheme in %s (origin has no recovery)"
+         schemes);
+  if config.rediscover && pairs = [] then
+    invalid_arg
+      (Printf.sprintf
+         "fuzz --rediscover: no supported pair of schemes %s and workloads %s"
+         schemes
+         (String.concat "," config.workloads));
   let rng = Rng.create config.seed in
   let seen = Cov.create () in
   let entries = ref [] in
@@ -309,7 +323,6 @@ let run ?pool ?(chunk = 0) config =
             end)
       outcomes
   in
-  let pairs = pairs_of config in
   (* Stage 0: clean seeds — every pair crash-free, plus (outside
      rediscovery) a few random genomes. *)
   let seeds =

@@ -74,7 +74,10 @@ val run : ?pool:Ido_util.Pool.t -> ?chunk:int -> config -> report
     pool task ([0], the default: auto-size per wave — see
     {!Ido_util.Pool.default_chunk}).
     @raise Invalid_argument when [budget] is below 1 ("budget must be
-    >= 1 (got 0)"), [shrink_budget] or [chunk] below 0. *)
+    >= 1 (got 0)"), [shrink_budget] or [chunk] below 0, or when the
+    filter leaves nothing to fuzz: no failure-atomic scheme in
+    [schemes], or, with [rediscover], no supported pair of [schemes]
+    and [workloads]. *)
 
 val organic : report -> finding list
 

@@ -107,6 +107,14 @@ let instr_defs = function
       match dst with Some d -> [ d ] | None -> [])
   | Hook _ -> []
 
+let defines instr r =
+  match instr with
+  | Bin (d, _, _, _) | Mov (d, _) | Load { dst = d; _ } | Alloca (d, _)
+  | Call { dst = Some d; _ }
+  | Intrinsic { dst = Some d; _ } ->
+      d = r
+  | _ -> false
+
 let term_uses = function
   | Br _ -> []
   | Cbr (c, _, _) -> operand_uses c

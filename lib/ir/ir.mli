@@ -145,6 +145,9 @@ val instr_uses : instr -> reg list
 val instr_defs : instr -> reg list
 (** Registers written by an instruction. *)
 
+val defines : instr -> reg -> bool
+(** [List.mem r (instr_defs instr)], without building the list. *)
+
 val term_uses : terminator -> reg list
 
 val successors : terminator -> int list

@@ -142,17 +142,19 @@ let per_fase t =
 
 let fases t = t.fases
 
-let check t ~stores ~writebacks ~fences ~evictions =
-  let r = t.total in
+let check ?(prior = absent) t ~stores ~writebacks ~fences ~evictions =
+  let r = t.total and p = prior in
   let mismatch what seen counted =
     Error
       (Printf.sprintf "obs/%s mismatch: observed %d events, counters say %d"
          what seen counted)
   in
-  if r.stores <> stores then mismatch "stores" r.stores stores
-  else if r.flushes <> writebacks then mismatch "flushes" r.flushes writebacks
-  else if r.fences <> fences then mismatch "fences" r.fences fences
-  else if r.evictions <> evictions then mismatch "evictions" r.evictions evictions
+  let stores' = r.stores + p.stores and flushes = r.flushes + p.flushes in
+  let fences' = r.fences + p.fences and evictions' = r.evictions + p.evictions in
+  if stores' <> stores then mismatch "stores" stores' stores
+  else if flushes <> writebacks then mismatch "flushes" flushes writebacks
+  else if fences' <> fences then mismatch "fences" fences' fences
+  else if evictions' <> evictions then mismatch "evictions" evictions' evictions
   else Ok ()
 
 (* ---------- NDJSON ---------- *)

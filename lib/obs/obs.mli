@@ -125,11 +125,16 @@ val fases : t -> int
 (** Number of distinct FASE ids observed. *)
 
 val check :
+  ?prior:rollup ->
   t -> stores:int -> writebacks:int -> fences:int -> evictions:int ->
   (unit, string) result
 (** Compare the rollup against externally-counted persistence traffic
     (deltas of {!Ido_nvm.Pmem.counters} over the observed window).
-    [Error] describes the first mismatching counter. *)
+    [prior] (default: nothing) is the rollup of the window's earlier
+    part, which another sink observed — the run prefix before a
+    restored crash image ({!Ido_check.Engine.probe_crashed}); the two
+    are counted as one.  [Error] describes the first mismatching
+    counter. *)
 
 (** {1 Coverage export} *)
 

@@ -398,6 +398,84 @@ let test_reaching_covers_all_uses () =
         prog.Ir.funcs)
     Ido_workloads.Workload.names
 
+(* The query [Reaching.defs_at] replaced, kept as the reference: copy
+   the block-entry definitions of every register and run the
+   kill-and-gen transfer forward from index 0 up to the position. *)
+let reference_defs_at rd (f : Ir.func) (pos : Ir.pos) reg =
+  let tbl = Hashtbl.create 16 in
+  for r = 0 to f.Ir.nregs - 1 do
+    Hashtbl.replace tbl r (Reaching.defs_at rd { pos with Ir.idx = 0 } r)
+  done;
+  let instrs = f.Ir.blocks.(pos.Ir.blk).Ir.instrs in
+  for i = 0 to min pos.Ir.idx (Array.length instrs) - 1 do
+    List.iter
+      (fun d -> Hashtbl.replace tbl d [ { pos with Ir.idx = i } ])
+      (Ir.instr_defs instrs.(i))
+  done;
+  Option.value ~default:[] (Hashtbl.find_opt tbl reg)
+
+(* Random CFGs over five registers, dense in redefinitions: up to six
+   blocks of up to eight instructions, with arbitrary branches (loops,
+   unreachable blocks and self-edges included). *)
+let random_cfg_gen =
+  let nregs = 5 in
+  QCheck.Gen.(
+    int_range 1 6 >>= fun nblocks ->
+    let reg = int_bound (nregs - 1) and target = int_bound (nblocks - 1) in
+    let instr =
+      frequency
+        [
+          (3, map2 (fun d v -> Ir.Mov (d, Ir.Imm (Int64.of_int v))) reg small_nat);
+          ( 2,
+            map3 (fun d a b -> Ir.Bin (d, Ir.Add, Ir.Reg a, Ir.Reg b)) reg reg reg );
+          ( 1,
+            map2
+              (fun a b ->
+                Ir.Store
+                  { space = Ir.Transient; base = Ir.Reg a; off = 0; src = Ir.Reg b })
+              reg reg );
+          ( 1,
+            map (fun d -> Ir.Call { dst = Some d; func = "g"; args = [] }) reg );
+        ]
+    in
+    let term =
+      frequency
+        [
+          (2, map (fun b -> Ir.Br b) target);
+          (2, map3 (fun c a b -> Ir.Cbr (Ir.Reg c, a, b)) reg target target);
+          (1, return (Ir.Ret None));
+        ]
+    in
+    let block i =
+      map2
+        (fun instrs term ->
+          { Ir.label = Printf.sprintf "b%d" i; instrs = Array.of_list instrs; term })
+        (list_size (int_range 0 8) instr)
+        term
+    in
+    map
+      (fun blocks ->
+        { Ir.name = "random"; params = [ 0 ]; blocks = Array.of_list blocks; nregs })
+      (flatten_l (List.init nblocks block)))
+
+let prop_reaching_matches_reference =
+  QCheck.Test.make ~name:"defs_at = clone-and-transfer reference" ~count:300
+    (QCheck.make random_cfg_gen) (fun f ->
+      let rd = Reaching.compute (Cfg.build f) in
+      Array.for_all Fun.id
+        (Array.mapi
+           (fun blk (b : Ir.block) ->
+             List.for_all
+               (fun idx ->
+                 let pos = { Ir.blk; idx } in
+                 List.for_all
+                   (fun r ->
+                     Reaching.defs_at rd pos r = reference_defs_at rd f pos r
+                     || QCheck.Test.fail_reportf "r%d at (%d,%d)" r blk idx)
+                   (List.init (f.Ir.nregs + 1) Fun.id))
+               (List.init (Array.length b.Ir.instrs + 1) Fun.id))
+           f.Ir.blocks))
+
 let suites =
   [
     ( "analysis.cfg",
@@ -427,6 +505,7 @@ let suites =
       [
         Alcotest.test_case "reaching definitions" `Quick test_reaching_defs;
         Alcotest.test_case "all uses defined" `Quick test_reaching_covers_all_uses;
+        QCheck_alcotest.to_alcotest prop_reaching_matches_reference;
       ] );
     ( "analysis.fase",
       [

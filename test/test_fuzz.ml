@@ -321,6 +321,248 @@ let schedule_without_recording () =
       Alcotest.(check (list int)) (label ^ " hints") hints o.Exec.o_hints)
     (Fuzz.pairs_of Fuzz.default_config)
 
+(* ---------- one forward run per candidate ---------- *)
+
+(* The dynamic evaluation the forward-run one replaced, kept as the
+   reference: a crash-free [Engine.probe], then one from-boot
+   [Engine.probe] per crash point of the input, in input order, each
+   reduced modulo the schedule length + 1, all streaming into one
+   coverage accumulator that starts every crashed run afresh. *)
+let reference_run (input : Input.t) =
+  let module Obs = Ido_obs.Obs in
+  let module Oracle = Ido_workloads.Oracle in
+  let scheme = input.Input.scheme in
+  let mode = Oracle.default_mode scheme in
+  let mem m =
+    let pm = Ido_vm.Vm.pmem m in
+    { Oracle.load = Ido_nvm.Pmem.load pm; size = Ido_nvm.Pmem.size pm }
+  in
+  let heap m =
+    Engine.heap_words m ~base:(Int64.to_int (Engine.probe_root m))
+      ~len:Input.cells
+  in
+  let initial = Array.init Input.cells Input.initial_cell in
+  let reference = ref None in
+  let custom, validate_free, validate_crashed =
+    match input.Input.base with
+    | Input.Workload workload ->
+        let v m =
+          Oracle.validate ~workload ~mode ~root:(Engine.probe_root m) (mem m)
+        in
+        (Engine.custom_of_spec (Engine.defaults ~scheme ~workload ()), v, v)
+    | Input.Random _ ->
+        let seed =
+          let h = ref 0x811c9dc5 in
+          String.iter
+            (fun c -> h := (!h lxor Char.code c) * 0x01000193 land 0x3FFFFFFF)
+            (Input.base_to_string input.Input.base);
+          1 + (!h mod 1000)
+        in
+        ( {
+            Engine.c_program = Input.source_program input;
+            c_scheme = scheme;
+            c_seed = seed;
+            c_cache_lines = (Ido_vm.Vm.config scheme).Ido_vm.Vm.cache_lines;
+            c_threads = 1;
+            c_worker_arg = 0L;
+            c_opt = false;
+            c_validate = (fun _ -> Ok ());
+          },
+          (fun m ->
+            reference := Some (heap m);
+            Ok ()),
+          fun m ->
+            let got = heap m in
+            match !reference with
+            | Some r when got = r || got = initial -> Ok ()
+            | Some _ -> Error "torn heap: neither reference nor initial state"
+            | None -> Error "internal: reference heap missing" )
+  in
+  let acc = Cov.acc ~scheme:(Scheme.name scheme) in
+  let len = ref 0 and hints = ref [] in
+  let free_obs =
+    Obs.create ~buffer:false
+      ~tap:(fun ev ->
+        Cov.observe acc ev;
+        if Obs.crash_point ev.Obs.kind then begin
+          (match ev.Obs.kind with
+          | Obs.Fence _ | Obs.Lock_acquire _ | Obs.Lock_release _ ->
+              hints := !len :: !hints
+          | _ -> ());
+          incr len
+        end)
+      ()
+  in
+  let free =
+    Engine.probe ~obs:free_obs { custom with Engine.c_validate = validate_free }
+  in
+  let crashed =
+    List.map
+      (fun c ->
+        let index = c mod (!len + 1) in
+        Cov.new_run acc;
+        let obs = Obs.create ~buffer:false ~tap:(Cov.observe acc) () in
+        ( Some index,
+          Engine.probe ~index ~obs
+            { custom with Engine.c_validate = validate_crashed } ))
+      input.Input.crashes
+  in
+  let failures =
+    List.concat_map
+      (fun (crash, (p : Engine.probe)) ->
+        (match p.Engine.pr_verdict with
+        | Ok () -> []
+        | Error msg ->
+            let recovery =
+              String.length msg >= 15 && String.sub msg 0 15 = "recovery raised"
+            in
+            [ ((if recovery then "F702" else "F701"), msg, crash) ])
+        @
+        match p.Engine.pr_consistency with
+        | Ok () -> []
+        | Error msg -> [ ("F703", msg, crash) ])
+      ((None, free) :: crashed)
+  in
+  ( Cov.collect acc,
+    !len,
+    List.rev !hints,
+    match failures with
+    | [] -> None
+    | (_, detail, crash) :: _ ->
+        Some
+          {
+            Exec.f_codes =
+              List.sort_uniq compare (List.map (fun (c, _, _) -> c) failures);
+            f_detail = detail;
+            f_crash = crash;
+          } )
+
+(* The ido torn-heap genome the campaign finds organically at seed 40
+   as [+c80]: of its 51 crash points, 28–31 and 37–41 tear the heap
+   (F701), and 80 wraps onto 29.  Its crash list puts the later failing
+   point first, so the first failure is 40 in input order and 29 in
+   sorted order. *)
+let failing_genome =
+  match Input.base_of_string "random:s(S9.46;L4)|l1(A3)|l1(M;S3.40)" with
+  | Some base ->
+      Input.make ~crashes:[ 40; 5; 29; 80; 29 ] ~scheme:Scheme.Ido base
+  | None -> Alcotest.fail "failing genome does not parse"
+
+(* Crash lists that restore (in range, index 0 and the terminal index,
+   duplicates, unsorted) and that wrap past the schedule, both onto a
+   captured index and onto one nothing captured. *)
+let crash_lists len =
+  [
+    [ len; 3; 0; 3; len + 4; 1 ];
+    [ (2 * len) + 1; len / 2; len + 1 + (len / 2); 0 ];
+    [ len + 2; len + 2; len - 1 ];
+  ]
+
+let restored_matches_from_boot () =
+  List.iter
+    (fun (input : Input.t) ->
+      let len = (Exec.run { input with Input.crashes = [] }).Exec.o_schedule in
+      List.iter
+        (fun crashes ->
+          let input = { input with Input.crashes } in
+          let label = Input.label input in
+          let o = Exec.run input in
+          let features, schedule, hints, failure = reference_run input in
+          Alcotest.(check (array int)) (label ^ " features") features
+            o.Exec.o_features;
+          Alcotest.(check int) (label ^ " schedule") schedule o.Exec.o_schedule;
+          Alcotest.(check (list int)) (label ^ " hints") hints o.Exec.o_hints;
+          Alcotest.(check bool) (label ^ " failure") true
+            (failure = o.Exec.o_failure))
+        (input.Input.crashes :: crash_lists len))
+    (failing_genome
+    :: List.map
+         (fun (scheme, w) -> Input.make ~scheme (Input.Workload w))
+         (Fuzz.pairs_of Fuzz.default_config));
+  Alcotest.(check bool) "the genome fails" true
+    ((Exec.run failing_genome).Exec.o_failure <> None)
+
+(* A restored probe's sink sees exactly what a from-boot probe's sink
+   sees after the crash point (the crash, recovery and the final
+   flush), the forward probe's [snap] runs when its own sink has seen
+   exactly the events before it, and verdict, event and the whole-window
+   reconciliation agree. *)
+let restored_stream_is_from_boot_suffix () =
+  let module Obs = Ido_obs.Obs in
+  let strip evs =
+    List.map (fun (e : Obs.event) -> (e.Obs.tid, e.Obs.fase, e.Obs.kind)) evs
+  in
+  let rec take n = function
+    | x :: rest when n > 0 -> x :: take (n - 1) rest
+    | _ -> []
+  in
+  List.iter
+    (fun (scheme, workload) ->
+      let spec = Engine.defaults ~ops:8 ~scheme ~workload () in
+      let len = Array.length (Engine.record spec) in
+      let custom = Engine.custom_of_spec spec in
+      let free = Obs.create () in
+      let indices = [ len; 0; 5; len / 2; len / 2 ] in
+      let _, forward =
+        Engine.probe_forward ~obs:free ~at:(len + 3 :: indices)
+          ~snap:(fun () -> Obs.count free) custom
+      in
+      List.iter
+        (fun index ->
+          let label =
+            Printf.sprintf "%s/%s@%d" (Scheme.name scheme) workload index
+          in
+          let boot = Obs.create () in
+          let p = Engine.probe ~index ~obs:boot custom in
+          let restored = Obs.create () and prefix = ref None in
+          let before = Engine.boots () in
+          let q =
+            Engine.probe_crashed forward ~index
+              ~obs:(fun snap ->
+                prefix := snap;
+                restored)
+              ~validate:(fun _ -> Ok ())
+          in
+          Alcotest.(check int)
+            (label ^ " boots nothing") before (Engine.boots ());
+          let n =
+            match !prefix with
+            | Some n -> n
+            | None -> Alcotest.fail (label ^ " was not restored")
+          in
+          Alcotest.(check bool) (label ^ " stream") true
+            (strip (take n (Obs.events free)) @ strip (Obs.events restored)
+            = strip (Obs.events boot));
+          Alcotest.(check bool) (label ^ " probe") true
+            (p.Engine.pr_event = q.Engine.pr_event
+            && p.Engine.pr_verdict = q.Engine.pr_verdict
+            && p.Engine.pr_consistency = q.Engine.pr_consistency))
+        indices)
+    Scheme.
+      [
+        (Ido, "queue"); (Justdo, "mlog"); (Atlas, "hmap"); (Mnemosyne, "olist");
+        (Nvthreads, "stack"); (Nvml, "objstore"); (Origin, "kvcache50");
+      ]
+
+(* A candidate boots one machine when all its crash points are in range
+   and restores each of them; a crash point past the schedule that
+   wraps onto an index nothing captured boots it once more. *)
+let one_machine_per_candidate () =
+  let base = Input.Workload "queue" in
+  let len =
+    (Exec.run (Input.make ~scheme:Scheme.Justdo base)).Exec.o_schedule
+  in
+  let boots crashes =
+    let before = Engine.boots () in
+    ignore (Exec.run (Input.make ~crashes ~scheme:Scheme.Justdo base));
+    Engine.boots () - before
+  in
+  Alcotest.(check int) "no crash points" 1 (boots []);
+  Alcotest.(check int) "four in range" 1 (boots [ len; 7; 0; 7 ]);
+  Alcotest.(check int) "one wrapped" 2 (boots [ 7; len + 1 + 9 ]);
+  Alcotest.(check int) "wrapped onto a captured index" 1
+    (boots [ 7; len + 1 + 7 ])
+
 (* ---------- input codec ---------- *)
 
 let prop_input_json_roundtrip =
@@ -585,5 +827,11 @@ let suites =
         qtest prop_streamed_coverage_matches_reference;
         Alcotest.test_case "schedule derived without a recording run" `Quick
           schedule_without_recording;
+        Alcotest.test_case "restored crash probes = from-boot reference"
+          `Quick restored_matches_from_boot;
+        Alcotest.test_case "one machine per in-range candidate" `Quick
+          one_machine_per_candidate;
+        Alcotest.test_case "restored sink stream = from-boot suffix" `Quick
+          restored_stream_is_from_boot_suffix;
       ] );
   ]
