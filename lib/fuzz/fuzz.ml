@@ -17,11 +17,13 @@ type config = {
          run through the persistence-redundancy optimizer (Ido_opt) *)
 }
 
+let failure_atomic s = (Scheme.props s).Scheme.failure_atomic
+
 let default_config =
   {
     seed = 1;
     budget = 4000;
-    schemes = List.filter Scheme.failure_atomic Scheme.all;
+    schemes = List.filter failure_atomic Scheme.all;
     workloads = Workload.names;
     rediscover = false;
     shrink_budget = 200;
@@ -63,7 +65,7 @@ let pairs_of config =
     (fun workload ->
       List.filter_map
         (fun scheme ->
-          if Scheme.failure_atomic scheme && Engine.supported scheme workload
+          if failure_atomic scheme && Engine.supported scheme workload
           then Some (scheme, workload)
           else None)
         config.schemes)
@@ -126,7 +128,7 @@ let rng_tree rng =
   | _ -> Input.Loop (1 + Rng.int rng 4, rng_ops rng 6)
 
 let fresh_genome rng config =
-  let scheme = pickl rng (List.filter Scheme.failure_atomic config.schemes) in
+  let scheme = pickl rng (List.filter failure_atomic config.schemes) in
   Input.make ~scheme
     (Input.Random (List.init (1 + Rng.int rng 4) (fun _ -> rng_tree rng)))
 
@@ -244,7 +246,7 @@ let run ?pool ?(chunk = 0) config =
   (* A filter that leaves nothing to fuzz is a usage error, not an
      empty campaign. *)
   let schemes = String.concat "," (List.map Scheme.name config.schemes) in
-  if not (List.exists Scheme.failure_atomic config.schemes) then
+  if not (List.exists failure_atomic config.schemes) then
     invalid_arg
       (Printf.sprintf
          "fuzz: no failure-atomic scheme in %s (origin has no recovery)"

@@ -110,7 +110,8 @@ let block_out t b cap0 =
   !cap
 
 let compute scheme (func : Ir.func) =
-  let grant = Hook_model.log_grant_hook scheme in
+  let props = Ido_runtime.Scheme.props scheme in
+  let grant = props.grant in
   let sym = Sym.create func in
   let classes = Hashtbl.create 8 in
   (match grant with
@@ -131,7 +132,7 @@ let compute scheme (func : Ir.func) =
                  in
                  let cls =
                    if adjacent then Adjacent
-                   else if Hook_model.grant_hoistable scheme then
+                   else if props.grant_hoistable then
                      classify_hook grant sym func pos
                    else Orphan
                  in

@@ -9,10 +9,15 @@ type t = { func : Ir.func; scheme : Scheme.t; ins : bool array }
    function dirty here; may-analysis errs toward "dirty"). *)
 let dirties scheme = function
   | Ir.Store { space = Ir.Persistent; _ } -> true
-  | Ir.Store { space = Ir.Stack; _ } -> Scheme.stack_in_pmem scheme
+  | Ir.Store { space = Ir.Stack; _ } -> (Scheme.props scheme).stack_in_pmem
   | Ir.Call _ -> true
   | Ir.Intrinsic { intr = Ir.Nv_alloc | Ir.Nv_free | Ir.Root_set; _ } -> true
   | _ -> false
+
+(* Nothing in the function can dirty in-FASE program data: such a FASE
+   has nothing for recovery to redo or undo. *)
+let write_free scheme (f : Ir.func) =
+  not (Ir.fold_instrs (fun acc _ i -> acc || dirties scheme i) false f)
 
 (* Points where the runtime's tracked-line set is known empty again:
    FASE entry resets it, a durable-commit hook flushes and fences it. *)

@@ -293,58 +293,3 @@ let model ?variant scheme (hook : Ir.hook) =
   | Scheme.Nvthreads, Ir.Hdurable_commit -> nvthreads_commit
   | Scheme.Nvthreads, Ir.Hfase_exit -> []
   | _ -> []
-
-let hook_allowed scheme (hook : Ir.hook) =
-  match (scheme, hook) with
-  | Scheme.Origin, _ -> false
-  | Scheme.Ido, (Ir.Hregion _ | Ir.Hfase_enter | Ir.Hfase_exit
-                | Ir.Hlock_acquired | Ir.Hlock_release _) ->
-      true
-  | ( Scheme.Justdo,
-      ( Ir.Hfase_enter | Ir.Hfase_exit | Ir.Hlock_acquired
-      | Ir.Hlock_release _ | Ir.Hjustdo_store ) ) ->
-      true
-  | ( Scheme.Atlas,
-      ( Ir.Hfase_enter | Ir.Hfase_exit | Ir.Hlock_acquired
-      | Ir.Hlock_release _ | Ir.Hdurable_commit | Ir.Hundo_store ) ) ->
-      true
-  | Scheme.Mnemosyne, (Ir.Htxn_begin | Ir.Htxn_commit | Ir.Hredo_store) -> true
-  | Scheme.Nvml, (Ir.Hfase_enter | Ir.Hfase_exit | Ir.Hdurable_commit
-                 | Ir.Hundo_store) ->
-      true
-  | Scheme.Nvthreads, (Ir.Hfase_enter | Ir.Hfase_exit | Ir.Hdurable_commit
-                      | Ir.Hpage_log) ->
-      true
-  | _ -> false
-
-let log_grant_hook = function
-  | Scheme.Justdo -> Some Ir.Hjustdo_store
-  | Scheme.Atlas | Scheme.Nvml -> Some Ir.Hundo_store
-  | Scheme.Mnemosyne -> Some Ir.Hredo_store
-  | Scheme.Nvthreads -> Some Ir.Hpage_log
-  | Scheme.Ido | Scheme.Origin -> None
-
-let tracks_stack_stores = function Scheme.Justdo -> true | _ -> false
-
-(* Which schemes keep their per-store grant sound when a cell's second
-   capture in the same FASE/txn is skipped: undo-style logs only need
-   the oldest value (newest-first restore), redo/page logs key by
-   cell/page.  JUSTDO is excluded — every Hjustdo_store re-arms the
-   resumption tuple, so each one is load-bearing. *)
-let grant_elidable = function
-  | Scheme.Atlas | Scheme.Nvml | Scheme.Nvthreads | Scheme.Mnemosyne -> true
-  | Scheme.Justdo | Scheme.Ido | Scheme.Origin -> false
-
-(* Which schemes tolerate a grant hook separated from its store (the
-   loop-preheader hoist): the hook arms a capture that the next
-   qualifying store consumes; Mnemosyne's txn_store resolves its own
-   log entry so hoisting buys nothing and stays disallowed. *)
-let grant_hoistable = function
-  | Scheme.Atlas | Scheme.Nvml | Scheme.Nvthreads -> true
-  | _ -> false
-
-let unlock_durable_cells = function
-  | Scheme.Ido -> [ "lockrec"; "pc" ]
-  | Scheme.Justdo -> [ "lockrec" ]
-  | Scheme.Atlas -> [ "head" ]
-  | _ -> []

@@ -44,33 +44,6 @@ val model : ?variant:string -> Scheme.t -> Ir.hook -> micro list
     [variant] substitutes a named buggy protocol (see {!variants});
     unknown variant names leave the model unchanged. *)
 
-val hook_allowed : Scheme.t -> Ir.hook -> bool
-(** May this hook appear in output instrumented for [scheme]? *)
-
-val log_grant_hook : Scheme.t -> Ir.hook option
-(** The scheme's per-store log hook ([Hjustdo_store], [Hundo_store],
-    [Hredo_store], [Hpage_log]); [None] for iDO (region logging) and
-    Origin. *)
-
-val tracks_stack_stores : Scheme.t -> bool
-(** JUSTDO logs stack stores too (NVM-resident stacks). *)
-
-val grant_elidable : Scheme.t -> bool
-(** May a second capture of an already-captured cell be skipped in the
-    same FASE/txn under this scheme's log discipline?  True for the
-    undo/redo/page-log schemes (the first capture carries recovery);
-    false for JUSTDO, whose every store hook re-arms the resumption
-    tuple. *)
-
-val grant_hoistable : Scheme.t -> bool
-(** May the grant hook sit away from its store (e.g. hoisted to a loop
-    preheader), armed until the next qualifying store consumes it? *)
-
-val unlock_durable_cells : Scheme.t -> string list
-(** Metadata cells that must be fence-durable before an in-FASE
-    [Unlock] executes (the "single memory fence" contract: no two
-    threads' lock records may ever claim the same lock). *)
-
 val hook_name : Ir.hook -> string
 
 val variants : (string * string) list

@@ -18,6 +18,11 @@ let strip (f : Ir.func) =
   in
   { f with Ir.blocks }
 
+let has_hooks (f : Ir.func) =
+  Array.exists
+    (fun (blk : Ir.block) -> Array.exists Ir.is_hook blk.Ir.instrs)
+    f.Ir.blocks
+
 (* Hooks owned by other passes: per-store grants by Transfer, region
    boundaries by the plan comparison below. *)
 let in_sequence_compare = function
@@ -31,66 +36,32 @@ let code_for = function
   | _ -> "L106"
 
 (* Expected pre/post hooks of the stripped instruction at [pos],
-   restating instrument.mli's placement contract. *)
-let expected scheme fase (pos : Ir.pos) (instr : Ir.instr) =
-  let enter_exit_post =
-    match instr with
-    | Ir.Lock _ when Fase.outermost_acquire fase pos -> [ Ir.Hfase_enter ]
-    | Ir.Durable_begin -> [ Ir.Hfase_enter ]
-    | Ir.Unlock _ when Fase.outermost_release fase pos -> [ Ir.Hfase_exit ]
-    | Ir.Durable_end -> [ Ir.Hfase_exit ]
-    | _ -> []
-  in
-  let lock_records_post =
-    match instr with
-    | Ir.Lock _ when Fase.covers fase pos -> [ Ir.Hlock_acquired ]
-    | _ -> []
-  in
-  let lock_records_pre =
-    match instr with
-    | Ir.Unlock _ when Fase.in_fase fase pos ->
-        [ Ir.Hlock_release { outermost = Fase.outermost_release fase pos } ]
-    | _ -> []
-  in
-  match scheme with
-  | Scheme.Ido ->
-      let post =
-        match instr with
-        | Ir.Lock _ when Fase.outermost_acquire fase pos ->
-            [ Ir.Hfase_enter; Ir.Hlock_acquired ]
-        | Ir.Lock _ when Fase.covers fase pos -> [ Ir.Hlock_acquired ]
-        | _ -> enter_exit_post
-      in
-      (lock_records_pre, post)
-  | Scheme.Justdo | Scheme.Atlas ->
+   restating instrument.mli's placement contract from the scheme's
+   properties.  Only the FASE kinds {!check} compares reach here. *)
+let expected (s : Scheme.props) fase (pos : Ir.pos) (instr : Ir.instr) =
+  let when_ b h = if b then [ h ] else [] in
+  let locks = s.fase = Scheme.Lock_inferred in
+  match instr with
+  | Ir.Lock _ when locks ->
+      ( [],
+        when_ (Fase.outermost_acquire fase pos) Ir.Hfase_enter
+        @ when_ s.lock_records Ir.Hlock_acquired )
+  | Ir.Unlock _ when locks ->
+      let outermost = Fase.outermost_release fase pos in
+      let inside = Fase.in_fase fase pos in
       let commit =
-        match (scheme, instr) with
-        | Scheme.Atlas, Ir.Unlock _ when Fase.outermost_release fase pos ->
-            [ Ir.Hdurable_commit ]
-        | Scheme.Atlas, Ir.Durable_end -> [ Ir.Hdurable_commit ]
-        | _ -> []
+        match s.commit with
+        | Scheme.No_commit -> false
+        | Scheme.At_fase_end -> outermost
+        | Scheme.At_every_release -> inside
       in
-      (commit @ lock_records_pre, enter_exit_post @ lock_records_post)
-  | Scheme.Nvml ->
-      let pre =
-        match instr with Ir.Durable_end -> [ Ir.Hdurable_commit ] | _ -> []
-      in
-      let post =
-        match instr with
-        | Ir.Durable_begin -> [ Ir.Hfase_enter ]
-        | Ir.Durable_end -> [ Ir.Hfase_exit ]
-        | _ -> []
-      in
-      (pre, post)
-  | Scheme.Nvthreads ->
-      let pre =
-        match instr with
-        | Ir.Unlock _ when Fase.in_fase fase pos -> [ Ir.Hdurable_commit ]
-        | Ir.Durable_end -> [ Ir.Hdurable_commit ]
-        | _ -> []
-      in
-      (pre, enter_exit_post)
-  | Scheme.Mnemosyne | Scheme.Origin -> ([], [])
+      ( when_ commit Ir.Hdurable_commit
+        @ when_ (inside && s.lock_records) (Ir.Hlock_release { outermost }),
+        when_ outermost Ir.Hfase_exit )
+  | Ir.Durable_begin -> ([], [ Ir.Hfase_enter ])
+  | Ir.Durable_end ->
+      (when_ (s.commit <> Scheme.No_commit) Ir.Hdurable_commit, [ Ir.Hfase_exit ])
+  | _ -> ([], [])
 
 type item = Hk of Ir.hook | Instr
 
@@ -101,6 +72,7 @@ let item_str = function
 (* ------------------------------------------------------------------ *)
 
 let compare_sequences scheme fase (f : Ir.func) diags =
+  let props = Scheme.props scheme in
   let df = Dirtyflow.compute scheme f in
   Array.iteri
     (fun b (blk : Ir.block) ->
@@ -123,7 +95,7 @@ let compare_sequences scheme fase (f : Ir.func) diags =
           if not (Ir.is_hook instr) then begin
             let spos = { Ir.blk = b; idx = !sidx } in
             incr sidx;
-            let pre, post = expected scheme fase spos instr in
+            let pre, post = expected props fase spos instr in
             List.iter
               (fun h ->
                 if in_sequence_compare h then
@@ -304,15 +276,11 @@ let compare_plan (f : Ir.func) (stripped : Ir.func) diags =
 
 (* ------------------------------------------------------------------ *)
 
-let has_hooks (f : Ir.func) =
-  Array.exists
-    (fun (blk : Ir.block) -> Array.exists Ir.is_hook blk.Ir.instrs)
-    f.Ir.blocks
-
 let check scheme (f : Ir.func) =
-  match scheme with
-  | Scheme.Mnemosyne | Scheme.Origin -> []
-  | _ ->
+  let props = Scheme.props scheme in
+  match props.fase with
+  | Scheme.Transaction | Scheme.No_fase -> []
+  | Scheme.Lock_inferred | Scheme.Durable_only ->
       let diags = ref [] in
       let stripped = strip f in
       (match Fase.compute (Cfg.build stripped) with
@@ -330,10 +298,7 @@ let check scheme (f : Ir.func) =
           end
           else if
             (not (has_hooks f))
-            && not
-                 (Ir.fold_instrs
-                    (fun acc _ i -> acc || Dirtyflow.dirties scheme i)
-                    false f)
+            && Dirtyflow.write_free scheme f
           then
             (* write-free FASE with every hook elided (O102): nothing
                in it needs recovery, so the bare lock structure is the
@@ -342,6 +307,6 @@ let check scheme (f : Ir.func) =
             ()
           else begin
             compare_sequences scheme fase f diags;
-            if scheme = Scheme.Ido then compare_plan f stripped diags
+            if props.region_cuts then compare_plan f stripped diags
           end);
       List.rev !diags

@@ -65,29 +65,35 @@ let lock_depth st =
 (* The stores a scheme's runtime takes responsibility for — these dirty
    the summarized data cell and (when the scheme logs per store) must
    be covered by a grant. *)
-let protected_ctx scheme st =
-  match scheme with
-  | Scheme.Nvml -> has_durable st
-  | Scheme.Mnemosyne -> has_txn st
-  | Scheme.Origin -> false
-  | _ -> st.toks <> []
+let protected_ctx (s : Scheme.props) st =
+  match s.fase with
+  | Scheme.Lock_inferred -> st.toks <> []
+  | Scheme.Durable_only -> has_durable st
+  | Scheme.Transaction -> has_txn st
+  | Scheme.No_fase -> false
 
-let store_dirties_data scheme st (space : Ir.space) =
-  protected_ctx scheme st
+let store_dirties_data (s : Scheme.props) st (space : Ir.space) =
+  protected_ctx s st
   &&
   match space with
   | Ir.Persistent -> true
-  | Ir.Stack -> Scheme.stack_in_pmem scheme
+  | Ir.Stack -> s.stack_in_pmem
   | Ir.Transient -> false
 
-let store_needs_grant scheme st (space : Ir.space) =
-  protected_ctx scheme st
-  && Hook_model.log_grant_hook scheme <> None
-  &&
-  match space with
-  | Ir.Persistent -> true
-  | Ir.Stack -> Hook_model.tracks_stack_stores scheme
-  | Ir.Transient -> false
+let store_needs_grant (s : Scheme.props) st space =
+  s.grant <> None && store_dirties_data s st space
+
+(* The hooks the scheme's instrumentation can place (instrument.mli). *)
+let hook_allowed (s : Scheme.props) (hook : Ir.hook) =
+  match hook with
+  | Ir.Hregion _ -> s.region_cuts
+  | Ir.Hfase_enter | Ir.Hfase_exit ->
+      s.fase = Scheme.Lock_inferred || s.fase = Scheme.Durable_only
+  | Ir.Hlock_acquired | Ir.Hlock_release _ -> s.lock_records
+  | Ir.Htxn_begin | Ir.Htxn_commit -> s.fase = Scheme.Transaction
+  | Ir.Hdurable_commit -> s.commit <> Scheme.No_commit
+  | Ir.Hjustdo_store | Ir.Hundo_store | Ir.Hredo_store | Ir.Hpage_log ->
+      s.grant = Some hook
 
 let pstate_str = Plattice.pstate_to_string
 
@@ -106,6 +112,7 @@ let need_sat (need : Hook_model.need) (s : Plattice.pstate) =
 
 type ctx = {
   scheme : Scheme.t;
+  props : Scheme.props;
   variant : string option;
   func : Ir.func;
   sym : Sym.t;
@@ -188,22 +195,22 @@ let record_access c pos st ~loc ~awrite =
 let orphan c pos =
   diag c ~pos "L202"
     "orphaned %s: the log grant was not consumed by the guarded store"
-    (match Hook_model.log_grant_hook c.scheme with
+    (match c.props.grant with
     | Some h -> Hook_model.hook_name h
     | None -> "log hook")
 
 (* One instruction.  [pending] is the armed per-store log grant. *)
 let exec_instr c pos (st, pending) (instr : Ir.instr) =
-  let is_grant h = Hook_model.log_grant_hook c.scheme = Some h in
+  let is_grant h = c.props.grant = Some h in
   (* A pending grant must be consumed by the very next instruction
      (the guarded store); anything else orphans it. *)
   let consume_for_store space =
-    if store_needs_grant c.scheme st space then begin
+    if store_needs_grant c.props st space then begin
       (* an uncovered store is excused when the cell's old value is
          provably captured already in this window, under a scheme
          whose log discipline makes the second capture redundant *)
       let captured () =
-        Hook_model.grant_elidable c.scheme
+        c.props.grant_elidable
         &&
         match Sym.resolve_store_addr c.sym pos with
         | Some cell -> Sym.is_stable cell && Capflow.mem c.capflow pos cell
@@ -212,7 +219,7 @@ let exec_instr c pos (st, pending) (instr : Ir.instr) =
       if (not pending) && not (captured ()) then
         diag c ~pos "L201"
           "persistent store inside a FASE is not covered by a %s log hook"
-          (match Hook_model.log_grant_hook c.scheme with
+          (match c.props.grant with
           | Some h -> Hook_model.hook_name h
           | None -> "");
       false
@@ -251,7 +258,7 @@ let exec_instr c pos (st, pending) (instr : Ir.instr) =
                 "lock released while runtime cell '%s' is %s — another \
                  thread may acquire before this thread's record is durable"
                 cell (pstate_str s))
-          (Hook_model.unlock_durable_cells c.scheme);
+          c.props.unlock_durable;
         let tok = Sym.resolve_operand c.sym ~at:pos op in
         (* remove the innermost token satisfying [pred] *)
         let remove_innermost pred toks =
@@ -318,7 +325,7 @@ let exec_instr c pos (st, pending) (instr : Ir.instr) =
       record_access c pos st ~loc:(Sym.resolve_store_addr c.sym pos)
         ~awrite:true;
       let st =
-        if store_dirties_data c.scheme st space then
+        if store_dirties_data c.props st space then
           { st with p = Plattice.write_data st.p }
         else st
       in
@@ -329,7 +336,7 @@ let exec_instr c pos (st, pending) (instr : Ir.instr) =
         record_access c pos st ~loc:(Sym.resolve_store_addr c.sym pos)
           ~awrite:false;
       (st, false)
-  | Ir.Hook h when not (Hook_model.hook_allowed c.scheme h) ->
+  | Ir.Hook h when not (hook_allowed c.props h) ->
       if pending then orphan c pos;
       diag c ~pos "L204" "hook %s cannot appear under scheme %s"
         (Hook_model.hook_name h)
@@ -346,7 +353,7 @@ let exec_instr c pos (st, pending) (instr : Ir.instr) =
             { st with toks = st.toks @ [ Txn ] }
         | _ -> st
       in
-      if is_grant h && not (protected_ctx c.scheme st) then
+      if is_grant h && not (protected_ctx c.props st) then
         diag c ~pos "L203" "%s outside its protected context (FASE/txn)"
           (Hook_model.hook_name h);
       let st, pending =
@@ -425,6 +432,7 @@ let analyze ?variant scheme (func : Ir.func) =
   let c =
     {
       scheme;
+      props = Scheme.props scheme;
       variant;
       func;
       sym = Sym.create func;

@@ -1,22 +1,5 @@
 open Ido_ir
 open Ido_analysis
-module Dirtyflow = Ido_lint.Dirtyflow
-
-let has_hooks (f : Ir.func) =
-  Array.exists
-    (fun (blk : Ir.block) -> Array.exists Ir.is_hook blk.Ir.instrs)
-    f.Ir.blocks
-
-(* Nothing in the function can dirty in-FASE program data: no
-   persistent store (nor stack store under the resumption schemes), no
-   call, no writing intrinsic.  Such a FASE has nothing for recovery
-   to redo or undo — its instrumentation is pure overhead (O102). *)
-let write_free scheme (f : Ir.func) =
-  not
-    (Ir.fold_instrs
-       (fun acc _ i -> acc || Dirtyflow.dirties scheme i)
-       false f)
-
 (* ------------------------------------------------------------------ *)
 (* Natural loops, merged per header.  A loop is hoistable-into only
    when its header has a unique out-of-loop predecessor falling
@@ -100,12 +83,5 @@ let append_at_end (f : Ir.func) b instrs =
   blocks.(b) <-
     { blk with Ir.instrs = Array.append blk.Ir.instrs (Array.of_list instrs) };
   { f with Ir.blocks }
-
-let grant_of scheme = Ido_lint.Hook_model.log_grant_hook scheme
-
-let is_grant scheme instr =
-  match (grant_of scheme, instr) with
-  | Some g, Ir.Hook h -> h = g
-  | _ -> false
 
 let cell_name = Ido_lint.Sym.to_string

@@ -1,16 +1,8 @@
 (** Shared structural analyses and block surgery for the optimizer
-    passes: hook census, write-freedom ({!Ido_lint.Dirtyflow}), natural
-    loops with preheaders, and position-directed instruction
-    deletion/insertion. *)
+    passes: natural loops with preheaders, and position-directed
+    instruction deletion/insertion. *)
 
 open Ido_ir
-open Ido_runtime
-
-val has_hooks : Ir.func -> bool
-
-val write_free : Scheme.t -> Ir.func -> bool
-(** No instruction of the function can dirty in-FASE program data
-    under [scheme] — the O102 precondition. *)
 
 type loop = { header : int; body : int list; preheader : int option }
 (** A natural loop (back edges merged per header).  [preheader] is the
@@ -26,6 +18,4 @@ val append_at_end : Ir.func -> int -> Ir.instr list -> Ir.func
 (** Append instructions at the end of block [b] (before its
     terminator). *)
 
-val grant_of : Scheme.t -> Ir.hook option
-val is_grant : Scheme.t -> Ir.instr -> bool
 val cell_name : Ido_lint.Sym.expr -> string

@@ -13,12 +13,8 @@ open Ido_runtime
    is false the commit's clearing effect is the identity, so deleting
    it leaves every remaining fact valid. *)
 
-let applicable = function
-  | Scheme.Atlas | Scheme.Nvml | Scheme.Nvthreads -> true
-  | _ -> false
-
 let run scheme fname (f : Ir.func) =
-  if not (applicable scheme) then (f, [])
+  if (Scheme.props scheme).commit = Scheme.No_commit then (f, [])
   else begin
     let df = Dirtyflow.compute scheme f in
     let dead = ref [] in

@@ -6,5 +6,4 @@
 open Ido_ir
 open Ido_runtime
 
-val applicable : Scheme.t -> bool
 val run : Scheme.t -> string -> Ir.func -> Ir.func * Rewrite.t list

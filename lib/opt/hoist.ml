@@ -16,8 +16,6 @@ open Ido_lint
    program points the VM's arming discipline does not cover.  In
    practice this restricts the rewrite to do-while-shaped loops. *)
 
-let applicable = Hook_model.grant_hoistable
-
 (* Every path from block [b0] reaches [store] (skipping the hook being
    moved at [hook]) before any store, clearing instruction, grant
    hook, or return.  A revisited block means a cycle avoiding the
@@ -52,69 +50,67 @@ let all_paths_consume (f : Ir.func) grant ~hook ~store b0 =
   walk b0
 
 let run scheme fname (f : Ir.func) =
-  if not (applicable scheme) then (f, [])
-  else
-    match Hook_model.log_grant_hook scheme with
-    | None -> (f, [])
-    | Some grant ->
-        let f_ref = ref f and rewrites = ref [] in
-        List.iter
-          (fun (l : Analysis.loop) ->
-            match l.Analysis.preheader with
-            | None -> ()
-            | Some pre ->
-                (* block indices are stable across hoists (no blocks
-                   added or removed), but instruction indices are not:
-                   re-derive positions and symbols from the current
-                   function *)
-                let f = !f_ref in
-                let sym = Sym.create f in
-                (* census of the loop body: clear-free, exactly one
-                   grant hook, and it is adjacent to its store *)
-                let grants = ref [] and clean = ref true in
-                List.iter
-                  (fun b ->
-                    let blk = f.Ir.blocks.(b) in
-                    Array.iteri
-                      (fun i ins ->
-                        if Capflow.clears ins then clean := false
-                        else
-                          match ins with
-                          | Ir.Hook h when h = grant ->
-                              grants := { Ir.blk = b; idx = i } :: !grants
-                          | _ -> ())
-                      blk.Ir.instrs)
-                  l.Analysis.body;
-                match (!clean, !grants) with
-                | true, [ hook ] -> (
-                    let blk = f.Ir.blocks.(hook.Ir.blk) in
-                    let store = { hook with Ir.idx = hook.Ir.idx + 1 } in
-                    let adjacent =
-                      store.Ir.idx < Array.length blk.Ir.instrs
-                      &&
-                      match blk.Ir.instrs.(store.Ir.idx) with
-                      | Ir.Store _ -> true
-                      | _ -> false
-                    in
-                    if not adjacent then ()
-                    else
-                      match Sym.resolve_store_addr sym store with
-                      | Some cell
-                        when Sym.is_stable cell
-                             && all_paths_consume f grant ~hook ~store
-                                  l.Analysis.header ->
-                          f_ref :=
-                            Analysis.append_at_end
-                              (Analysis.delete f [ hook ])
-                              pre
-                              [ Ir.Hook grant ];
-                          rewrites :=
-                            Rewrite.vf ~code:"O104" ~func:fname ~pos:hook
-                              "loop-invariant capture of %s hoisted to \
-                               preheader block %d"
-                              (Analysis.cell_name cell) pre
-                            :: !rewrites
-                      | _ -> ())
-                | _ -> ())
-          (Analysis.loops f);
-        (!f_ref, List.rev !rewrites)
+  match Ido_runtime.Scheme.props scheme with
+  | { grant = Some grant; grant_hoistable = true; _ } ->
+      let f_ref = ref f and rewrites = ref [] in
+      List.iter
+        (fun (l : Analysis.loop) ->
+          match l.Analysis.preheader with
+          | None -> ()
+          | Some pre ->
+              (* block indices are stable across hoists (no blocks
+                 added or removed), but instruction indices are not:
+                 re-derive positions and symbols from the current
+                 function *)
+              let f = !f_ref in
+              let sym = Sym.create f in
+              (* census of the loop body: clear-free, exactly one
+                 grant hook, and it is adjacent to its store *)
+              let grants = ref [] and clean = ref true in
+              List.iter
+                (fun b ->
+                  let blk = f.Ir.blocks.(b) in
+                  Array.iteri
+                    (fun i ins ->
+                      if Capflow.clears ins then clean := false
+                      else
+                        match ins with
+                        | Ir.Hook h when h = grant ->
+                            grants := { Ir.blk = b; idx = i } :: !grants
+                        | _ -> ())
+                    blk.Ir.instrs)
+                l.Analysis.body;
+              match (!clean, !grants) with
+              | true, [ hook ] -> (
+                  let blk = f.Ir.blocks.(hook.Ir.blk) in
+                  let store = { hook with Ir.idx = hook.Ir.idx + 1 } in
+                  let adjacent =
+                    store.Ir.idx < Array.length blk.Ir.instrs
+                    &&
+                    match blk.Ir.instrs.(store.Ir.idx) with
+                    | Ir.Store _ -> true
+                    | _ -> false
+                  in
+                  if not adjacent then ()
+                  else
+                    match Sym.resolve_store_addr sym store with
+                    | Some cell
+                      when Sym.is_stable cell
+                           && all_paths_consume f grant ~hook ~store
+                                l.Analysis.header ->
+                        f_ref :=
+                          Analysis.append_at_end
+                            (Analysis.delete f [ hook ])
+                            pre
+                            [ Ir.Hook grant ];
+                        rewrites :=
+                          Rewrite.vf ~code:"O104" ~func:fname ~pos:hook
+                            "loop-invariant capture of %s hoisted to \
+                             preheader block %d"
+                            (Analysis.cell_name cell) pre
+                          :: !rewrites
+                    | _ -> ())
+              | _ -> ())
+        (Analysis.loops f);
+      (!f_ref, List.rev !rewrites)
+  | _ -> (f, [])

@@ -198,7 +198,7 @@ let spawn m ~fname ~args =
          (List.length args));
   let tid = m.next_tid in
   m.next_tid <- tid + 1;
-  let in_pmem = Scheme.stack_in_pmem m.config.scheme in
+  let in_pmem = (Scheme.props m.config.scheme).stack_in_pmem in
   let stack_base =
     match m.free_stacks with
     | base :: rest ->

@@ -8,7 +8,7 @@ type mem = { load : int -> int64; size : int }
 type mode = Atomic | Prefix
 
 let default_mode scheme =
-  if Ido_runtime.Scheme.failure_atomic scheme then Atomic else Prefix
+  if (Ido_runtime.Scheme.props scheme).failure_atomic then Atomic else Prefix
 
 let mode_name = function Atomic -> "atomic" | Prefix -> "prefix"
 

@@ -28,7 +28,7 @@ type mem = { load : int -> int64; size : int }
 type mode = Atomic | Prefix
 
 val default_mode : Ido_runtime.Scheme.t -> mode
-(** [Atomic] for a {!Ido_runtime.Scheme.failure_atomic} scheme,
+(** [Atomic] for a failure-atomic scheme ({!Ido_runtime.Scheme.props}),
     [Prefix] for Origin. *)
 
 val mode_name : mode -> string

@@ -554,7 +554,7 @@ let test_scheme_names () =
     (fun s ->
       Alcotest.(check int) "table2 arity"
         (List.length Scheme.table2_header)
-        (List.length (Scheme.table2_row s)))
+        (List.length (Scheme.props s).table2))
     Scheme.all
 
 (* ------------------------------------------------------------------ *)
