@@ -154,9 +154,7 @@ let trace_cmd =
   let run scheme workload steps seed =
     let program = Ido_workloads.Workload.named workload in
     let m = Ido_vm.Vm.create { (Ido_vm.Vm.config scheme) with seed } program in
-    let _ = Ido_vm.Vm.spawn m ~fname:"init" ~args:[] in
-    ignore (Ido_vm.Vm.run m);
-    Ido_vm.Vm.flush_all m;
+    Ido_vm.Vm.run_init m;
     ignore (Ido_vm.Vm.spawn m ~fname:"worker" ~args:[ 10L ]);
     ignore (Ido_vm.Vm.spawn m ~fname:"worker" ~args:[ 10L ]);
     Ido_vm.Vm.set_tracer m (Some print_endline);

@@ -36,14 +36,7 @@ let boot ?(seed = 42) ?latency ?(collect_region_stats = false) ?(opt = false)
     }
   in
   let m = Vm.create cfg program in
-  let _init = Vm.spawn m ~fname:"init" ~args:[] in
-  (match Vm.run m with
-  | `Idle -> ()
-  | `Deadlock -> failwith "Exp: init deadlocked"
-  | _ -> failwith "Exp: init did not finish");
-  (* The populated structure stands in for a pre-existing persistent
-     region: make it durable before measurement begins. *)
-  Vm.flush_all m;
+  Vm.run_init m;
   m
 
 let spawn_workers m ~threads ~total_ops =

@@ -34,19 +34,11 @@ let make ?(seed = 42) ?topology ?(batch = 1) ?(requests = 1000)
 let shards c = c.topology.Topology.groups
 let mid_stream_ns c = c.requests * c.period_ns / 2
 
-(* SplitMix64 finalizer: the avalanche keeps sibling shards' seeds
-   uncorrelated even though they differ by one in the input. *)
-let mix64 k =
-  let ( *% ) = Int64.mul
-  and ( ^> ) v s = Int64.logxor v (Int64.shift_right_logical v s) in
-  let z = Int64.add k 0x9E3779B97F4A7C15L in
-  let z = (z ^> 30) *% 0xBF58476D1CE4E5B9L in
-  let z = (z ^> 27) *% 0x94D049BB133111EBL in
-  z ^> 31
-
+(* The SplitMix64 avalanche keeps sibling shards' seeds uncorrelated
+   even though they differ by one in the input. *)
 let shard_seed ?(salt = 0) c shard =
-  let z = mix64 (Int64.of_int (c.seed lxor (salt * 0x9E3779B9))) in
-  let z = mix64 (Int64.add z (Int64.of_int shard)) in
+  let z = Ido_util.Rng.mix64 (Int64.of_int (c.seed lxor (salt * 0x9E3779B9))) in
+  let z = Ido_util.Rng.mix64 (Int64.add z (Int64.of_int shard)) in
   Int64.to_int (Int64.logand z Int64.max_int)
 
 let label c =

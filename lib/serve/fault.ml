@@ -45,15 +45,13 @@ let default_crash_plan (config : Config.t) =
 
 let single_crash config = of_crash (default_crash_plan config)
 
-let mid_stream (c : Config.t) = c.Config.requests * c.Config.period_ns / 2
-
 let storm ?k ?at_ns (c : Config.t) =
   let groups = Config.shards c in
   let k = match k with Some k -> k | None -> max 1 (groups / 2) in
   if k < 1 || k > groups then
     invalid_arg
       (Printf.sprintf "Fault.storm: k must be in [1, %d] (got %d)" groups k);
-  let at_ns = match at_ns with Some t -> t | None -> mid_stream c in
+  let at_ns = match at_ns with Some t -> t | None -> Config.mid_stream_ns c in
   (* Seeded k-of-N draw without replacement: shuffle the group indices
      with the cell seed (distinct salt from every other consumer) and
      take the first k, reported in ascending order. *)
@@ -73,7 +71,7 @@ let storm ?k ?at_ns (c : Config.t) =
   }
 
 let replica_loss ?at_ns ~group (c : Config.t) =
-  let at_ns = match at_ns with Some t -> t | None -> mid_stream c in
+  let at_ns = match at_ns with Some t -> t | None -> Config.mid_stream_ns c in
   {
     label = "rloss";
     detect_ns = Topology.detect_ns;

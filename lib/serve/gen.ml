@@ -13,15 +13,8 @@ type request = {
    shard (Zipf rank 0 is the hottest key; consecutive ranks must not
    land on consecutive shards), and must not depend on [Hashtbl.hash]
    internals. *)
-let mix64 k =
-  let ( *% ) = Int64.mul and ( ^> ) v s = Int64.logxor v (Int64.shift_right_logical v s) in
-  let z = Int64.add (Int64.of_int k) 0x9E3779B97F4A7C15L in
-  let z = (z ^> 30) *% 0xBF58476D1CE4E5B9L in
-  let z = (z ^> 27) *% 0x94D049BB133111EBL in
-  z ^> 31
-
 let shard_of ~shards key =
-  Int64.to_int (Int64.rem (Int64.logand (mix64 key) Int64.max_int)
+  Int64.to_int (Int64.rem (Int64.logand (Rng.mix64 (Int64.of_int key)) Int64.max_int)
                   (Int64.of_int shards))
 
 (* Inverse-CDF exponential gap.  [u] comes from [Rng.float rng 1.0],
@@ -197,10 +190,10 @@ let coldest p =
   end
 
 (* Second, salted mix: the split half must be independent of the
-   primary route (bit of [mix64 key mod shards]) so a split cuts every
+   primary route (bit of [Rng.mix64 key mod shards]) so a split cuts every
    group's key space roughly in half regardless of the group count. *)
 let split_bit key =
-  Int64.to_int (Int64.logand (mix64 (key lxor 0x5b1d)) 1L) = 1
+  Int64.to_int (Int64.logand (Rng.mix64 (Int64.of_int (key lxor 0x5b1d))) 1L) = 1
 
 type split_info = {
   stay_mass : float;

@@ -50,11 +50,7 @@ let mem_of m =
    differ only in seed salt and in who charges their work. *)
 let boot ~obs (c : Config.t) ~seed program =
   let m = Vm.create (vm_config c ~seed) program in
-  ignore (Vm.spawn m ~fname:"init" ~args:[]);
-  (match Vm.run m with
-  | `Idle -> ()
-  | _ -> failwith "Serve: init phase did not finish");
-  Vm.flush_all m;
+  Vm.run_init m;
   (* Observed window: everything after durable setup, exactly the
      [Engine.run_traced] protocol — the sink is installed here and
      detached only after the machine's final [flush_all]. *)

@@ -9,6 +9,8 @@ let mix z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
+let mix64 k = mix (Int64.add k golden_gamma)
+
 let next64 t =
   t.state <- Int64.add t.state golden_gamma;
   mix t.state

@@ -23,6 +23,11 @@ val assign : into:t -> t -> unit
     [into]'s future stream equals [src]'s.  Lets arena-reuse paths
     re-seed a generator in place instead of allocating a new one. *)
 
+val mix64 : int64 -> int64
+(** The SplitMix64 output function of a single state: [k] advanced by
+    one golden-gamma step, then finalized.  A stateless hash whose
+    avalanche decorrelates inputs that differ by one bit. *)
+
 val next64 : t -> int64
 (** Next raw 64-bit value. *)
 

@@ -43,6 +43,14 @@ let recover = Recover.recover
 
 let flush_all (m : t) = Ido_nvm.Pmem.flush_all m.State.pmem
 
+let run_init m =
+  ignore (spawn m ~fname:"init" ~args:[]);
+  (match run m with
+  | `Idle -> ()
+  | `Deadlock | `Until | `Max_steps ->
+      failwith "Vm.run_init: init phase did not run to idle");
+  flush_all m
+
 let clock = State.max_clock
 let total_ops (m : t) = m.State.total_ops
 let observations (t : thread) = List.rev t.State.observations

@@ -126,6 +126,12 @@ val recover : t -> Recover.stats
 val flush_all : t -> unit
 (** Test/setup helper: make all of persistent memory durable. *)
 
+val run_init : t -> unit
+(** Durable setup: run the program's [init] function to idle, then
+    {!flush_all}, so the populated structure stands in for a
+    pre-existing persistent region.
+    @raise Failure when [init] does not reach idle. *)
+
 (** {1 Introspection} *)
 
 val clock : t -> Timebase.ns

@@ -229,24 +229,6 @@ let parallel_explore_identical scheme workload () =
     "report digest matches serial" (report_digest serial)
     (report_digest pooled)
 
-(* Chunked dispatch must be invisible in the output: for each spec the
-   explore report digest is identical across every (chunk, -j) pairing,
-   including chunks larger than the whole injection plan. *)
-let chunked_explore_identical scheme workload () =
-  let s = Engine.defaults ~ops:10 ~scheme ~workload () in
-  let expected = report_digest (Engine.explore s ~budget:20) in
-  List.iter
-    (fun jobs ->
-      Pool.with_pool jobs (fun pool ->
-          List.iter
-            (fun chunk ->
-              Alcotest.(check string)
-                (Printf.sprintf "chunk=%d -j%d = serial" chunk jobs)
-                expected
-                (report_digest (Engine.explore ~pool ~chunk s ~budget:20)))
-            [ 1; 7; 64 ]))
-    [ 1; 4 ]
-
 (* Random chunk sizes (including 0 = auto) against the pure map. *)
 let prop_map_chunks_is_map =
   QCheck.Test.make ~name:"map_chunks f = List.map f at any chunk size"
@@ -298,10 +280,6 @@ let suites =
           (parallel_explore_identical Scheme.Ido "queue");
         Alcotest.test_case "explore atlas/stack: -j4 = serial" `Quick
           (parallel_explore_identical Scheme.Atlas "stack");
-        Alcotest.test_case "explore ido/queue: every chunk x -j" `Quick
-          (chunked_explore_identical Scheme.Ido "queue");
-        Alcotest.test_case "explore justdo/stack: every chunk x -j" `Quick
-          (chunked_explore_identical Scheme.Justdo "stack");
         Alcotest.test_case "fig6 sweep: pooled = serial" `Quick
           parallel_sweep_identical;
       ] );
