@@ -153,6 +153,7 @@ let observe a (ev : Obs.event) =
   end
 
 let collect a = to_array a.bits
+let merge a fs = Array.iter (put a.bits) fs
 
 let features ~scheme events =
   let a = acc ~scheme in

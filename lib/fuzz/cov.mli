@@ -59,6 +59,10 @@ val restore : acc -> snapshot -> unit
 val collect : acc -> int array
 (** The buckets accumulated so far, sorted and deduplicated. *)
 
+val merge : acc -> int array -> unit
+(** Add buckets (another run's {!collect}) to the accumulator's set,
+    leaving the stream state alone. *)
+
 val features : scheme:string -> Ido_obs.Obs.event list -> int array
 (** The features of one buffered run: {!observe} over a fresh {!acc},
     then {!collect}.  Deterministic for a given event list. *)

@@ -13,18 +13,31 @@
     stream also yields the crash-point schedule and the crash-reseeding
     hints, so no separate recording run is needed.
 
-    The candidate boots one machine.  Its crash-free probe is the one
-    forward run ({!Ido_check.Engine.probe_forward}): at every crash
-    point of the input that the run reaches it captures a crash image
-    and the accumulator's stream state, and each such crashed probe
-    restores both on the same machine and goes on from there.  A crash
-    point past the schedule wraps to [c mod (length + 1)], which the
-    run cannot know in advance; unless that index was captured for
-    another crash point, its probe re-runs from boot on the same
-    machine ({!Ido_vm.Vm.reset}), one more boot.  The outcome is the
+    A {!cache} holds, per (scheme, base, [opt]), a {e base record} —
+    the crash-free probe's failures, features, schedule length and
+    hints — and the boot image of the base's arena
+    ({!Ido_check.Engine.arena}): the machine as the durable setup phase
+    leaves it ({!Ido_vm.Vm.boot_image}), which every later run of the
+    base restores into a new machine instead of setting up again.
+    A candidate on a base with no record is one forward run
+    ({!Ido_check.Engine.probe_forward}) on an arena: the crash-free
+    probe, which also captures a crash image and the accumulator's
+    stream state at every crash point of the input the run reaches;
+    each crashed probe restores both on the same machine and goes on
+    from there.  A crash point past the schedule wraps to
+    [c mod (length + 1)], which that run cannot know in advance; unless
+    that index was captured for another crash point, its probe re-runs
+    from the boot image.  A candidate on a recorded base never repeats
+    the crash-free run: with no crash points its outcome is the
+    record's and it boots nothing; otherwise its crash points are
+    resolved against the recorded length up front, and the forward run
+    ({!Ido_check.Engine.capture_forward}) starts from the boot image
+    and stops after its last capture, its features being the record's
+    unioned with the crashed probes'.  Either way the outcome is the
     one from-boot probes ({!Ido_check.Engine.probe}) give, byte for
     byte: features, schedule, hints and failures, in the input's crash
-    order, duplicates included.
+    order, duplicates included — so it does not depend on what the
+    cache holds.
 
     Failures carry stable codes:
     - the linter's own [L]-codes for static findings;
@@ -61,9 +74,21 @@ val instrumented : ?opt:bool -> Input.t -> Ido_ir.Ir.program
     edits, mirroring the VM's own load path.
     @raise Failure when an edit or the instrumenter rejects it. *)
 
-val run : ?opt:bool -> Input.t -> outcome
+type cache
+(** Base records and boot images shared by the runs of one campaign.
+    Safe to share between domains: a mutex guards it, and each run
+    restores the images it reads into a machine of its own. *)
+
+val cache : unit -> cache
+(** An empty cache.  It keeps every base's record and boot image (4 KiB
+    per page the setup phase wrote plus the volatile state; about 50 KB
+    on average over the default pairs) for as long as the cache
+    lives. *)
+
+val run : ?cache:cache -> ?opt:bool -> Input.t -> outcome
 (** Deterministic: same input (and [opt]), same outcome (features
-    included). *)
+    included), whatever [cache] holds.  Without [cache] the run uses a
+    fresh one. *)
 
 val primary_code : outcome -> string option
 (** The first failure code, the finding's identity for deduplication

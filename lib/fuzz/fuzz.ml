@@ -270,9 +270,10 @@ let run ?pool ?(chunk = 0) config =
      still leaves every worker busy) and merge serially in submission
      order — the report and corpus stay byte-identical at every [-j]
      and chunk size. *)
+  let cache = Exec.cache () in
   let eval_batch inputs =
     executions := !executions + List.length inputs;
-    Pool.opt_map_list ~chunk pool (Exec.run ~opt:config.opt) inputs
+    Pool.opt_map_list ~chunk pool (Exec.run ~cache ~opt:config.opt) inputs
   in
   let merge ~seed_stage outcomes =
     List.iter
@@ -290,7 +291,8 @@ let run ?pool ?(chunk = 0) config =
             if not (Hashtbl.mem finding_keys key) then begin
               Hashtbl.replace finding_keys key ();
               let s =
-                Shrink.shrink ~budget:config.shrink_budget ~opt:config.opt o
+                Shrink.shrink ~cache ~budget:config.shrink_budget
+                  ~opt:config.opt o
               in
               let entry =
                 Corpus.entry_of_outcome Corpus.Finding s.Shrink.s_outcome
@@ -391,7 +393,12 @@ let run ?pool ?(chunk = 0) config =
     r_buckets = Cov.buckets seen;
     r_survivors = !survivors;
     r_findings = findings;
-    r_corpus = { Corpus.c_seed = config.seed; c_entries = List.rev !entries };
+    r_corpus =
+      {
+        Corpus.c_seed = config.seed;
+        c_opt = config.opt;
+        c_entries = List.rev !entries;
+      };
     r_rediscovered;
   }
 

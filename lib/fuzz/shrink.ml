@@ -66,7 +66,8 @@ let candidates (input : Input.t) =
     (fun c -> Input.size c < sz)
     (crash_cands @ edit_cands @ variant_cands @ base_cands)
 
-let shrink ?(budget = 400) ?(opt = false) (outcome : Exec.outcome) =
+let shrink ?(cache = Exec.cache ()) ?(budget = 400) ?(opt = false)
+    (outcome : Exec.outcome) =
   (match outcome.Exec.o_failure with
   | None -> invalid_arg "Shrink.shrink: outcome is not a failure"
   | Some _ -> ());
@@ -79,7 +80,7 @@ let shrink ?(budget = 400) ?(opt = false) (outcome : Exec.outcome) =
           if !runs >= budget then best
           else begin
             incr runs;
-            let o = Exec.run ~opt c in
+            let o = Exec.run ~cache ~opt c in
             if o.Exec.o_failure <> None && Exec.primary_code o = code then
               go o
             else try_cands rest

@@ -18,7 +18,11 @@ val candidates : Input.t -> Input.t list
 (** The one-step shrink candidates of an input, each strictly smaller,
     in trial order (exposed for the property tests). *)
 
-val shrink : ?budget:int -> ?opt:bool -> Exec.outcome -> result
+val shrink :
+  ?cache:Exec.cache -> ?budget:int -> ?opt:bool -> Exec.outcome -> result
 (** [budget] caps total {!Exec.run} calls (default 400); [opt] must
     match the flag the outcome was produced under so re-runs reproduce.
+    The runs go through [cache] (a fresh one by default): a candidate
+    that only drops crash points of a recorded base re-runs nothing of
+    its crash-free probe.
     @raise Invalid_argument if the outcome is not a failure. *)

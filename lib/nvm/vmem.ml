@@ -43,4 +43,8 @@ let alloc t n =
   if n > 0 then ensure t (base + n - 1);
   base
 
+(* Words past [used] read 0 and a store there grows the memory, so the
+   copy holds only the words below the mark. *)
+let copy t =
+  { cells = Bytes.sub t.cells 0 (8 * Stdlib.max 16 t.used); used = t.used }
 let size t = t.used

@@ -33,5 +33,8 @@ val zero : t -> addr -> int -> unit
 val alloc : t -> int -> addr
 (** Bump-allocate [n] fresh zeroed words and return their base. *)
 
+val copy : t -> t
+(** An independent memory with the same contents and allocation mark. *)
+
 val size : t -> int
 (** Current high-water mark of allocated words. *)

@@ -28,6 +28,13 @@ let clear t =
   t.total <- 0;
   t.max_v <- -1
 
+let copy t = { counts = Array.copy t.counts; total = t.total; max_v = t.max_v }
+
+let assign ~into src =
+  into.counts <- Array.copy src.counts;
+  into.total <- src.total;
+  into.max_v <- src.max_v
+
 let total t = t.total
 
 let count_at t v =

@@ -16,6 +16,13 @@ val clear : t -> unit
 (** Forget every observation, keeping the backing storage (arena-reuse
     reset path). *)
 
+val copy : t -> t
+(** An independent collector holding the same observations. *)
+
+val assign : into:t -> t -> unit
+(** [assign ~into src] makes [into] hold exactly [src]'s observations
+    (a machine restored from a boot image takes its collectors back). *)
+
 val total : t -> int
 (** Number of observations recorded. *)
 

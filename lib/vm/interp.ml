@@ -1366,3 +1366,84 @@ let restore_crashed m ci =
   m.total_ops <- ci.ci_total_ops;
   m.crashed <- true;
   m.next_fase_id <- ci.ci_next_fase_id
+
+(* Everything of an idle machine with an empty overlay: the crash image
+   (whose pages then hold the whole memory), plus the volatile state a
+   crash discards.  The threads have all finished, so no waiter sits in
+   the lock table.  A finished thread never writes again, but its
+   record still counts (clocks, ranks, recycled stacks and log nodes):
+   the image keeps each record with its writer bound to a one-word
+   placeholder memory, so it does not keep the imaged machine's memory
+   alive, and every restore copies the records, writers rebound to the
+   machine's memory, because [run] re-ranks finished threads too. *)
+type boot_image = {
+  bi_crash : crash_image;
+  bi_vmem : Vmem.t;
+  bi_locks : lock_table;
+  bi_write_versions : version_table;
+  bi_commit_token_free_at : Timebase.ns;
+  bi_threads : thread array;
+  bi_free_stacks : int list;
+  bi_free_log_nodes : int list;
+  bi_stores_per_region : Cdf.t;
+  bi_livein_per_region : Cdf.t;
+}
+
+let copy_locks tb =
+  {
+    ids = Array.copy tb.ids;
+    mutexes =
+      Array.map
+        (fun l ->
+          if l == no_lock then no_lock
+          else { holder = l.holder; waiters = Queue.create () })
+        tb.mutexes;
+    count = tb.count;
+  }
+
+let copy_versions vt =
+  { addrs = Array.copy vt.addrs; versions = Array.copy vt.versions;
+    written = vt.written }
+
+let boot_image m =
+  if
+    m.crashed
+    || Vec.exists (fun t -> t.status <> Done) m.threads
+    || Pmem.dirty_lines m.pmem > 0
+    || Pmem.pending_flushes m.pmem > 0
+  then invalid_arg "Vm.boot_image: machine is not idle and flushed";
+  {
+    bi_crash = crash_image m;
+    bi_vmem = Vmem.copy m.vmem;
+    bi_locks = copy_locks m.locks;
+    bi_write_versions = copy_versions m.write_versions;
+    bi_commit_token_free_at = m.commit_token_free_at;
+    bi_threads =
+      (let placeholder = Pmem.create ~rng:(Rng.create 0) 1 in
+       Array.of_list
+         (List.map
+            (fun t ->
+              { t with writer = Pwriter.create placeholder m.config.latency })
+            (Vec.to_list m.threads)));
+    bi_free_stacks = m.free_stacks;
+    bi_free_log_nodes = m.free_log_nodes;
+    bi_stores_per_region = Cdf.copy m.stores_per_region;
+    bi_livein_per_region = Cdf.copy m.livein_per_region;
+  }
+
+let restore_boot m bi =
+  restore_crashed m bi.bi_crash;
+  m.crashed <- false;
+  m.vmem <- Vmem.copy bi.bi_vmem;
+  m.locks <- copy_locks bi.bi_locks;
+  m.write_versions <- copy_versions bi.bi_write_versions;
+  m.commit_token_free_at <- bi.bi_commit_token_free_at;
+  Array.iter
+    (fun t ->
+      Vec.push m.threads
+        { t with writer = Pwriter.create m.pmem m.config.latency })
+    bi.bi_threads;
+  m.free_stacks <- bi.bi_free_stacks;
+  m.free_log_nodes <- bi.bi_free_log_nodes;
+  Cdf.assign ~into:m.stores_per_region bi.bi_stores_per_region;
+  Cdf.assign ~into:m.livein_per_region bi.bi_livein_per_region

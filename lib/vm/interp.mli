@@ -60,3 +60,22 @@ val restore_crashed : State.t -> crash_image -> unit
     image's post-crash state, ready for recovery, reusing its large
     allocations as {!reset} does.  Observers are removed and the
     region-statistics collectors start empty. *)
+
+type boot_image
+(** An idle, flushed machine, volatile state included (see
+    {!boot_image}). *)
+
+val boot_image : State.t -> boot_image
+(** The whole machine, copied out without changing it: its memory
+    (which equals the persistence domain, the overlay being empty), the
+    pmem generator and counters, DRAM, the lock and write-version
+    tables, the finished threads, the region-statistics collectors and
+    the machine's generator, clocks and id counters.
+    @raise Invalid_argument unless every thread has finished and the
+    overlay holds no dirty line and no pending write-back. *)
+
+val restore_boot : State.t -> boot_image -> unit
+(** Put a machine built from the same config and program into the
+    image's state, reusing its large allocations as {!reset} does;
+    observers are removed.  The image is only read, so one image may be
+    restored any number of times, into any number of machines. *)

@@ -39,6 +39,11 @@ type crash_image = Interp.crash_image
 
 let crash_image = Interp.crash_image
 let restore_crashed = Interp.restore_crashed
+
+type boot_image = Interp.boot_image
+
+let boot_image = Interp.boot_image
+let restore_boot = Interp.restore_boot
 let recover = Recover.recover
 
 let flush_all (m : t) = Ido_nvm.Pmem.flush_all m.State.pmem

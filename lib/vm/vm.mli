@@ -62,9 +62,9 @@ val reset : t -> unit
     the instrumented image and every large allocation.  Subsequent runs
     are byte-identical to runs on a fresh machine built from the same
     config and program; previously obtained thread handles become
-    invalid and any tracer/event hook/obs sink is removed.  Hot paths
-    that boot thousands of identical machines (the crash explorer's
-    per-chunk arenas) call this instead of {!create}. *)
+    invalid and any tracer/event hook/obs sink is removed.  A machine
+    that boots repeatedly sets up once and then restores a
+    {!boot_image} instead, which also skips [init]. *)
 
 type thread = State.thread
 
@@ -116,6 +116,33 @@ val restore_crashed : t -> crash_image -> unit
     {!reset} it reuses the machine's large allocations and removes any
     tracer, event hook or obs sink; the {!region_stats} collectors
     start empty.  {!crash} itself stays in place and copies nothing.
+    @raise Invalid_argument when the image comes from a machine with
+    another persistent-memory size. *)
+
+type boot_image
+(** A whole idle machine, volatile state included, held apart from any
+    machine. *)
+
+val boot_image : t -> boot_image
+(** The machine as it stands after {!run_init}: every thread finished,
+    the overlay empty.  Unlike a {!crash_image} it also keeps what a
+    power failure loses — DRAM, the lock and write-version tables, the
+    finished threads, the {!region_stats} collectors — so nothing needs
+    recovering.  Like a crash image it copies every page the machine
+    has written.
+    @raise Invalid_argument when a thread has not finished, the machine
+    has crashed, or a dirty line or a write-back is pending. *)
+
+val restore_boot : t -> boot_image -> unit
+(** Put the machine into the image's state: the machine must come from
+    the same config and program as the one imaged.  Every run
+    afterwards is byte-identical to the same run on the imaged machine
+    — event stream, clocks, pmem counters, {!total_ops} — so a machine
+    that boots repeatedly pays {!run_init} once and restores the image
+    after that.  Like {!reset} it reuses the
+    machine's large allocations and removes any tracer, event hook or
+    obs sink.  The image is only read: it may be restored any number
+    of times.
     @raise Invalid_argument when the image comes from a machine with
     another persistent-memory size. *)
 

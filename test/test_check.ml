@@ -117,8 +117,9 @@ let restore_is_inject (workload, seed, cache_lines, strict) () =
   List.iter
     (fun scheme ->
       let workload = if scheme = Scheme.Nvml then "objstore" else workload in
-      (* Each objstore boot prefills 1000 objects (~7 ms), so NVML runs
-         fewer ops to keep its from-boot runs few. *)
+      (* Each objstore setup prefills 1000 objects (~7 ms); the
+         from-boot side sets up once and restores its boot image after
+         that, and NVML runs fewer ops to keep its injections few. *)
       let threads, ops = if workload = "objstore" then (1, 2) else (2, 6) in
       let s =
         Engine.defaults ~threads ~ops ~cache_lines ~strict ~seed ~scheme
@@ -151,6 +152,154 @@ let restore_tests =
         `Quick (restore_is_inject case))
     restore_cases
 
+(* A machine restored from its boot image runs exactly as the machine
+   it was imaged from: the same event stream, durable image, pmem
+   counters, clock and operation count, and the same observations, on
+   the imaged machine after its own run (twice in a row, and after a
+   crash), and on a new machine that never ran [init].  Every scheme ×
+   every workload it supports, plus per scheme a random genome and a
+   program whose workers observe a DRAM word [init] wrote (DRAM is
+   volatile state a crash image would drop), with the cache size
+   cycling through 2, 4 and 4096 lines. *)
+let dram_program =
+  let open Ido_ir in
+  let b, _ = Builder.create ~name:"init" ~nparams:0 in
+  Builder.store b Ir.Transient (Ir.Imm 0L) 300 (Ir.Imm 42L);
+  Builder.ret b None;
+  let init = Builder.finish b in
+  let b, _ = Builder.create ~name:"worker" ~nparams:1 in
+  let v = Builder.load b Ir.Transient (Ir.Imm 0L) 300 in
+  Ido_workloads.Wcommon.observe b (Ir.Reg v);
+  Builder.ret b None;
+  { Ir.funcs = [ ("init", init); ("worker", Builder.finish b) ] }
+
+let boot_cases =
+  let genome =
+    match
+      Ido_fuzz.Input.base_of_string "random:s(S9.46;L4)|l1(A3)|l1(M;S3.40)"
+    with
+    | Some base -> base
+    | None -> Alcotest.fail "genome does not parse"
+  in
+  let custom ~scheme ~seed ~cache_lines program =
+    {
+      Engine.c_program = program;
+      c_scheme = scheme;
+      c_seed = seed;
+      c_cache_lines = cache_lines;
+      c_threads = 1;
+      c_worker_arg = 0L;
+      c_opt = false;
+      c_validate = (fun _ -> Ok ());
+    }
+  in
+  List.concat_map
+    (fun scheme ->
+      List.filter_map
+        (fun w ->
+          if Engine.supported scheme w then Some (scheme, `Workload w)
+          else None)
+        Ido_workloads.Workload.names
+      @ [ (scheme, `Genome); (scheme, `Dram) ])
+    Scheme.all
+  |> List.mapi (fun seed (scheme, base) ->
+         let cache_lines = [| 2; 4; 4096 |].(seed mod 3) in
+         match base with
+         | `Workload workload ->
+             let threads = if workload = "objstore" then 1 else 2 in
+             let s =
+               Engine.defaults ~threads ~ops:8 ~cache_lines ~seed ~scheme
+                 ~workload ()
+             in
+             (Engine.custom_of_spec s, Some workload)
+         | `Genome ->
+             ( custom ~scheme ~seed ~cache_lines
+                 (Ido_fuzz.Input.source_program
+                    (Ido_fuzz.Input.make ~scheme genome)),
+               None )
+         | `Dram -> (custom ~scheme ~seed ~cache_lines dram_program, None))
+
+let boot_image_is_fresh_boot () =
+  let module Vm = Ido_vm.Vm in
+  List.iter
+    (fun ((c : Engine.custom), workload) ->
+      let label =
+        Printf.sprintf "%s/%s seed %d, %d lines"
+          (Scheme.name c.Engine.c_scheme)
+          (Option.value workload ~default:"custom")
+          c.Engine.c_seed c.Engine.c_cache_lines
+      in
+      let config =
+        { (Vm.config c.Engine.c_scheme) with
+          Vm.seed = c.Engine.c_seed;
+          cache_lines = c.Engine.c_cache_lines;
+          pmem_words = 1 lsl 20 }
+      in
+      let create () = Vm.create config c.Engine.c_program in
+      (* The worker phase of a set-up machine, and what it leaves. *)
+      let run m =
+        let threads =
+          List.init c.Engine.c_threads (fun _ ->
+              Vm.spawn m ~fname:"worker" ~args:[ c.Engine.c_worker_arg ])
+        in
+        let obs = Ido_obs.Obs.create () in
+        Vm.set_obs m (Some obs);
+        (match Vm.run m with
+        | `Idle -> ()
+        | _ -> Alcotest.fail (label ^ ": worker phase did not finish"));
+        Vm.set_obs m None;
+        Vm.flush_all m;
+        let pm = Vm.pmem m in
+        let root = Engine.probe_root m in
+        let digest =
+          match workload with
+          | Some workload ->
+              Ido_workloads.Oracle.digest ~workload ~root
+                {
+                  Ido_workloads.Oracle.load = Ido_nvm.Pmem.load pm;
+                  size = Ido_nvm.Pmem.size pm;
+                }
+          | None ->
+              Digest.to_hex
+                (Digest.string
+                   (Marshal.to_string
+                      (Engine.heap_words m ~base:(Int64.to_int root)
+                         ~len:Ido_fuzz.Input.cells)
+                      []))
+        in
+        let k = Ido_nvm.Pmem.counters pm in
+        ( Ido_obs.Obs.events obs,
+          digest,
+          { k with Ido_nvm.Pmem.loads = k.Ido_nvm.Pmem.loads },
+          Vm.clock m,
+          Vm.total_ops m,
+          List.map Vm.observations threads )
+      in
+      let fresh =
+        let m = create () in
+        Vm.run_init m;
+        run m
+      in
+      let check what m =
+        if run m <> fresh then Alcotest.failf "%s: %s differs" label what
+      in
+      let m = create () in
+      Vm.run_init m;
+      let image = Vm.boot_image m in
+      check "the imaged machine's own run" m;
+      Vm.restore_boot m image;
+      check "a restore after a run" m;
+      ignore (Vm.spawn m ~fname:"worker" ~args:[ c.Engine.c_worker_arg ]);
+      ignore (Vm.run ~max_steps:40 m);
+      Vm.crash m;
+      Vm.restore_boot m image;
+      Vm.restore_boot m image;
+      check "two restores in a row after a crash" m;
+      let m' = create () in
+      Vm.restore_boot m' image;
+      check "a restore into a new machine" m')
+    boot_cases
+
 let suites =
   [
     ( "check.engine",
@@ -172,4 +321,9 @@ let suites =
       ] );
     ("check.differential", differential_cases);
     ("check.crash_image", restore_tests);
+    ( "check.boot_image",
+      [
+        Alcotest.test_case "boot image = fresh boot, every scheme and workload"
+          `Quick boot_image_is_fresh_boot;
+      ] );
   ]

@@ -482,6 +482,11 @@ let restored_matches_from_boot () =
   Alcotest.(check bool) "the genome fails" true
     ((Exec.run failing_genome).Exec.o_failure <> None)
 
+(* Machines booted so far, in full or from a boot image. *)
+let boots_total () =
+  let b = Engine.boots () in
+  b.Engine.full + b.Engine.restored
+
 (* A restored probe's sink sees exactly what a from-boot probe's sink
    sees after the crash point (the crash, recovery and the final
    flush), the forward probe's [snap] runs when its own sink has seen
@@ -515,7 +520,7 @@ let restored_stream_is_from_boot_suffix () =
           let boot = Obs.create () in
           let p = Engine.probe ~index ~obs:boot custom in
           let restored = Obs.create () and prefix = ref None in
-          let before = Engine.boots () in
+          let before = boots_total () in
           let q =
             Engine.probe_crashed forward ~index
               ~obs:(fun snap ->
@@ -524,7 +529,7 @@ let restored_stream_is_from_boot_suffix () =
               ~validate:(fun _ -> Ok ())
           in
           Alcotest.(check int)
-            (label ^ " boots nothing") before (Engine.boots ());
+            (label ^ " boots nothing") before (boots_total ());
           let n =
             match !prefix with
             | Some n -> n
@@ -553,15 +558,97 @@ let one_machine_per_candidate () =
     (Exec.run (Input.make ~scheme:Scheme.Justdo base)).Exec.o_schedule
   in
   let boots crashes =
-    let before = Engine.boots () in
+    let before = boots_total () in
     ignore (Exec.run (Input.make ~crashes ~scheme:Scheme.Justdo base));
-    Engine.boots () - before
+    boots_total () - before
   in
   Alcotest.(check int) "no crash points" 1 (boots []);
   Alcotest.(check int) "four in range" 1 (boots [ len; 7; 0; 7 ]);
   Alcotest.(check int) "one wrapped" 2 (boots [ 7; len + 1 + 9 ]);
   Alcotest.(check int) "wrapped onto a captured index" 1
     (boots [ 7; len + 1 + 7 ])
+
+(* ---------- the campaign cache ---------- *)
+
+(* Through a shared cache, every input gives the outcome an uncached
+   run gives: the base's first run (which records it), a crash-free
+   repeat (which boots nothing), and crash lists in range, wrapped,
+   at idle (= the schedule length), duplicated and unsorted, each on
+   the recorded base.  Every default pair, and the seed-40 torn-heap
+   genome, whose F701 the cache must still find. *)
+let cached_matches_uncached () =
+  let cache = Exec.cache () in
+  List.iter
+    (fun (input : Input.t) ->
+      let base = { input with Input.crashes = [] } in
+      let len = (Exec.run base).Exec.o_schedule in
+      let check crashes =
+        let input = { input with Input.crashes } in
+        let before = boots_total () in
+        let o = Exec.run ~cache input in
+        let booted = boots_total () - before in
+        if o <> Exec.run input then
+          Alcotest.failf "%s: cached outcome differs" (Input.label input);
+        booted
+      in
+      ignore (check []);
+      Alcotest.(check int)
+        (Input.label base ^ " crash-free repeat boots nothing")
+        0 (check []);
+      List.iter
+        (fun crashes -> ignore (check crashes))
+        [
+          input.Input.crashes;
+          [ 3; len / 2 ];
+          [ len + 1 + 5; (2 * len) + 2 ];
+          [ len ];
+          [ 7; 7; len / 3; 7 ];
+          [ len - 1; 2; len / 2; 0 ];
+        ])
+    (failing_genome
+    :: List.map
+         (fun (scheme, w) -> Input.make ~scheme (Input.Workload w))
+         (Fuzz.pairs_of Fuzz.default_config));
+  Alcotest.(check (option string))
+    "the genome's F701 is found through the cache" (Some "F701")
+    (Exec.primary_code (Exec.run ~cache failing_genome))
+
+(* A campaign sets up each (scheme, base) once: later candidates on it
+   restore its boot image, and a crash-free repeat boots nothing. *)
+let one_full_boot_per_base () =
+  let config =
+    {
+      Fuzz.default_config with
+      Fuzz.seed = 5;
+      budget = 80;
+      schemes = [ Scheme.Justdo; Scheme.Ido ];
+      workloads = [ "queue"; "stack" ];
+      rediscover = true;
+      shrink_budget = 20;
+    }
+  in
+  let before = Engine.boots () in
+  ignore (Fuzz.run config);
+  let after = Engine.boots () in
+  Alcotest.(check int) "one full boot per pair"
+    (List.length (Fuzz.pairs_of config))
+    (after.Engine.full - before.Engine.full);
+  Alcotest.(check bool) "later candidates restore" true
+    (after.Engine.restored > before.Engine.restored);
+  let cache = Exec.cache () in
+  let input = Input.make ~scheme:Scheme.Justdo (Input.Workload "queue") in
+  ignore (Exec.run ~cache input);
+  let delta f =
+    let b = Engine.boots () in
+    f ();
+    let a = Engine.boots () in
+    (a.Engine.full - b.Engine.full, a.Engine.restored - b.Engine.restored)
+  in
+  Alcotest.(check (pair int int)) "crash-free repeat" (0, 0)
+    (delta (fun () -> ignore (Exec.run ~cache input)));
+  Alcotest.(check (pair int int)) "crash points on a recorded base" (0, 1)
+    (delta (fun () ->
+         ignore (Exec.run ~cache { input with Input.crashes = [ 9; 4; 9 ] })))
 
 (* ---------- input codec ---------- *)
 
@@ -723,6 +810,46 @@ let corpus_roundtrip () =
       Alcotest.(check int) "corpus replays faithfully" 0
         (List.length (Corpus.verify c)))
 
+(* A campaign over the optimized pipeline writes ["opt":true] into its
+   corpus header (a plain one writes no [opt] at all), and its entries
+   replay under the optimizer: every entry reproduces its codes and
+   coverage digest. *)
+let opt_corpus_replays_optimized () =
+  let r =
+    Fuzz.run ?pool:None { small_config with Fuzz.opt = true; budget = 40 }
+  in
+  let header c = List.hd (String.split_on_char '\n' (Corpus.to_ndjson c)) in
+  let has_opt c =
+    let h = header c in
+    let pat = {|"opt":true|} in
+    let n = String.length pat in
+    List.exists
+      (fun i -> String.sub h i n = pat)
+      (List.init (String.length h - n + 1) Fun.id)
+  in
+  Alcotest.(check bool) "header says opt" true (has_opt r.Fuzz.r_corpus);
+  Alcotest.(check bool) "a plain header says nothing" false
+    (has_opt
+       (Fuzz.run ?pool:None { small_config with Fuzz.budget = 10 }).Fuzz
+         .r_corpus);
+  let path = Filename.temp_file "ido_fuzz_opt" ".ndjson" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      Corpus.save r.Fuzz.r_corpus path;
+      let c = Corpus.load path in
+      Alcotest.(check bool) "loads as opt" true c.Corpus.c_opt;
+      Alcotest.(check int) "verifies clean" 0 (List.length (Corpus.verify c));
+      List.iter
+        (fun (e : Corpus.entry) ->
+          if
+            Corpus.entry_of_outcome e.Corpus.e_kind
+              (Corpus.replay_entry ~opt:true e)
+            <> e
+          then
+            Alcotest.failf "%s does not replay" (Input.label e.Corpus.e_input))
+        c.Corpus.c_entries)
+
 let corpus_feeds_mutation_corpus () =
   let r = Fuzz.run ?pool:None small_config in
   let mutants = Corpus.to_mutants r.Fuzz.r_corpus in
@@ -833,5 +960,11 @@ let suites =
           one_machine_per_candidate;
         Alcotest.test_case "restored sink stream = from-boot suffix" `Quick
           restored_stream_is_from_boot_suffix;
+        Alcotest.test_case "cached runs = uncached runs" `Quick
+          cached_matches_uncached;
+        Alcotest.test_case "one full boot per (scheme, base)" `Quick
+          one_full_boot_per_base;
+        Alcotest.test_case "an --opt corpus replays optimized" `Slow
+          opt_corpus_replays_optimized;
       ] );
   ]
