@@ -96,7 +96,6 @@ let build (func : Ir.func) =
   { func; succs; preds; rpo; rpo_index; idom; reach }
 
 let func t = t.func
-let nblocks t = Array.length t.func.blocks
 let succs t b = t.succs.(b)
 let preds t b = t.preds.(b)
 let reverse_postorder t = t.rpo

@@ -9,7 +9,6 @@ type t
 val build : Ir.func -> t
 
 val func : t -> Ir.func
-val nblocks : t -> int
 val succs : t -> int -> int list
 val preds : t -> int -> int list
 
@@ -20,7 +19,8 @@ val reachable : t -> int -> bool
 (** Reachable from the entry block. *)
 
 val idom : t -> int -> int option
-(** Immediate dominator; [None] for the entry or unreachable blocks. *)
+(** Immediate dominator; [None] for the entry or unreachable blocks.
+    Exported as the primitive {!dominates} is built on. *)
 
 val dominates : t -> int -> int -> bool
 (** [dominates t a b]: does block [a] dominate block [b]? *)

@@ -56,5 +56,3 @@ let compare a b =
       | Some p, Some q -> Ir.compare_pos p q
     in
     if c <> 0 then c else String.compare a.code b.code
-
-let pp fmt d = Format.pp_print_string fmt (render d)

@@ -19,7 +19,9 @@ val compute : Cfg.t -> (t, string) result
 val compute_exn : Cfg.t -> t
 
 val depth_before : t -> Ir.pos -> int
-(** Lock depth just before the instruction at [pos] executes. *)
+(** Lock depth just before the instruction at [pos] executes.
+    Exported as the lock-depth half of {!in_fase}, which the FASE
+    tests check nesting through. *)
 
 val durable_before : t -> Ir.pos -> bool
 

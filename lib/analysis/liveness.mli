@@ -9,10 +9,8 @@ type t
 val compute : Cfg.t -> t
 
 val live_in : t -> int -> Regset.t
-(** Registers live at entry of a block. *)
-
-val live_out : t -> int -> Regset.t
-(** Registers live at exit of a block. *)
+(** Registers live at entry of a block.
+    Exported as the block-level primitive {!live_at} is built on. *)
 
 val live_at : t -> Ir.pos -> Regset.t
 (** Registers live just {e before} the instruction (or terminator) at

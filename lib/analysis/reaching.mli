@@ -2,7 +2,7 @@
 
     For each program position, the set of definition sites whose value
     a register may still hold.  Function parameters are modelled as
-    definitions at the virtual position [param_pos] so that every use
+    definitions at a virtual position in block -1 so that every use
     is reached by at least one definition in a validated program.
 
     {!Alias} consumes this analysis to resolve address expressions
@@ -16,12 +16,10 @@ type t
 
 val compute : Cfg.t -> t
 
-val param_pos : int -> Ir.pos
-(** Virtual definition site of the [i]-th parameter (block -1). *)
-
 val defs_at : t -> Ir.pos -> Ir.reg -> Ir.pos list
 (** Definition sites of [reg] reaching the point just before the
-    instruction at [pos]; sorted, without duplicates. *)
+    instruction at [pos]; sorted, without duplicates.
+    Exported as the reference {!unique_def} is checked against. *)
 
 val unique_def : t -> Ir.pos -> Ir.reg -> Ir.pos option
 (** [Some d] when exactly one definition reaches. *)

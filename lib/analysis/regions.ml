@@ -181,8 +181,6 @@ let compute cfg fase liveness alias =
     n_hitting = PosSet.cardinal hitting;
   }
 
-let cut_positions t = List.map (fun c -> c.pos) t.cuts
-
 (* Oracle for tests: forward walk from each WAR load; if the matching
    store is reachable without crossing a cut, region formation failed. *)
 let verify_no_war_within_regions cfg fase alias t =

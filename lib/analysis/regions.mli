@@ -46,8 +46,6 @@ val compute : Cfg.t -> Fase.t -> Liveness.t -> Alias.t -> t
 (** @raise Failure on an irreducible CFG (a retreating edge whose
     target does not dominate its source). *)
 
-val cut_positions : t -> Ir.pos list
-
 val verify_no_war_within_regions : Cfg.t -> Fase.t -> Alias.t -> t -> bool
 (** Test oracle: no may-alias WAR pair survives without a cut between
     its load and its store (checked exhaustively over paths of bounded

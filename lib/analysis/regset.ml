@@ -1,7 +1,1 @@
 include Set.Make (Int)
-
-let of_regs = of_list
-
-let pp fmt s =
-  Format.fprintf fmt "{%s}"
-    (String.concat "," (List.map (fun r -> "r" ^ string_of_int r) (elements s)))

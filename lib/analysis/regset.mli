@@ -1,6 +1,3 @@
 (** Sets of virtual registers (thin wrapper over [Set.Make(Int)]). *)
 
 include Set.S with type elt = int
-
-val of_regs : int list -> t
-val pp : Format.formatter -> t -> unit

@@ -116,13 +116,15 @@ val inject_outcomes : spec -> int array -> outcome array
 (** {!inject} at each index, each run from boot: the first on a fresh
     machine, which then keeps a {!Ido_vm.Vm.boot_image} of its set-up
     state, the rest on the same machine restored from that image, which
-    runs byte-identically to a fresh one without re-running setup. *)
+    runs byte-identically to a fresh one without re-running setup.
+    Exported as the from-boot reference for the restore paths. *)
 
 val restored_outcomes : spec -> int array -> outcome array
 (** The same injections at strictly ascending [indices], each restored
     from a crash image taken during one forward run, through the same
     capture-and-restore loop {!explore} runs.  Equal to
-    {!inject_outcomes} at every index.
+    {!inject_outcomes} at every index.  Exported as the differential
+    check of {!explore}'s restore loop.
     @raise Invalid_argument when the indices do not ascend or one is
     negative. *)
 
@@ -252,7 +254,9 @@ val probe : ?index:int -> obs:Ido_obs.Obs.t -> custom -> probe
     subsequence of the sink's stream, and the final
     {!Ido_vm.Vm.flush_all} emits nothing.  A sink with a [tap]
     therefore derives a run's crash-point schedule without a separate
-    recording run. *)
+    recording run.
+    Exported as the from-boot reference the restored probes are
+    checked against. *)
 
 type arena
 (** A reusable machine for the runs of one custom.  Unless it was given
@@ -336,7 +340,9 @@ val boots : unit -> boots
     from-boot {!probe} or injection boots one — in full on a new
     machine, from the boot image on an arena that has booted before —
     and a restored {!probe_crashed} none.  One-shot boots ({!record},
-    {!probe}, {!inject}, {!run_traced}) take no boot image. *)
+    {!probe}, {!inject}, {!run_traced}) take no boot image.
+    Exported as the only view of boot accounting; the fuzz tests count
+    boots with it. *)
 
 val heap_words : Ido_vm.Vm.t -> base:int -> len:int -> int64 array
 (** [len] persistent words starting at [base] — the raw material of a

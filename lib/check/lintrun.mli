@@ -17,10 +17,6 @@ type pair = {
   diags : Diag.t list;
 }
 
-val lint_pair : Scheme.t -> string -> Diag.t list
-(** Instrument [Workload.named workload] for [scheme] and lint it with
-    thread entry ["worker"]. *)
-
 val sweep :
   ?pool:Ido_util.Pool.t ->
   ?chunk:int ->

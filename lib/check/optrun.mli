@@ -36,19 +36,6 @@ type cell = {
   o_exhaustive : bool;
 }
 
-val persists : Obs.rollup -> int
-(** [flushes + fences] — the clwb+fence persist-event count. *)
-
-val eliminated : cell -> int
-val pct : cell -> float
-
-val run_cell :
-  ?budget:int -> scheme:Scheme.t -> workload:string -> unit -> cell
-(** Optimize one pair and enforce all obligations ([budget] caps the
-    crash-matrix injections, default 300).  When no rewrite fires the
-    dynamic obligations are skipped — the programs are identical.
-    @raise Ido_opt.Opt.Opt_violation on any divergence. *)
-
 val sweep :
   ?pool:Ido_util.Pool.t ->
   ?chunk:int ->
@@ -58,5 +45,4 @@ val sweep :
   unit ->
   cell list
 
-val render_cell : cell -> string
 val render : cell list -> string

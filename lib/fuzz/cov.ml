@@ -155,11 +155,6 @@ let observe a (ev : Obs.event) =
 let collect a = to_array a.bits
 let merge a fs = Array.iter (put a.bits) fs
 
-let features ~scheme events =
-  let a = acc ~scheme in
-  List.iter (observe a) events;
-  collect a
-
 (* Statically-evaluated inputs have no trace; their behaviour is the
    diagnostic set the linter produced (plus a shape bucket, so distinct
    clean programs still register).  Sharing the bucket space with the

@@ -66,13 +66,14 @@ type report = {
 val pairs_of : config -> (Scheme.t * string) list
 (** The campaign's clean scheme/workload pairs: every supported pair of
     the configured schemes and workloads, Origin excluded (no recovery
-    — every crash point would "fail"), workload-major. *)
+    — every crash point would "fail"), workload-major.
+    Exported as the pair list {!run} is built on. *)
 
 val run : ?pool:Ido_util.Pool.t -> ?chunk:int -> config -> report
 (** Byte-identical for a given config at every pool size and chunk
     size.  [chunk] batches consecutive candidate executions into one
-    pool task ([0], the default: auto-size per wave — see
-    {!Ido_util.Pool.default_chunk}).
+    pool task ([0], the default: auto-size per wave, as
+    {!Ido_util.Pool.map_chunks} does).
     @raise Invalid_argument when [budget] is below 1 ("budget must be
     >= 1 (got 0)"), [shrink_budget] or [chunk] below 0, or when the
     filter leaves nothing to fuzz: no failure-atomic scheme in

@@ -326,5 +326,3 @@ let of_json ~fail line =
     | None -> raise (fail (Printf.sprintf "malformed crashes %S" raw))
   in
   { scheme; base; edits; variant; crashes }
-
-let equal (a : t) (b : t) = a = b

@@ -21,12 +21,6 @@ let make ?(seed = 42) ?latency ?(obs = false) ~scheme ~workload ~threads ~ops ()
   check_positive "ops" ops;
   { scheme; workload; seed; threads; ops; latency; obs }
 
-let with_scheme t scheme = { t with scheme }
-
-let with_threads t threads =
-  check_positive "threads" threads;
-  { t with threads }
-
 let workload t = Ido_workloads.Workload.get t.workload
 let program t = Ido_workloads.Workload.named t.workload
 

@@ -42,11 +42,6 @@ val check_positive : string -> int -> unit
     >= 1 (got <n>)"] when [n < 1] — the shared guard of every
     spec-building entry point. *)
 
-val with_scheme : t -> Scheme.t -> t
-
-val with_threads : t -> int -> t
-(** @raise Invalid_argument when the count is below 1. *)
-
 val workload : t -> Ido_workloads.Workload.t
 (** @raise Invalid_argument for a name missing from the registry. *)
 

@@ -23,8 +23,6 @@
 open Ido_ir
 open Ido_runtime
 
-val instrument_func : Scheme.t -> Ir.func -> Ir.func
-
 val instrument : ?lint:bool -> ?opt:bool -> Scheme.t -> Ir.program -> Ir.program
 (** Instrument every function.  With [~lint:true] the result is passed
     through the static crash-consistency linter

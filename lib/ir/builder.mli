@@ -13,14 +13,13 @@ val create : name:string -> nparams:int -> t * reg list
 (** Start a function.  Returns the builder and the parameter
     registers.  The entry block exists and is the insertion point. *)
 
-val fresh : t -> reg
-(** A fresh virtual register. *)
-
 type blabel
 (** Handle for a declared block. *)
 
 val block : t -> string -> blabel
-(** Declare (but do not enter) a new block. *)
+(** Declare (but do not enter) a new block.
+    Exported with {!switch_to}, {!br} and {!cbr} as the block API the
+    structured combinators are built on. *)
 
 val switch_to : t -> blabel -> unit
 (** Move the insertion point to the start of [blabel] (which must not
@@ -41,6 +40,9 @@ val assign_bin : t -> reg -> binop -> operand -> operand -> unit
 val load : t -> space -> operand -> int -> reg
 val store : t -> space -> operand -> int -> operand -> unit
 val alloca : t -> int -> reg
+(** Exported so that hand-built programs can emit [Alloca]; no
+    workload uses it. *)
+
 val lock : t -> operand -> unit
 val unlock : t -> operand -> unit
 val durable_begin : t -> unit

@@ -128,11 +128,6 @@ let successors = function
 
 let is_hook = function Hook _ -> true | _ -> false
 
-let writes_memory = function
-  | Store _ -> true
-  | Intrinsic { intr = Nv_alloc | Nv_free | Root_set; _ } -> true
-  | _ -> false
-
 let fold_instrs f acc func =
   let acc = ref acc in
   Array.iteri

@@ -156,15 +156,11 @@ val successors : terminator -> int list
 
 val is_hook : instr -> bool
 
-val writes_memory : instr -> bool
-(** True for stores and memory-writing intrinsics. *)
-
 val fold_instrs : ('a -> pos -> instr -> 'a) -> 'a -> func -> 'a
 (** Left fold over every instruction of every block, in layout order. *)
 
 (** {1 Printing} *)
 
-val pp_operand : Format.formatter -> operand -> unit
 val pp_instr : Format.formatter -> instr -> unit
 val pp_terminator : Format.formatter -> terminator -> unit
 val pp_func : Format.formatter -> func -> unit

@@ -45,8 +45,3 @@ let codes =
     ("L502", "empty candidate lockset for a shared persistent location");
     ("L503", "cycle in the static lock-order graph");
   ]
-
-let explain code =
-  match List.assoc_opt code codes with
-  | Some s -> s
-  | None -> "unknown diagnostic code"

@@ -16,12 +16,6 @@ open Ido_ir
 open Ido_analysis
 open Ido_runtime
 
-val lint_func :
-  ?variant:string -> Scheme.t -> Ir.func -> Diag.t list * Transfer.result
-(** Lint one instrumented function.  The {!Transfer.result} carries
-    the accesses and lock-order edges the caller can feed to
-    {!Lockset.check}. *)
-
 val lint_program :
   ?variant:string -> ?entries:string list -> Scheme.t -> Ir.program -> Diag.t list
 (** Lint every function and run the lockset pass over [entries] (their
@@ -30,10 +24,6 @@ val lint_program :
     and if none remain every function is checked.  Diagnostics are
     sorted and deduplicated.  [variant] substitutes a named buggy hook
     protocol ({!Hook_model.variants}). *)
-
-val explain : string -> string
-(** One-line explanation of a stable error code (["L201"], ...);
-    useful for CLI output and docs. *)
 
 val codes : (string * string) list
 (** All stable codes with their explanations, in order. *)

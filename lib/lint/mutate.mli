@@ -85,5 +85,6 @@ val ingest :
   unit ->
   t
 (** Build a corpus entry from serialised edits (a fuzzer finding).
-    The stage is inferred from the edits.
+    The stage is inferred from the edits.  Exported as the way a fuzzer
+    finding's edits become an entry.
     @raise Invalid_argument when [edits] mixes both stages. *)

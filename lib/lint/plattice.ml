@@ -2,7 +2,6 @@ type pstate = Dirty | Written_back | Durable
 
 let rank = function Dirty -> 0 | Written_back -> 1 | Durable -> 2
 let join_pstate a b = if rank a <= rank b then a else b
-let pstate_leq a b = rank a <= rank b
 
 let pstate_to_string = function
   | Dirty -> "volatile-dirty"

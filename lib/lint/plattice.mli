@@ -18,10 +18,6 @@
 
 type pstate = Dirty | Written_back | Durable
 
-val join_pstate : pstate -> pstate -> pstate
-(** Least durable wins. *)
-
-val pstate_leq : pstate -> pstate -> bool
 val pstate_to_string : pstate -> string
 
 module Smap : Map.S with type key = string

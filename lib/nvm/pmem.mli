@@ -63,7 +63,8 @@ val materialised_pages : t -> int
 (** Pages holding a private copy: those written by [store] or [poke]
     since {!create} ([zero] never materialises one).  The memory's
     footprint is about 8.5 KiB per such page: two 4 KiB images and
-    the line-to-index table. *)
+    the line-to-index table.
+    Exported as the footprint probe of the paging tests. *)
 
 (** {1 Persist-event observation}
 
@@ -162,10 +163,13 @@ val drain_pending : t -> unit
 
 val persisted : t -> addr -> int64
 (** The value currently in the persistence domain (what a crash would
-    leave behind), ignoring any newer un-flushed store. *)
+    leave behind), ignoring any newer un-flushed store.
+    Exported as the persistence-domain oracle. *)
 
 val is_dirty : t -> addr -> bool
-(** True when the word's line holds an un-persisted update. *)
+(** True when the word's line holds an un-persisted update.
+    Exported as the per-word write-back probe of the persistence
+    tests. *)
 
 val dirty_lines : t -> int
 (** Number of dirty lines currently in the overlay. *)
@@ -174,7 +178,8 @@ val dirty_linenos : t -> int list
 (** The dirty lines' numbers in dirty-index order (first-dirtied first,
     except lines repositioned by the swap-with-last removal of an
     earlier write-back).  {!flush_all} persists in exactly this
-    order. *)
+    order.
+    Exported as the reference for {!flush_all}'s order. *)
 
 val crash : t -> unit
 (** Power failure: drop the overlay in place.  Subsequent loads see

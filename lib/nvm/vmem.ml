@@ -47,4 +47,3 @@ let alloc t n =
    copy holds only the words below the mark. *)
 let copy t =
   { cells = Bytes.sub t.cells 0 (8 * Stdlib.max 16 t.used); used = t.used }
-let size t = t.used

@@ -12,7 +12,8 @@ type t
 
 val create : ?initial:int -> unit -> t
 val load : t -> addr -> int64
-(** Words never stored read 0, at any address. *)
+(** Words never stored read 0, at any address.
+    Exported as the primitive {!load_into} is built on. *)
 
 val store : t -> addr -> int64 -> unit
 (** Grows the memory on demand; addresses must be non-negative. *)
@@ -35,6 +36,3 @@ val alloc : t -> int -> addr
 
 val copy : t -> t
 (** An independent memory with the same contents and allocation mark. *)
-
-val size : t -> int
-(** Current high-water mark of allocated words. *)

@@ -49,28 +49,19 @@ let rollup_zero () =
     recovery_steps = 0;
   }
 
-let rollup_equal a b =
-  a.stores = b.stores && a.flushes = b.flushes && a.fences = b.fences
-  && a.evictions = b.evictions && a.log_appends = b.log_appends
-  && a.log_bytes = b.log_bytes && a.boundaries = b.boundaries
-  && a.elided_boundaries = b.elided_boundaries
-  && a.lock_acquires = b.lock_acquires && a.lock_releases = b.lock_releases
-  && a.fase_enters = b.fase_enters && a.fase_exits = b.fase_exits
-  && a.crashes = b.crashes && a.recovery_steps = b.recovery_steps
-
 type t = {
   buffer : bool;
   tap : (event -> unit) option;
   events : event Ido_util.Vec.t;
   total : rollup;
-  mutable by_fase : rollup array;
-      (* indexed by FASE id (the machine allocates ids densely from 0);
-         [absent] marks an id with no attributed event yet *)
+  mutable seen : Bytes.t;
+      (* one byte per FASE id (the machine allocates ids densely from
+         0): non-zero once an event was attributed to it *)
   mutable fases : int;
   mutable count : int;
 }
 
-let absent = rollup_zero ()
+let zero = rollup_zero ()
 
 let create ?(buffer = true) ?tap () =
   {
@@ -78,7 +69,7 @@ let create ?(buffer = true) ?tap () =
     tap;
     events = Ido_util.Vec.create ();
     total = rollup_zero ();
-    by_fase = [||];
+    seen = Bytes.empty;
     fases = 0;
     count = 0;
   }
@@ -101,25 +92,21 @@ let bump r = function
   | Crash -> r.crashes <- r.crashes + 1
   | Recovery_step _ -> r.recovery_steps <- r.recovery_steps + 1
 
-let fase_rollup t fase =
-  let n = Array.length t.by_fase in
+let see_fase t fase =
+  let n = Bytes.length t.seen in
   if fase >= n then begin
-    let grown = Array.make (max (fase + 1) (2 * n)) absent in
-    Array.blit t.by_fase 0 grown 0 n;
-    t.by_fase <- grown
+    let grown = Bytes.make (max (fase + 1) (2 * n)) '\000' in
+    Bytes.blit t.seen 0 grown 0 n;
+    t.seen <- grown
   end;
-  let r = t.by_fase.(fase) in
-  if r != absent then r
-  else begin
-    let r = rollup_zero () in
-    t.by_fase.(fase) <- r;
-    t.fases <- t.fases + 1;
-    r
+  if Bytes.get t.seen fase = '\000' then begin
+    Bytes.set t.seen fase '\001';
+    t.fases <- t.fases + 1
   end
 
 let emit t ~tid ~fase kind =
   bump t.total kind;
-  if fase >= 0 then bump (fase_rollup t fase) kind;
+  if fase >= 0 then see_fase t fase;
   (match t.tap with
   | None when not t.buffer -> ()
   | tap -> (
@@ -132,17 +119,9 @@ let count t = t.count
 let events t = Ido_util.Vec.to_list t.events
 let total t = t.total
 
-let per_fase t =
-  let out = ref [] in
-  for fase = Array.length t.by_fase - 1 downto 0 do
-    let r = t.by_fase.(fase) in
-    if r != absent then out := (fase, r) :: !out
-  done;
-  !out
-
 let fases t = t.fases
 
-let check ?(prior = absent) t ~stores ~writebacks ~fences ~evictions =
+let check ?(prior = zero) t ~stores ~writebacks ~fences ~evictions =
   let r = t.total and p = prior in
   let mismatch what seen counted =
     Error
@@ -268,17 +247,6 @@ let rollup_to_json r =
    ^^ "\"elided_boundaries\":%d,\"lock_acquires\":%d,\"lock_releases\":%d,"
    ^^ "\"fase_enters\":%d,\"fase_exits\":%d,\"crashes\":%d,"
    ^^ "\"recovery_steps\":%d}")
-    r.stores r.flushes r.fences r.evictions r.log_appends r.log_bytes
-    r.boundaries r.elided_boundaries r.lock_acquires r.lock_releases
-    r.fase_enters r.fase_exits r.crashes r.recovery_steps
-
-let pp_rollup ppf r =
-  Format.fprintf ppf
-    "@[<v>stores            %8d@,flushes           %8d@,fences            %8d@,\
-     evictions         %8d@,log appends       %8d@,log bytes         %8d@,\
-     boundaries        %8d@,  elided          %8d@,lock acquires     %8d@,\
-     lock releases     %8d@,FASEs entered     %8d@,FASEs exited      %8d@,\
-     crashes           %8d@,recovery steps    %8d@]"
     r.stores r.flushes r.fences r.evictions r.log_appends r.log_bytes
     r.boundaries r.elided_boundaries r.lock_acquires r.lock_releases
     r.fase_enters r.fase_exits r.crashes r.recovery_steps

@@ -19,7 +19,6 @@ open Ido_runtime
 exception Opt_violation of string
 
 val optimize : Scheme.t -> Ir.program -> Ir.program * Rewrite.t list
-val optimize_func : Scheme.t -> string -> Ir.func -> Ir.func * Rewrite.t list
 
 val lint_obligation : Scheme.t -> Ir.program -> Rewrite.t list -> unit
 (** Raises {!Opt_violation} when the optimized program lints dirty. *)

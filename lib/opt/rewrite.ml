@@ -10,7 +10,6 @@ let vf ~code ~func ~pos fmt =
 
 let to_diag r = Diag.v ~pos:r.pos ~func:r.func ~code:r.code r.detail
 let render r = Diag.render (to_diag r)
-let json r = Diag.json (to_diag r)
 
 let compare a b = Diag.compare (to_diag a) (to_diag b)
 
@@ -27,11 +26,6 @@ let codes =
        window" );
     ("O104", "loop-invariant log capture hoisted to the loop preheader");
   ]
-
-let explain code =
-  match List.assoc_opt code codes with
-  | Some s -> s
-  | None -> "unknown rewrite code"
 
 (* The obs-rollup fields each rewrite is allowed to shrink; everything
    outside the union of the applied rewrites' classes must reconcile

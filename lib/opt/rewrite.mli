@@ -7,7 +7,6 @@
     failure can name the offending rewrite. *)
 
 open Ido_ir
-open Ido_analysis
 
 type t = { code : string; func : string; pos : Ir.pos; detail : string }
 
@@ -20,19 +19,12 @@ val vf :
   ('a, unit, string, t) format4 ->
   'a
 
-val to_diag : t -> Diag.t
 val render : t -> string
-
-val json : t -> string
-(** One-line NDJSON via {!Diag.json} — the same shape as
-    [ido_check lint --json]. *)
 
 val compare : t -> t -> int
 
 val codes : (string * string) list
 (** The [O1xx] rewrite catalogue with one-line explanations. *)
-
-val explain : string -> string
 
 val delta_class : string -> string list
 (** Obs-rollup fields this rewrite may decrease.  A field outside the

@@ -48,7 +48,6 @@ let open_existing pm =
   { pm; dirty_at_open = dirty }
 
 let was_dirty t = t.dirty_at_open
-let pmem t = t.pm
 
 let mark_running t = write_persist t.pm off_dirty 1L
 let mark_clean t = write_persist t.pm off_dirty 0L

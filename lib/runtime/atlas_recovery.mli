@@ -33,7 +33,8 @@ type fase = {
 
 val parse_fases : Undo_log.record list -> fase list
 (** Group one thread's chronological records into its FASEs, oldest
-    first.  Records outside any FASE are ignored. *)
+    first.  Records outside any FASE are ignored.
+    Exported as a step of {!recover}, tested on its own. *)
 
 val rollback_set : fase array -> bool array
 (** [rollback_set fases] marks the FASEs recovery discards: the least
@@ -41,7 +42,8 @@ val rollback_set : fase array -> bool array
     FASE that released lock [l] at sequence number [s'], every FASE
     that acquired [l] at some [s >= s'].  Acquires are indexed by lock
     and sorted, and a worklist expands each marked FASE once, visiting
-    each acquire record at most once: O(r log r) in the lock records. *)
+    each acquire record at most once: O(r log r) in the lock records.
+    Exported as a step of {!recover}, tested on its own. *)
 
 val recover : Pwriter.t -> Region.t -> stats
 (** Scan, roll back, persist the restored values, truncate the logs.

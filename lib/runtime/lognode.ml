@@ -45,8 +45,3 @@ let kind pm addr = Pmem.load_int pm (addr + 2)
 let iter pm region f =
   let rec go a = if a <> 0 then begin f a; go (next pm a) end in
   go (Int64.to_int (Region.log_head region))
-
-let find pm region ~tid:t =
-  let found = ref None in
-  iter pm region (fun a -> if !found = None && tid pm a = t then found := Some a);
-  !found

@@ -33,10 +33,7 @@ val kind_page : int
 val push : Pwriter.t -> Region.t -> kind:int -> tid:int -> payload_words:int -> Pmem.addr
 (** Allocate a node, initialise the prefix, persist it, and link it as
     the new list head (persisted).  Returns the node address; the
-    payload starts at [addr + payload_base]. *)
-
-val payload_base : int
-(** Offset of the payload within a node (3). *)
+    payload starts at [addr + 3], after the prefix. *)
 
 val store_tid : Pwriter.t -> Pmem.addr -> tid:int -> unit
 (** Store a new owner tid into a node's prefix, {e without} flushing:
@@ -44,13 +41,8 @@ val store_tid : Pwriter.t -> Pmem.addr -> tid:int -> unit
     state resets under a single write-back + fence.  Used when a
     finished thread's log arena is recycled for a fresh spawn. *)
 
-val next : Pmem.t -> Pmem.addr -> Pmem.addr
-(** 0 terminates the list. *)
-
 val tid : Pmem.t -> Pmem.addr -> int
 val kind : Pmem.t -> Pmem.addr -> int
 
 val iter : Pmem.t -> Region.t -> (Pmem.addr -> unit) -> unit
 (** Visit every node currently linked from the region's log head. *)
-
-val find : Pmem.t -> Region.t -> tid:int -> Pmem.addr option

@@ -49,15 +49,6 @@ let begin_fase w node ~seq =
 
 let entry_base node i = node + off_buf + (i * entry_words)
 
-let find_page pm node page =
-  let c = count pm node in
-  let rec go i =
-    if i >= c then None
-    else if Int64.to_int (Pmem.load pm (entry_base node i)) = page then Some i
-    else go (i + 1)
-  in
-  go 0
-
 let log_page w node ~page =
   let pm = Pwriter.pmem w in
   let c = count pm node in
@@ -84,10 +75,6 @@ let mark_dirty w node i ~off =
   let base = entry_base node i in
   let mask = Pmem.load pm (base + 1) in
   Pwriter.store w (base + 1) (Int64.logor mask (Int64.shift_left 1L off))
-
-let touched_pages pm node =
-  List.init (count pm node) (fun i ->
-      Int64.to_int (Pmem.load pm (entry_base node i)))
 
 let persist_copies w node =
   let pm = Pwriter.pmem w in

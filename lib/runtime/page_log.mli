@@ -37,9 +37,6 @@ val rebind : Pwriter.t -> Pmem.addr -> tid:int -> unit
 
 val begin_fase : Pwriter.t -> Pmem.addr -> seq:int -> unit
 
-val find_page : Pmem.t -> Pmem.addr -> int -> int option
-(** Entry index of an already-copied page in the current FASE. *)
-
 val log_page : Pwriter.t -> Pmem.addr -> page:int -> int
 (** Copy the page's current master contents into the log (first-touch
     cost: 64 loads + 64 stores, no fence needed — the master stays
@@ -53,8 +50,6 @@ val mark_dirty : Pwriter.t -> Pmem.addr -> int -> off:int -> unit
 (** Record that word [off] of entry [i] was written.  Commit applies
     only dirty words (NVThreads publishes diffs, so writers of
     distinct words on a shared page do not clobber each other). *)
-
-val touched_pages : Pmem.t -> Pmem.addr -> int list
 
 val commit : Pwriter.t -> Pmem.addr -> unit
 (** The full commit protocol described above. *)

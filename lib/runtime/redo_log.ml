@@ -92,5 +92,3 @@ let apply w node =
     let addr, value = entry pm node i in
     Pwriter.store w addr value
   done
-
-let total_commits pm node = Pmem.load_int pm (node + off_commits)

@@ -28,10 +28,6 @@ val entry : Pmem.t -> Pmem.addr -> int -> Pmem.addr * int64
 val persist_entries : Pwriter.t -> Pmem.addr -> unit
 (** Write back every entry line (no fence). *)
 
-val set_status : Pwriter.t -> Pmem.addr -> status -> unit
-(** Store only; persist with {!Pwriter.clwb}/{!Pwriter.fence} as the
-    commit protocol requires. *)
-
 val persist_status : Pwriter.t -> Pmem.addr -> status -> unit
 (** Store + write-back + fence. *)
 
@@ -39,5 +35,3 @@ val status : Pmem.t -> Pmem.addr -> status
 
 val apply : Pwriter.t -> Pmem.addr -> unit
 (** Replay the buffered writes in place (in log order). *)
-
-val total_commits : Pmem.t -> Pmem.addr -> int

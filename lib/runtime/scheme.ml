@@ -142,5 +142,3 @@ let table2_header =
     "Dep tracking?";
     "Transient caches?";
   ]
-
-let pp fmt t = Format.pp_print_string fmt (name t)

@@ -90,4 +90,3 @@ type props = {
 val props : t -> props
 
 val table2_header : string list
-val pp : Format.formatter -> t -> unit

@@ -15,8 +15,6 @@ open Ido_region
 
 type tag = Fase_begin | Write | Acquire | Release | Fase_end
 
-val tag_code : tag -> int
-
 val record_words : int
 (** Words per log record ([kind; a; b; seq] = 4). *)
 

@@ -70,23 +70,6 @@ let storm ?k ?at_ns (c : Config.t) =
     events = List.map (fun g -> Crash_at { group = g; at_ns }) hit;
   }
 
-let replica_loss ?at_ns ~group (c : Config.t) =
-  let at_ns = match at_ns with Some t -> t | None -> Config.mid_stream_ns c in
-  {
-    label = "rloss";
-    detect_ns = Topology.detect_ns;
-    events = [ Replica_loss { group; at_ns } ];
-  }
-
-let combine ~label = function
-  | [] -> { none with label }
-  | first :: _ as ts ->
-      {
-        label;
-        detect_ns = first.detect_ns;
-        events = List.concat_map (fun t -> t.events) ts;
-      }
-
 let validate (c : Config.t) t =
   let groups = Config.shards c in
   let check what g =

@@ -6,7 +6,7 @@
     into a first-class plan: one scenario can power-fail one group
     mid-batch ({!single_crash}), take out a correlated k-of-N set of
     primaries at one instant ({!storm} — the power-rail case), or
-    destroy a warm replica ({!replica_loss}), in any combination.
+    destroy a warm replica ([Replica_loss]), in any combination.
     Every event is planned from the cell parameters and the per-group
     request counts alone — no stream is materialised — so scenarios
     scale to arbitrarily long streams and are byte-identical at every
@@ -42,7 +42,8 @@ val none : t
 
 val of_crash : crash_plan -> t
 (** Wrap a bare crash plan (label ["crash1"]), for a crash placed by
-    hand. *)
+    hand.
+    Exported as the primitive {!single_crash} is built on. *)
 
 val single_crash : Config.t -> t
 (** The deterministic mid-stream single crash ({!of_crash} of one
@@ -55,15 +56,6 @@ val storm : ?k:int -> ?at_ns:int -> Config.t -> t
     groups (default [max 1 (groups / 2)]) drawn from the seed all
     power-fail at wall instant [at_ns] (default mid-stream:
     [requests * period_ns / 2]).  Label ["storm<k>"]. *)
-
-val replica_loss : ?at_ns:int -> group:int -> Config.t -> t
-(** Lose one of [group]'s replicas at [at_ns] (default mid-stream).
-    Label ["rloss"]. *)
-
-val combine : label:string -> t list -> t
-(** Concatenate scenarios under one label (events keep their order;
-    [detect_ns] is taken from the first).  For compound scenarios like
-    replica loss followed by a storm. *)
 
 val validate : Config.t -> t -> unit
 (** @raise Invalid_argument when an event names a group outside the

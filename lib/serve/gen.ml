@@ -89,7 +89,6 @@ let plan (c : Config.t) ~key_range =
   { config = c; key_range; mass; counts }
 
 let shard_count p shard = p.counts.(shard)
-let counts p = Array.copy p.counts
 
 type stream = {
   shard : int;
@@ -101,7 +100,6 @@ type stream = {
   mean_gap : float;  (* period_ns / shard mass: thinned Poisson *)
   mutable emitted : int;
   mutable arrival : int;
-  mutable lookahead : request option;
 }
 
 let sub_stream (p : plan) shard =
@@ -119,10 +117,7 @@ let sub_stream (p : plan) shard =
     mean_gap = float_of_int c.Config.period_ns /. p.mass.(shard);
     emitted = 0;
     arrival = 0;
-    lookahead = None;
   }
-
-let length s = s.total
 
 (* Draw the next request of the sub-stream.  The key is
    rejection-sampled from the cell's full key distribution until it
@@ -130,7 +125,7 @@ let length s = s.total
    (every key served by shard [s] satisfies [shard_of key = s]) and
    the within-shard key skew.  Terminates because the shard's mass is
    positive whenever [total > 0] (see [plan]). *)
-let emit s =
+let next s =
   if s.emitted >= s.total then None
   else begin
     let u = Rng.float s.rng 1.0 in
@@ -152,21 +147,6 @@ let emit s =
     s.emitted <- s.emitted + 1;
     Some r
   end
-
-let peek s =
-  match s.lookahead with
-  | Some _ as r -> r
-  | None ->
-      let r = emit s in
-      s.lookahead <- r;
-      r
-
-let next s =
-  match s.lookahead with
-  | Some _ as r ->
-      s.lookahead <- None;
-      r
-  | None -> emit s
 
 (* ------------------------------------------------------------------ *)
 (* Elastic-topology helpers: which group is hot/cold, and how a split

@@ -24,14 +24,17 @@ type request = {
 
 val shard_of : shards:int -> int -> int
 (** Route a key: SplitMix64-mixed hash mod [shards].  Stable across
-    runs and hosts; a given key always lands on the same shard. *)
+    runs and hosts; a given key always lands on the same shard.
+    Exported as the routing primitive the plan and streams are built
+    on. *)
 
 val gap_of_u : mean:float -> float -> int
 (** [gap_of_u ~mean u] inverts the exponential CDF at [u], in whole
     ns, at least 1.  The survival probability is clamped at [2^-53]
     so a boundary draw ([u = 1.0]) yields the largest legitimate
     finite gap ([mean * 53 ln 2], rounded) instead of the infinity
-    that [log 0] would produce.  Exposed for the regression tests. *)
+    that [log 0] would produce.  Exported as the arrival primitive the
+    streams are built on. *)
 
 type plan
 (** Per-shard masses and request counts for one cell — the only
@@ -49,9 +52,6 @@ val shard_count : plan -> int -> int
     [Config.requests] over all shards; 0 for a shard owning no
     keys. *)
 
-val counts : plan -> int array
-(** All per-shard counts (a copy). *)
-
 type stream
 (** One shard's lazy request iterator: O(1) state, single-owner
     (create it on the domain that consumes it). *)
@@ -59,12 +59,6 @@ type stream
 val sub_stream : plan -> int -> stream
 (** A fresh iterator over the shard's sub-stream, arrival-ordered,
     deterministic in [(config, shard)] alone. *)
-
-val length : stream -> int
-(** Total requests the stream yields ([shard_count] of its shard). *)
-
-val peek : stream -> request option
-(** The next request without consuming it ([None]: exhausted). *)
 
 val next : stream -> request option
 (** Consume and return the next request ([None]: exhausted). *)

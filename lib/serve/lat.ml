@@ -73,8 +73,6 @@ let merge ~into src =
   into.sum <- into.sum + src.sum;
   if src.max_v > into.max_v then into.max_v <- src.max_v
 
-let count t = t.n
-
 (* Nearest-rank over the bucket counts: find the bucket holding the
    rank-[ceil (q/100 * n)] sample and report its top, capped at the
    observed maximum so degenerate cases (n = 1, or every sample in

@@ -34,15 +34,13 @@ val merge : into:t -> t -> unit
 (** [merge ~into src] adds [src]'s samples to [into] (bucket-wise;
     exact — merging loses nothing over adding directly). *)
 
-val count : t -> int
-(** Samples added so far. *)
-
 val percentile_sketch : t -> float -> int
 (** Nearest-rank quantile from the buckets: the reported value [r]
     satisfies [exact <= r <= exact * (1 + relative_error)] where
     [exact] is {!percentile} of the same samples.  Exact whenever the
     rank falls in a unit bucket (values < 128) or on the observed
-    maximum.  0 when empty. *)
+    maximum.  0 when empty.
+    Exported as the primitive {!stats} is built on. *)
 
 val relative_error : float
 (** Worst-case relative over-report of {!percentile_sketch}: 1/64. *)

@@ -7,7 +7,8 @@
 
 val cell_json : Serve.cell -> string
 (** One cell as a single-line JSON object, including per-group
-    detail. *)
+    detail.
+    Exported as the primitive {!to_json} is built on. *)
 
 val to_json : Serve.cell list -> string
 (** The [BENCH_serve.json] document: [{"type":"serve","format":2,
@@ -16,20 +17,13 @@ val to_json : Serve.cell list -> string
 val row_label : Serve.cell -> string
 (** The cell label with the fault scenario appended
     (["kvcache50/ido s4r1 b8 [storm2]"]); the bare historical label
-    when the cell ran fault-free. *)
+    when the cell ran fault-free.
+    The benchmark labels its cells with it. *)
 
 val render : Serve.cell list -> string
 (** Human-readable boxed table: one row per (scheme x topology x
     batch x fault) cell with throughput, latency percentiles, replay
     and stall accounting. *)
-
-val sla_ok : budget_ns:int -> Serve.cell -> bool
-(** Does the cell's largest single stall fit the recovery budget? *)
-
-val sla_verdict : budget_ns:int -> Serve.cell -> string
-(** One verdict line:
-    ["SLA verdict: <cell> [<fault>]: p99=... max_stall=... budget=...:
-    ok|VIOLATED"] — the line CI greps for. *)
 
 val sla_verdicts : budget_ns:int -> Serve.cell list -> string
 (** All verdict lines, newline-joined. *)

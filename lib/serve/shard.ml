@@ -124,7 +124,8 @@ type gctx = {
 
 (* Pull from the group's shared stream until this lane's queue has a
    head (each pulled request is routed to the lane that owns its key
-   half).  Pre-split there is one lane and this is [Gen.peek]. *)
+   half).  Pre-split there is one lane, and this looks one request
+   ahead in the group's stream. *)
 let rec lane_peek (g : gctx) (ln : lane) =
   if not (Q.is_empty ln.pending) then Some (Q.peek ln.pending)
   else

@@ -17,8 +17,6 @@ let make ?(replicas = 0) ?reshard groups =
 
 let static n = make n
 let replicated ~replicas n = make ~replicas n
-let with_reshard r t = make ~replicas:t.replicas ~reshard:r t.groups
-
 let name t =
   Printf.sprintf "s%d%s%s" t.groups
     (if t.replicas > 0 then Printf.sprintf "r%d" t.replicas else "")
@@ -61,6 +59,5 @@ let of_name s =
             | t -> Ok t
             | exception Invalid_argument m -> Error m)
 
-let machines t = t.groups * (1 + t.replicas)
 let detect_ns = 2_000
 let migrate_ns ~records = 40 * records

@@ -37,12 +37,9 @@ val replicated : replicas:int -> int -> t
 (** [replicated ~replicas n]: n groups, each backed by [replicas] warm
     standbys.  @raise Invalid_argument on negative counts. *)
 
-val with_reshard : reshard -> t -> t
-(** Add a mid-stream reshard event.  [Merge] needs at least two
-    groups.  @raise Invalid_argument otherwise. *)
-
 val make : ?replicas:int -> ?reshard:reshard -> int -> t
-(** General constructor; validates like the combinators above. *)
+(** General constructor; validates like the combinators above.
+    Exported as the primitive the combinators are built on. *)
 
 val name : t -> string
 (** Compact stable name: ["s4"], ["s4r1"], ["s4sp"], ["s4r1mg"] —
@@ -53,10 +50,6 @@ val name : t -> string
 val of_name : string -> (t, string) result
 (** Parse {!name}'s output (the CLI [--topologies] syntax).  The error
     is a one-line description of the expected grammar. *)
-
-val machines : t -> int
-(** Machines the map boots up front: [groups * (1 + replicas)] (a
-    split child boots lazily and is not counted). *)
 
 val detect_ns : int
 (** Failure-detection delay charged before a replica promotion. *)

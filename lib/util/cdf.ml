@@ -37,9 +37,6 @@ let assign ~into src =
 
 let total t = t.total
 
-let count_at t v =
-  if v < 0 || v > t.max_v then 0 else t.counts.(v)
-
 let cumulative t v =
   if t.total = 0 then 1.0
   else begin
@@ -49,8 +46,6 @@ let cumulative t v =
     done;
     float_of_int !acc /. float_of_int t.total
   end
-
-let max_value t = t.max_v
 
 let mean t =
   if t.total = 0 then 0.0

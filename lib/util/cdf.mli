@@ -26,22 +26,17 @@ val assign : into:t -> t -> unit
 val total : t -> int
 (** Number of observations recorded. *)
 
-val count_at : t -> int -> int
-(** Observations with value exactly [v]. *)
-
 val cumulative : t -> int -> float
 (** [cumulative t v] is the fraction of observations ≤ [v]
     (1.0 when the distribution is empty, matching a degenerate CDF). *)
-
-val max_value : t -> int
-(** Largest recorded value; -1 when empty. *)
 
 val mean : t -> float
 
 val points : t -> (int * float) list
 (** CDF as a list of [(value, cumulative fraction)] for every value
-    between 0 and [max_value], inclusive. *)
+    between 0 and the largest recorded value, inclusive. *)
 
 val percentile : t -> float -> int
 (** [percentile t p] is the smallest value v with [cumulative t v >= p].
-    [p] must be in (0, 1]. *)
+    [p] must be in (0, 1].
+    Exported as the inverse of {!cumulative}; no figure reads it yet. *)

@@ -1,5 +1,5 @@
 (* A reusable set of small non-negative ints (cache-line numbers),
-   built for the VM's per-FASE dirty-line tracking: [add] and [mem] are
+   built for the VM's per-FASE dirty-line tracking: [add] is
    O(1) via open addressing, iteration visits members in insertion
    order (so flush order is deterministic and independent of hashing),
    and [reset] is O(members) — it re-zeroes only the slots that were
@@ -44,9 +44,6 @@ let grow t =
   t.slots <- slots;
   t.mask <- mask;
   t.members <- members
-
-let mem t x =
-  t.slots.(probe t.slots t.mask x (hash x land t.mask)) <> 0
 
 let add t x =
   if x < 0 then invalid_arg "Lineset.add: negative member";

@@ -17,7 +17,6 @@ val add : t -> int -> unit
 (** Insert a member; no-op if already present.
     @raise Invalid_argument on negative members. *)
 
-val mem : t -> int -> bool
 val cardinal : t -> int
 val is_empty : t -> bool
 

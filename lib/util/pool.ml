@@ -37,7 +37,6 @@ type t = {
 type 'a future = { pool : t; mutable state : 'a state }
 
 let default_jobs () = Domain.recommended_domain_count ()
-let size pool = pool.jobs
 let no_task () = ()
 
 (* Queue operations; the caller holds [pool.mutex].  A push onto a full

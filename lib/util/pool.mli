@@ -22,16 +22,15 @@ type t
 val create : int -> t
 (** [create jobs] starts [jobs - 1] worker domains ([jobs > 1]; the
     creating domain is the [jobs]-th participant), or a serial pool
-    with no domains ([jobs = 1]).
+    with no domains ([jobs = 1]).  Exported with {!submit}, {!await}
+    and {!shutdown} as the primitives the maps and {!with_pool} are
+    built on.
     @raise Invalid_argument if [jobs < 1], or if the runtime cannot
     start [jobs - 1] more domains (the workers already started are
     joined first). *)
 
 val default_jobs : unit -> int
 (** [Domain.recommended_domain_count ()] — the [-j] default. *)
-
-val size : t -> int
-(** The [jobs] the pool was created with. *)
 
 type 'a future
 
@@ -47,20 +46,17 @@ val await : 'a future -> 'a
 val map_list : t -> ('a -> 'b) -> 'a list -> 'b list
 (** Order-preserving parallel map: submits every element, then awaits
     in submission order.  On a serial pool this is exactly
-    [List.map]. *)
-
-val default_chunk : jobs:int -> int -> int
-(** [default_chunk ~jobs n] is the batch size the chunked maps use for
-    [n] elements when none is given: large enough to amortise per-task
-    overhead, small enough to leave a few batches per worker for load
-    balance ([~4] per participant). *)
+    [List.map].
+    Exported as the primitive {!opt_map_list} is built on. *)
 
 val map_chunks : ?chunk:int -> t -> ('a -> 'b) -> 'a list -> 'b list
 (** [map_chunks ~chunk pool f xs] is [map_list pool f xs] with one
     future per batch of [chunk] consecutive elements instead of one per
     element.  Results (and any exception) are delivered in submission
     order, so the output is identical at every chunk size and every
-    [-j].  [chunk = 0] (the default) picks {!default_chunk}.
+    [-j].  [chunk = 0] (the default) picks a size that leaves about
+    four batches per participant.  Exported as the primitive
+    {!opt_map_list} is built on.
     @raise Invalid_argument if [chunk < 0]. *)
 
 val opt_map_list : ?chunk:int -> t option -> ('a -> 'b) -> 'a list -> 'b list
@@ -73,7 +69,8 @@ val shutdown : t -> unit
     {!submit}s raise [Invalid_argument], on a serial pool too. *)
 
 val with_pool : int -> (t -> 'a) -> 'a
-(** [create] / run / [shutdown] (also on exception). *)
+(** [create] / run / [shutdown] (also on exception).
+    Exported as the primitive {!with_jobs} is built on. *)
 
 val with_jobs : int -> (t option -> 'a) -> 'a
 (** The drivers' [-j] entry point: [f None] for [jobs = 1], otherwise

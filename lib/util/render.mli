@@ -26,4 +26,5 @@ val cdf_panel :
 
 val float_cell : float -> string
 (** Compact numeric formatting used by [series] (3 significant
-    decimals, ["-"] for [nan]). *)
+    decimals, ["-"] for [nan]).
+    Exported as the cell format {!series} is built on. *)

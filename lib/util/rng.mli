@@ -29,7 +29,8 @@ val mix64 : int64 -> int64
     avalanche decorrelates inputs that differ by one bit. *)
 
 val next64 : t -> int64
-(** Next raw 64-bit value. *)
+(** Next raw 64-bit value.
+    Exported as the primitive every draw is built on. *)
 
 val int : t -> int -> int
 (** [int t bound] is uniform in [\[0, bound)].  [bound] must be > 0. *)

@@ -1,17 +1,7 @@
 type ns = int
 
-let ns x = x
 let us x = x * 1_000
 let ms x = x * 1_000_000
 let s x = x * 1_000_000_000
 
-let to_seconds t = float_of_int t /. 1e9
 let to_ms t = float_of_int t /. 1e6
-let to_us t = float_of_int t /. 1e3
-
-let pp fmt t =
-  let ft = float_of_int t in
-  if t < 1_000 then Format.fprintf fmt "%dns" t
-  else if t < 1_000_000 then Format.fprintf fmt "%.2fus" (ft /. 1e3)
-  else if t < 1_000_000_000 then Format.fprintf fmt "%.2fms" (ft /. 1e6)
-  else Format.fprintf fmt "%.2fs" (ft /. 1e9)

@@ -7,10 +7,6 @@ type 'a t = { mutable data : 'a array; mutable len : int }
 
 let create () = { data = [||]; len = 0 }
 
-let create_with ~capacity fill =
-  if capacity < 0 then invalid_arg "Vec.create_with: capacity must be >= 0";
-  { data = Array.make capacity fill; len = 0 }
-
 let length v = v.len
 
 let get v i =
@@ -66,14 +62,6 @@ let fold_left f acc v =
 
 let exists p v =
   let rec go i = i < v.len && (p v.data.(i) || go (i + 1)) in
-  go 0
-
-let find_opt p v =
-  let rec go i =
-    if i >= v.len then None
-    else if p v.data.(i) then Some v.data.(i)
-    else go (i + 1)
-  in
   go 0
 
 let to_list v = List.init v.len (fun i -> v.data.(i))

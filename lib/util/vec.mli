@@ -6,18 +6,14 @@ type 'a t
 
 val create : unit -> 'a t
 
-val create_with : capacity:int -> 'a -> 'a t
-(** [create_with ~capacity fill] pre-sizes the backing array to
-    [capacity] slots (filled with [fill], length still 0), avoiding
-    growth doublings when the final size is known from metadata. *)
-
 val length : 'a t -> int
 
 val get : 'a t -> int -> 'a
 (** @raise Invalid_argument out of bounds. *)
 
 val set : 'a t -> int -> 'a -> unit
-(** Overwrite an existing slot.
+(** Overwrite an existing slot.  Exported with {!pop} for the
+    reference model of Pmem's dirty index in the tests.
     @raise Invalid_argument out of bounds. *)
 
 val push : 'a t -> 'a -> unit
@@ -37,7 +33,6 @@ val truncate : 'a t -> unit
 val iter : ('a -> unit) -> 'a t -> unit
 val fold_left : ('b -> 'a -> 'b) -> 'b -> 'a t -> 'b
 val exists : ('a -> bool) -> 'a t -> bool
-val find_opt : ('a -> bool) -> 'a t -> 'a option
 val to_list : 'a t -> 'a list
 
 val filter_in_place : ('a -> bool) -> 'a t -> unit

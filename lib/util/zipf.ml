@@ -37,8 +37,6 @@ let create ?(exponent = 0.99) n =
     norm;
   }
 
-let range t = t.n
-
 (* Rejection-inversion sampling (Hörmann & Derflinger 1996). *)
 let sample t rng =
   let rec loop () =

@@ -13,11 +13,8 @@ val create : ?exponent:float -> int -> t
     [exponent] defaults to 0.99 (a common "Zipfian" setting that avoids
     the harmonic-series degeneracy at exactly 1.0). *)
 
-val range : t -> int
-(** Number of distinct ranks. *)
-
 val sample : t -> Rng.t -> int
-(** [sample t rng] draws a rank in [\[0, range t)]; rank 0 is the most
+(** [sample t rng] draws a rank in [\[0, n)]; rank 0 is the most
     popular. *)
 
 val pmf : t -> int -> float

@@ -613,8 +613,8 @@ let undo_record_bytes = 8 * Undo_log.record_words
 let exec_fase_enter m (t : thread) _fr =
   t.in_fase <- true;
   t.armed_grant <- Grant_none;
-  (* Every dynamic FASE gets a globally unique id so per-FASE rollups
-     never conflate two executions of the same static section. *)
+  (* Every dynamic FASE gets a globally unique id so event attribution
+     never conflates two executions of the same static section. *)
   t.fase_id <- m.next_fase_id;
   m.next_fase_id <- m.next_fase_id + 1;
   if obs_active m then begin

@@ -60,10 +60,8 @@ let clock = State.max_clock
 let total_ops (m : t) = m.State.total_ops
 let observations (t : thread) = List.rev t.State.observations
 let thread_clock (t : thread) = t.State.clock
-let thread_ops (t : thread) = t.State.ops
 let pmem (m : t) = m.State.pmem
 let region (m : t) = m.State.region
-let image (m : t) = m.State.image
 
 let region_stats (m : t) = (m.State.stores_per_region, m.State.livein_per_region)
 
@@ -79,8 +77,6 @@ let set_obs (m : t) o =
   (* Reset the attribution context: machine-level until a thread steps. *)
   State.obs_context m ~tid:(-1) ~fase:(-1);
   State.sync_pmem_hook m
-
-let obs (m : t) = m.State.obs
 
 let obs_check (m : t) =
   match m.State.obs with

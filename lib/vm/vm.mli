@@ -171,11 +171,9 @@ val observations : thread -> int64 list
 (** Oldest first. *)
 
 val thread_clock : thread -> Timebase.ns
-val thread_ops : thread -> int
 
 val pmem : t -> Ido_nvm.Pmem.t
 val region : t -> Ido_region.Region.t
-val image : t -> Image.t
 
 val set_tracer : t -> (string -> unit) option -> unit
 (** Install (or remove) an execution tracer: one formatted line per
@@ -215,8 +213,6 @@ val obs_check : t -> (unit, string) result
     ({!Ido_obs.Obs.check}): [Error] names the first counter whose event
     count disagrees — a lost or duplicated emission.  [Ok ()] when no
     sink is installed.  Call it before removing the sink. *)
-
-val obs : t -> Ido_obs.Obs.t option
 
 val region_stats : t -> Cdf.t * Cdf.t
 (** (stores per dynamic idempotent region, live-in registers per

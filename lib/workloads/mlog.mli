@@ -10,8 +10,6 @@
 
 open Ido_ir
 
-val record_words : int
-
 val program : ?capacity:int -> unit -> Ir.program
 (** [init] formats an empty ring of [capacity] slots (default 64);
     [worker(nops)] runs 50% append / 50% consume; [check] validates

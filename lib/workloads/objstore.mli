@@ -16,8 +16,6 @@
 
 open Ido_ir
 
-val payload_words : int
-
 val program :
   ?buckets:int -> ?key_range:int -> ?prefill:int -> unit -> Ir.program
 (** [init] inserts objects for the [prefill] hottest keys (default

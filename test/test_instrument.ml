@@ -150,11 +150,11 @@ let test_instrumented_validates () =
           let prog =
             Instrument.instrument scheme (Ido_workloads.Workload.named name)
           in
-          match Validate.check_program ~allow_hooks:true prog with
-          | Ok () -> ()
-          | Error es ->
-              Alcotest.failf "%s/%s: %s" (Scheme.name scheme) name
-                (String.concat "; " es))
+          Alcotest.(check (list string))
+            (Scheme.name scheme ^ "/" ^ name)
+            []
+            (List.map Ido_analysis.Diag.render
+               (Validate.check_program_diags ~allow_hooks:true prog)))
         Ido_workloads.Workload.names)
     Scheme.all
 

@@ -465,7 +465,6 @@ let test_redo_log () =
   Redo_log.apply w node;
   Alcotest.(check int64) "applied" 1L (Pmem.load pm 100);
   Alcotest.(check int64) "applied 2" 2L (Pmem.load pm 101);
-  Alcotest.(check int) "commits counted" 1 (Redo_log.total_commits pm node);
   Redo_log.persist_status w node Redo_log.Idle;
   Alcotest.(check bool) "idle" true (Redo_log.status pm node = Redo_log.Idle)
 
@@ -493,7 +492,6 @@ let test_page_log_cow () =
   Pmem.poke pm (base + 1) 8L;
   Page_log.begin_fase w node ~seq:1;
   let i = Page_log.log_page w node ~page in
-  Alcotest.(check (option int)) "find" (Some i) (Page_log.find_page pm node page);
   (* The copy carries the master's contents. *)
   Alcotest.(check int64) "copy word 0" 7L
     (Pmem.load pm (Page_log.copy_word_addr node i ~off:0));

@@ -117,45 +117,16 @@ let test_zipf_matches_pmf () =
     (abs_float (got -. expected) < 0.02)
 
 (* ------------------------------------------------------------------ *)
-(* Stats *)
-
-let test_stats_basic () =
-  let s = Stats.create () in
-  List.iter (Stats.add s) [ 1.0; 2.0; 3.0; 4.0 ];
-  Alcotest.(check int) "count" 4 (Stats.count s);
-  Alcotest.(check (float 1e-9)) "mean" 2.5 (Stats.mean s);
-  Alcotest.(check (float 1e-9)) "variance" (5.0 /. 3.0) (Stats.variance s);
-  Alcotest.(check (float 1e-9)) "min" 1.0 (Stats.min s);
-  Alcotest.(check (float 1e-9)) "max" 4.0 (Stats.max s);
-  Alcotest.(check (float 1e-9)) "sum" 10.0 (Stats.sum s)
-
-let test_stats_empty () =
-  let s = Stats.create () in
-  Alcotest.(check int) "count" 0 (Stats.count s);
-  Alcotest.(check (float 0.0)) "mean" 0.0 (Stats.mean s);
-  Alcotest.(check (float 0.0)) "variance" 0.0 (Stats.variance s)
-
-let prop_stats_mean_in_range =
-  QCheck.Test.make ~name:"stats mean bounded by min/max" ~count:200
-    QCheck.(list_of_size Gen.(int_range 1 50) (float_range (-1000.) 1000.))
-    (fun xs ->
-      let s = Stats.create () in
-      List.iter (Stats.add s) xs;
-      Stats.mean s >= Stats.min s -. 1e-9 && Stats.mean s <= Stats.max s +. 1e-9)
-
-(* ------------------------------------------------------------------ *)
 (* Cdf *)
 
 let test_cdf_basic () =
   let c = Cdf.create () in
   List.iter (Cdf.add c) [ 0; 0; 1; 3 ];
   Alcotest.(check int) "total" 4 (Cdf.total c);
-  Alcotest.(check int) "count at 0" 2 (Cdf.count_at c 0);
   Alcotest.(check (float 1e-9)) "cum 0" 0.5 (Cdf.cumulative c 0);
   Alcotest.(check (float 1e-9)) "cum 1" 0.75 (Cdf.cumulative c 1);
   Alcotest.(check (float 1e-9)) "cum 2" 0.75 (Cdf.cumulative c 2);
   Alcotest.(check (float 1e-9)) "cum 3" 1.0 (Cdf.cumulative c 3);
-  Alcotest.(check int) "max" 3 (Cdf.max_value c);
   Alcotest.(check (float 1e-9)) "mean" 1.0 (Cdf.mean c);
   Alcotest.(check int) "median" 0 (Cdf.percentile c 0.5);
   Alcotest.(check int) "p100" 3 (Cdf.percentile c 1.0)
@@ -198,12 +169,7 @@ let test_timebase () =
   Alcotest.(check int) "us" 5_000 (Timebase.us 5);
   Alcotest.(check int) "ms" 7_000_000 (Timebase.ms 7);
   Alcotest.(check int) "s" 2_000_000_000 (Timebase.s 2);
-  Alcotest.(check (float 1e-9)) "to_seconds" 1.5 (Timebase.to_seconds 1_500_000_000);
-  let pp v = Format.asprintf "%a" Timebase.pp v in
-  Alcotest.(check string) "ns" "17ns" (pp 17);
-  Alcotest.(check string) "us" "2.00us" (pp 2_000);
-  Alcotest.(check string) "ms" "3.50ms" (pp 3_500_000);
-  Alcotest.(check string) "s" "1.00s" (pp 1_000_000_000)
+  Alcotest.(check (float 1e-9)) "to_ms" 1.5 (Timebase.to_ms 1_500_000)
 
 let test_render_table () =
   let s = Render.table ~header:[ "a"; "bb" ] [ [ "1"; "2" ]; [ "33"; "4" ] ] in
@@ -246,12 +212,6 @@ let suites =
         Alcotest.test_case "pmf normalised" `Quick test_zipf_pmf_sums_to_one;
         Alcotest.test_case "pmf monotone" `Quick test_zipf_pmf_monotone;
         Alcotest.test_case "sample matches pmf" `Quick test_zipf_matches_pmf;
-      ] );
-    ( "util.stats",
-      [
-        Alcotest.test_case "basic" `Quick test_stats_basic;
-        Alcotest.test_case "empty" `Quick test_stats_empty;
-        qtest prop_stats_mean_in_range;
       ] );
     ( "util.cdf",
       [
