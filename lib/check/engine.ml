@@ -108,10 +108,20 @@ let custom_config (c : custom) =
 
 (* Start the worker phase on a set-up machine.  The event hook is
    installed only after this returns, so recording, forward and
-   from-boot injection runs observe the same worker-phase schedule. *)
+   from-boot injection runs observe the same worker-phase schedule.
+   Each worker's stack and log come from the persistent region, and
+   running out of it is the only [Failure] a spawn raises: too many
+   threads is a spec error, reported with the count that fit. *)
 let spawn_workers (c : custom) m =
-  for _ = 1 to c.c_threads do
-    ignore (Vm.spawn m ~fname:"worker" ~args:[ c.c_worker_arg ])
+  for i = 1 to c.c_threads do
+    match Vm.spawn m ~fname:"worker" ~args:[ c.c_worker_arg ] with
+    | _ -> ()
+    | exception Failure _ ->
+        invalid_arg
+          (Printf.sprintf
+             "threads must be <= %d (got %d): the persistent region has no \
+              room for more workers"
+             (i - 1) c.c_threads)
   done
 
 (* A reusable machine for batches of same-spec runs.  The first boot

@@ -16,7 +16,7 @@ type result = {
 
 val candidates : Input.t -> Input.t list
 (** The one-step shrink candidates of an input, each strictly smaller,
-    in trial order (exposed for the property tests). *)
+    in the order {!shrink} tries them. *)
 
 val shrink :
   ?cache:Exec.cache -> ?budget:int -> ?opt:bool -> Exec.outcome -> result

@@ -35,7 +35,9 @@ val run : ?until:Timebase.ns -> ?max_steps:int -> State.t -> run_outcome
     so cross-thread interactions happen in one causal order. *)
 
 val step : State.t -> State.thread -> unit
-(** Execute one instruction of the thread and advance its clock. *)
+(** Execute one instruction of the thread and advance its clock.
+    Exported as the step the tests' linear-scan scheduler reference
+    drives. *)
 
 val reap : State.t -> unit
 (** Drop [Done] threads from the scheduler table after raising the

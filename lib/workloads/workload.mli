@@ -34,7 +34,8 @@ type t = {
 }
 
 val all : t list
-(** The registry, in canonical order. *)
+(** The registry, in canonical order; {!names} and {!get} are derived
+    from it. *)
 
 val names : string list
 (** Derived from {!all}: ["stack"; "queue"; "olist"; "olistrm";
