@@ -1,8 +1,8 @@
 open Ido_ir
 
 type base =
-  | Alloca_site of int
-  | Heap_site of int
+  | Alloca_site of int  (* block*2^20+idx of the defining alloca *)
+  | Heap_site of int  (* likewise, for [nv_alloc] *)
   | Const of int64
   | Param of int
   | Unknown
