@@ -4,13 +4,13 @@ type addr = int
 
 let words_per_line = 8
 
-(* The persistence domain is paged.  A page is 512 words (4 KiB, 64
-   lines) held twice, unboxed: [cur] has the newest value of every word
-   (the only image [load] reads) and [persisted] the persistence
-   domain.  A clean line reads the same in both.  [slots] gives each
-   line's position in the dirty index, or -1 when it is clean, so a
-   read is two array indexings and a word load, with no hashing and no
-   allocation. *)
+(* The memory is paged.  A page is 512 words (4 KiB, 64 lines) held
+   once, unboxed: [cur] has the newest value of every word (the only
+   image [load] reads).  A clean line's [cur] words are its persisted
+   words; only a dirty line's persisted words differ, and they are kept
+   in the pre-image pool (see [t]).  [slots] gives each line's position
+   in the dirty index, or -1 when it is clean, so a read is two array
+   indexings and a word load, with no hashing and no allocation. *)
 let line_shift = 3
 let page_shift = 9
 let page_words = 1 lsl page_shift
@@ -29,19 +29,17 @@ type counters = {
 
 type page = {
   cur : Bytes.t;  (* [page_words] words: the newest values *)
-  persisted : Bytes.t;  (* [page_words] words: the persistence domain *)
   slots : int array;  (* [lines_per_page]: dirty-index position or -1 *)
 }
 
-(* Every word offset is masked into its page, so the unchecked word
-   accessors never leave the 4 KiB buffer. *)
+(* Every word offset is masked into its page or its pool slot, so the
+   unchecked word accessors never leave the buffer. *)
 external get_word : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
 external set_word : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 let new_page () =
   {
     cur = Bytes.make page_bytes '\000';
-    persisted = Bytes.make page_bytes '\000';
     slots = Array.make lines_per_page (-1);
   }
 
@@ -55,6 +53,11 @@ type t = {
   pages : page array;
   touched : int Vec.t;  (* numbers of the pages [writable] materialised *)
   mutable dirty : int array;  (* dirty line numbers, [0, ndirty) *)
+  mutable pre_slot : int array;
+      (* beside [dirty], a permutation of the pool slots: [pre_slot.(i)]
+         holds [dirty.(i)]'s pre-image for [i < ndirty], and the rest
+         are free *)
+  mutable pre : Bytes.t;  (* the pool: [line_bytes] per slot *)
   mutable ndirty : int;
   cache_lines : int;
   rng : Rng.t;
@@ -74,6 +77,8 @@ let create ?(cache_lines = 1024) ~rng size =
     pages = Array.make ((size + page_words - 1) lsr page_shift) zero_page;
     touched = Vec.create ();
     dirty = Array.make (Stdlib.min cache_lines 64) 0;
+    pre_slot = Array.init (Stdlib.min cache_lines 64) Fun.id;
+    pre = Bytes.create (Stdlib.min cache_lines 64 * line_bytes);
     ndirty = 0;
     cache_lines;
     rng;
@@ -123,37 +128,51 @@ let[@inline] load t addr =
    passes or receives a plain [int]. *)
 let load_int t addr = Int64.to_int (load t addr)
 
+(* Byte offset in the pool of the word [addr] of the line at dirty-index
+   position [pos]. *)
+let pre_byte t pos addr =
+  (t.pre_slot.(pos) * line_bytes) + ((addr land (words_per_line - 1)) lsl 3)
+
 (* The dirty index lists the dirty lines' numbers in a flat array so a
    uniformly random one is one [Rng.int] away; removal swaps the last
    entry in (order inside the array is irrelevant — the victim choice
-   is random anyway). *)
+   is random anyway).  A clean line's [cur] bytes are its persisted
+   bytes, so dirtying it saves them in the pool slot its position
+   holds.  No more than [cache_lines] lines are ever dirty, which caps
+   the growth. *)
 let index_add t p lineno =
-  if t.ndirty = Array.length t.dirty then begin
-    let grown = Array.make (2 * t.ndirty) 0 in
-    Array.blit t.dirty 0 grown 0 t.ndirty;
-    t.dirty <- grown
+  let n = t.ndirty in
+  if n = Array.length t.dirty then begin
+    let cap = Stdlib.min (2 * n) t.cache_lines in
+    let grown = Array.make cap 0 in
+    Array.blit t.dirty 0 grown 0 n;
+    t.dirty <- grown;
+    t.pre_slot <-
+      Array.init cap (fun i -> if i < n then t.pre_slot.(i) else i);
+    t.pre <- Bytes.extend t.pre 0 ((cap - n) * line_bytes)
   end;
-  p.slots.(line_slot lineno) <- t.ndirty;
-  t.dirty.(t.ndirty) <- lineno;
-  t.ndirty <- t.ndirty + 1
+  p.slots.(line_slot lineno) <- n;
+  t.dirty.(n) <- lineno;
+  Bytes.unsafe_blit p.cur (line_byte lineno) t.pre
+    (t.pre_slot.(n) * line_bytes) line_bytes;
+  t.ndirty <- n + 1
 
-(* Copy a dirty line from [cur] into the persistence domain and mark it
-   clean, leaving the index to the caller. *)
-let persist_line t lineno =
-  let p = page_of_line t lineno in
-  let o = line_byte lineno in
-  Bytes.unsafe_blit p.cur o p.persisted o line_bytes;
-  p.slots.(line_slot lineno) <- -1
-
+(* The line's newest words become its persisted ones where they stand:
+   mark it clean and free its pool slot.  The last entry of the index,
+   and its slot, move into the freed position. *)
 let write_back t lineno =
-  let pos = (page_of_line t lineno).slots.(line_slot lineno) in
-  persist_line t lineno;
+  let p = page_of_line t lineno in
+  let pos = p.slots.(line_slot lineno) in
+  p.slots.(line_slot lineno) <- -1;
   let n = t.ndirty - 1 in
   t.ndirty <- n;
-  let last = t.dirty.(n) in
-  if last <> lineno then begin
+  if pos <> n then begin
+    let last = t.dirty.(n) in
     t.dirty.(pos) <- last;
-    (page_of_line t last).slots.(line_slot last) <- pos
+    (page_of_line t last).slots.(line_slot last) <- pos;
+    let freed = t.pre_slot.(pos) in
+    t.pre_slot.(pos) <- t.pre_slot.(n);
+    t.pre_slot.(n) <- freed
   end
 
 let evict_random t =
@@ -172,8 +191,7 @@ let evict_random t =
    raises leaves the persistence domain exactly as a power failure at
    that instant would.  The match sits at each site so that, with no
    hook, no event value is built.  Simulator-side channels ([poke],
-   [flush_all]) never fire it.  A clean line reads the same in both
-   images, so dirtying one copies nothing. *)
+   [flush_all]) never fire it. *)
 let[@inline] store t addr v =
   check t addr;
   (match t.event_hook with
@@ -199,9 +217,24 @@ let store_from t addr src off = store t addr (Bytes.get_int64_ne src off)
 let[@inline] poke t addr v =
   check t addr;
   let p = writable t addr in
-  let o = byte_in_page addr in
-  set_word p.persisted o v;
-  set_word p.cur o v
+  set_word p.cur (byte_in_page addr) v;
+  let pos = p.slots.(slot_in_page addr) in
+  if pos >= 0 then set_word t.pre (pre_byte t pos addr) v
+
+(* Copy words [lo, hi] of page [p] from [src], word [lo] at byte
+   [src_off], into the pre-images of the range's dirty lines: the
+   persisted half of a [poke] over the range, found through the page's
+   positions rather than by scanning the index. *)
+let patch_pre t p lo hi src src_off =
+  for l = lo lsr line_shift to hi lsr line_shift do
+    let pos = p.slots.(line_slot l) in
+    if pos >= 0 then begin
+      let a = Stdlib.max lo (l lsl line_shift) in
+      let b = Stdlib.min hi ((l lsl line_shift) lor (words_per_line - 1)) in
+      Bytes.blit src (src_off + ((a - lo) lsl 3)) t.pre (pre_byte t pos a)
+        ((b - a + 1) lsl 3)
+    end
+  done
 
 let poke_int t addr v = poke t addr (Int64.of_int v)
 
@@ -218,18 +251,18 @@ let poke_bytes t addr src =
         Stdlib.min (addr + n - !a) (page_words - (!a land (page_words - 1)))
       in
       let p = writable t !a in
-      let o = byte_in_page !a in
-      Bytes.blit src ((!a - addr) * 8) p.persisted o (len * 8);
-      Bytes.blit src ((!a - addr) * 8) p.cur o (len * 8);
+      Bytes.blit src ((!a - addr) * 8) p.cur (byte_in_page !a) (len * 8);
+      patch_pre t p !a (!a + len - 1) src ((!a - addr) * 8);
       a := !a + len
     done
   end
 
 (* [poke a 0L] over [addr, addr + n), page by page.  A page still
    sharing [zero_page] already reads 0 and has no dirty line, so it is
-   skipped rather than materialised; a materialised page has both
-   images of the range filled in place.  The bounds are checked before
-   anything is written. *)
+   skipped rather than materialised; a materialised page has the range
+   filled in place, in [cur] and in its dirty lines' pre-images (copied
+   from [zero_page]).  The bounds are checked before anything is
+   written. *)
 let zero t addr n =
   if n > 0 then begin
     check t addr;
@@ -240,9 +273,9 @@ let zero t addr n =
       let hi = Stdlib.min last (!a lor (page_words - 1)) in
       let p = page_of t !a in
       if p != zero_page then begin
-        let o = byte_in_page !a and len = (hi - !a + 1) * 8 in
-        Bytes.fill p.persisted o len '\000';
-        Bytes.fill p.cur o len '\000'
+        let o = byte_in_page !a in
+        Bytes.fill p.cur o ((hi - !a + 1) * 8) '\000';
+        patch_pre t p !a hi zero_page.cur o
       end;
       a := hi + 1
     done
@@ -276,7 +309,10 @@ let drain_pending t = t.pending <- 0
 
 let persisted t addr =
   check t addr;
-  get_word (page_of t addr).persisted (byte_in_page addr)
+  let p = page_of t addr in
+  let pos = p.slots.(slot_in_page addr) in
+  if pos < 0 then get_word p.cur (byte_in_page addr)
+  else get_word t.pre (pre_byte t pos addr)
 
 let is_dirty t addr =
   check t addr;
@@ -286,31 +322,24 @@ let dirty_lines t = t.ndirty
 let dirty_linenos t = Array.to_list (Array.sub t.dirty 0 t.ndirty)
 
 (* Forget every dirty line without persisting it: its newest values
-   revert to the persisted ones. *)
+   revert to the persisted ones, copied back from the pool. *)
 let crash t =
   for i = 0 to t.ndirty - 1 do
     let lineno = t.dirty.(i) in
     let p = page_of_line t lineno in
-    let o = line_byte lineno in
-    Bytes.unsafe_blit p.persisted o p.cur o line_bytes;
+    Bytes.unsafe_blit t.pre (t.pre_slot.(i) * line_bytes) p.cur
+      (line_byte lineno) line_bytes;
     p.slots.(line_slot lineno) <- -1
   done;
   t.ndirty <- 0;
   t.pending <- 0
 
-(* Every line is written back, so skip per-line index maintenance:
-   persist in dirty-index (insertion) order — deterministic, no
-   intermediate list — then drop the index wholesale. *)
+(* Every line is written back: its newest words become its persisted
+   ones where they stand, so marking the lines clean (in dirty-index
+   order) and dropping the index wholesale is the whole write-back.
+   The same empties the overlay for [reset] and [restore_crashed],
+   which overwrite the words afterwards. *)
 let flush_all t =
-  for i = 0 to t.ndirty - 1 do
-    persist_line t t.dirty.(i)
-  done;
-  t.ndirty <- 0;
-  t.pending <- 0
-
-(* Empty the overlay without persisting or reverting anything: every
-   line is marked clean and no write-back is pending. *)
-let drop_overlay t =
   for i = 0 to t.ndirty - 1 do
     let lineno = t.dirty.(i) in
     (page_of_line t lineno).slots.(line_slot lineno) <- -1
@@ -318,16 +347,14 @@ let drop_overlay t =
   t.ndirty <- 0;
   t.pending <- 0
 
-let clear_page p =
-  Bytes.fill p.persisted 0 page_bytes '\000';
-  Bytes.fill p.cur 0 page_bytes '\000'
+let clear_page p = Bytes.fill p.cur 0 page_bytes '\000'
 
 (* Return the arena to its just-created state (same size, same
    cache-line budget, hook preserved) without reallocating: only the
    materialised pages hold anything to zero, and they stay in the table
    for the next run to write into. *)
 let reset ~rng t =
-  drop_overlay t;
+  flush_all t;
   Vec.iter (fun i -> clear_page t.pages.(i)) t.touched;
   Rng.assign ~into:t.rng rng;
   let c = t.counters in
@@ -356,9 +383,17 @@ let crash_image ?(cache_survives = false) t =
   Array.iteri
     (fun j i ->
       let p = t.pages.(i) in
-      (* With a persistent cache the newest value of every word survives. *)
-      let src = if cache_survives then p.cur else p.persisted in
-      Bytes.unsafe_blit src 0 data (j * page_bytes) page_bytes)
+      let o = j * page_bytes in
+      Bytes.unsafe_blit p.cur 0 data o page_bytes;
+      (* With a persistent cache the newest value of every word
+         survives; without one a dirty line leaves its pre-image. *)
+      if not cache_survives then
+        Array.iteri
+          (fun s pos ->
+            if pos >= 0 then
+              Bytes.unsafe_blit t.pre (t.pre_slot.(pos) * line_bytes) data
+                (o + (s * line_bytes)) line_bytes)
+          p.slots)
     pages;
   { im_size = t.size; im_pages = pages; im_data = data; im_rng = Rng.copy t.rng;
     im_counters = { t.counters with loads = t.counters.loads } }
@@ -371,25 +406,24 @@ let rec mem_sorted a x lo hi =
   if y = x then true else if y < x then mem_sorted a x (mid + 1) hi
   else mem_sorted a x lo mid
 
-(* Empty the overlay, then write the image's pages into both images of
-   each page, so every line reads its surviving value.  A page this
-   memory materialised that the image lacks is zeroed; one the image
-   has that this memory lacks is materialised. *)
+(* Empty the overlay, then write the image's pages into [cur], so every
+   line reads its surviving value.  A page this memory materialised that
+   the image lacks is zeroed; one the image has that this memory lacks
+   is materialised. *)
 let restore_crashed t im =
   if im.im_size <> t.size then
     invalid_arg
       (Printf.sprintf "Pmem.restore_crashed: image of %d words, memory of %d"
          im.im_size t.size);
-  drop_overlay t;
+  flush_all t;
   let n = Array.length im.im_pages in
   Vec.iter
     (fun i -> if not (mem_sorted im.im_pages i 0 n) then clear_page t.pages.(i))
     t.touched;
   Array.iteri
     (fun j i ->
-      let p = writable t (i lsl page_shift) in
-      Bytes.unsafe_blit im.im_data (j * page_bytes) p.persisted 0 page_bytes;
-      Bytes.unsafe_blit im.im_data (j * page_bytes) p.cur 0 page_bytes)
+      Bytes.unsafe_blit im.im_data (j * page_bytes)
+        (writable t (i lsl page_shift)).cur 0 page_bytes)
     im.im_pages;
   Rng.assign ~into:t.rng im.im_rng;
   let c = t.counters and s = im.im_counters in

@@ -14,15 +14,18 @@
 
     Representation: the memory is paged in 512-word (4 KiB) pages, and
     a page is materialised only when first written.  A materialised
-    page stores its words unboxed, twice: a {e current} image holding
-    the newest value of every word (the only one {!load} reads) and a
-    {e persisted} image holding the persistence domain.  A clean line
-    reads the same in both, so dirtying it copies nothing; a write-back
-    or eviction copies the line from the current image to the
-    persisted one, and a crash copies every dirty line back.  The
-    dirty index is a flat array of line numbers, and each page records
-    its lines' positions in it.  With a pre-boxed value, {!store},
-    {!clwb} and {!fence} allocate nothing once the index has grown. *)
+    page stores its words unboxed, once: the {e current} image holds
+    the newest value of every word (the only one {!load} reads).  A
+    clean line's current words are its persisted words, so only a
+    dirty line keeps its persisted words apart, as a 64-byte
+    {e pre-image} in a pool sized by the dirty lines, at most
+    [cache_lines].  The first store to a clean line copies the line
+    into the pool; a write-back or eviction only frees the slot, and a
+    crash copies every pre-image back.  The dirty index is a flat array
+    of line numbers, each page records its lines' positions in it, and
+    each position names its pool slot.  With a pre-boxed value,
+    {!store}, {!clwb} and {!fence} allocate nothing once the index has
+    grown. *)
 
 open Ido_util
 
@@ -62,8 +65,8 @@ val counters : t -> counters
 val materialised_pages : t -> int
 (** Pages holding a private copy: those written by [store] or [poke]
     since {!create} ([zero] never materialises one).  The memory's
-    footprint is about 8.5 KiB per such page: two 4 KiB images and
-    the line-to-index table.
+    footprint is about 4.5 KiB per such page (one 4 KiB image and the
+    line-to-index table) plus 64 bytes of pre-image per dirty line.
     Exported as the footprint probe of the paging tests. *)
 
 (** {1 Persist-event observation}

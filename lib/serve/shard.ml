@@ -69,7 +69,6 @@ let retire_machine ~config ~oracle m =
   (o, consistency)
 
 type station = {
-  home : int;  (** the group whose outcome owns this station's counters *)
   mutable prim : Vm.t;
   mutable reps : Vm.t list;
   mutable busy : int;
@@ -95,7 +94,6 @@ let event_at = function
   | Fault.Crash _ -> assert false
 
 type lane = {
-  gid : int;
   mutable station : station;
   mutable filter : Gen.request -> bool;
   pending : Gen.request Q.t;
@@ -115,9 +113,9 @@ type gctx = {
   mutable lanes : lane list;  (** routing order: new request goes to
                                   the first lane whose filter takes it *)
   mutable crash_req : (Fault.crash_plan * bool ref) list;
-  mutable split_at : int option;  (** sub-stream index triggering a split *)
+  split_at : int option;  (** sub-stream index triggering a split *)
   mutable split_done : bool;
-  mutable merge_at : int option;  (** wall ns; set on the cold group *)
+  merge_at : int option;  (** wall ns; set on the cold group *)
   mutable merged : bool;
   mutable stations : station list;  (** homed here, creation order *)
 }
@@ -278,9 +276,8 @@ let run_unit ?(obs = false) ~fault ~config ~program ~oracle ~plan members =
   let detect_ns = fault.Fault.detect_ns in
   let topo = c.Config.topology in
   let hot = Gen.hottest plan and cold = Gen.coldest plan in
-  let fresh_station ~home ~prim ~reps ~busy =
+  let fresh_station ~prim ~reps ~busy =
     {
-      home;
       prim;
       reps;
       busy;
@@ -308,12 +305,9 @@ let run_unit ?(obs = false) ~fault ~config ~program ~oracle ~plan members =
           List.init topo.Topology.replicas (fun i ->
               boot ~obs c ~seed:(Config.shard_seed ~salt:(2 + i) c gid) program)
         in
-        let st =
-          fresh_station ~home:gid ~prim ~reps ~busy:(Vm.clock prim)
-        in
+        let st = fresh_station ~prim ~reps ~busy:(Vm.clock prim) in
         let ln =
           {
-            gid;
             station = st;
             filter = (fun _ -> true);
             pending = Q.create ();
@@ -389,12 +383,11 @@ let run_unit ?(obs = false) ~fault ~config ~program ~oracle ~plan members =
     let child =
       boot ~obs c ~seed:(Config.shard_seed ~salt:8 c g.gid) program
     in
-    let cst = fresh_station ~home:g.gid ~prim:child ~reps:[] ~busy:st.busy in
+    let cst = fresh_station ~prim:child ~reps:[] ~busy:st.busy in
     g.stations <- g.stations @ [ cst ];
     ln.filter <- (fun r -> Gen.split_bit r.Gen.key = keep_bit);
     let child_lane =
       {
-        gid = g.gid;
         station = cst;
         filter = (fun r -> Gen.split_bit r.Gen.key <> keep_bit);
         pending = Q.create ();

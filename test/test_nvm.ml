@@ -202,6 +202,33 @@ let test_footprint () =
     true (grown < 1 lsl 20);
   Alcotest.(check int64) "last word durable" 1L (Pmem.persisted pm (size - 1))
 
+(* A materialised page costs one 4 KiB word image and its table of
+   line positions; only dirty lines keep their persisted words apart,
+   in a pool bounded by the cache size.  [Obj.reachable_words] counts
+   every block the memory holds, headers included. *)
+let test_page_footprint () =
+  let pages = 64 and cache_lines = 16 in
+  let pm = mk ~cache_lines ~size:(pages * 512) () in
+  for i = 0 to pages - 1 do
+    Pmem.poke pm (i * 512) 1L;
+    Pmem.store pm ((i * 512) + 8) 2L
+  done;
+  Alcotest.(check int) "pages materialised" pages (Pmem.materialised_pages pm);
+  Alcotest.(check int) "cache full" cache_lines (Pmem.dirty_lines pm);
+  let lines_per_page = 512 / Pmem.words_per_line in
+  (* Per page: the image, its position table, and 16 words of headers,
+     page-table slot and touched-list entry.  Per cache line: a 64-byte
+     pre-image and two index entries.  Plus 256 words of fixed state. *)
+  let bound =
+    (pages * (512 + lines_per_page + 16))
+    + (cache_lines * (Pmem.words_per_line + 2))
+    + 256
+  in
+  let words = Obj.reachable_words (Obj.repr pm) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d words reachable, at most %d" words bound)
+    true (words <= bound)
+
 let test_bounds () =
   let pm = mk ~size:128 () in
   Alcotest.check_raises "oob"
@@ -469,15 +496,36 @@ let gen_op =
       (1, map (fun s -> Reset s) small_nat);
     ]
 
+(* A cache size and a history of at most [n] random ops for it.  Three
+   in four histories run on a 3-line cache, where most first stores to
+   a line evict.  The rest run on a 256-line cache, more lines than
+   [diff_size] has, so nothing evicts; they open with a burst of stores
+   spread over the memory, one in seven a [clwb], so the dirty index
+   and the pre-image pool outgrow their first 64 and 128 entries with
+   positions already swapped by write-backs. *)
+let gen_cache_history n =
+  let open QCheck.Gen in
+  let* cache_lines = frequency [ (3, return 3); (1, return 256) ] in
+  let* burst =
+    if cache_lines = 3 then return []
+    else
+      let a = int_bound (diff_size - 1) in
+      list_size (int_range 100 600)
+        (frequency
+           [ (6, map2 (fun a v -> Store (a, v)) a ui64);
+             (1, map (fun a -> Clwb a) a) ])
+  in
+  let* ops = list_size (int_range 0 n) gen_op in
+  return (cache_lines, burst @ ops)
+
 let prop_paged_matches_flat =
   QCheck.Test.make ~name:"paged = flat reference" ~count:200
     (QCheck.make
-       ~print:QCheck.Print.(pair int (list show_op))
-       QCheck.Gen.(pair small_nat (list_size (int_range 1 300) gen_op)))
-    (fun (seed, ops) ->
-      (* Three lines of cache: most first stores to a line evict. *)
-      let pm = Pmem.create ~cache_lines:3 ~rng:(Rng.create seed) diff_size in
-      let flat = Flat.create ~cache_lines:3 ~seed diff_size in
+       ~print:QCheck.Print.(pair int (pair int (list show_op)))
+       QCheck.Gen.(pair small_nat (gen_cache_history 300)))
+    (fun (seed, (cache_lines, ops)) ->
+      let pm = Pmem.create ~cache_lines ~rng:(Rng.create seed) diff_size in
+      let flat = Flat.create ~cache_lines ~seed diff_size in
       let events = ref [] in
       Pmem.set_event_hook pm (Some (fun ev -> events := ev :: !events));
       let same_state () =
@@ -544,14 +592,13 @@ let prop_crash_image_is_crash =
        ~print:
          QCheck.Print.(
            pair (pair int bool)
-             (triple (list show_op) (list show_op) (list show_op)))
+             (triple (pair int (list show_op)) (list show_op) (list show_op)))
        QCheck.Gen.(
          let ops n = list_size (int_range 0 n) gen_op in
-         pair (pair small_nat bool) (triple (ops 200) (ops 200) (ops 100))))
-    (fun ((seed, cache_survives), (ops, other, later)) ->
-      let mem seed =
-        Pmem.create ~cache_lines:3 ~rng:(Rng.create seed) diff_size
-      in
+         pair (pair small_nat bool)
+           (triple (gen_cache_history 200) (ops 200) (ops 100))))
+    (fun ((seed, cache_survives), ((cache_lines, ops), other, later)) ->
+      let mem seed = Pmem.create ~cache_lines ~rng:(Rng.create seed) diff_size in
       let apply pm = function
         | Store (a, v) -> Pmem.store pm a v
         | Load a -> ignore (Pmem.load pm a)
@@ -686,6 +733,7 @@ let suites =
         Alcotest.test_case "hot path allocates nothing" `Quick
           test_hot_path_allocates_nothing;
         qtest prop_crash_image_is_crash;
+        Alcotest.test_case "one word image per page" `Quick test_page_footprint;
       ] );
     ( "nvm.vmem",
       [

@@ -548,6 +548,45 @@ let fault_validate_rejects () =
   | () -> Alcotest.fail "out-of-range group accepted"
   | exception Invalid_argument _ -> ()
 
+(* A replicated group that loses its only replica and then crashes has
+   nothing to fail over to: it recovers in place, and the report counts
+   the lost replica.  Every request is still served or dropped. *)
+let replica_loss_then_crash () =
+  let c =
+    config ~workload:"kvcache50" ~seed:3 ~shards:2 ~replicas:1 ~batch:8
+      ~requests:200 ~zipf:0.99 ()
+  in
+  let g = 0 and mid = Config.mid_stream_ns c in
+  let fault =
+    {
+      Fault.label = "loss+crash";
+      detect_ns = Topology.detect_ns;
+      events =
+        [
+          Fault.Replica_loss { group = g; at_ns = mid / 2 };
+          Fault.Crash_at { group = g; at_ns = mid };
+        ];
+    }
+  in
+  Fault.validate c fault;
+  let cell = Serve.run_cell ~obs:true ~fault c in
+  let o = List.find (fun o -> o.Shard.group = g) cell.Serve.shards in
+  Alcotest.(check int) "one replica lost" 1 o.Shard.replicas_lost;
+  Alcotest.(check int) "one crash" 1 o.Shard.crashes;
+  Alcotest.(check int) "no failover without a replica" 0 o.Shard.failovers;
+  Alcotest.(check bool) "recovered in place" true (o.Shard.recovery_ns > 0);
+  let json = Report.cell_json cell in
+  let fields = {|"crashes":1,"failovers":0,"replicas_lost":1,|} in
+  let n = String.length fields in
+  let rec has i =
+    i + n <= String.length json && (String.sub json i n = fields || has (i + 1))
+  in
+  Alcotest.(check bool) ("report has " ^ fields) true (has 0);
+  Alcotest.(check int) "served + dropped = offered" 200
+    (cell.Serve.stats.Lat.served + cell.Serve.stats.Lat.dropped);
+  Alcotest.(check bool) "oracle ok" true (cell.Serve.oracle = Ok ());
+  Alcotest.(check bool) "obs reconciles" true (cell.Serve.consistency = Ok ())
+
 (* ------------------------------------------------------------------ *)
 (* Spec: JSON round-trip through the trace-header fragment. *)
 
@@ -679,6 +718,8 @@ let suites =
           storm_pooled_identical;
         Alcotest.test_case "fault validation rejects bad groups" `Quick
           fault_validate_rejects;
+        Alcotest.test_case "replica loss, then crash: recovered in place"
+          `Quick replica_loss_then_crash;
       ] );
     ( "serve-spec",
       [
