@@ -88,11 +88,13 @@ let figure_cmd name doc render =
   in
   Cmd.v (Cmd.info name ~doc) Term.(const run $ scale_arg $ jobs_arg)
 
-(* [--ops] is a total, split among the workers; [Spec.make] rejects a
-   non-positive thread count ([max 1] only keeps the split defined
-   until it does). *)
+(* [--ops] is a total, split among the workers: a total below 1 is
+   rejected here, before the split could round it up to one op per
+   worker, and [Spec.make] rejects a non-positive thread count ([max 1]
+   only keeps the split defined until it does). *)
 let split_spec ?obs ~seed ~scheme ~workload ~threads ~total_ops () =
   usage_guard (fun () ->
+      Spec.check_positive "ops" total_ops;
       Exp.Spec.make ~seed ?obs ~scheme ~workload ~threads
         ~ops:(max 1 (total_ops / max 1 threads))
         ())
@@ -441,6 +443,8 @@ let serve_cmd =
       }
     in
     usage_guard @@ fun () ->
+    if sla < 0 then
+      invalid_arg (Printf.sprintf "sla must be >= 0 (got %d)" sla);
     let configs = Ido_serve.Sweep.cells sweep_spec in
     Ido_util.Pool.with_jobs jobs (fun pool ->
         let faults config =

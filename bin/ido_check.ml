@@ -240,6 +240,8 @@ let schedule_cmd =
   in
   let run scheme workload seed threads ops cache_lines oracle strict limit =
     guard @@ fun () ->
+    if limit < 0 then
+      invalid_arg (Printf.sprintf "limit must be >= 0 (got %d)" limit);
     let spec = spec_of scheme workload seed threads ops cache_lines oracle strict in
     let evs = Engine.record spec in
     Printf.printf "%d events\n" (Array.length evs);

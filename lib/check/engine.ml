@@ -162,21 +162,17 @@ let run_init m =
   Atomic.incr full_boots;
   Vm.run_init m
 
+(* An arena boots before anything is restored into it, so one with no
+   image boots a fresh machine. *)
 let arena_boot a =
-  let m =
-    match a.a_boot with
-    | Some image ->
-        let m = arena_machine a in
-        Vm.restore_boot m image;
-        Atomic.incr restored_boots;
-        m
-    | None ->
-        if Option.is_some a.a_machine then Vm.reset (arena_machine a);
-        let m = arena_machine a in
-        run_init m;
-        a.a_boot <- Some (Vm.boot_image m);
-        m
-  in
+  let m = arena_machine a in
+  (match a.a_boot with
+  | Some image ->
+      Vm.restore_boot m image;
+      Atomic.incr restored_boots
+  | None ->
+      run_init m;
+      a.a_boot <- Some (Vm.boot_image m));
   spawn_workers a.a_custom m;
   m
 
@@ -275,7 +271,7 @@ let crash_and_recover m index ~validate =
    must leave the run undisturbed, as {!Vm.crash_image} does; one take
    at idle serves every index past the end.  [f k taken] then consumes
    it and may raise to stop the run.  The one capture loop of the
-   explorer and of the fuzzer's forward probes. *)
+   explorer and of the fuzzer's crashed probes. *)
 let capture_each m indices ~take f =
   let n = Array.length indices in
   let next = ref 0 and count = ref 0 in
@@ -490,12 +486,6 @@ let explore ?(progress = fun _ _ -> ()) ?pool:_ spec ~budget =
   { spec; total_events = total; tested = planned; exhaustive; violations;
     counterexample }
 
-let final_digest spec =
-  let m = setup spec in
-  finish_run m;
-  Vm.flush_all m;
-  digest_now spec m
-
 (* ---------- Observed runs ---------- *)
 
 type traced = {
@@ -516,14 +506,13 @@ type probe = {
 
 (* One run of the booted [m] with [obs] watching the worker phase, the
    injected crash (if any) and recovery; the sink is installed after
-   durable setup, so [Vm.obs_check] reconciles exactly what it saw.  A
-   crash-free run finishes its worker phase with [finish]. *)
-let observe_on ?(finish = finish_run) ?index ~obs (c : custom) m =
+   durable setup, so [Vm.obs_check] reconciles exactly what it saw. *)
+let observe_on ?index ~obs (c : custom) m =
   Vm.set_obs m (Some obs);
   let pr_event, pr_verdict =
     match index with
     | None ->
-        finish m;
+        finish_run m;
         Vm.flush_all m;
         (None, c.c_validate m)
     | Some k -> crash_and_recover m k ~validate:c.c_validate
@@ -532,116 +521,73 @@ let observe_on ?(finish = finish_run) ?index ~obs (c : custom) m =
   Vm.set_obs m None;
   { pr_index = index; pr_event; pr_verdict; pr_consistency }
 
-(* The same on a fresh machine, which is returned too, for callers that
-   digest its image. *)
-let observe ?index ~obs c =
-  let m = setup_custom c in
-  (m, observe_on ?index ~obs c m)
-
-let probe ?index ~obs c =
+let probe ?arena ?index ~obs c =
   check_index "probe" index;
-  snd (observe ?index ~obs c)
-
-(* What a forward probe keeps of one crash instant: the image, the
-   event the crash precedes, the forward sink's rollup so far (the
-   observed window's prefix) and the caller's snapshot. *)
-type 'a captured = {
-  cp_image : Vm.crash_image;
-  cp_event : string option;
-  cp_prior : Ido_obs.Obs.rollup;
-  cp_snap : 'a;
-}
-
-type 'a forward = {
-  fw_arena : arena;
-  fw_base : Ido_nvm.Pmem.counters;
-      (* the pmem counters where the forward sink's window opened *)
-  fw_captured : (int, 'a captured) Hashtbl.t;
-}
+  let m = match arena with Some a -> arena_boot a | None -> setup_custom c in
+  observe_on ?index ~obs c m
 
 exception Captured_all
 
-(* Boot the forward probe's machine and open its window; [capture m]
-   then finishes (or, with [~stop], cuts short) its worker phase,
-   capturing each index of [at] on the way. *)
-let start_forward a ~obs ~at ~snap =
-  let m = arena_boot a in
-  let fw_base =
-    let k = Ido_nvm.Pmem.counters (Vm.pmem m) in
-    { k with loads = k.loads }
-  in
-  let indices =
-    Array.of_list (List.sort_uniq compare (List.filter (fun k -> k >= 0) at))
-  in
+let crashed_probes ~arena ~length ~at ~obs ~validate =
+  let resolved = List.map (fun c -> c mod (length + 1)) at in
+  List.iter (fun k -> check_index "crashed_probes" (Some k)) resolved;
+  let indices = Array.of_list (List.sort_uniq compare resolved) in
   let n = Array.length indices in
-  let fw_captured = Hashtbl.create n in
-  let capture ~stop m =
-    if n > 0 || not stop then
-      capture_each m indices
-        ~take:(fun cp_event ->
-          let r = Ido_obs.Obs.total obs in
-          {
-            cp_image = Vm.crash_image m;
-            cp_event;
-            cp_prior = { r with stores = r.stores };
-            cp_snap = snap ();
-          })
-        (fun k cp ->
-          Hashtbl.replace fw_captured k cp;
-          if stop && k = indices.(n - 1) then raise Captured_all)
-  in
-  (m, capture, { fw_arena = a; fw_base; fw_captured })
-
-let probe_forward ?arena:a ~obs ~at ~snap (c : custom) =
-  let a = match a with Some a -> a | None -> arena c in
-  let m, capture, fw = start_forward a ~obs ~at ~snap in
-  (observe_on ~finish:(capture ~stop:false) ~obs c m, fw)
-
-let capture_forward ~arena ~obs ~at ~snap =
-  let m, capture, fw = start_forward arena ~obs ~at ~snap in
-  Vm.set_obs m (Some obs);
-  (try capture ~stop:true m with Captured_all -> ());
-  Vm.set_obs m None;
-  fw
-
-let probe_crashed fw ~index ~obs ~validate =
-  check_index "probe" (Some index);
-  match Hashtbl.find_opt fw.fw_captured index with
-  | None ->
-      let sink = obs None in
-      observe_on ~index ~obs:sink
-        { fw.fw_arena.a_custom with c_validate = validate }
-        (arena_boot fw.fw_arena)
-  | Some cp ->
-      let m = arena_machine fw.fw_arena in
-      Vm.restore_crashed m cp.cp_image;
-      let sink = obs (Some cp.cp_snap) in
-      Vm.set_obs m (Some sink);
-      (* The event [Vm.crash] emits and a restore does not. *)
-      Ido_obs.Obs.emit sink ~tid:(-1) ~fase:(-1) Ido_obs.Obs.Crash;
-      let pr_verdict = snd (recover_checked m ~validate) in
-      (* The window runs from the forward run's boot: its prefix is in
-         [cp_prior], the restored part in [sink]. *)
-      let k = Ido_nvm.Pmem.counters (Vm.pmem m) and b = fw.fw_base in
-      let pr_consistency =
-        Ido_obs.Obs.check ~prior:cp.cp_prior sink
-          ~stores:(k.stores - b.stores)
-          ~writebacks:(k.writebacks - b.writebacks)
-          ~fences:(k.fences - b.fences)
-          ~evictions:(k.evictions - b.evictions)
-      in
-      Vm.set_obs m None;
-      { pr_index = Some index; pr_event = cp.cp_event; pr_verdict;
-        pr_consistency }
+  if n = 0 then []
+  else begin
+    let m = arena_boot arena in
+    (* The window opens where [probe]'s does, after durable setup; the
+       forward sink observes its prefix up to each crash point. *)
+    let base =
+      let k = Ido_nvm.Pmem.counters (Vm.pmem m) in
+      { k with loads = k.loads }
+    in
+    let forward = Ido_obs.Obs.create ~buffer:false () in
+    let captured = Hashtbl.create n in
+    Vm.set_obs m (Some forward);
+    (try
+       capture_each m indices
+         ~take:(fun event ->
+           let r = Ido_obs.Obs.total forward in
+           (event, Vm.crash_image m, { r with stores = r.stores }))
+         (fun k cp ->
+           Hashtbl.replace captured k cp;
+           if k = indices.(n - 1) then raise Captured_all)
+     with Captured_all -> ());
+    Vm.set_obs m None;
+    List.map
+      (fun index ->
+        let event, image, prior = Hashtbl.find captured index in
+        Vm.restore_crashed m image;
+        let sink = obs () in
+        Vm.set_obs m (Some sink);
+        (* The event [Vm.crash] emits and a restore does not. *)
+        Ido_obs.Obs.emit sink ~tid:(-1) ~fase:(-1) Ido_obs.Obs.Crash;
+        let pr_verdict = snd (recover_checked m ~validate) in
+        (* The window runs from the forward run's boot: its prefix is in
+           [prior], the restored part in [sink]. *)
+        let k = Ido_nvm.Pmem.counters (Vm.pmem m) in
+        let pr_consistency =
+          Ido_obs.Obs.check ~prior sink
+            ~stores:(k.stores - base.stores)
+            ~writebacks:(k.writebacks - base.writebacks)
+            ~fences:(k.fences - base.fences)
+            ~evictions:(k.evictions - base.evictions)
+        in
+        Vm.set_obs m None;
+        { pr_index = Some index; pr_event = event; pr_verdict; pr_consistency })
+      resolved
+  end
 
 let run_traced ?index spec =
   check_index "run_traced" index;
   let obs = Ido_obs.Obs.create () in
-  let m, p =
-    observe ?index ~obs
-      { (custom_of_spec spec) with
-        c_validate = validate_now spec ~mode:spec.oracle_mode }
+  let c =
+    { (custom_of_spec spec) with
+      c_validate = validate_now spec ~mode:spec.oracle_mode }
   in
+  let m = setup_custom c in
+  let p = observe_on ?index ~obs c m in
   {
     t_spec = spec;
     t_index = index;

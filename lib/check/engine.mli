@@ -174,10 +174,6 @@ val repro_line : spec -> int -> string
 (** The exact [ido_check replay ...] invocation reproducing one
     injection. *)
 
-val final_digest : spec -> string
-(** Crash-free run to completion, then {!Oracle.digest} of the
-    durable image — the cross-scheme differential signature. *)
-
 (** {1 Traced runs}
 
     A traced run is an {!inject}-style execution (or a crash-free one)
@@ -240,24 +236,6 @@ type probe = {
       (** {!Ido_vm.Vm.obs_check} of [obs] over the observed window *)
 }
 
-val probe : ?index:int -> obs:Ido_obs.Obs.t -> custom -> probe
-(** One run of a custom program observed by [obs] (a fresh sink),
-    crash-free or crashed just before event [index] — {!run_traced}
-    without the registry oracle.  Deterministic under the custom and
-    [index].  Each call boots its own machine and, when crashed,
-    re-runs the whole prefix up to [index]: the from-boot reference
-    that {!probe_forward} and {!probe_crashed} reproduce from one run.
-
-    The crash-free run emits the same worker-phase event stream that
-    {!record} would return for the same program and geometry: the
-    crash-injection hook sees exactly the {!Ido_obs.Obs.crash_point}
-    subsequence of the sink's stream, and the final
-    {!Ido_vm.Vm.flush_all} emits nothing.  A sink with a [tap]
-    therefore derives a run's crash-point schedule without a separate
-    recording run.
-    Exported as the from-boot reference the restored probes are
-    checked against. *)
-
 type arena
 (** A reusable machine for the runs of one custom.  Unless it was given
     a boot image, its first boot creates the machine, runs the durable
@@ -274,61 +252,46 @@ val arena : ?boot:Ido_vm.Vm.boot_image -> custom -> arena
 val arena_image : arena -> Ido_vm.Vm.boot_image option
 (** The arena's boot image, once it has booted. *)
 
-type 'a forward
-(** A custom's machine after its crash-free probe, with the crash
-    instants that probe captured on the way. *)
+val probe : ?arena:arena -> ?index:int -> obs:Ido_obs.Obs.t -> custom -> probe
+(** One run of a custom program observed by [obs] (a fresh sink),
+    crash-free or crashed just before event [index] — {!run_traced}
+    without the registry oracle.  Deterministic under the custom and
+    [index].  The run boots on [arena] when given (which must come from
+    a custom with the same program and geometry), else on a fresh
+    machine, and when crashed re-runs the whole prefix up to [index]:
+    the from-boot reference that {!crashed_probes} reproduces from one
+    forward run.
 
-val probe_forward :
-  ?arena:arena ->
-  obs:Ido_obs.Obs.t ->
-  at:int list ->
-  snap:(unit -> 'a) ->
-  custom ->
-  probe * 'a forward
-(** The crash-free [probe ~obs c], which also captures, at each index
-    [k] of [at] that the run reaches ([0 <= k <=] the schedule length;
-    unsorted, duplicates and out-of-range values allowed), the
-    {!Ido_vm.Vm.crash_image} a crash just before event [k] (at idle
-    for [k] = the length) would leave, through the same capture loop
-    as {!explore}.  [snap ()] is called at each capture, when [obs] has
-    seen every event before the crash and none after; the caller
-    snapshots its own tap state there.  Boots one machine: on [arena]
-    when given (which must come from a custom with the same program and
-    geometry), else on a fresh one. *)
+    The crash-free run emits the same worker-phase event stream that
+    {!record} would return for the same program and geometry: the
+    crash-injection hook sees exactly the {!Ido_obs.Obs.crash_point}
+    subsequence of the sink's stream, and the final
+    {!Ido_vm.Vm.flush_all} emits nothing.  A sink with a [tap]
+    therefore derives a run's crash-point schedule without a separate
+    recording run. *)
 
-val capture_forward :
+val crashed_probes :
   arena:arena ->
-  obs:Ido_obs.Obs.t ->
+  length:int ->
   at:int list ->
-  snap:(unit -> 'a) ->
-  'a forward
-(** {!probe_forward} on [arena] without the crash-free verdict: the run stops as
-    soon as the last index of [at] is captured, so a caller that
-    already knows the crash-free outcome and the schedule length pays
-    only for the prefix its crash points need.  [at] should be resolved
-    into [0, length] by the caller; an index past the run is captured
-    at idle.  The captures, and every {!probe_crashed} that follows,
-    are the same as after {!probe_forward}. *)
-
-val probe_crashed :
-  'a forward ->
-  index:int ->
-  obs:('a option -> Ido_obs.Obs.t) ->
+  obs:(unit -> Ido_obs.Obs.t) ->
   validate:(Ido_vm.Vm.t -> (unit, string) result) ->
-  probe
-(** [probe ~index] of the forward probe's custom with [validate] as
-    its validator, with the same verdict, consistency and sink stream
-    after the crash point: the [Crash] event, recovery's events and the
-    final flush.  When [index] was captured the probe restores that
-    image into the forward probe's machine and boots nothing; [obs]
-    receives the capture's snapshot and returns the sink, which sees
-    only the events after the crash point, while
-    [pr_consistency] still reconciles the whole window from boot (the
-    forward sink's prefix plus this sink).  Otherwise it re-runs from
-    boot on the same machine, restored from the arena's boot image,
-    with [obs None] as its sink.  Any number of probes, in any order, may follow one
-    forward probe.
-    @raise Invalid_argument on a negative [index], as {!probe}. *)
+  probe list
+(** [probe ~index] of the arena's custom with [validate] as its
+    validator, at each crash point of [at] resolved against the
+    crash-free schedule's [length] ([index = c mod (length + 1)]), in
+    [at]'s order, duplicates included; [[]] for an empty [at], which
+    boots nothing.  One forward run boots the arena and runs only as
+    far as the last resolved index, capturing the
+    {!Ido_vm.Vm.crash_image} at each one through the same capture loop
+    as {!explore}; each probe then restores its image into the same
+    machine, recovers, flushes and validates.  Its sink, [obs ()] (a
+    fresh one per probe), sees only the events after the crash point:
+    the [Crash] event, recovery's events and the final flush, exactly
+    the suffix a from-boot probe's sink sees, while [pr_consistency]
+    reconciles the whole window from boot (the forward run's prefix
+    plus this sink).
+    @raise Invalid_argument on a negative resolved index, as {!probe}. *)
 
 type boots = {
   full : int;  (** set up by running [init] *)
@@ -339,8 +302,9 @@ val boots : unit -> boots
 (** Machines booted by every engine run in this process so far: each
     from-boot {!probe} or injection boots one — in full on a new
     machine, from the boot image on an arena that has booted before —
-    and a restored {!probe_crashed} none.  One-shot boots ({!record},
-    {!probe}, {!inject}, {!run_traced}) take no boot image.
+    and a {!crashed_probes} call one for all its probes.  One-shot
+    boots ({!record}, {!probe} without an arena, {!inject},
+    {!run_traced}) take no boot image.
     Exported as the only view of boot accounting; the fuzz tests count
     boots with it. *)
 

@@ -100,17 +100,6 @@ let acc ~scheme =
 
 let new_run a = Array.fill a.streams 0 (Array.length a.streams) none
 
-type snapshot = int array
-
-let snapshot a = Array.copy a.streams
-
-(* Streams past the snapshot's end had no event yet: [none]. *)
-let restore a snap =
-  let n = Array.length snap in
-  if Array.length a.streams < n then a.streams <- Array.make n none;
-  Array.blit snap 0 a.streams 0 n;
-  Array.fill a.streams n (Array.length a.streams - n) none
-
 let stream a tid =
   let s = 4 * (tid + 1) in
   let n = Array.length a.streams in

@@ -43,19 +43,6 @@ val new_run : acc -> unit
     buckets, so the accumulator collects the union of per-run feature
     sets (n-grams and edges never span two runs). *)
 
-type snapshot
-(** The per-thread stream state of a run at one instant: four ints per
-    stream, no buckets. *)
-
-val snapshot : acc -> snapshot
-
-val restore : acc -> snapshot -> unit
-(** Continue from the snapshot's instant: every thread's stream state
-    becomes what it was there, the buckets stay.  A run restored from a
-    crash image at the instant its forward run was snapshotted then
-    collects exactly the features of the same run re-executed from
-    boot. *)
-
 val collect : acc -> int array
 (** The buckets accumulated so far, sorted and deduplicated. *)
 

@@ -187,7 +187,8 @@ let construction_failed input msg =
   }
 
 (* A probe's failures, in report order: the verdict's code, then F703. *)
-let probe_failures crash (p : Engine.probe) =
+let probe_failures (p : Engine.probe) =
+  let crash = p.Engine.pr_index in
   (match p.Engine.pr_verdict with
   | Ok () -> []
   | Error msg -> [ (classify_verdict msg, msg, crash) ])
@@ -197,12 +198,7 @@ let probe_failures crash (p : Engine.probe) =
   | Error msg -> [ ("F703", msg, crash) ]
 
 let outcome_of input (r : record) ~features crashed =
-  let failures =
-    r.r_failures
-    @ List.concat_map
-        (fun (index, p) -> probe_failures (Some index) p)
-        crashed
-  in
+  let failures = r.r_failures @ List.concat_map probe_failures crashed in
   let o_failure =
     match failures with
     | [] -> None
@@ -241,107 +237,82 @@ let run_dynamic ~cache ~opt (input : Input.t) =
         | None -> Error "internal: reference heap missing")
   in
   (* One accumulator for the whole candidate: every probe streams its
-     events into it through the sink's tap, none is buffered.  A
-     forward run captures a crash image, with the accumulator's stream
-     state, at every crash point of the input; each crashed probe
-     restores both and continues the streams from there. *)
+     events into it through the sink's tap, none is buffered. *)
   let acc = Cov.acc ~scheme:scheme_name in
   let sink tap = Obs.create ~buffer:false ~tap () in
-  let crashed_sink snap =
-    (match snap with
-    | Some s -> Cov.restore acc s
-    | None -> Cov.new_run acc);
-    sink (Cov.observe acc)
+  (* A base's first run is its crash-free probe.  Its tap derives the
+     crash-point schedule — its length and the indices of fence/lock
+     events, where boundary persists and FASE transitions happen, the
+     reseeding frontier for the mutator — exactly as a separate
+     recording run would see it (see [Engine.probe]). *)
+  let record_base arena custom =
+    let len = ref 0 and hints = ref [] in
+    let schedule (ev : Obs.event) =
+      Cov.observe acc ev;
+      if Obs.crash_point ev.Obs.kind then begin
+        (match ev.Obs.kind with
+        | Obs.Fence _ | Obs.Lock_acquire _ | Obs.Lock_release _ ->
+            hints := !len :: !hints
+        | _ -> ());
+        incr len
+      end
+    in
+    let reference = ref None in
+    let validate_crash_free m =
+      match input.Input.base with
+      | Input.Workload _ -> validate ~reference:None m
+      | Input.Random _ ->
+          reference := Some (heap_of m);
+          Ok ()
+    in
+    let free =
+      Engine.probe ~arena ~obs:(sink schedule)
+        { custom with Engine.c_validate = validate_crash_free }
+    in
+    let r =
+      {
+        r_failures = probe_failures free;
+        r_features = Cov.collect acc;
+        r_schedule = !len;
+        r_hints = List.rev !hints;
+        r_reference = !reference;
+      }
+    in
+    add cache cache.records key r;
+    r
   in
-  let crashed_probes forward ~reference indices =
-    List.map
-      (fun index ->
-        ( index,
-          Engine.probe_crashed forward ~index ~obs:crashed_sink
-            ~validate:(validate ~reference) ))
-      indices
+  (* Each crashed probe restores a crash image of the base's forward
+     run and streams only what follows the crash point, as fresh runs:
+     no post-crash event continues a pre-crash stream (crash and
+     recovery are machine-level, tid -1, which the worker phase never
+     uses, and resumed threads get fresh tids), and the prefix's
+     features are among the record's. *)
+  let crashed_sink () =
+    Cov.new_run acc;
+    sink (Cov.observe acc)
   in
   match find cache cache.records key with
   | Some r when input.Input.crashes = [] ->
       outcome_of input r ~features:r.r_features []
-  | Some r -> (
-      (* A recorded base: the crash-free outcome is known, so resolve
-         every crash point against the recorded schedule and run the
-         forward probe only as far as its last one.  The prefix's
-         features are among the record's. *)
-      let indices =
-        List.map (fun c -> c mod (r.r_schedule + 1)) input.Input.crashes
-      in
+  | known -> (
       match
         let custom = custom_of_input ~opt input in
         with_arena cache key custom (fun arena ->
-            let forward =
-              Engine.capture_forward ~arena ~obs:(sink (Cov.observe acc))
-                ~at:indices
-                ~snap:(fun () -> Cov.snapshot acc)
+            let r =
+              match known with
+              | Some r -> r
+              | None -> record_base arena custom
             in
-            crashed_probes forward ~reference:r.r_reference indices)
+            ( r,
+              Engine.crashed_probes ~arena ~length:r.r_schedule
+                ~at:input.Input.crashes ~obs:crashed_sink
+                ~validate:(validate ~reference:r.r_reference) ))
       with
       | exception (Failure msg | Invalid_argument msg) ->
           construction_failed input msg
-      | crashed ->
+      | r, crashed ->
           Cov.merge acc r.r_features;
           outcome_of input r ~features:(Cov.collect acc) crashed)
-  | None -> (
-      (* A new base: one forward run is the crash-free probe, and also
-         captures every crash point of the input it reaches.  Its tap
-         derives the crash-point schedule — its length and the indices
-         of fence/lock events, where boundary persists and FASE
-         transitions happen, the reseeding frontier for the mutator —
-         exactly as a separate recording run would see it (see
-         [Engine.probe]).  Only a crash point past the schedule,
-         wrapped modulo its length + 1 onto an index no other crash
-         point captured, re-runs from the boot image. *)
-      let len = ref 0 and hints = ref [] in
-      let schedule (ev : Obs.event) =
-        Cov.observe acc ev;
-        if Obs.crash_point ev.Obs.kind then begin
-          (match ev.Obs.kind with
-          | Obs.Fence _ | Obs.Lock_acquire _ | Obs.Lock_release _ ->
-              hints := !len :: !hints
-          | _ -> ());
-          incr len
-        end
-      in
-      let reference = ref None in
-      let validate_crash_free m =
-        match input.Input.base with
-        | Input.Workload _ -> validate ~reference:None m
-        | Input.Random _ ->
-            reference := Some (heap_of m);
-            Ok ()
-      in
-      match
-        let custom = custom_of_input ~opt input in
-        with_arena cache key custom (fun arena ->
-            let free, forward =
-              Engine.probe_forward ~arena ~obs:(sink schedule)
-                ~at:input.Input.crashes
-                ~snap:(fun () -> Cov.snapshot acc)
-                { custom with Engine.c_validate = validate_crash_free }
-            in
-            let r =
-              {
-                r_failures = probe_failures None free;
-                r_features = Cov.collect acc;
-                r_schedule = !len;
-                r_hints = List.rev !hints;
-                r_reference = !reference;
-              }
-            in
-            add cache cache.records key r;
-            ( r,
-              crashed_probes forward ~reference:r.r_reference
-                (List.map (fun c -> c mod (!len + 1)) input.Input.crashes) ))
-      with
-      | exception (Failure msg | Invalid_argument msg) ->
-          construction_failed input msg
-      | r, crashed -> outcome_of input r ~features:(Cov.collect acc) crashed)
 
 let run ?(cache = cache ()) ?(opt = false) input =
   if Input.static_only input then run_static ~opt input

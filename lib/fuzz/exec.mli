@@ -19,25 +19,22 @@
     ({!Ido_check.Engine.arena}): the machine as the durable setup phase
     leaves it ({!Ido_vm.Vm.boot_image}), which every later run of the
     base restores into a new machine instead of setting up again.
-    A candidate on a base with no record is one forward run
-    ({!Ido_check.Engine.probe_forward}) on an arena: the crash-free
-    probe, which also captures a crash image and the accumulator's
-    stream state at every crash point of the input the run reaches;
-    each crashed probe restores both on the same machine and goes on
-    from there.  A crash point past the schedule wraps to
-    [c mod (length + 1)], which that run cannot know in advance; unless
-    that index was captured for another crash point, its probe re-runs
-    from the boot image.  A candidate on a recorded base never repeats
-    the crash-free run: with no crash points its outcome is the
-    record's and it boots nothing; otherwise its crash points are
-    resolved against the recorded length up front, and the forward run
-    ({!Ido_check.Engine.capture_forward}) starts from the boot image
-    and stops after its last capture, its features being the record's
-    unioned with the crashed probes'.  Either way the outcome is the
-    one from-boot probes ({!Ido_check.Engine.probe}) give, byte for
-    byte: features, schedule, hints and failures, in the input's crash
-    order, duplicates included — so it does not depend on what the
-    cache holds.
+    A candidate on a base with no record first records it: the
+    crash-free probe runs on an arena ({!Ido_check.Engine.probe}
+    [~arena]), which boots in full and keeps the boot image.  A
+    candidate on a recorded base never repeats the crash-free run:
+    with no crash points its outcome is the record's and it boots
+    nothing.  Either way, the crash points then go through one
+    {!Ido_check.Engine.crashed_probes} call: each is resolved against
+    the recorded length to [c mod (length + 1)], and one forward run
+    from the boot image, as far as the last of them, captures the crash
+    images that the crashed probes restore.  The candidate's features
+    are the record's unioned with the crashed probes'.  The outcome is
+    the one
+    from-boot probes ({!Ido_check.Engine.probe}) give, byte for byte:
+    features, schedule, hints and failures, in the input's crash order,
+    duplicates included — so it does not depend on what the cache
+    holds.
 
     Failures carry stable codes:
     - the linter's own [L]-codes for static findings;

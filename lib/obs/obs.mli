@@ -128,7 +128,7 @@ val check :
     (deltas of {!Ido_nvm.Pmem.counters} over the observed window).
     [prior] (default: nothing) is the rollup of the window's earlier
     part, which another sink observed — the run prefix before a
-    restored crash image ({!Ido_check.Engine.probe_crashed}); the two
+    restored crash image ({!Ido_check.Engine.crashed_probes}); the two
     are counted as one.  [Error] describes the first mismatching
     counter. *)
 

@@ -77,7 +77,8 @@ let origin_prefix_clean () =
    contention, so single-threaded runs stay comparable.) *)
 let differential workload () =
   let digest scheme =
-    Engine.final_digest (spec ~scheme ~workload ~threads:1 ~ops:15 ())
+    (Engine.run_traced (spec ~scheme ~workload ~threads:1 ~ops:15 ()))
+      .Engine.t_digest
   in
   let reference = digest Scheme.Origin in
   List.iter

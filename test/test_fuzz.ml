@@ -494,85 +494,92 @@ let boots_total () =
   let b = Engine.boots () in
   b.Engine.full + b.Engine.restored
 
-(* A restored probe's sink sees exactly what a from-boot probe's sink
-   sees after the crash point (the crash, recovery and the final
-   flush), the forward probe's [snap] runs when its own sink has seen
-   exactly the events before it, and verdict, event and the whole-window
-   reconciliation agree. *)
+(* The boots [f] makes: (in full, from a boot image). *)
+let boot_delta f =
+  let b = Engine.boots () in
+  f ();
+  let a = Engine.boots () in
+  (a.Engine.full - b.Engine.full, a.Engine.restored - b.Engine.restored)
+
+(* A crashed probe's sink sees exactly what a from-boot probe's sink
+   sees from the crash point on (the crash, recovery and the final
+   flush), and verdict, event and the whole-window reconciliation
+   agree, at crash points given unsorted, duplicated, at idle and
+   wrapped.  One call restores the arena's boot image once for all of
+   its probes. *)
 let restored_stream_is_from_boot_suffix () =
   let module Obs = Ido_obs.Obs in
   let strip evs =
     List.map (fun (e : Obs.event) -> (e.Obs.tid, e.Obs.fase, e.Obs.kind)) evs
   in
-  let rec take n = function
-    | x :: rest when n > 0 -> x :: take (n - 1) rest
-    | _ -> []
+  let rec from_crash = function
+    | (e : Obs.event) :: _ as evs when e.Obs.kind = Obs.Crash -> evs
+    | _ :: rest -> from_crash rest
+    | [] -> []
   in
   List.iter
     (fun (scheme, workload) ->
       let spec = Engine.defaults ~ops:8 ~scheme ~workload () in
       let len = Array.length (Engine.record spec) in
       let custom = Engine.custom_of_spec spec in
-      let free = Obs.create () in
-      let indices = [ len; 0; 5; len / 2; len / 2 ] in
-      let _, forward =
-        Engine.probe_forward ~obs:free ~at:(len + 3 :: indices)
-          ~snap:(fun () -> Obs.count free) custom
-      in
-      List.iter
-        (fun index ->
+      let arena = Engine.arena custom in
+      ignore (Engine.probe ~arena ~obs:(Obs.create ()) custom);
+      let at = [ len + 3; len; 0; 5; len / 2; len / 2 ] in
+      let sinks = ref [] and probes = ref [] in
+      Alcotest.(check (pair int int))
+        (Printf.sprintf "%s/%s boots" (Scheme.name scheme) workload)
+        (0, 1)
+        (boot_delta (fun () ->
+             probes :=
+               Engine.crashed_probes ~arena ~length:len ~at
+                 ~obs:(fun () ->
+                   let o = Obs.create () in
+                   sinks := o :: !sinks;
+                   o)
+                 ~validate:(fun _ -> Ok ())));
+      List.iter2
+        (fun (c, restored) (q : Engine.probe) ->
+          let index = c mod (len + 1) in
           let label =
             Printf.sprintf "%s/%s@%d" (Scheme.name scheme) workload index
           in
           let boot = Obs.create () in
           let p = Engine.probe ~index ~obs:boot custom in
-          let restored = Obs.create () and prefix = ref None in
-          let before = boots_total () in
-          let q =
-            Engine.probe_crashed forward ~index
-              ~obs:(fun snap ->
-                prefix := snap;
-                restored)
-              ~validate:(fun _ -> Ok ())
-          in
-          Alcotest.(check int)
-            (label ^ " boots nothing") before (boots_total ());
-          let n =
-            match !prefix with
-            | Some n -> n
-            | None -> Alcotest.fail (label ^ " was not restored")
-          in
+          Alcotest.(check (option int)) (label ^ " index") (Some index)
+            q.Engine.pr_index;
           Alcotest.(check bool) (label ^ " stream") true
-            (strip (take n (Obs.events free)) @ strip (Obs.events restored)
-            = strip (Obs.events boot));
+            (strip (Obs.events restored) = strip (from_crash (Obs.events boot)));
           Alcotest.(check bool) (label ^ " probe") true
             (p.Engine.pr_event = q.Engine.pr_event
             && p.Engine.pr_verdict = q.Engine.pr_verdict
             && p.Engine.pr_consistency = q.Engine.pr_consistency))
-        indices)
+        (List.combine at (List.rev !sinks))
+        !probes)
     Scheme.
       [
         (Ido, "queue"); (Justdo, "mlog"); (Atlas, "hmap"); (Mnemosyne, "olist");
         (Nvthreads, "stack"); (Nvml, "objstore"); (Origin, "kvcache50");
       ]
 
-(* A candidate boots one machine when all its crash points are in range
-   and restores each of them; a crash point past the schedule that
-   wraps onto an index nothing captured boots it once more. *)
+(* A candidate on a new base boots its machine in full for the
+   crash-free probe that records the base; with crash points it then
+   restores that machine's boot image once for all of them, in range or
+   wrapped past the schedule alike. *)
 let one_machine_per_candidate () =
   let base = Input.Workload "queue" in
   let len =
     (Exec.run (Input.make ~scheme:Scheme.Justdo base)).Exec.o_schedule
   in
   let boots crashes =
-    let before = boots_total () in
-    ignore (Exec.run (Input.make ~crashes ~scheme:Scheme.Justdo base));
-    boots_total () - before
+    boot_delta (fun () ->
+        ignore (Exec.run (Input.make ~crashes ~scheme:Scheme.Justdo base)))
   in
-  Alcotest.(check int) "no crash points" 1 (boots []);
-  Alcotest.(check int) "four in range" 1 (boots [ len; 7; 0; 7 ]);
-  Alcotest.(check int) "one wrapped" 2 (boots [ 7; len + 1 + 9 ]);
-  Alcotest.(check int) "wrapped onto a captured index" 1
+  Alcotest.(check (pair int int)) "no crash points" (1, 0) (boots []);
+  Alcotest.(check (pair int int)) "four in range" (1, 1)
+    (boots [ len; 7; 0; 7 ]);
+  Alcotest.(check (pair int int)) "one wrapped" (1, 1)
+    (boots [ 7; len + 1 + 9 ]);
+  Alcotest.(check (pair int int)) "wrapped onto a captured index" (1, 1)
     (boots [ 7; len + 1 + 7 ])
 
 (* ---------- the campaign cache ---------- *)
@@ -645,16 +652,10 @@ let one_full_boot_per_base () =
   let cache = Exec.cache () in
   let input = Input.make ~scheme:Scheme.Justdo (Input.Workload "queue") in
   ignore (Exec.run ~cache input);
-  let delta f =
-    let b = Engine.boots () in
-    f ();
-    let a = Engine.boots () in
-    (a.Engine.full - b.Engine.full, a.Engine.restored - b.Engine.restored)
-  in
   Alcotest.(check (pair int int)) "crash-free repeat" (0, 0)
-    (delta (fun () -> ignore (Exec.run ~cache input)));
+    (boot_delta (fun () -> ignore (Exec.run ~cache input)));
   Alcotest.(check (pair int int)) "crash points on a recorded base" (0, 1)
-    (delta (fun () ->
+    (boot_delta (fun () ->
          ignore (Exec.run ~cache { input with Input.crashes = [ 9; 4; 9 ] })))
 
 (* ---------- input codec ---------- *)
