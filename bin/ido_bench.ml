@@ -88,16 +88,26 @@ let figure_cmd name doc render =
   in
   Cmd.v (Cmd.info name ~doc) Term.(const run $ scale_arg $ jobs_arg)
 
-(* [--ops] is a total, split among the workers: a total below 1 is
-   rejected here, before the split could round it up to one op per
-   worker, and [Spec.make] rejects a non-positive thread count ([max 1]
-   only keeps the split defined until it does). *)
+(* [--ops] is a total, split evenly among the workers: a total below 1,
+   or below the thread count, is rejected here, before the split could
+   round it up to one op per worker.  A total that does not divide runs
+   the rounded-down split, and stderr says so; stdout stays the run's
+   report alone. *)
 let split_spec ?obs ~seed ~scheme ~workload ~threads ~total_ops () =
   usage_guard (fun () ->
       Spec.check_positive "ops" total_ops;
-      Exp.Spec.make ~seed ?obs ~scheme ~workload ~threads
-        ~ops:(max 1 (total_ops / max 1 threads))
-        ())
+      Spec.check_positive "threads" threads;
+      if total_ops < threads then
+        invalid_arg
+          (Printf.sprintf "ops must be >= threads (got %d ops for %d threads)"
+             total_ops threads);
+      let ops = total_ops / threads in
+      if ops * threads <> total_ops then
+        Printf.eprintf
+          "ido_bench: running %d ops (%d per thread): --ops %d is not a \
+           multiple of --threads %d\n%!"
+          (ops * threads) ops total_ops threads;
+      Exp.Spec.make ~seed ?obs ~scheme ~workload ~threads ~ops ())
 
 let run_cmd =
   let doc = "One throughput run: workload x scheme x threads." in

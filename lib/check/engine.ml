@@ -200,9 +200,9 @@ let finish_observed m f =
   Vm.set_event_hook m None
 
 let record spec =
-  let evs = ref [] in
-  finish_observed (setup spec) (fun e -> evs := e :: !evs);
-  Array.of_list (List.rev !evs)
+  let evs = Vec.create () in
+  finish_observed (setup spec) (Vec.push evs);
+  Vec.to_array evs
 
 let mem_of m =
   let pm = Vm.pmem m in

@@ -23,29 +23,42 @@ type stats = {
 
 (** {1 The happens-before closure} *)
 
-type fase = {
-  mutable complete : bool;  (** its [Fase_end] record is in the log *)
-  mutable writes : (int * int64 * int) list;
-      (** [(addr, old, seq)], newest first *)
-  mutable acquires : (int64 * int) list;  (** [(lock, seq)], newest first *)
-  mutable releases : (int64 * int) list;  (** [(lock, seq)], newest first *)
-}
+type log
+(** The FASEs of a set of undo logs and their write, acquire and
+    release records, in flat arrays: about four words per record, with
+    the logged [a] and [b] words kept exact in bytes. *)
 
-val parse_fases : Undo_log.record list -> fase list
-(** Group one thread's chronological records into its FASEs, oldest
-    first.  Records outside any FASE are ignored.
-    Exported as a step of {!recover}, tested on its own. *)
+val scan : Ido_nvm.Pmem.t -> Ido_nvm.Pmem.addr list -> log
+(** Read every record of the given logs once, through
+    {!Undo_log.reader}.  FASE [f] is the [f]-th [Fase_begin] read, logs
+    in the given order, each oldest record first; records outside any
+    FASE are ignored.  Exported as a step of {!recover}, tested on its
+    own. *)
 
-val rollback_set : fase array -> bool array
-(** [rollback_set fases] marks the FASEs recovery discards: the least
-    set containing every incomplete FASE and, whenever it contains a
-    FASE that released lock [l] at sequence number [s'], every FASE
-    that acquired [l] at some [s >= s'].  Acquires are indexed by lock
-    and sorted, and a worklist expands each marked FASE once, visiting
-    each acquire record at most once: O(r log r) in the lock records.
+val rollback_set : log -> bool array
+(** [rollback_set l] marks the FASEs recovery discards: the least set
+    containing every incomplete FASE and, whenever it contains a FASE
+    that released lock [l] at sequence number [s'], every FASE that
+    acquired [l] at some [s >= s'].  The acquires are sorted by lock and
+    seq, and a worklist expands each marked FASE once, visiting each
+    acquire at most once: O(r log r) in the records.
     Exported as a step of {!recover}, tested on its own. *)
 
 val recover : Pwriter.t -> Region.t -> stats
 (** Scan, roll back, persist the restored values, truncate the logs.
     After [recover] the persistent heap reflects only FASEs that
-    survive the happens-before analysis. *)
+    survive the happens-before analysis.  Writes are undone newest
+    sequence number first. *)
+
+(** {1 NVML durable regions}
+
+    NVML reuses the undo log without lock records: each thread's log
+    holds at most its open durable region. *)
+
+val undo_region : Pwriter.t -> Ido_nvm.Pmem.addr -> int * int
+(** [undo_region w node] reads the log's records, then asks
+    {!Undo_log.in_fase} (a second read).  When the log ends inside a
+    durable region, it restores the old value of every logged write,
+    newest first, writes each back and fences; it returns the records
+    read and the writes undone, or [-1] undone when no region was
+    open.  The log is left for the caller to {!Undo_log.reset}. *)

@@ -79,34 +79,71 @@ let append w node tag ~a ~b ~seq =
 let log_write w node ~addr ~old ~seq =
   append w node Write ~a:(Int64.of_int addr) ~b:old ~seq
 
-let records pm node =
+(* A streaming read of the ring, oldest record first.  Opening it loads
+   cap, head and total; each [next] loads the record's four words, the
+   [a] and [b] words into [ab] exactly as stored. *)
+type reader = {
+  pm : Pmem.t;
+  base : Pmem.addr;  (* the record buffer *)
+  c : int;
+  mutable off : int;  (* ring offset of the next record *)
+  mutable left : int;
+  ab : Bytes.t;
+  mutable seq : int;
+}
+
+let reader pm node =
   let c = cap pm node in
   let h = head pm node in
   let t = total pm node in
-  let nrec = min t (c / record_words) in
-  let start = if t * record_words <= c then 0 else h in
-  List.init nrec (fun i ->
-      let off = (start + (i * record_words)) mod c in
-      let base = node + off_buf + off in
-      {
-        tag = tag_of_code (Pmem.load_int pm base);
-        a = Pmem.load pm (base + 1);
-        b = Pmem.load pm (base + 2);
-        seq = Pmem.load_int pm (base + 3);
-      })
+  {
+    pm;
+    base = node + off_buf;
+    c;
+    off = (if t * record_words <= c then 0 else h);
+    left = min t (c / record_words);
+    ab = Bytes.create 16;
+    seq = 0;
+  }
 
+let remaining r = r.left
+let ab r = r.ab
+let seq r = r.seq
+
+let next r =
+  if r.left = 0 then invalid_arg "Undo_log.next: no record left";
+  let a = r.base + r.off in
+  let tag = tag_of_code (Pmem.load_int r.pm a) in
+  Pmem.load_into r.pm (a + 1) r.ab 0;
+  Pmem.load_into r.pm (a + 2) r.ab 8;
+  r.seq <- Pmem.load_int r.pm (a + 3);
+  r.off <- (r.off + record_words) mod r.c;
+  r.left <- r.left - 1;
+  tag
+
+let records pm node =
+  let r = reader pm node in
+  let acc = ref [] in
+  while r.left > 0 do
+    let tag = next r in
+    acc :=
+      { tag; a = Bytes.get_int64_ne r.ab 0; b = Bytes.get_int64_ne r.ab 8;
+        seq = r.seq }
+      :: !acc
+  done;
+  List.rev !acc
+
+(* The log ends inside a FASE iff its last begin has no matching end. *)
 let in_fase pm node =
-  (* The log ends inside a FASE iff the last begin has no matching
-     end.  Scan backward over the chronological record list. *)
-  let rec last_state st = function
-    | [] -> st
-    | r :: rest ->
-        let st =
-          match r.tag with Fase_begin -> true | Fase_end -> false | _ -> st
-        in
-        last_state st rest
-  in
-  last_state false (records pm node)
+  let r = reader pm node in
+  let open_ = ref false in
+  while r.left > 0 do
+    match next r with
+    | Fase_begin -> open_ := true
+    | Fase_end -> open_ := false
+    | Write | Acquire | Release -> ()
+  done;
+  !open_
 
 let reset w node =
   Pwriter.store_int w (node + off_head) 0;

@@ -44,11 +44,41 @@ val log_write : Pwriter.t -> Pmem.addr -> addr:Pmem.addr -> old:int64 -> seq:int
 val total : Pmem.t -> Pmem.addr -> int
 (** Records ever appended (drives the recovery-time model). *)
 
+(** {1 Reading the ring}
+
+    A {!reader} streams the ring's records oldest first and allocates
+    nothing per record: opening it loads the [cap], [head] and [total]
+    words, and each {!next} loads one record's four words.  Recovery
+    reads the logs through it ({!Atlas_recovery}). *)
+
+type reader
+
+val reader : Pmem.t -> Pmem.addr -> reader
+(** Open a read of the log at the given node. *)
+
+val remaining : reader -> int
+(** Records not yet read: at opening, the records still in the ring. *)
+
+val next : reader -> tag
+(** Load the next record and return its tag; its [a] and [b] words are
+    then bytes [[0, 8)] and [[8, 16)] of {!ab} (native byte order,
+    exactly as stored) and its sequence number is {!seq}.
+    @raise Invalid_argument when no record is left. *)
+
+val ab : reader -> Bytes.t
+(** The last record's [a] and [b] words; overwritten by {!next}. *)
+
+val seq : reader -> int
+(** The last record's sequence number. *)
+
 val records : Pmem.t -> Pmem.addr -> record list
-(** Chronological (oldest first) records still in the ring. *)
+(** Chronological (oldest first) records still in the ring, read
+    through a {!reader}.  Exported as the list reader of the tests'
+    reference recovery, which the flat one is checked against. *)
 
 val in_fase : Pmem.t -> Pmem.addr -> bool
-(** Does the log end inside an open FASE / durable region? *)
+(** Does the log end inside an open FASE / durable region?  Reads every
+    record through a {!reader}. *)
 
 val reset : Pwriter.t -> Pmem.addr -> unit
 (** Truncate after recovery or at a clean commit (NVML). *)

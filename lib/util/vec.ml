@@ -65,6 +65,7 @@ let exists p v =
   go 0
 
 let to_list v = List.init v.len (fun i -> v.data.(i))
+let to_array v = Array.sub v.data 0 v.len
 
 let filter_in_place p v =
   let keep = ref 0 in

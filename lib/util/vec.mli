@@ -35,6 +35,10 @@ val fold_left : ('b -> 'a -> 'b) -> 'b -> 'a t -> 'b
 val exists : ('a -> bool) -> 'a t -> bool
 val to_list : 'a t -> 'a list
 
+val to_array : 'a t -> 'a array
+(** The elements, oldest first, copied into an array of their exact
+    length. *)
+
 val filter_in_place : ('a -> bool) -> 'a t -> unit
 (** Keep only the elements satisfying the predicate, preserving order;
     O(n), no reallocation. *)

@@ -216,33 +216,16 @@ let recover_nvml m =
   let pm = m.pmem in
   let w = Pwriter.create pm m.config.latency in
   let undone = ref 0 and scanned = ref 0 and rolled = ref 0 in
+  (* Undo each open durable region's writes, newest first. *)
   Lognode.iter pm m.region (fun node ->
       if Lognode.kind pm node = Lognode.kind_nvml then begin
-        let records = Undo_log.records pm node in
-        scanned := !scanned + List.length records;
-        if Undo_log.in_fase pm node then begin
+        let n, writes = Atlas_recovery.undo_region w node in
+        scanned := !scanned + n;
+        if writes >= 0 then begin
           incr rolled;
-          (* Undo the open durable region's writes, newest first. *)
-          let writes =
-            List.filter_map
-              (fun (r : Undo_log.record) ->
-                match r.tag with
-                | Undo_log.Write -> Some (Int64.to_int r.a, r.b, r.seq)
-                | _ -> None)
-              records
-          in
-          let writes =
-            List.sort (fun (_, _, s1) (_, _, s2) -> compare s2 s1) writes
-          in
-          List.iter
-            (fun (a, old, _) ->
-              Pwriter.store w a old;
-              Pwriter.clwb w a;
-              incr undone)
-            writes;
-          Pwriter.fence w;
+          undone := !undone + writes;
           recovery_step m ~scheme:"nvml" "undo tid=%d writes=%d"
-            (Lognode.tid pm node) (List.length writes)
+            (Lognode.tid pm node) writes
         end;
         Undo_log.reset w node
       end);

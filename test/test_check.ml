@@ -26,6 +26,30 @@ let recording_deterministic () =
         (Ido_obs.Obs.describe e) (Ido_obs.Obs.describe b.(i)))
     a
 
+(* The recorded schedule is collected in a growable array and copied
+   out once: what survives to the major heap is the events themselves
+   (about 2 words each on atlas/olist's 88,812), where a reversed list
+   and its reversal promoted more than 5.  Counted with a minor
+   collection before each reading, so the minor heap's contents at the
+   start do not count. *)
+let record_promotion_bound () =
+  if Sys.backend_type = Sys.Native then begin
+    let s = Engine.defaults ~scheme:Scheme.Atlas ~workload:"olist" () in
+    let promoted () =
+      Gc.minor ();
+      let _, promoted, _ = Gc.counters () in
+      promoted
+    in
+    let before = promoted () in
+    let events = Engine.record s in
+    let words = promoted () -. before in
+    Alcotest.(check int) "events" 88_812 (Array.length events);
+    let per_event = words /. float_of_int (Array.length events) in
+    Alcotest.(check bool)
+      (Printf.sprintf "%.2f words promoted per event (bound 4)" per_event)
+      true (per_event <= 4.)
+  end
+
 (* A crash at every sampled point of an instrumented scheme must
    recover to a state the Atomic oracle accepts. *)
 let clean_exploration scheme workload () =
@@ -319,6 +343,7 @@ let suites =
           `Quick origin_counterexample;
         Alcotest.test_case "origin/stack passes prefix oracle" `Quick
           origin_prefix_clean;
+        Alcotest.test_case "record promotion" `Quick record_promotion_bound;
       ] );
     ("check.differential", differential_cases);
     ("check.crash_image", restore_tests);

@@ -361,20 +361,161 @@ let test_atlas_undo_order () =
   ignore (Atlas_recovery.recover w region);
   Alcotest.(check int64) "original value restored" 5L (Pmem.load pm 100)
 
+(* The list-based undo recovery that {!Atlas_recovery} replaced, kept
+   as the reference its flat arrays are checked against: records read
+   into a list, grouped into per-FASE tuple lists, the closure over a
+   hashed per-lock index, the undo set concatenated and sorted. *)
+module Reference = struct
+  type fase = {
+    mutable complete : bool;
+    mutable writes : (int * int64 * int) list;  (* addr, old, seq; newest first *)
+    mutable acquires : (int64 * int) list;  (* lock holder, seq *)
+    mutable releases : (int64 * int) list;
+  }
+
+  let parse_fases records =
+    let fases = ref [] in
+    let current = ref None in
+    List.iter
+      (fun (r : Undo_log.record) ->
+        match (r.tag, !current) with
+        | Undo_log.Fase_begin, _ ->
+            let f = { complete = false; writes = []; acquires = []; releases = [] } in
+            current := Some f;
+            fases := f :: !fases
+        | Undo_log.Fase_end, Some f ->
+            f.complete <- true;
+            current := None
+        | Undo_log.Write, Some f -> f.writes <- (Int64.to_int r.a, r.b, r.seq) :: f.writes
+        | Undo_log.Acquire, Some f -> f.acquires <- (r.a, r.seq) :: f.acquires
+        | Undo_log.Release, Some f -> f.releases <- (r.a, r.seq) :: f.releases
+        | _, None -> ())
+      records;
+    List.rev !fases
+
+  module Lock_tbl = Hashtbl.Make (struct
+    type t = int64
+
+    let equal = Int64.equal
+    let hash l = (Int64.to_int l * 0x2545F4914F6CDD1D) lsr 17
+  end)
+
+  let rollback_set fases =
+    let pending = Lock_tbl.create 16 in
+    Array.iteri
+      (fun fi f ->
+        List.iter
+          (fun (lock, s) ->
+            match Lock_tbl.find pending lock with
+            | l -> l := (s, fi) :: !l
+            | exception Not_found -> Lock_tbl.add pending lock (ref [ (s, fi) ]))
+          f.acquires)
+      fases;
+    Lock_tbl.iter
+      (fun _ l -> l := List.sort (fun (s1, _) (s2, _) -> compare s2 s1) !l)
+      pending;
+    let rolled = Array.map (fun f -> not f.complete) fases in
+    let work = Stack.create () in
+    Array.iteri (fun i r -> if r then Stack.push i work) rolled;
+    while not (Stack.is_empty work) do
+      List.iter
+        (fun (lock, s') ->
+          let rec mark = function
+            | (s, fi) :: rest when s >= s' ->
+                if not rolled.(fi) then begin
+                  rolled.(fi) <- true;
+                  Stack.push fi work
+                end;
+                mark rest
+            | rest -> rest
+          in
+          match Lock_tbl.find_opt pending lock with
+          | Some l -> l := mark !l
+          | None -> ())
+        fases.(Stack.pop work).releases
+    done;
+    rolled
+
+  let undo w writes =
+    let writes = List.sort (fun (_, _, s1) (_, _, s2) -> compare s2 s1) writes in
+    List.iter
+      (fun (addr, old, _) ->
+        Pwriter.store w addr old;
+        Pwriter.clwb w addr)
+      writes;
+    List.length writes
+
+  let recover_atlas w region : Atlas_recovery.stats =
+    let pm = Pwriter.pmem w in
+    let nodes = ref [] in
+    Lognode.iter pm region (fun a ->
+        if Lognode.kind pm a = Lognode.kind_atlas then nodes := a :: !nodes);
+    let all_fases = ref [] and records_scanned = ref 0 in
+    List.iter
+      (fun node ->
+        let records = Undo_log.records pm node in
+        Pwriter.add_cost w (List.length records * (Pwriter.latency w).Latency.mem * 4);
+        records_scanned := !records_scanned + List.length records;
+        all_fases := parse_fases records @ !all_fases)
+      !nodes;
+    let fases = Array.of_list !all_fases in
+    let rolled = rollback_set fases in
+    let writes = ref [] in
+    Array.iteri (fun i f -> if rolled.(i) then writes := f.writes @ !writes) fases;
+    let undone = undo w !writes in
+    if undone > 0 then Pwriter.fence w;
+    List.iter (fun node -> Undo_log.reset w node) !nodes;
+    {
+      nodes = List.length !nodes;
+      records_scanned = !records_scanned;
+      fases_found = Array.length fases;
+      fases_rolled_back = Array.fold_left (fun n b -> if b then n + 1 else n) 0 rolled;
+      writes_undone = undone;
+      cost = Pwriter.take_cost w;
+    }
+
+  (* recover.ml's NVML branch: returns (records scanned, writes undone,
+     regions rolled back). *)
+  let recover_nvml w region =
+    let pm = Pwriter.pmem w in
+    let undone = ref 0 and scanned = ref 0 and rolled = ref 0 in
+    Lognode.iter pm region (fun node ->
+        if Lognode.kind pm node = Lognode.kind_nvml then begin
+          let records = Undo_log.records pm node in
+          scanned := !scanned + List.length records;
+          if Undo_log.in_fase pm node then begin
+            incr rolled;
+            undone :=
+              !undone
+              + undo w
+                  (List.filter_map
+                     (fun (r : Undo_log.record) ->
+                       if r.tag = Undo_log.Write then Some (Int64.to_int r.a, r.b, r.seq)
+                       else None)
+                     records);
+            Pwriter.fence w;
+            (* The recovery step it reports names the thread: one load. *)
+            ignore (Lognode.tid pm node : int)
+          end;
+          Undo_log.reset w node
+        end);
+    (!scanned, !undone, !rolled)
+end
+
 (* The closure as first written, kept as the reference: sweep every
    (rolled-back FASE, release, FASE) triple until nothing changes. *)
-let pairwise_rollback (fases : Atlas_recovery.fase array) =
-  let rolled = Array.map (fun f -> not f.Atlas_recovery.complete) fases in
+let pairwise_rollback (fases : Reference.fase array) =
+  let rolled = Array.map (fun f -> not f.Reference.complete) fases in
   let changed = ref true in
   while !changed do
     changed := false;
     Array.iteri
-      (fun gi (g : Atlas_recovery.fase) ->
+      (fun gi (g : Reference.fase) ->
         if rolled.(gi) then
           List.iter
             (fun (lock, s') ->
               Array.iteri
-                (fun fi (f : Atlas_recovery.fase) ->
+                (fun fi (f : Reference.fase) ->
                   if
                     (not rolled.(fi)) && fi <> gi
                     && List.exists (fun (l, s) -> l = lock && s >= s') f.acquires
@@ -392,19 +533,21 @@ let pairwise_rollback (fases : Atlas_recovery.fase array) =
    three: T0's FASE is interrupted after releasing lock 0 to T1, whose
    completed FASE releases lock 1 to T2.  Random records follow on
    T1..Tn-1, interleaved record by record, each thread's last FASE
-   possibly left open by the crash. *)
+   possibly left open by the crash.  Lock 2's word is [Int64.min_int],
+   whose low 63 bits are lock 0's: a closure that narrowed lock words
+   to [int] would merge the two locks. *)
 let undo_logs (nthreads, steps) =
   let logs = Array.make nthreads [] in
   let open_fase = Array.make nthreads false in
   let seq = ref 0 in
+  let lock_word l = if l = 2 then Int64.min_int else Int64.of_int l in
   let emit t tag a =
     incr seq;
-    logs.(t) <-
-      { Undo_log.tag; a = Int64.of_int a; b = 0L; seq = !seq } :: logs.(t)
+    logs.(t) <- { Undo_log.tag; a; b = 0L; seq = !seq } :: logs.(t)
   in
   let fase t body =
-    emit t Undo_log.Fase_begin 0;
-    List.iter (fun (tag, a) -> emit t tag a) body
+    emit t Undo_log.Fase_begin 0L;
+    List.iter (fun (tag, l) -> emit t tag (lock_word l)) body
   in
   fase 0 Undo_log.[ (Acquire, 0); (Write, 100); (Release, 0) ];
   fase 1
@@ -416,18 +559,37 @@ let undo_logs (nthreads, steps) =
     (fun (t, action, lock) ->
       let t = 1 + (t mod (nthreads - 1)) in
       if not open_fase.(t) then begin
-        emit t Undo_log.Fase_begin 0;
+        emit t Undo_log.Fase_begin 0L;
         open_fase.(t) <- true
       end
-      else if action < 3 then emit t Undo_log.Acquire lock
-      else if action < 6 then emit t Undo_log.Release lock
-      else if action < 8 then emit t Undo_log.Write (200 + lock)
+      else if action < 3 then emit t Undo_log.Acquire (lock_word lock)
+      else if action < 6 then emit t Undo_log.Release (lock_word lock)
+      else if action < 8 then emit t Undo_log.Write (Int64.of_int (200 + lock))
       else begin
-        emit t Undo_log.Fase_end 0;
+        emit t Undo_log.Fase_end 0L;
         open_fase.(t) <- false
       end)
     steps;
   Array.map List.rev logs
+
+(* The same logs written to persistent undo rings. *)
+let write_logs logs =
+  let pm, region, w = mk () in
+  let nodes =
+    Array.to_list
+      (Array.mapi
+         (fun tid records ->
+           let node =
+             Undo_log.create w region ~kind:Lognode.kind_atlas ~tid ~cap_records:256
+           in
+           List.iter
+             (fun (r : Undo_log.record) ->
+               Undo_log.append w node r.tag ~a:r.a ~b:r.b ~seq:r.seq)
+             records;
+           node)
+         logs)
+  in
+  (pm, nodes)
 
 let prop_atlas_closure_matches_pairwise =
   QCheck.Test.make ~name:"indexed rollback closure = pairwise fixpoint"
@@ -437,15 +599,16 @@ let prop_atlas_closure_matches_pairwise =
         (list_of_size Gen.(int_range 0 80)
            (triple (int_bound 3) (int_bound 9) (int_bound 2))))
     (fun case ->
+      let logs = undo_logs case in
       let fases =
-        undo_logs case |> Array.to_list
-        |> List.concat_map Atlas_recovery.parse_fases
-        |> Array.of_list
+        logs |> Array.to_list |> List.concat_map Reference.parse_fases |> Array.of_list
       in
-      let rolled = Atlas_recovery.rollback_set fases in
+      let pm, nodes = write_logs logs in
+      let rolled = Atlas_recovery.rollback_set (Atlas_recovery.scan pm nodes) in
       (* T0's interrupted FASE and the two it reaches are always in. *)
       Array.fold_left (fun n r -> if r then n + 1 else n) 0 rolled >= 3
-      && rolled = pairwise_rollback fases)
+      && rolled = pairwise_rollback fases
+      && rolled = Reference.rollback_set fases)
 
 (* ------------------------------------------------------------------ *)
 (* REDO log *)
