@@ -52,7 +52,21 @@ let workload_arg =
         & info [ "workload" ] ~doc:"Benchmark program"))
 
 let threads_arg =
-  Arg.(value & opt int 4 & info [ "threads" ] ~doc:"Worker threads")
+  Arg.(
+    value
+    & opt (some int) None
+    & info [ "threads" ]
+        ~doc:"Worker threads (default 4; 1 for the single-threaded objstore)")
+
+(* A single-threaded workload runs on one worker unless told otherwise,
+   and more than one is a usage error. *)
+let threads_for workload threads =
+  let w = Ido_workloads.Workload.get workload in
+  match threads with
+  | None -> if w.single_threaded then 1 else 4
+  | Some t ->
+      usage_guard (fun () -> Ido_workloads.Workload.check_threads w t);
+      t
 
 let ops_arg =
   Arg.(value & opt int 4000 & info [ "ops" ] ~doc:"Total operations")
@@ -112,6 +126,7 @@ let split_spec ?obs ~seed ~scheme ~workload ~threads ~total_ops () =
 let run_cmd =
   let doc = "One throughput run: workload x scheme x threads." in
   let run scheme workload threads ops seed =
+    let threads = threads_for workload threads in
     let spec =
       split_spec ~seed ~scheme ~workload ~threads ~total_ops:ops ()
     in
@@ -133,6 +148,7 @@ let crash_cmd =
     Arg.(value & opt int 100_000 & info [ "at" ] ~doc:"Crash time (simulated ns)")
   in
   let run scheme workload threads crash_at seed =
+    let threads = threads_for workload threads in
     let spec =
       usage_guard (fun () ->
           Exp.Spec.make ~seed ~scheme ~workload ~threads ~ops:100_000 ())
@@ -249,6 +265,7 @@ let profile_cmd =
              BENCH_opt.json under --opt)")
   in
   let run scheme workload threads ops seed opt out =
+    let threads = threads_for workload threads in
     let out =
       match out with
       | Some o -> o

@@ -104,6 +104,9 @@ let chunk_arg =
 
 let spec_of ?(opt = false) scheme workload seed threads ops cache_lines oracle
     strict =
+  Option.iter
+    (Ido_workloads.Workload.(check_threads (get workload)))
+    threads;
   let spec =
     Engine.defaults ?threads ~ops ~cache_lines ~strict ~seed ~opt ~scheme
       ~workload ()

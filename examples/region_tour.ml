@@ -30,7 +30,7 @@ let () =
          | _ -> ())
        () f);
 
-  let alias = Alias.compute f in
+  let alias = Alias.compute cfg in
   let pairs = Antidep.compute cfg fase alias in
   Format.printf "@.=== Antidependences (WAR pairs needing a cut) ===@.";
   List.iter

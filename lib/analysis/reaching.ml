@@ -6,77 +6,41 @@ module PosSet = Set.Make (struct
   let compare = Ir.compare_pos
 end)
 
+module Rmap = Map.Make (Int)
+
 type t = {
   cfg : Cfg.t;
   (* per block: reaching-definition map at block entry *)
-  entry : (Ir.reg, PosSet.t) Hashtbl.t array;
+  entry : PosSet.t Rmap.t array;
 }
 
 let param_pos i = { Ir.blk = -1; idx = i }
 
-let clone_tbl tbl =
-  let t = Hashtbl.create (Hashtbl.length tbl) in
-  Hashtbl.iter (Hashtbl.replace t) tbl;
-  t
-
-let tbl_equal a b =
-  Hashtbl.length a = Hashtbl.length b
-  && Hashtbl.fold
-       (fun r s acc ->
-         acc
-         && match Hashtbl.find_opt b r with Some s' -> PosSet.equal s s' | None -> false)
-       a true
-
-(* Kill-and-gen through one instruction: a definition replaces every
+(* Kill-and-gen through one block: a definition replaces every
    reaching definition of its register. *)
-let transfer tbl pos instr =
-  List.iter
-    (fun d -> Hashtbl.replace tbl d (PosSet.singleton pos))
-    (Ir.instr_defs instr)
-
-let block_out f tbl b =
-  let tbl = clone_tbl tbl in
+let block_out (f : Ir.func) b defs =
+  let defs = ref defs in
   Array.iteri
-    (fun i instr -> transfer tbl { Ir.blk = b; idx = i } instr)
+    (fun idx instr ->
+      List.iter
+        (fun d -> defs := Rmap.add d (PosSet.singleton { Ir.blk = b; idx }) !defs)
+        (Ir.instr_defs instr))
     f.Ir.blocks.(b).Ir.instrs;
-  tbl
-
-let merge_into dst src =
-  let changed = ref false in
-  Hashtbl.iter
-    (fun r s ->
-      let cur = Option.value ~default:PosSet.empty (Hashtbl.find_opt dst r) in
-      let u = PosSet.union cur s in
-      if not (PosSet.equal u cur) then begin
-        Hashtbl.replace dst r u;
-        changed := true
-      end)
-    src;
-  !changed
+  !defs
 
 let compute cfg =
   let f = Cfg.func cfg in
-  let n = Array.length f.Ir.blocks in
-  let entry = Array.init n (fun _ -> Hashtbl.create 16) in
   (* Parameters reach the function entry. *)
-  List.iteri
-    (fun i r -> Hashtbl.replace entry.(0) r (PosSet.singleton (param_pos i)))
-    f.Ir.params;
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    List.iter
-      (fun b ->
-        let out = block_out f entry.(b) b in
-        List.iter
-          (fun s ->
-            let before = clone_tbl entry.(s) in
-            if merge_into entry.(s) out && not (tbl_equal before entry.(s)) then
-              changed := true)
-          (Cfg.succs cfg b))
-      (Cfg.reverse_postorder cfg)
-  done;
-  { cfg; entry }
+  let params =
+    List.mapi (fun i r -> (r, PosSet.singleton (param_pos i))) f.Ir.params
+    |> List.to_seq |> Rmap.of_seq
+  in
+  let entry =
+    Dataflow.forward f ~entry:params ~transfer:(block_out f)
+      ~join:(Rmap.union (fun _ a b -> Some (PosSet.union a b)))
+      ~equal:(Rmap.equal PosSet.equal)
+  in
+  { cfg; entry = Array.map (Option.value ~default:Rmap.empty) entry }
 
 (* The last definition of [reg] before [pos] in its block kills every
    other, so scan back from [pos] and fall back to the block-entry
@@ -85,7 +49,7 @@ let defs_at t (pos : Ir.pos) reg =
   let instrs = (Cfg.func t.cfg).Ir.blocks.(pos.blk).Ir.instrs in
   let rec scan i =
     if i < 0 then
-      match Hashtbl.find_opt t.entry.(pos.blk) reg with
+      match Rmap.find_opt reg t.entry.(pos.blk) with
       | Some s -> PosSet.elements s
       | None -> []
     else if Ir.defines instrs.(i) reg then [ { Ir.blk = pos.blk; idx = i } ]

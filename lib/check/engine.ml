@@ -31,7 +31,7 @@ let defaults ?threads ?ops ?(cache_lines = 4096) ?(strict = false) ?(seed = 42)
   let threads =
     match threads with
     | Some t -> t
-    | None -> if workload = "objstore" then 1 else 3
+    | None -> if (Workload.get workload).single_threaded then 1 else 3
   in
   let ops = Option.value ops ~default:60 in
   Ido_harness.Spec.check_positive "threads" threads;

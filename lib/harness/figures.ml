@@ -188,8 +188,6 @@ let table1 ?pool scale =
       ("HashMap", "hmap");
     ]
   in
-  let atlas_base = Timebase.ms 50 in
-  let atlas_per_record = 75 in
   let rows =
     Pool.opt_map_list pool
       (fun (name, workload) ->
@@ -210,7 +208,8 @@ let table1 ?pool scale =
         let ratio_at secs =
           let records = records_per_ns *. float_of_int (Timebase.s secs) in
           let atlas_ns =
-            float_of_int atlas_base +. (records *. float_of_int atlas_per_record)
+            float_of_int Ido_vm.Recover.atlas_base_ns
+            +. (records *. float_of_int Ido_vm.Recover.atlas_per_record_ns)
           in
           atlas_ns /. float_of_int ido_ns
         in

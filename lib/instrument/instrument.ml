@@ -2,15 +2,15 @@ open Ido_ir
 open Ido_analysis
 open Ido_runtime
 
-let plan cfg fase f =
-  Regions.compute cfg fase (Liveness.compute cfg) (Alias.compute f)
+let plan cfg fase =
+  Regions.compute cfg fase (Liveness.compute cfg) (Alias.compute cfg)
 
 let region_plan (f : Ir.func) =
   let cfg = Cfg.build f in
-  plan cfg (Fase.compute_exn cfg) f
+  plan cfg (Fase.compute_exn cfg)
 
 (* The iDO boundary hook of every cut of the region plan, by position. *)
-let region_cuts cfg fase f =
+let region_cuts cfg fase =
   let cuts = Hashtbl.create 32 in
   List.iter
     (fun (c : Regions.cut) ->
@@ -24,7 +24,7 @@ let region_cuts cfg fase f =
                 skippable = not c.required;
                 at_release = c.at_release;
               })))
-    (plan cfg fase f).cuts;
+    (plan cfg fase).cuts;
   fun pos -> match Hashtbl.find_opt cuts pos with Some hk -> [ hk ] | None -> []
 
 (* Rebuild every block, emitting for each instruction slot i:
@@ -115,7 +115,7 @@ let instrument_func scheme (f : Ir.func) =
           | Some g when grant pos instr -> ([ h g ], None, [])
           | _ -> ([], None, []))
     in
-    let cut_at = if s.region_cuts then region_cuts cfg fase f else fun _ -> [] in
+    let cut_at = if s.region_cuts then region_cuts cfg fase else fun _ -> [] in
     rewrite f ~cut_at ~site
   end
 

@@ -1,13 +1,14 @@
 open Ido_ir
+open Ido_analysis
 
-type cls = Adjacent | Hoisted of Sym.expr | Orphan
+type cls = Adjacent | Hoisted of Alias.expr | Orphan
 
 type t = {
   func : Ir.func;
   grant : Ir.hook option;
-  ins : Sym.expr list option array;  (** None = unreached (top) *)
+  ins : Alias.expr list option array;  (** None = unreached (top) *)
   classes : (Ir.pos, cls) Hashtbl.t;
-  sym : Sym.t;
+  alias : Alias.t;
 }
 
 (* Window boundaries: any instruction that changes the protection
@@ -24,19 +25,19 @@ let clears = function
       true
   | _ -> false
 
-let add cell cap = List.sort_uniq Sym.compare (cell :: cap)
+let add cell cap = List.sort_uniq Alias.compare (cell :: cap)
 
 let inter a b =
   let rec go a b =
     match (a, b) with
     | [], _ | _, [] -> []
     | x :: xs, y :: ys ->
-        let c = Sym.compare x y in
+        let c = Alias.compare x y in
         if c = 0 then x :: go xs ys else if c < 0 then go xs b else go a ys
   in
   go a b
 
-let eq_cap a b = List.compare Sym.compare a b = 0
+let eq_cap a b = List.compare Alias.compare a b = 0
 
 let is_grant grant instr =
   match (grant, instr) with Some g, Ir.Hook h -> h = g | _ -> false
@@ -48,7 +49,7 @@ let is_grant grant instr =
    and contributes nothing.  Another grant hook or an unresolvable
    store on any path disqualifies — the runtime's armed slot holds one
    grant.  All contributing cells must be one stable expression. *)
-let classify_hook grant sym (func : Ir.func) (pos : Ir.pos) =
+let classify_hook grant alias (func : Ir.func) (pos : Ir.pos) =
   let cells = ref [] in
   let bad = ref false in
   let visited = Hashtbl.create 8 in
@@ -60,8 +61,8 @@ let classify_hook grant sym (func : Ir.func) (pos : Ir.pos) =
       else
         match blk.Ir.instrs.(i) with
         | Ir.Store { space = Ir.Persistent; _ } -> (
-            match Sym.resolve_store_addr sym { Ir.blk = b; idx = i } with
-            | Some cell when Sym.is_stable cell -> cells := cell :: !cells
+            match Alias.resolve_store_addr alias { Ir.blk = b; idx = i } with
+            | Some cell when Alias.is_stable cell -> cells := cell :: !cells
             | _ -> bad := true)
         | instr when is_grant grant instr -> bad := true
         | instr when clears instr -> ()
@@ -78,7 +79,7 @@ let classify_hook grant sym (func : Ir.func) (pos : Ir.pos) =
   match (!bad, !cells) with
   | true, _ | _, [] -> Orphan
   | false, c :: rest ->
-      if List.for_all (Sym.equal c) rest then Hoisted c else Orphan
+      if List.for_all (Alias.equal c) rest then Hoisted c else Orphan
 
 (* ------------------------------------------------------------------ *)
 
@@ -96,8 +97,8 @@ let step t (blk : Ir.block) b i cap =
   else
     match instr with
     | Ir.Store _ when i > 0 && is_grant t.grant blk.Ir.instrs.(i - 1) -> (
-        match Sym.resolve_store_addr t.sym { Ir.blk = b; idx = i } with
-        | Some cell when Sym.is_stable cell -> add cell cap
+        match Alias.resolve_store_addr t.alias { Ir.blk = b; idx = i } with
+        | Some cell when Alias.is_stable cell -> add cell cap
         | _ -> cap)
     | _ -> cap
 
@@ -109,10 +110,9 @@ let block_out t b cap0 =
   done;
   !cap
 
-let compute scheme (func : Ir.func) =
+let compute scheme alias (func : Ir.func) =
   let props = Ido_runtime.Scheme.props scheme in
   let grant = props.grant in
-  let sym = Sym.create func in
   let classes = Hashtbl.create 8 in
   (match grant with
   | None -> ()
@@ -133,46 +133,18 @@ let compute scheme (func : Ir.func) =
                  let cls =
                    if adjacent then Adjacent
                    else if props.grant_hoistable then
-                     classify_hook grant sym func pos
+                     classify_hook grant alias func pos
                    else Orphan
                  in
                  Hashtbl.replace classes pos cls
              | _ -> ())
            () func));
-  let n = Array.length func.Ir.blocks in
-  let t = { func; grant; ins = Array.make n None; classes; sym } in
-  t.ins.(0) <- Some [];
-  let work = Queue.create () in
-  Queue.add 0 work;
-  let on_queue = Array.make n false in
-  on_queue.(0) <- true;
-  while not (Queue.is_empty work) do
-    let b = Queue.pop work in
-    on_queue.(b) <- false;
-    match t.ins.(b) with
-    | None -> ()
-    | Some cap0 ->
-        let out = block_out t b cap0 in
-        List.iter
-          (fun s ->
-            let joined =
-              match t.ins.(s) with None -> out | Some prev -> inter prev out
-            in
-            let changed =
-              match t.ins.(s) with
-              | None -> true
-              | Some prev -> not (eq_cap prev joined)
-            in
-            if changed then begin
-              t.ins.(s) <- Some joined;
-              if not on_queue.(s) then begin
-                on_queue.(s) <- true;
-                Queue.add s work
-              end
-            end)
-          (Ir.successors t.func.Ir.blocks.(b).Ir.term)
-  done;
-  t
+  let t = { func; grant; ins = [||]; classes; alias } in
+  let ins =
+    Dataflow.forward func ~entry:[] ~transfer:(block_out t) ~join:inter
+      ~equal:eq_cap
+  in
+  { t with ins }
 
 let classify t pos =
   match Hashtbl.find_opt t.classes pos with Some c -> c | None -> Orphan
@@ -189,4 +161,4 @@ let captured_before t (pos : Ir.pos) =
       !cap
 
 let mem t pos cell =
-  List.exists (Sym.equal cell) (captured_before t pos)
+  List.exists (Alias.equal cell) (captured_before t pos)

@@ -1,6 +1,6 @@
 (** Must-captured-cell dataflow over an instrumented function.
 
-    Tracks, per program point, the set of stable cells ({!Sym.expr})
+    Tracks, per program point, the set of stable cells ({!Alias.expr})
     whose old value is already captured by the scheme's per-store log
     in the current protection window — the fact that makes a second
     grant for the same cell redundant under the undo/redo/page-log
@@ -15,24 +15,28 @@
     a grant the optimizer deletes is exactly one the linter excuses. *)
 
 open Ido_ir
+open Ido_analysis
 open Ido_runtime
 
 type cls =
   | Adjacent  (** the next instruction is the consuming store *)
-  | Hoisted of Sym.expr
+  | Hoisted of Alias.expr
       (** detached, but every path reaching a store consumes it for
           this one stable cell (loop-preheader hoist) *)
   | Orphan  (** detached with no resolvable consumer — an L202 *)
 
 type t
 
-val compute : Scheme.t -> Ir.func -> t
+val compute : Scheme.t -> Alias.t -> Ir.func -> t
+(** [compute scheme alias f], where [alias] resolves [f]: the caller
+    shares its resolver, so a function's reaching definitions are
+    computed once per pass. *)
 
 val classify : t -> Ir.pos -> cls
 (** Classification of the grant hook at [pos]; [Orphan] for positions
     that hold no grant hook. *)
 
-val mem : t -> Ir.pos -> Sym.expr -> bool
+val mem : t -> Ir.pos -> Alias.expr -> bool
 
 val clears : Ir.instr -> bool
 (** Does this instruction end the capture window (lock operations,

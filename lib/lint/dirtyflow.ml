@@ -32,32 +32,12 @@ let block_out scheme (blk : Ir.block) dirty0 =
   Array.fold_left (step scheme) dirty0 blk.Ir.instrs
 
 let compute scheme (func : Ir.func) =
-  let n = Array.length func.Ir.blocks in
-  let ins = Array.make n false in
-  let reached = Array.make n false in
-  reached.(0) <- true;
-  let work = Queue.create () in
-  Queue.add 0 work;
-  let on_queue = Array.make n false in
-  on_queue.(0) <- true;
-  while not (Queue.is_empty work) do
-    let b = Queue.pop work in
-    on_queue.(b) <- false;
-    let out = block_out scheme func.Ir.blocks.(b) ins.(b) in
-    List.iter
-      (fun s ->
-        let joined = (reached.(s) && ins.(s)) || out in
-        if (not reached.(s)) || joined <> ins.(s) then begin
-          reached.(s) <- true;
-          ins.(s) <- joined;
-          if not on_queue.(s) then begin
-            on_queue.(s) <- true;
-            Queue.add s work
-          end
-        end)
-      (Ir.successors func.Ir.blocks.(b).Ir.term)
-  done;
-  { func; scheme; ins }
+  let ins =
+    Ido_analysis.Dataflow.forward func ~entry:false
+      ~transfer:(fun b -> block_out scheme func.Ir.blocks.(b))
+      ~join:( || ) ~equal:Bool.equal
+  in
+  { func; scheme; ins = Array.map (Option.value ~default:false) ins }
 
 let dirty_at t (pos : Ir.pos) =
   let blk = t.func.Ir.blocks.(pos.Ir.blk) in

@@ -2,9 +2,9 @@ open Ido_ir
 open Ido_analysis
 
 module Emap = Map.Make (struct
-  type t = Sym.expr
+  type t = Alias.expr
 
-  let compare = Sym.compare
+  let compare = Alias.compare
 end)
 
 let callees (f : Ir.func) =
@@ -29,7 +29,7 @@ let reachable_set (p : Ir.program) entries =
       List.iter visit entries;
       Some seen
 
-let inter_locks a b = List.filter (fun x -> List.exists (Sym.equal x) b) a
+let inter_locks a b = List.filter (fun x -> List.exists (Alias.equal x) b) a
 
 let check (p : Ir.program) ~entries ~results =
   let reach = reachable_set p entries in
@@ -50,7 +50,7 @@ let check (p : Ir.program) ~entries ~results =
   let protected_locs =
     List.filter_map
       (fun ((_, a) : _ * Transfer.access) ->
-        if a.Transfer.aprotected && Sym.is_stable a.Transfer.aloc then
+        if a.Transfer.aprotected && Alias.is_stable a.Transfer.aloc then
           Some a.Transfer.aloc
         else None)
       accs
@@ -61,24 +61,24 @@ let check (p : Ir.program) ~entries ~results =
       if
         a.Transfer.awrite
         && (not a.Transfer.aprotected)
-        && Sym.is_stable a.Transfer.aloc
-        && List.exists (Sym.equal a.Transfer.aloc) protected_locs
-        && not (Hashtbl.mem reported (fn, Sym.to_string a.Transfer.aloc))
+        && Alias.is_stable a.Transfer.aloc
+        && List.exists (Alias.equal a.Transfer.aloc) protected_locs
+        && not (Hashtbl.mem reported (fn, Alias.to_string a.Transfer.aloc))
       then begin
-        Hashtbl.replace reported (fn, Sym.to_string a.Transfer.aloc) ();
+        Hashtbl.replace reported (fn, Alias.to_string a.Transfer.aloc) ();
         add
           (Diag.v ~pos:a.Transfer.apos ~func:fn ~code:"L501"
              (Printf.sprintf
                 "unprotected write to %s, which is accessed under \
                  lock/FASE protection elsewhere"
-                (Sym.to_string a.Transfer.aloc)))
+                (Alias.to_string a.Transfer.aloc)))
       end)
     accs;
   (* ---- L502: empty candidate lockset ---- *)
   let groups =
     List.fold_left
       (fun m ((fn, a) : string * Transfer.access) ->
-        if a.Transfer.aprotected && Sym.is_stable a.Transfer.aloc then
+        if a.Transfer.aprotected && Alias.is_stable a.Transfer.aloc then
           Emap.update a.Transfer.aloc
             (fun prev -> Some ((fn, a) :: Option.value prev ~default:[]))
             m
@@ -106,7 +106,7 @@ let check (p : Ir.program) ~entries ~results =
                      (Printf.sprintf
                         "accesses to %s hold no common lock: its candidate \
                          lockset is empty (Eraser)"
-                        (Sym.to_string loc)))
+                        (Alias.to_string loc)))
             | None -> ())
       | _ -> ())
     groups;
@@ -126,13 +126,13 @@ let check (p : Ir.program) ~entries ~results =
         Emap.update h
           (fun prev ->
             let l = Option.value prev ~default:[] in
-            if List.exists (Sym.equal t) l then Some l else Some (t :: l))
+            if List.exists (Alias.equal t) l then Some l else Some (t :: l))
           m)
       Emap.empty edges
   in
   let color = Hashtbl.create 16 in
   (* 0 absent, 1 on stack, 2 done; keys are printed tokens *)
-  let key e = Sym.to_string e in
+  let key e = Alias.to_string e in
   let cycle_found = ref None in
   let rec dfs path e =
     match Hashtbl.find_opt color (key e) with
@@ -142,7 +142,7 @@ let check (p : Ir.program) ~entries ~results =
              segment from the revisited node [e] inward *)
           let rec upto acc = function
             | [] -> acc
-            | x :: xs -> if Sym.equal x e then x :: acc else upto (x :: acc) xs
+            | x :: xs -> if Alias.equal x e then x :: acc else upto (x :: acc) xs
           in
           cycle_found := Some (upto [] path)
         end
@@ -157,12 +157,12 @@ let check (p : Ir.program) ~entries ~results =
   | None -> ()
   | Some [] -> ()
   | Some cyc ->
-      let names = List.map Sym.to_string cyc @ [ Sym.to_string (List.hd cyc) ] in
+      let names = List.map Alias.to_string cyc @ [ Alias.to_string (List.hd cyc) ] in
       let first = List.hd cyc in
       (* anchor the report at an edge that closes the cycle *)
       let fn, pos =
         match
-          List.find_opt (fun (_, _, t, _) -> Sym.equal t first) edges
+          List.find_opt (fun (_, _, t, _) -> Alias.equal t first) edges
         with
         | Some (fn, _, _, pos) -> (fn, Some pos)
         | None -> (fst (List.hd p.Ir.funcs), None)

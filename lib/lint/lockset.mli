@@ -3,7 +3,7 @@
     functions they reach.
 
     All comparisons are between {e stable} symbolic locations
-    ({!Sym.is_stable}) — root slots, parameters, constants, allocation
+    ({!Ido_analysis.Alias.is_stable}) — root slots, parameters, constants, allocation
     sites.  Hand-over-hand traversals guard per-node locks loaded from
     the structure; those resolve to unstable [Loaded] values and are
     deliberately left out: the discipline they follow is ordered by the

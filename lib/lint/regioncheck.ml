@@ -177,12 +177,10 @@ end)
 
 let pos_str (p : Ir.pos) = Printf.sprintf "(%d,%d)" p.Ir.blk p.Ir.idx
 
-let compare_plan (f : Ir.func) (stripped : Ir.func) diags =
-  let cfg = Cfg.build stripped in
-  let fase = Fase.compute_exn cfg in
-  let liveness = Liveness.compute cfg in
-  let alias = Alias.compute stripped in
-  let plan = Regions.compute cfg fase liveness alias in
+let compare_plan (f : Ir.func) cfg fase diags =
+  let plan =
+    Regions.compute cfg fase (Liveness.compute cfg) (Alias.compute cfg)
+  in
   let plan_map =
     List.fold_left
       (fun m (c : Regions.cut) -> Pmap.add c.pos c m)
@@ -282,8 +280,8 @@ let check scheme (f : Ir.func) =
   | Scheme.Transaction | Scheme.No_fase -> []
   | Scheme.Lock_inferred | Scheme.Durable_only ->
       let diags = ref [] in
-      let stripped = strip f in
-      (match Fase.compute (Cfg.build stripped) with
+      let cfg = Cfg.build (strip f) in
+      (match Fase.compute cfg with
       | Error msg ->
           diags :=
             [ Diag.v ~func:f.Ir.name ~code:"V113" ("FASE structure: " ^ msg) ]
@@ -307,6 +305,6 @@ let check scheme (f : Ir.func) =
             ()
           else begin
             compare_sequences scheme fase f diags;
-            if props.region_cuts then compare_plan f stripped diags
+            if props.region_cuts then compare_plan f cfg fase diags
           end);
       List.rev !diags

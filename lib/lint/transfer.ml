@@ -4,9 +4,9 @@ open Ido_runtime
 
 type access = {
   apos : Ir.pos;
-  aloc : Sym.expr;
+  aloc : Alias.expr;
   awrite : bool;
-  alocks : Sym.expr list;
+  alocks : Alias.expr list;
   aprotected : bool;
   apure : bool;
 }
@@ -14,19 +14,19 @@ type access = {
 type result = {
   diags : Diag.t list;
   accesses : access list;
-  order_edges : (Sym.expr * Sym.expr * Ir.pos) list;
+  order_edges : (Alias.expr * Alias.expr * Ir.pos) list;
 }
 
 (* ------------------------------------------------------------------ *)
 (* Abstract state *)
 
-type token = Lock of Sym.expr | Durable_region | Txn
+type token = Lock of Alias.expr | Durable_region | Txn
 
 type st = { toks : token list (* outermost first *); p : Plattice.t }
 
 let compare_token a b =
   match (a, b) with
-  | Lock x, Lock y -> Sym.compare x y
+  | Lock x, Lock y -> Alias.compare x y
   | Lock _, _ -> -1
   | _, Lock _ -> 1
   | Durable_region, Durable_region -> 0
@@ -34,7 +34,7 @@ let compare_token a b =
   | Txn, Durable_region -> 1
   | Txn, Txn -> 0
 
-let unknown_lock = Lock { Sym.base = Sym.Unknown; delta = 0 }
+let unknown_lock = Lock { Alias.base = Alias.Unknown; delta = 0 }
 
 (* Elementwise join truncated to the shorter stack; token disagreement
    degrades to an unknown lock (still counts as protection, no longer
@@ -115,11 +115,11 @@ type ctx = {
   props : Scheme.props;
   variant : string option;
   func : Ir.func;
-  sym : Sym.t;
+  alias : Alias.t;
   capflow : Capflow.t;
   mutable diags : Diag.t list;
   mutable accesses : access list;
-  mutable edges : (Sym.expr * Sym.expr * Ir.pos) list;
+  mutable edges : (Alias.expr * Alias.expr * Ir.pos) list;
   mutable report : bool;
 }
 
@@ -168,16 +168,16 @@ let run_micro c pos hook (st, pending) (m : Hook_model.micro) =
 let record_access c pos st ~loc ~awrite =
   match loc with
   | None -> ()
-  | Some (l : Sym.expr) ->
-      if c.report && l.Sym.base <> Sym.Unknown then begin
+  | Some (l : Alias.expr) ->
+      if c.report && l.Alias.base <> Alias.Unknown then begin
         let alocks =
           List.filter_map
-            (function Lock e when Sym.is_stable e -> Some e | _ -> None)
+            (function Lock e when Alias.is_stable e -> Some e | _ -> None)
             st.toks
         in
         let apure =
           List.for_all
-            (function Lock e -> Sym.is_stable e | _ -> false)
+            (function Lock e -> Alias.is_stable e | _ -> false)
             st.toks
         in
         c.accesses <-
@@ -212,8 +212,8 @@ let exec_instr c pos (st, pending) (instr : Ir.instr) =
       let captured () =
         c.props.grant_elidable
         &&
-        match Sym.resolve_store_addr c.sym pos with
-        | Some cell -> Sym.is_stable cell && Capflow.mem c.capflow pos cell
+        match Alias.resolve_store_addr c.alias pos with
+        | Some cell -> Alias.is_stable cell && Capflow.mem c.capflow pos cell
         | None -> false
       in
       if (not pending) && not (captured ()) then
@@ -232,11 +232,11 @@ let exec_instr c pos (st, pending) (instr : Ir.instr) =
   match instr with
   | Ir.Lock op ->
       if pending then orphan c pos;
-      let tok = Sym.resolve_operand c.sym ~at:pos op in
-      if c.report && Sym.is_stable tok then
+      let tok = Alias.resolve_operand c.alias ~at:pos op in
+      if c.report && Alias.is_stable tok then
         List.iter
           (function
-            | Lock held when Sym.is_stable held && not (Sym.equal held tok) ->
+            | Lock held when Alias.is_stable held && not (Alias.equal held tok) ->
                 c.edges <- (held, tok, pos) :: c.edges
             | _ -> ())
           st.toks;
@@ -259,7 +259,7 @@ let exec_instr c pos (st, pending) (instr : Ir.instr) =
                  thread may acquire before this thread's record is durable"
                 cell (pstate_str s))
           c.props.unlock_durable;
-        let tok = Sym.resolve_operand c.sym ~at:pos op in
+        let tok = Alias.resolve_operand c.alias ~at:pos op in
         (* remove the innermost token satisfying [pred] *)
         let remove_innermost pred toks =
           let rec go = function
@@ -274,9 +274,9 @@ let exec_instr c pos (st, pending) (instr : Ir.instr) =
         (* release the matching lock; fall back to the innermost lock
            when symbolic resolution cannot match (unstable tokens) *)
         let matched =
-          if Sym.is_stable tok then
+          if Alias.is_stable tok then
             remove_innermost
-              (function Lock e -> Sym.equal e tok | _ -> false)
+              (function Lock e -> Alias.equal e tok | _ -> false)
               st.toks
           else None
         in
@@ -288,14 +288,14 @@ let exec_instr c pos (st, pending) (instr : Ir.instr) =
                 remove_innermost
                   (function
                     | Lock e ->
-                        (not (Sym.is_stable e)) || not (Sym.is_stable tok)
+                        (not (Alias.is_stable e)) || not (Alias.is_stable tok)
                     | _ -> false)
                   st.toks
               with
               | Some toks -> toks
               | None ->
                   diag c ~pos "L102" "unlock of %s, which is not held"
-                    (Sym.to_string tok);
+                    (Alias.to_string tok);
                   st.toks)
         in
         ({ st with toks }, false)
@@ -322,7 +322,7 @@ let exec_instr c pos (st, pending) (instr : Ir.instr) =
       ({ st with toks }, false)
   | Ir.Store { space; _ } ->
       let still_pending = consume_for_store space in
-      record_access c pos st ~loc:(Sym.resolve_store_addr c.sym pos)
+      record_access c pos st ~loc:(Alias.resolve_store_addr c.alias pos)
         ~awrite:true;
       let st =
         if store_dirties_data c.props st space then
@@ -333,7 +333,7 @@ let exec_instr c pos (st, pending) (instr : Ir.instr) =
   | Ir.Load { space; _ } ->
       if pending then orphan c pos;
       if space = Ir.Persistent then
-        record_access c pos st ~loc:(Sym.resolve_store_addr c.sym pos)
+        record_access c pos st ~loc:(Alias.resolve_store_addr c.alias pos)
           ~awrite:false;
       (st, false)
   | Ir.Hook h when not (hook_allowed c.props h) ->
@@ -429,14 +429,15 @@ let exec_block c b st0 =
 (* ------------------------------------------------------------------ *)
 
 let analyze ?variant scheme (func : Ir.func) =
+  let alias = Alias.compute (Cfg.build func) in
   let c =
     {
       scheme;
       props = Scheme.props scheme;
       variant;
       func;
-      sym = Sym.create func;
-      capflow = Capflow.compute scheme func;
+      alias;
+      capflow = Capflow.compute scheme alias func;
       diags = [];
       accesses = [];
       edges = [];
@@ -444,39 +445,11 @@ let analyze ?variant scheme (func : Ir.func) =
     }
   in
   let n = Array.length func.Ir.blocks in
-  let ins : st option array = Array.make n None in
-  ins.(0) <- Some init_st;
   (* fixpoint, silent *)
-  let work = Queue.create () in
-  Queue.add 0 work;
-  let on_queue = Array.make n false in
-  on_queue.(0) <- true;
-  while not (Queue.is_empty work) do
-    let b = Queue.pop work in
-    on_queue.(b) <- false;
-    match ins.(b) with
-    | None -> ()
-    | Some st0 ->
-        let out = exec_block c b st0 in
-        List.iter
-          (fun s ->
-            let joined =
-              match ins.(s) with
-              | None -> out
-              | Some prev -> join_st prev out
-            in
-            let changed =
-              match ins.(s) with None -> true | Some prev -> not (eq_st prev joined)
-            in
-            if changed then begin
-              ins.(s) <- Some joined;
-              if not on_queue.(s) then begin
-                on_queue.(s) <- true;
-                Queue.add s work
-              end
-            end)
-          (Ir.successors func.Ir.blocks.(b).Ir.term)
-  done;
+  let ins =
+    Dataflow.forward func ~entry:init_st ~transfer:(exec_block c) ~join:join_st
+      ~equal:eq_st
+  in
   (* reporting pass over the stabilized in-states *)
   c.report <- true;
   let outs = Array.make n None in

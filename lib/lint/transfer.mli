@@ -29,9 +29,9 @@ open Ido_runtime
 
 type access = {
   apos : Ir.pos;
-  aloc : Sym.expr;  (** resolved address, never [Unknown]-based *)
+  aloc : Alias.expr;  (** resolved address, never [Unknown]-based *)
   awrite : bool;
-  alocks : Sym.expr list;  (** stable lock tokens held, outermost first *)
+  alocks : Alias.expr list;  (** stable lock tokens held, outermost first *)
   aprotected : bool;  (** any protection token held *)
   apure : bool;  (** protection is exclusively stable locks *)
 }
@@ -39,7 +39,7 @@ type access = {
 type result = {
   diags : Diag.t list;
   accesses : access list;  (** persistent-space loads and stores *)
-  order_edges : (Sym.expr * Sym.expr * Ir.pos) list;
+  order_edges : (Alias.expr * Alias.expr * Ir.pos) list;
       (** [(held, acquired, at)] for stable lock pairs — the
           lock-order graph's edges *)
 }

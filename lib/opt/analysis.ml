@@ -83,5 +83,3 @@ let append_at_end (f : Ir.func) b instrs =
   blocks.(b) <-
     { blk with Ir.instrs = Array.append blk.Ir.instrs (Array.of_list instrs) };
   { f with Ir.blocks }
-
-let cell_name = Ido_lint.Sym.to_string

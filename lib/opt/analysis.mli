@@ -17,5 +17,3 @@ val delete : Ir.func -> Ir.pos list -> Ir.func
 val append_at_end : Ir.func -> int -> Ir.instr list -> Ir.func
 (** Append instructions at the end of block [b] (before its
     terminator). *)
-
-val cell_name : Ido_lint.Sym.expr -> string

@@ -1,4 +1,5 @@
 open Ido_ir
+open Ido_analysis
 open Ido_lint
 
 (* O103: under the undo/redo/page-log disciplines
@@ -17,8 +18,8 @@ open Ido_lint
 let run scheme fname (f : Ir.func) =
   match Ido_runtime.Scheme.props scheme with
   | { grant = Some grant; grant_elidable = true; _ } ->
-      let cap = Capflow.compute scheme f in
-      let sym = Sym.create f in
+      let alias = Alias.compute (Cfg.build f) in
+      let cap = Capflow.compute scheme alias f in
       let dead = ref [] in
       Array.iteri
         (fun b (blk : Ir.block) ->
@@ -37,16 +38,16 @@ let run scheme fname (f : Ir.func) =
                   if next_is_store then
                     let hook_pos = { Ir.blk = b; idx = i } in
                     let store_pos = { Ir.blk = b; idx = i + 1 } in
-                    match Sym.resolve_store_addr sym store_pos with
+                    match Alias.resolve_store_addr alias store_pos with
                     | Some cell
-                      when Sym.is_stable cell
+                      when Alias.is_stable cell
                            && Capflow.mem cap hook_pos cell ->
                         dead :=
                           ( hook_pos,
                             Rewrite.vf ~code:"O103" ~func:fname
                               ~pos:hook_pos
                               "duplicate capture of %s elided"
-                              (Analysis.cell_name cell) )
+                              (Alias.to_string cell) )
                           :: !dead
                     | _ -> ())
               | _ -> ())

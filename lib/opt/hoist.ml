@@ -1,4 +1,5 @@
 open Ido_ir
+open Ido_analysis
 open Ido_lint
 
 (* O104: a grant hook that re-captures the same stable cell on every
@@ -60,10 +61,10 @@ let run scheme fname (f : Ir.func) =
           | Some pre ->
               (* block indices are stable across hoists (no blocks
                  added or removed), but instruction indices are not:
-                 re-derive positions and symbols from the current
+                 re-derive positions and addresses from the current
                  function *)
               let f = !f_ref in
-              let sym = Sym.create f in
+              let alias = Alias.compute (Cfg.build f) in
               (* census of the loop body: clear-free, exactly one
                  grant hook, and it is adjacent to its store *)
               let grants = ref [] and clean = ref true in
@@ -93,9 +94,9 @@ let run scheme fname (f : Ir.func) =
                   in
                   if not adjacent then ()
                   else
-                    match Sym.resolve_store_addr sym store with
+                    match Alias.resolve_store_addr alias store with
                     | Some cell
-                      when Sym.is_stable cell
+                      when Alias.is_stable cell
                            && all_paths_consume f grant ~hook ~store
                                 l.Analysis.header ->
                         f_ref :=
@@ -107,7 +108,7 @@ let run scheme fname (f : Ir.func) =
                           Rewrite.vf ~code:"O104" ~func:fname ~pos:hook
                             "loop-invariant capture of %s hoisted to \
                              preheader block %d"
-                            (Analysis.cell_name cell) pre
+                            (Alias.to_string cell) pre
                           :: !rewrites
                     | _ -> ())
               | _ -> ())

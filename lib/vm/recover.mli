@@ -18,6 +18,13 @@ type stats = {
           constants plus the executed recovery work (DESIGN.md §5) *)
 }
 
+val atlas_base_ns : Timebase.ns
+(** Atlas's fixed recovery cost: process restart and log discovery. *)
+
+val atlas_per_record_ns : Timebase.ns
+(** Atlas's recovery cost per scanned UNDO record (happens-before graph
+    and sort); Table I extrapolates longer kill times with it. *)
+
 val recover : State.t -> stats
 (** Run the scheme's recovery against the current persistent image;
     afterwards the region is marked clean and the machine accepts

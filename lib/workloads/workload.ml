@@ -5,6 +5,7 @@ type t = {
   program : Ido_ir.Ir.program Lazy.t;
   oracle : Oracle.impl;
   request : request_profile;
+  single_threaded : bool;
   tags : string list;
 }
 
@@ -19,6 +20,7 @@ let all =
       program = lazy (Stack.program ());
       oracle = Oracle.stack;
       request = { key_arity = 0; key_range = 1024; write_pct = 50 };
+      single_threaded = false;
       tags = [ "micro"; "keyless" ];
     };
     {
@@ -26,6 +28,7 @@ let all =
       program = lazy (Queue.program ());
       oracle = Oracle.queue;
       request = { key_arity = 0; key_range = 1024; write_pct = 50 };
+      single_threaded = false;
       tags = [ "micro"; "keyless" ];
     };
     {
@@ -33,6 +36,7 @@ let all =
       program = lazy (Olist.program ());
       oracle = Oracle.olist;
       request = { key_arity = 1; key_range = 256; write_pct = 50 };
+      single_threaded = false;
       tags = [ "micro"; "keyed" ];
     };
     {
@@ -41,6 +45,7 @@ let all =
       oracle = Oracle.olist;
       (* 20% removes plus half of the remaining 80% are puts. *)
       request = { key_arity = 1; key_range = 256; write_pct = 60 };
+      single_threaded = false;
       tags = [ "micro"; "keyed" ];
     };
     {
@@ -48,6 +53,7 @@ let all =
       program = lazy (Hmap.program ());
       oracle = Oracle.hmap;
       request = { key_arity = 1; key_range = 2048; write_pct = 50 };
+      single_threaded = false;
       tags = [ "micro"; "keyed" ];
     };
     {
@@ -55,6 +61,7 @@ let all =
       program = lazy (Kvcache.program ~insert_pct:50 ());
       oracle = Oracle.kvcache;
       request = { key_arity = 1; key_range = 16384; write_pct = 50 };
+      single_threaded = false;
       tags = [ "app"; "keyed"; "memcached" ];
     };
     {
@@ -62,6 +69,7 @@ let all =
       program = lazy (Kvcache.program ~insert_pct:10 ());
       oracle = Oracle.kvcache;
       request = { key_arity = 1; key_range = 16384; write_pct = 10 };
+      single_threaded = false;
       tags = [ "app"; "keyed"; "memcached" ];
     };
     {
@@ -69,6 +77,7 @@ let all =
       program = lazy (Objstore.program ());
       oracle = Oracle.objstore;
       request = { key_arity = 1; key_range = 10_000; write_pct = 20 };
+      single_threaded = true;
       tags = [ "app"; "keyed"; "redis" ];
     };
     {
@@ -76,6 +85,7 @@ let all =
       program = lazy (Mlog.program ());
       oracle = Oracle.mlog;
       request = { key_arity = 0; key_range = 1024; write_pct = 50 };
+      single_threaded = false;
       tags = [ "micro"; "keyless" ];
     };
   ]
@@ -103,3 +113,9 @@ let program w =
     (fun () -> Lazy.force w.program)
 
 let named name = program (get name)
+
+let check_threads w threads =
+  if w.single_threaded && threads > 1 then
+    invalid_arg
+      (Printf.sprintf "threads must be 1 for the single-threaded %s (got %d)"
+         w.name threads)

@@ -28,6 +28,10 @@ type t = {
   program : Ido_ir.Ir.program Lazy.t;
   oracle : Oracle.impl;
   request : request_profile;
+  single_threaded : bool;
+      (** One worker thread only (objstore: Redis has a single server
+          thread, and the program takes no locks).  Drivers default to
+          one worker, and the CLIs reject more ({!check_threads}). *)
   tags : string list;
       (** Free-form classification: ["micro"]/["app"],
           ["keyed"]/["keyless"], source application. *)
@@ -49,6 +53,10 @@ val get : string -> t
 
 val program : t -> Ido_ir.Ir.program
 (** Force the lazily built IR program. *)
+
+val check_threads : t -> int -> unit
+(** @raise Invalid_argument when a [single_threaded] workload is asked
+    for more than one worker thread. *)
 
 (** {1 Compatibility} *)
 

@@ -111,15 +111,28 @@ let test_alias () =
   ignore (Builder.load b Ir.Persistent (Ir.Reg p0) 0);   (* idx 6 *)
   Builder.store b Ir.Persistent (Ir.Reg p1) 0 (Ir.Imm 4L);(* idx 7 *)
   ignore (Builder.load b Ir.Transient (Ir.Reg a) 0);     (* idx 8 *)
+  let rt = Builder.intr b Ir.Root_get [ Ir.Imm 0L ] in
+  Builder.store b Ir.Persistent (Ir.Reg rt) 0 (Ir.Imm 5L);(* idx 10 *)
+  let nd = Builder.load b Ir.Persistent (Ir.Reg rt) 1 in  (* idx 11 *)
+  Builder.store b Ir.Persistent (Ir.Reg nd) 0 (Ir.Imm 6L);(* idx 12 *)
+  ignore (Builder.load b Ir.Persistent (Ir.Reg nd) 1);   (* idx 13 *)
   Builder.ret b None;
   let f = Builder.finish b in
-  let al = Alias.compute f in
+  let al = Alias.compute (Cfg.build f) in
   let p i = { Ir.blk = 0; idx = i } in
   Alcotest.(check bool) "same base different offsets" false (Alias.may_alias al (p 2) (p 3));
   Alcotest.(check bool) "same base same offset" true (Alias.may_alias al (p 2) (p 4));
   Alcotest.(check bool) "distinct allocations" false (Alias.may_alias al (p 2) (p 5));
   Alcotest.(check bool) "params conservative" true (Alias.may_alias al (p 6) (p 7));
-  Alcotest.(check bool) "different spaces" false (Alias.may_alias al (p 8) (p 4))
+  Alcotest.(check bool) "different spaces" false (Alias.may_alias al (p 8) (p 4));
+  (* Root slots and loaded pointers get names, but a root slot may be
+     re-set and a pointer re-loaded: both stay may-alias. *)
+  let addr i = Option.map Alias.to_string (Alias.resolve_store_addr al (p i)) in
+  Alcotest.(check (option string)) "root slot named" (Some "root[0]+1") (addr 11);
+  Alcotest.(check (option string)) "loaded pointer named" (Some "*(root[0]+1)+1")
+    (addr 13);
+  Alcotest.(check bool) "root slot values conservative" true (Alias.may_alias al (p 10) (p 11));
+  Alcotest.(check bool) "loaded pointers conservative" true (Alias.may_alias al (p 12) (p 13))
 
 let test_alias_offsets_fold () =
   let b, _ = Builder.create ~name:"f" ~nparams:0 in
@@ -130,7 +143,7 @@ let test_alias_offsets_fold () =
   Builder.store b Ir.Persistent (Ir.Reg a2) 1 (Ir.Imm 1L); (* idx 4: a+3 *)
   Builder.ret b None;
   let f = Builder.finish b in
-  let al = Alias.compute f in
+  let al = Alias.compute (Cfg.build f) in
   let p i = { Ir.blk = 0; idx = i } in
   Alcotest.(check bool) "a+2 aliases (a+2)+0" true (Alias.may_alias al (p 2) (p 3));
   Alcotest.(check bool) "a+2 distinct from (a+2)+1" false (Alias.may_alias al (p 2) (p 4))
@@ -147,10 +160,8 @@ let test_alias_multidef_conservative () =
   Builder.store b Ir.Persistent (Ir.Reg r) 1 (Ir.Imm 1L);
   Builder.ret b None;
   let f = Builder.finish b in
-  let al = Alias.compute f in
+  let al = Alias.compute (Cfg.build f) in
   (* r is multiply defined: unknown, so even distinct offsets may alias. *)
-  let cfg = Cfg.build f in
-  ignore cfg;
   let join = 3 in
   Alcotest.(check bool) "multi-def conservative" true
     (Alias.may_alias al { Ir.blk = join; idx = 0 } { Ir.blk = join; idx = 1 })
@@ -193,7 +204,7 @@ let test_alias_per_use_resolution () =
   Builder.store b Ir.Persistent (Ir.Reg r) 0 (Ir.Imm 1L);  (* idx 5: c+0 *)
   Builder.ret b None;
   let f = Builder.finish b in
-  let al = Alias.compute f in
+  let al = Alias.compute (Cfg.build f) in
   Alcotest.(check bool) "re-assigned register resolves per use" false
     (Alias.may_alias al { Ir.blk = 0; idx = 3 } { Ir.blk = 0; idx = 5 })
 
@@ -211,10 +222,34 @@ let test_alias_loop_carried_conservative () =
       Builder.assign b cur (Ir.Reg nxt));
   Builder.ret b None;
   let f = Builder.finish b in
-  let al = Alias.compute f in
+  let al = Alias.compute (Cfg.build f) in
   (* body block is 2: load at idx 0, store at idx 1 *)
   Alcotest.(check bool) "loop-carried pointer conservative" true
     (Alias.may_alias al { Ir.blk = 2; idx = 0 } { Ir.blk = 2; idx = 1 })
+
+let test_alias_order_independent () =
+  (* Loads are chased two levels deep.  Resolving the deepest use first
+     reaches the load at idx 2 two levels down, where it is opaque; the
+     load's own address must still resolve one level down. *)
+  let chain () =
+    let b, _ = Builder.create ~name:"f" ~nparams:0 in
+    let r1 = Builder.intr b Ir.Root_get [ Ir.Imm 0L ] in
+    let r2 = Builder.load b Ir.Persistent (Ir.Reg r1) 0 in
+    let r3 = Builder.load b Ir.Persistent (Ir.Reg r2) 0 in   (* idx 2 *)
+    let r4 = Builder.load b Ir.Persistent (Ir.Reg r3) 0 in
+    Builder.store b Ir.Persistent (Ir.Reg r4) 0 (Ir.Imm 1L); (* idx 4 *)
+    Builder.ret b None;
+    Alias.compute (Cfg.build (Builder.finish b))
+  in
+  let addr al idx =
+    match Alias.resolve_store_addr al { Ir.blk = 0; idx } with
+    | Some e -> Alias.to_string e
+    | None -> "-"
+  in
+  Alcotest.(check string) "fresh resolver" "*(root[0]+0)" (addr (chain ()) 2);
+  let al = chain () in
+  Alcotest.(check string) "deepest use" "?" (addr al 4);
+  Alcotest.(check string) "after the deepest use" "*(root[0]+0)" (addr al 2)
 
 (* ------------------------------------------------------------------ *)
 (* FASE inference *)
@@ -280,7 +315,7 @@ let test_antidep_pairs () =
   let f = war_fn () in
   let cfg = Cfg.build f in
   let fase = Fase.compute_exn cfg in
-  let alias = Alias.compute f in
+  let alias = Alias.compute cfg in
   let pairs = Antidep.compute cfg fase alias in
   Alcotest.(check int) "exactly one WAR pair" 1 (List.length pairs);
   let pr = List.hd pairs in
@@ -292,7 +327,7 @@ let plan_of f =
   let cfg = Cfg.build f in
   let fase = Fase.compute_exn cfg in
   let lv = Liveness.compute cfg in
-  let alias = Alias.compute f in
+  let alias = Alias.compute cfg in
   (cfg, fase, alias, Regions.compute cfg fase lv alias)
 
 let test_region_cuts () =
@@ -362,7 +397,7 @@ let test_workload_region_plans_sound () =
           let cfg = Cfg.build f in
           let fase = Fase.compute_exn cfg in
           if Fase.has_fase fase then begin
-            let alias = Alias.compute f in
+            let alias = Alias.compute cfg in
             let lv = Liveness.compute cfg in
             let plan = Regions.compute cfg fase lv alias in
             Alcotest.(check bool)
@@ -500,6 +535,8 @@ let suites =
         Alcotest.test_case "multi-def conservative" `Quick
           test_alias_multidef_conservative;
         Alcotest.test_case "per-use resolution" `Quick test_alias_per_use_resolution;
+        Alcotest.test_case "order-independent resolution" `Quick
+          test_alias_order_independent;
         Alcotest.test_case "loop-carried conservative" `Quick
           test_alias_loop_carried_conservative;
       ] );

@@ -314,7 +314,7 @@ let regions_war_free () =
     let cfg = Ido_analysis.Cfg.build f in
     let fase = Ido_analysis.Fase.compute_exn cfg in
     let lv = Ido_analysis.Liveness.compute cfg in
-    let alias = Ido_analysis.Alias.compute f in
+    let alias = Ido_analysis.Alias.compute cfg in
     let plan = Ido_analysis.Regions.compute cfg fase lv alias in
     Alcotest.(check bool)
       (Printf.sprintf "corpus function %d has no intra-region WAR" i)
