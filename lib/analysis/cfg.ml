@@ -7,7 +7,9 @@ type t = {
   rpo : int list;
   rpo_index : int array;  (* -1 for unreachable *)
   idom : int array;  (* -1 = none *)
-  reach : bool array array;  (* block-level reachability, incl. cycles *)
+  reach : bool array option array;
+      (* block-level reachability, incl. cycles: each source's row is
+         computed by one BFS on its first [path_exists] query *)
 }
 
 let compute_rpo succs n =
@@ -66,21 +68,20 @@ let compute_idom succs preds rpo n =
   ignore succs;
   (idom, rpo_index)
 
-let compute_reach succs n =
-  let reach = Array.init n (fun _ -> Array.make n false) in
-  for b = 0 to n - 1 do
-    (* BFS from each block following successor edges. *)
-    let q = Queue.create () in
-    List.iter (fun s -> Queue.add s q) succs.(b);
-    while not (Queue.is_empty q) do
-      let s = Queue.pop q in
-      if not reach.(b).(s) then begin
-        reach.(b).(s) <- true;
-        List.iter (fun s' -> Queue.add s' q) succs.(s)
-      end
-    done
+(* The blocks reachable from [b] by one or more edges: BFS following
+   successor edges. *)
+let reach_from succs b =
+  let row = Array.make (Array.length succs) false in
+  let q = Queue.create () in
+  List.iter (fun s -> Queue.add s q) succs.(b);
+  while not (Queue.is_empty q) do
+    let s = Queue.pop q in
+    if not row.(s) then begin
+      row.(s) <- true;
+      List.iter (fun s' -> Queue.add s' q) succs.(s)
+    end
   done;
-  reach
+  row
 
 let build (func : Ir.func) =
   let n = Array.length func.blocks in
@@ -92,8 +93,7 @@ let build (func : Ir.func) =
   Array.iteri (fun i l -> preds.(i) <- List.rev l) preds;
   let rpo = compute_rpo succs n in
   let idom, rpo_index = compute_idom succs preds rpo n in
-  let reach = compute_reach succs n in
-  { func; succs; preds; rpo; rpo_index; idom; reach }
+  { func; succs; preds; rpo; rpo_index; idom; reach = Array.make n None }
 
 let func t = t.func
 let succs t b = t.succs.(b)
@@ -128,5 +128,11 @@ let loop_headers t =
   List.sort_uniq compare (List.map snd (back_edges t))
 
 let path_exists t (p : Ir.pos) (q : Ir.pos) =
-  if p.blk = q.blk && p.idx < q.idx then true
-  else t.reach.(p.blk).(q.blk)
+  (p.blk = q.blk && p.idx < q.idx)
+  ||
+  match t.reach.(p.blk) with
+  | Some row -> row.(q.blk)
+  | None ->
+      let row = reach_from t.succs p.blk in
+      t.reach.(p.blk) <- Some row;
+      row.(q.blk)

@@ -35,4 +35,5 @@ val path_exists : t -> Ir.pos -> Ir.pos -> bool
 (** [path_exists t p q]: can control flow from just after position [p]
     reach position [q]?  Same-block forward layout counts; otherwise a
     (possibly cyclic) block path from [p]'s block to [q]'s block must
-    exist. *)
+    exist.  Answered on demand: the first query from a block runs one
+    search from it, which later queries from that block reuse. *)

@@ -8,7 +8,6 @@ module Vm = Ido_vm.Vm
 type failure = {
   f_codes : string list;
   f_detail : string;
-  f_crash : int option;
 }
 
 type outcome = {
@@ -48,7 +47,7 @@ let run_static ~opt (input : Input.t) =
           Cov.static_features ~scheme:scheme_name ~codes:[ "F801" ] ~shape;
         o_schedule = 0;
         o_failure =
-          Some { f_codes = [ "F801" ]; f_detail = msg; f_crash = None };
+          Some { f_codes = [ "F801" ]; f_detail = msg };
         o_hints = [];
       }
   | p ->
@@ -63,12 +62,7 @@ let run_static ~opt (input : Input.t) =
         match diags with
         | [] -> None
         | d :: _ ->
-            Some
-              {
-                f_codes = codes;
-                f_detail = Ido_analysis.Diag.render d;
-                f_crash = None;
-              }
+            Some { f_codes = codes; f_detail = Ido_analysis.Diag.render d }
       in
       {
         o_input = input;
@@ -130,7 +124,7 @@ let classify_verdict msg =
    features, the schedule length and hints, and a random genome's
    reference heap (the crashed probes' validator). *)
 type record = {
-  r_failures : (string * string * int option) list;
+  r_failures : (string * string) list;  (* (code, message) *)
   r_features : int array;
   r_schedule : int;
   r_hints : int list;
@@ -182,33 +176,27 @@ let construction_failed input msg =
     o_input = input;
     o_features = [||];
     o_schedule = 0;
-    o_failure = Some { f_codes = [ "F801" ]; f_detail = msg; f_crash = None };
+    o_failure = Some { f_codes = [ "F801" ]; f_detail = msg };
     o_hints = [];
   }
 
 (* A probe's failures, in report order: the verdict's code, then F703. *)
 let probe_failures (p : Engine.probe) =
-  let crash = p.Engine.pr_index in
   (match p.Engine.pr_verdict with
   | Ok () -> []
-  | Error msg -> [ (classify_verdict msg, msg, crash) ])
+  | Error msg -> [ (classify_verdict msg, msg) ])
   @
   match p.Engine.pr_consistency with
   | Ok () -> []
-  | Error msg -> [ ("F703", msg, crash) ]
+  | Error msg -> [ ("F703", msg) ]
 
 let outcome_of input (r : record) ~features crashed =
   let failures = r.r_failures @ List.concat_map probe_failures crashed in
   let o_failure =
     match failures with
     | [] -> None
-    | (_, detail, crash) :: _ ->
-        Some
-          {
-            f_codes = dedup_sorted (List.map (fun (c, _, _) -> c) failures);
-            f_detail = detail;
-            f_crash = crash;
-          }
+    | (_, detail) :: _ ->
+        Some { f_codes = dedup_sorted (List.map fst failures); f_detail = detail }
   in
   {
     o_input = input;

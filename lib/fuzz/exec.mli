@@ -47,9 +47,6 @@
 type failure = {
   f_codes : string list;  (** sorted, deduplicated stable codes *)
   f_detail : string;  (** first diagnostic / error message *)
-  f_crash : int option;
-      (** effective crash index of the first failing dynamic run;
-          [None] for static findings and crash-free failures *)
 }
 
 type outcome = {

@@ -85,7 +85,7 @@ let pair_candidates (scheme, workload) =
     | p -> (min 64 (Mutate.hook_count p), min 16 (Mutate.cut_count p))
     | exception _ -> (0, 0)
   in
-  List.map (fun (v, _) -> mk ~variant:v ()) Ido_lint.Hook_model.variants
+  List.map (fun f -> mk ~variant:f ()) Protocol.faults
   @ [ mk ~edits:[ Mutate.Hoist_store ] () ]
   @ List.concat
       (List.init cuts (fun k ->
@@ -222,7 +222,7 @@ let mutate_one rng (li : live) =
         Input.edits = take 2 (rng_edit rng :: input.Input.edits) }
   | 4 ->
       { input with
-        Input.variant = Some (fst (pickl rng Ido_lint.Hook_model.variants)) }
+        Input.variant = Some (pickl rng Protocol.faults) }
   | _ -> (
       match input.Input.base with
       | Input.Random trees ->

@@ -17,7 +17,7 @@ type t = {
   scheme : Scheme.t;
   base : base;
   edits : Mutate.edit list;
-  variant : string option;
+  variant : Protocol.fault option;
   crashes : int list;
 }
 
@@ -259,7 +259,7 @@ let label t =
   let parts =
     (Scheme.name t.scheme ^ "/" ^ base_label t.base)
     :: List.map Mutate.edit_to_string t.edits
-    @ (match t.variant with Some v -> [ "var:" ^ v ] | None -> [])
+    @ (match t.variant with Some f -> [ "var:" ^ Protocol.fault_name f ] | None -> [])
     @
     match t.crashes with
     | [] -> []
@@ -289,7 +289,7 @@ let json_fields t =
     {|"scheme":"%s","base":"%s","edits":"%s","variant":"%s","crashes":"%s"|}
     (Scheme.name t.scheme) (base_to_string t.base)
     (String.concat "," (List.map Mutate.edit_to_string t.edits))
-    (match t.variant with Some v -> v | None -> "")
+    (match t.variant with Some f -> Protocol.fault_name f | None -> "")
     (ints_to_string t.crashes)
 
 let of_json ~fail line =
@@ -318,7 +318,14 @@ let of_json ~fail line =
           | None -> raise (fail (Printf.sprintf "malformed edit %S" p)))
         (String.split_on_char ',' raw)
   in
-  let variant = match str "variant" with "" -> None | v -> Some v in
+  let variant =
+    match str "variant" with
+    | "" -> None
+    | v -> (
+        match Protocol.fault_of_name v with
+        | None -> raise (fail (Printf.sprintf "unknown variant %S" v))
+        | fault -> fault)
+  in
   let crashes =
     let raw = str "crashes" in
     match ints_of_string raw with

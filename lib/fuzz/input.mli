@@ -33,7 +33,8 @@ type t = {
   scheme : Scheme.t;
   base : base;
   edits : Ido_lint.Mutate.edit list;  (** applied in order, at their stage *)
-  variant : string option;  (** buggy hook-model protocol *)
+  variant : Ido_runtime.Protocol.fault option;
+      (** a seeded runtime protocol fault, checked statically *)
   crashes : int list;
       (** raw crash points; injected modulo the crash-free schedule
           length (+1 for the terminal index) *)
@@ -44,7 +45,7 @@ val tree_ops : tree -> op list
 
 val make :
   ?edits:Ido_lint.Mutate.edit list ->
-  ?variant:string ->
+  ?variant:Ido_runtime.Protocol.fault ->
   ?crashes:int list ->
   scheme:Scheme.t ->
   base ->
@@ -92,4 +93,5 @@ val json_fields : t -> string
 
 val of_json : fail:(string -> exn) -> string -> t
 (** Parse a line containing {!json_fields}; raises [fail]'s exception
-    on malformed input. *)
+    on malformed input, including a variant that names no
+    {!Ido_runtime.Protocol.fault}. *)

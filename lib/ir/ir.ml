@@ -167,8 +167,7 @@ let hook_name = function
   | Hfase_enter -> "fase_enter"
   | Hfase_exit -> "fase_exit"
   | Hlock_acquired -> "lock_acquired"
-  | Hlock_release { outermost } ->
-      if outermost then "lock_release!" else "lock_release"
+  | Hlock_release _ -> "lock_release"
   | Hjustdo_store -> "justdo_store"
   | Hundo_store -> "undo_store"
   | Hredo_store -> "redo_store"
@@ -226,6 +225,7 @@ let pp_instr fmt = function
         (if skippable then "?" else "")
         (if at_release then "^" else "")
         pp_regs live_in pp_regs out_regs
+  | Hook (Hlock_release { outermost = true }) -> Format.fprintf fmt "!lock_release!"
   | Hook h -> Format.fprintf fmt "!%s" (hook_name h)
 
 let pp_terminator fmt = function

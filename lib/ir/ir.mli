@@ -161,6 +161,10 @@ val fold_instrs : ('a -> pos -> instr -> 'a) -> 'a -> func -> 'a
 
 (** {1 Printing} *)
 
+val hook_name : hook -> string
+(** ["region#3"], ["fase_enter"], ["lock_release"], ...: the name
+    diagnostics give a hook. *)
+
 val pp_instr : Format.formatter -> instr -> unit
 val pp_terminator : Format.formatter -> terminator -> unit
 val pp_func : Format.formatter -> func -> unit

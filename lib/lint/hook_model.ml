@@ -1,4 +1,6 @@
 open Ido_ir
+open Ido_util
+open Ido_nvm
 open Ido_runtime
 
 type need = Initiated | Fenced
@@ -6,6 +8,7 @@ type req = Meta of string | Data
 
 type micro =
   | Write of string
+  | Write_data
   | Writeback of string
   | Writeback_data
   | Fence
@@ -13,283 +16,236 @@ type micro =
   | Check of { needs : need; requires : req list; code : string; what : string }
   | Grant_log
 
-let hook_name : Ir.hook -> string = function
-  | Ir.Hregion { region_id; _ } -> Printf.sprintf "region#%d" region_id
-  | Ir.Hfase_enter -> "fase_enter"
-  | Ir.Hfase_exit -> "fase_exit"
-  | Ir.Hlock_acquired -> "lock_acquired"
-  | Ir.Hlock_release _ -> "lock_release"
-  | Ir.Hjustdo_store -> "justdo_store"
-  | Ir.Hundo_store -> "undo_store"
-  | Ir.Hredo_store -> "redo_store"
-  | Ir.Htxn_begin -> "txn_begin"
-  | Ir.Htxn_commit -> "txn_commit"
-  | Ir.Hpage_log -> "page_log"
-  | Ir.Hdurable_commit -> "durable_commit"
-
-(* The models below follow the micro-op order in which words become
-   visible to the persistence domain, not the raw program-store order:
-   a protocol that stores A then B and write-backs both before one
-   fence is modelled as write/writeback A, then publish B — the
-   simulator's [clwb] is synchronous, so "write-back issued before the
-   publish store" is exactly the write-ahead invariant recovery relies
-   on.  Cell names: see each scheme's runtime log module. *)
+let placeable (s : Scheme.props) (hook : Ir.hook) =
+  match hook with
+  | Ir.Hregion _ -> s.region_cuts
+  | Ir.Hfase_enter | Ir.Hfase_exit ->
+      s.fase = Scheme.Lock_inferred || s.fase = Scheme.Durable_only
+  | Ir.Hlock_acquired | Ir.Hlock_release _ -> s.lock_records
+  | Ir.Htxn_begin | Ir.Htxn_commit -> s.fase = Scheme.Transaction
+  | Ir.Hdurable_commit -> s.commit <> Scheme.No_commit
+  | Ir.Hjustdo_store | Ir.Hundo_store | Ir.Hredo_store | Ir.Hpage_log ->
+      s.grant = Some hook
 
 (* ------------------------------------------------------------------ *)
-(* iDO: region boundaries (Ido_log), single-fence lock records.        *)
+(* The contract: what the recorded stores cannot say by themselves.    *)
 
-let ido_region (rh : Ir.region_hook) =
-  [
-    Write "outlog";
-    Writeback "outlog";
-    Writeback_data;
-    Fence;
-    (* recovery_pc armed at this boundary: everything the resumed
-       region reads — intRF in the out-log and prior memory effects —
-       must already be fence-durable. *)
-    Publish { target = "pc"; needs = Fenced; requires = [ Meta "outlog"; Data ] };
-    Writeback "pc";
-  ]
-  @ if rh.at_release then [] (* fence deferred to the release record *)
-    else [ Fence ]
+(* The stores that publish in each hook, in store order; a cell's
+   other stores are plain writes. *)
+let publishes (scheme : Scheme.t) (hook : Ir.hook) =
+  let pub target needs requires = Publish { target; needs; requires } in
+  (* recovery_pc: everything the resumed region reads — intRF and the
+     prior memory effects — must be fence-durable when it moves *)
+  let pc = pub "pc" Fenced [ Meta "outlog"; Data ] in
+  let head = pub "head" Initiated [ Meta "rec" ] in
+  (* truncation: a log may only empty once the data it covered is
+     durable *)
+  let truncate cell = pub cell Fenced [ Data ] in
+  match (scheme, hook) with
+  | Scheme.Ido, (Ir.Hregion _ | Ir.Hlock_release _ | Ir.Hfase_exit) -> [ pc ]
+  | Scheme.Justdo, Ir.Hjustdo_store -> [ pub "valid" Initiated [ Meta "entry" ] ]
+  | Scheme.Justdo, (Ir.Hlock_acquired | Ir.Hlock_release _) ->
+      [ pub "lockrec" Fenced [ Meta "intent" ] ]
+  | Scheme.Atlas, _ | Scheme.Nvml, (Ir.Hfase_enter | Ir.Hundo_store) -> [ head ]
+  | Scheme.Nvml, Ir.Hfase_exit -> [ truncate "head" ]
+  | Scheme.Mnemosyne, Ir.Htxn_commit ->
+      [ pub "status" Fenced [ Meta "redo" ]; truncate "status" ]
+  | Scheme.Nvthreads, Ir.Hdurable_commit ->
+      [ pub "pstatus" Fenced [ Meta "pages" ]; truncate "pstatus" ]
+  | _ -> []
 
-let ido_region_reordered (rh : Ir.region_hook) =
-  (* PR 1's Pwriter.clwb_lines-class bug: data write-backs issued after
-     the boundary fence, so the pc can persist ahead of the region's
-     stores. *)
-  [
-    Write "outlog";
-    Writeback "outlog";
-    Fence;
-    Writeback_data;
-    Publish { target = "pc"; needs = Fenced; requires = [ Meta "outlog"; Data ] };
-    Writeback "pc";
-  ]
-  @ if rh.at_release then [] else [ Fence ]
+(* L303, the single-fence contract: the cells durable before an in-FASE
+   unlock executes, so no two threads' lock records claim one lock. *)
+let unlock_durable = function
+  | Scheme.Ido -> [ "lockrec"; "pc" ]
+  | Scheme.Atlas -> [ "head" ]
+  | Scheme.Justdo -> [ "lockrec" ]
+  | _ -> []
 
-let ido_release ~outermost ~fenced =
-  [ Write "lockrec"; Writeback "lockrec" ]
-  @ (if outermost then
-       (* pc := 0 declares the FASE complete: its outputs (fenced by
-          the preceding at-release boundary) must already be durable. *)
-       [
-         Publish { target = "pc"; needs = Fenced; requires = [ Data; Meta "outlog" ] };
-         Writeback "pc";
-       ]
-     else [])
-  @ if fenced then [ Fence ] else []
+(* L302: the FASE's data is fence-durable by the exit hook's first log
+   store. *)
+let data_at_exit = function Scheme.Justdo | Scheme.Atlas | Scheme.Nvml -> true | _ -> false
 
 (* ------------------------------------------------------------------ *)
-(* JUSTDO (Justdo_log): per-store log entry; valid flag published
-   last, one fence per entry (plus one flushing the previous store).   *)
+(* Recording                                                           *)
 
-let justdo_store ~early_publish =
-  [ Writeback_data; Fence ]
-  @ (if early_publish then
-       (* PR 1's seeded bug: the valid flag becomes durable before the
-          entry words, so a crash recovers a garbage (pc, addr, value)
-          tuple.  The append claims the slot (dirtying it) and the
-          publish fires before the entry's write-back is even issued. *)
-       [
-         Write "entry";
-         Publish { target = "valid"; needs = Initiated; requires = [ Meta "entry" ] };
-         Writeback "valid";
-         Fence;
-         Writeback "entry";
-         Fence;
-       ]
-     else
-       [
-         Write "entry";
-         Writeback "entry";
-         Publish { target = "valid"; needs = Initiated; requires = [ Meta "entry" ] };
-         Writeback "valid";
-         Fence;
-       ])
-  @ [ Grant_log ]
+let region ~at_release =
+  Ir.Hregion { region_id = 0; live_in = []; out_regs = []; skippable = false; at_release }
 
-let justdo_lock_record =
-  (* intention store fenced, then the ownership word fenced: JUSTDO's
-     two-fence lock protocol (acquire and release are symmetric). *)
-  [
-    Write "intent";
-    Writeback "intent";
-    Fence;
-    Publish { target = "lockrec"; needs = Fenced; requires = [ Meta "intent" ] };
-    Writeback "lockrec";
-    Fence;
-  ]
-
-(* ------------------------------------------------------------------ *)
-(* Undo ring (Atlas / NVML, Undo_log): record words written back
-   before head/total publish the record.                               *)
-
-let undo_append ~unfenced_variant ~fenced =
-  (if unfenced_variant then
-     (* PR 1's seeded bug: head/total stored before the record's
-        write-backs are issued — an eviction of the counter line
-        publishes an unwritten record. *)
-     [
-       Write "rec";
-       Publish { target = "head"; needs = Initiated; requires = [ Meta "rec" ] };
-       Writeback "rec";
-       Writeback "head";
-     ]
-   else
-     [
-       Write "rec";
-       Writeback "rec";
-       Publish { target = "head"; needs = Initiated; requires = [ Meta "rec" ] };
-       Writeback "head";
-     ])
-  @ if fenced then [ Fence ] else []
-
-(* ------------------------------------------------------------------ *)
-(* Mnemosyne (Redo_log): entries fenced, status := Committed fenced,
-   apply, data fenced, status := Idle fenced.                          *)
-
-let txn_commit ~drop_fence =
-  [ Writeback "redo" ]
-  @ (if drop_fence then [] else [ Fence ])
-  @ [
-      Publish { target = "status"; needs = Fenced; requires = [ Meta "redo" ] };
-      Writeback "status";
-      Fence;
-      (* apply: the write set reaches its home locations *)
-      Writeback_data;
-      Fence;
-      (* truncation: the log may only empty once the applied data is
-         durable *)
-      Publish { target = "status"; needs = Fenced; requires = [ Data ] };
-      Writeback "status";
-      Fence;
+(* The hooks the instrumenter places, one per model: a region boundary
+   is modelled by whether it sits at a release, a release by whether it
+   is outermost. *)
+let hooks =
+  Ir.
+    [
+      Hfase_enter; Hfase_exit; Hlock_acquired; Hlock_release { outermost = false };
+      Hlock_release { outermost = true }; region ~at_release:false; region ~at_release:true;
+      Hjustdo_store; Hundo_store; Hredo_store; Htxn_begin; Htxn_commit; Hpage_log;
+      Hdurable_commit;
     ]
 
-(* ------------------------------------------------------------------ *)
-(* NVthreads (Page_log)                                                *)
+type setup = Hook of Ir.hook | Store
 
-let nvthreads_commit =
-  [
-    Writeback "pages";
-    Publish { target = "pstatus"; needs = Initiated; requires = [ Meta "pages" ] };
-    Writeback "pstatus";
-    Fence;
-    (* apply copies the buffered pages home; the stores stay volatile,
-       but the committed log makes them recoverable — which is what the
-       summarized data cell means, so absorb them as durable. *)
-    Writeback_data;
-    Fence;
-  ]
+(* The protocol steps before [hook] that it depends on: a clwb of a
+   clean line issues no write-back, so a fixture must first dirty what
+   the hook writes back, and a store of a word's durable value writes
+   nothing, so it must first arm what the hook clears.  [Store] is the
+   FASE's program store. *)
+let setup (props : Scheme.props) (hook : Ir.hook) =
+  let enter = if props.fase = Scheme.Transaction then Ir.Htxn_begin else Ir.Hfase_enter in
+  let grant = match props.grant with Some g -> [ Hook g ] | None -> [] in
+  let boundary = if props.region_cuts then [ Hook (region ~at_release:false) ] else [] in
+  match hook with
+  | Ir.Hfase_enter | Ir.Htxn_begin | Ir.Hlock_acquired -> []
+  | Ir.Hundo_store | Ir.Hredo_store | Ir.Hpage_log -> [ Hook enter ]
+  | Ir.Hregion _ | Ir.Hjustdo_store -> [ Hook enter; Store ]
+  | Ir.Hdurable_commit | Ir.Htxn_commit -> (Hook enter :: grant) @ [ Store ]
+  | Ir.Hlock_release _ -> [ Hook enter; Hook Ir.Hlock_acquired; Store ] @ boundary
+  | Ir.Hfase_exit ->
+      (Hook enter :: grant) @ (Store :: boundary)
+      @ if props.commit <> Scheme.No_commit then [ Hook Ir.Hdurable_commit ] else []
 
-(* ------------------------------------------------------------------ *)
+(* Run the setup on a scratch memory holding one log node and, past it,
+   the program data, then [hook]'s protocol step, and turn the step's
+   persist events into micro-ops.  A store becomes a write of its cell
+   (the log module names it) or of the data, unless it left the word
+   holding its durable value; a write-back, one write-back per cell
+   stored in the line since its last one; a fence, a fence. *)
+let raw_record ?fault scheme hook =
+  let props = Scheme.props scheme in
+  let p = Protocol.make ?fault scheme in
+  let env =
+    { Protocol.seq = 0; appended = (fun _ _ -> ()); coalesce = true; single_fence = true }
+  in
+  let pm = Pmem.create ~cache_lines:64 ~rng:(Rng.create 0) (1 lsl 12) in
+  let heap = Ido_region.Region.create pm in
+  let w = Pwriter.create pm Latency.default in
+  let node =
+    p.create w heap ~tid:0 { Protocol.nregs = 4; undo_cap = 16; redo_cap = 16; page_cap = 2 }
+  in
+  let pw = Page_log.page_words in
+  let data = (Ido_region.Region.alloc heap (2 * pw) + pw - 1) / pw * pw in
+  let line = data / Pmem.words_per_line and regs = Bytes.make 8 '\007' in
+  let lines () =
+    let l = Lineset.create () in
+    Lineset.add l line;
+    l
+  in
+  let step : Ir.hook -> unit = function
+    | Ir.Hfase_enter -> p.fase_enter env w node ~stack_base:data ~sp:1
+    | Ir.Hfase_exit -> p.fase_exit env w node ~last_line:line
+    | Ir.Hlock_acquired -> p.lock_acquired env w node ~holder:3 ~epoch:1
+    | Ir.Hlock_release { outermost } -> p.lock_release env w node ~holder:3 ~outermost
+    | Ir.Hregion rh ->
+        (* at a release, the inner-release case, which stores the pc *)
+        p.boundary env w node ~regs ~out:[ 0 ] ~lines:(lines ()) ~epoch:1 ~pc:7
+          ~at_release:rh.at_release ~outermost:false
+    | Ir.Hjustdo_store ->
+        p.justdo_store env w node ~last_line:line ~regs ~stack_base:data ~sp:1 ~pc:9
+          ~addr:data ~value:5L
+    | Ir.Hundo_store -> p.undo_store env w node ~addr:data
+    | Ir.Hredo_store -> p.redo_store env w node ~addr:data ~value:5L
+    | Ir.Htxn_begin -> p.txn_begin w node
+    | Ir.Htxn_commit ->
+        let written = Vec.create () in
+        Vec.push written data;
+        p.txn_commit w node ~written
+    | Ir.Hpage_log -> ignore (p.page_log env w node ~page:(Page_log.page_of data))
+    | Ir.Hdurable_commit -> p.durable_commit env w node ~lines:(lines ()) ~reopen:true
+  in
+  (* through the page copy under page copies, through the redo log in a
+     transaction (the grant step made it), in place otherwise *)
+  let store () =
+    if p.page_copies then begin
+      Pwriter.store w (Page_log.copy_word_addr node 0 ~off:0) 6L;
+      Page_log.mark_dirty w node 0 ~off:0
+    end
+    else if props.fase <> Scheme.Transaction then Pwriter.store w data 6L
+  in
+  let recording = ref false and out = ref [] in
+  let stored = ref [] (* addresses stored since their last write-back *)
+  and last = ref None in
+  let emit named cell x =
+    if !recording then out := (if x >= data then cell else named (p.cell pm node x)) :: !out
+  in
+  let settle () =
+    Option.iter
+      (fun a ->
+        last := None;
+        if Pmem.load pm a <> Pmem.persisted pm a then begin
+          if not (List.mem a !stored) then stored := !stored @ [ a ];
+          emit (fun c -> Write c) Write_data a
+        end)
+      !last
+  in
+  Pmem.set_event_hook pm
+    (Some
+       (fun kind ->
+         settle ();
+         match kind with
+         | Ido_obs.Obs.Store a -> last := Some a
+         | Ido_obs.Obs.Flush a ->
+             let line = a / Pmem.words_per_line in
+             let here, rest =
+               List.partition (fun x -> x / Pmem.words_per_line = line) !stored
+             in
+             stored := rest;
+             List.iter (emit (fun c -> Writeback c) Writeback_data) here
+         | Ido_obs.Obs.Fence _ -> if !recording then out := Fence :: !out
+         | Ido_obs.Obs.Evict _ -> invalid_arg "Hook_model: the scratch memory evicted"
+         | _ -> ()));
+  List.iter (function Hook h -> step h | Store -> store ()) (setup props hook);
+  settle ();
+  recording := true;
+  step hook;
+  settle ();
+  List.rev !out
 
-let variants =
-  [
-    ( "early-publish-justdo",
-      "JUSTDO log entry: valid flag fenced durable before the (pc, addr, \
-       value) words are written" );
-    ( "unfenced-undo-append",
-      "undo ring append: head/total published before the record's \
-       write-backs are issued" );
-    ( "reorder-region-writeback",
-      "iDO region boundary: tracked-line write-backs issued after the \
-       boundary fence instead of before" );
-    ( "drop-release-fence",
-      "iDO lock release: record cleared and pc zeroed without the closing \
-       fence" );
-    ( "drop-commit-fence",
-      "Mnemosyne commit: status set Committed without fencing the redo \
-       entries first" );
-  ]
+(* Adjacent repeats are one micro-op (a record's several words, a
+   cell's write-backs over two lines); then the contract turns the
+   publishing writes into publishes, places the L302 check before the
+   exit's first log store, and arms the grant. *)
+let record ?fault scheme hook =
+  let rec dedup = function
+    | a :: (b :: _ as rest) when a = b -> dedup rest
+    | a :: rest -> a :: dedup rest
+    | [] -> []
+  in
+  let rec publish pubs = function
+    | Write c :: rest -> (
+        match List.partition (function Publish p -> p.target = c | _ -> false) pubs with
+        | p :: others, mine -> p :: publish (others @ mine) rest
+        | [], _ -> Write c :: publish pubs rest)
+    | m :: rest -> m :: publish pubs rest
+    | [] -> []
+  in
+  let check =
+    Check { needs = Fenced; requires = [ Data ]; code = "L302"; what = "FASE data at exit" }
+  in
+  let rec check_first = function
+    | (Write _ | Publish _) :: _ as rest -> check :: rest
+    | m :: rest -> m :: check_first rest
+    | [] -> [ check ]
+  in
+  let ops = publish (publishes scheme hook) (dedup (raw_record ?fault scheme hook)) in
+  let ops = if hook = Ir.Hfase_exit && data_at_exit scheme then check_first ops else ops in
+  if (Scheme.props scheme).grant = Some hook then ops @ [ Grant_log ] else ops
 
-let model ?variant scheme (hook : Ir.hook) =
-  let v n = variant = Some n in
-  match (scheme, hook) with
-  (* --- iDO --- *)
-  | Scheme.Ido, Ir.Hregion rh ->
-      if v "reorder-region-writeback" then ido_region_reordered rh
-      else ido_region rh
-  | Scheme.Ido, Ir.Hlock_acquired ->
-      (* stores + write-back only; the next boundary's fence persists
-         the record (benign steal window) *)
-      [ Write "lockrec"; Writeback "lockrec" ]
-  | Scheme.Ido, Ir.Hlock_release { outermost } ->
-      ido_release ~outermost ~fenced:(not (v "drop-release-fence"))
-  | Scheme.Ido, Ir.Hfase_exit ->
-      (* durable-region FASEs reach here with the pc still armed *)
-      [
-        Publish { target = "pc"; needs = Fenced; requires = [ Data; Meta "outlog" ] };
-        Writeback "pc";
-        Fence;
-      ]
-  | Scheme.Ido, Ir.Hfase_enter -> []
-  (* --- JUSTDO --- *)
-  | Scheme.Justdo, Ir.Hjustdo_store ->
-      justdo_store ~early_publish:(v "early-publish-justdo")
-  | Scheme.Justdo, (Ir.Hlock_acquired | Ir.Hlock_release _) -> justdo_lock_record
-  | Scheme.Justdo, Ir.Hfase_exit ->
-      [
-        Writeback_data;
-        Fence;
-        Check
-          {
-            needs = Fenced;
-            requires = [ Data ];
-            code = "L302";
-            what = "FASE data at exit";
-          };
-        Write "valid";
-        Writeback "valid";
-        Fence;
-      ]
-  | Scheme.Justdo, Ir.Hfase_enter -> []
-  (* --- Atlas --- *)
-  | Scheme.Atlas, Ir.Hfase_enter ->
-      undo_append ~unfenced_variant:false ~fenced:false
-  | Scheme.Atlas, Ir.Hundo_store ->
-      undo_append ~unfenced_variant:(v "unfenced-undo-append") ~fenced:true
-      @ [ Grant_log ]
-  | Scheme.Atlas, (Ir.Hlock_acquired | Ir.Hlock_release _) ->
-      undo_append ~unfenced_variant:false ~fenced:true
-  | Scheme.Atlas, Ir.Hdurable_commit -> [ Writeback_data; Fence ]
-  | Scheme.Atlas, Ir.Hfase_exit ->
-      Check
-        {
-          needs = Fenced;
-          requires = [ Data ];
-          code = "L302";
-          what = "FASE data at exit";
-        }
-      :: undo_append ~unfenced_variant:false ~fenced:false
-  (* --- Mnemosyne --- *)
-  | Scheme.Mnemosyne, Ir.Htxn_begin -> [ Write "status" ]
-  | Scheme.Mnemosyne, Ir.Hredo_store -> [ Write "redo"; Grant_log ]
-  | Scheme.Mnemosyne, Ir.Htxn_commit ->
-      txn_commit ~drop_fence:(v "drop-commit-fence")
-  (* --- NVML --- *)
-  | Scheme.Nvml, Ir.Hfase_enter ->
-      undo_append ~unfenced_variant:false ~fenced:false
-  | Scheme.Nvml, Ir.Hundo_store ->
-      undo_append ~unfenced_variant:(v "unfenced-undo-append") ~fenced:true
-      @ [ Grant_log ]
-  | Scheme.Nvml, Ir.Hdurable_commit -> [ Writeback_data; Fence ]
-  | Scheme.Nvml, Ir.Hfase_exit ->
-      [
-        Check
-          {
-            needs = Fenced;
-            requires = [ Data ];
-            code = "L302";
-            what = "FASE data at exit";
-          };
-        (* Undo_log.reset: head := 0 truncates the log *)
-        Publish { target = "head"; needs = Fenced; requires = [ Data ] };
-        Writeback "head";
-        Fence;
-      ]
-  (* --- NVthreads --- *)
-  | Scheme.Nvthreads, Ir.Hfase_enter -> [ Write "pstatus"; Writeback "pstatus"; Fence ]
-  | Scheme.Nvthreads, Ir.Hpage_log -> [ Write "pages"; Grant_log ]
-  | Scheme.Nvthreads, Ir.Hdurable_commit -> nvthreads_commit
-  | Scheme.Nvthreads, Ir.Hfase_exit -> []
-  | _ -> []
+(* Recorded once per (scheme, fault), on first use, from any domain. *)
+let cache = Hashtbl.create 16
+let cache_lock = Mutex.create ()
+
+let model ?fault scheme =
+  let models =
+    Mutex.protect cache_lock (fun () ->
+        match Hashtbl.find_opt cache (scheme, fault) with
+        | Some ms -> ms
+        | None ->
+            let placed = List.filter (placeable (Scheme.props scheme)) hooks in
+            let ms = List.map (fun h -> (h, record ?fault scheme h)) placed in
+            Hashtbl.add cache (scheme, fault) ms;
+            ms)
+  in
+  fun (hook : Ir.hook) ->
+    let key = match hook with Ir.Hregion rh -> region ~at_release:rh.at_release | h -> h in
+    Option.value ~default:[] (List.assoc_opt key models)

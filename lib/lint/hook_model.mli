@@ -1,4 +1,4 @@
-(** Persistence models of the runtime hooks.
+(** Persistence models of the runtime hooks, recorded from the runtime.
 
     Each scheme's runtime executes a small fixed protocol per hook —
     stores to its log, write-backs, fences, and {e publish} writes that
@@ -9,11 +9,13 @@
     discipline ("log durable before publish") is checked on every path
     of the instrumented program rather than only on explored schedules.
 
-    The sequences mirror [Ido_vm.Interp]'s hook execution and the
-    runtime log modules; a model that publishes before its prerequisite
-    write-backs (or drops a fence) is exactly the class of bug the
-    PR 1 crash matrix caught dynamically, and the named {!variants}
-    re-seed those bugs for the mutation corpus. *)
+    The sequences are recorded, not written: {!model} runs the hook's
+    {!Ido_runtime.Protocol} step once on a scratch memory, after the
+    steps it depends on, and names each address its stores, write-backs
+    and fences touch from the log module's layout.  Only the contract
+    is hand-written: which stores publish and what must be durable
+    before each, the L302 check at FASE exit, and the grant token.  A
+    {!Ido_runtime.Protocol.fault} records that faulted protocol. *)
 
 open Ido_ir
 open Ido_runtime
@@ -27,6 +29,7 @@ type req = Meta of string | Data
 
 type micro =
   | Write of string  (** store to a named metadata cell *)
+  | Write_data  (** a protocol store to program data (a redo or page apply) *)
   | Writeback of string
   | Writeback_data  (** flush all tracked in-FASE program stores *)
   | Fence
@@ -39,13 +42,22 @@ type micro =
   | Grant_log  (** arm the per-store log token consumed by the next
                    tracked store *)
 
-val model : ?variant:string -> Scheme.t -> Ir.hook -> micro list
-(** The micro-op protocol the scheme's runtime performs for [hook].
-    [variant] substitutes a named buggy protocol (see {!variants});
-    unknown variant names leave the model unchanged. *)
+val model : ?fault:Protocol.fault -> Scheme.t -> Ir.hook -> micro list
+(** [model ?fault scheme] records the scheme's protocol (once per
+    scheme and fault, on first use) and returns the micro-ops of each
+    hook: [[]] for a hook the scheme does not place.  A region boundary
+    is modelled by whether it sits at a release (as a boundary before
+    an inner release, which stores the pc), a release by whether it is
+    outermost. *)
 
-val hook_name : Ir.hook -> string
+val unlock_durable : Scheme.t -> string list
+(** The runtime cells that must be fence-durable before an in-FASE
+    [Unlock] executes (L303: no two threads' lock records may ever
+    claim the same lock). *)
 
-val variants : (string * string) list
-(** [(name, description)] of the buggy protocol variants, for the
-    mutation corpus and [ido_check mutants]. *)
+val placeable : Scheme.props -> Ir.hook -> bool
+(** Can the scheme's instrumentation place this hook?  ([Hregion] and
+    [Hlock_release] by kind, whatever their payload.) *)
+
+val hooks : Ir.hook list
+(** One hook per model {!model} tells apart, in a fixed order. *)

@@ -17,13 +17,13 @@ open Ido_analysis
 open Ido_runtime
 
 val lint_program :
-  ?variant:string -> ?entries:string list -> Scheme.t -> Ir.program -> Diag.t list
+  ?variant:Protocol.fault -> ?entries:string list -> Scheme.t -> Ir.program -> Diag.t list
 (** Lint every function and run the lockset pass over [entries] (their
     reachable call graphs).  Defaults to [\["worker"\]] per the
     workload convention; entries missing from the program are dropped,
     and if none remain every function is checked.  Diagnostics are
-    sorted and deduplicated.  [variant] substitutes a named buggy hook
-    protocol ({!Hook_model.variants}). *)
+    sorted and deduplicated.  [variant] checks the program against the
+    faulted runtime protocol instead ({!Hook_model.model}). *)
 
 val codes : (string * string) list
 (** All stable codes with their explanations, in order. *)

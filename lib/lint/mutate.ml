@@ -5,12 +5,11 @@ type stage = Before_instrument | After_instrument
 
 type t = {
   name : string;
-  descr : string;
   scheme : Scheme.t;
   workload : string;
   expect : string;
   stage : stage;
-  variant : string option;
+  variant : Protocol.fault option;
   transform : Ir.program -> Ir.program;
 }
 
@@ -208,213 +207,72 @@ let id p = p
 
 (* ------------------------------------------------------------------ *)
 
+(* An instrumentation or source mutant: no protocol fault. *)
+let mutant name scheme workload expect ?(stage = After_instrument) transform =
+  { name; scheme; workload; expect; stage; variant = None; transform }
+
 let corpus =
   [
     (* -- per-store log coverage (L201) -- *)
-    {
-      name = "drop-justdo-log";
-      descr = "delete one justdo_store hook: its store is logged on no path";
-      scheme = Scheme.Justdo;
-      workload = "queue";
-      expect = "L201";
-      stage = After_instrument;
-      variant = None;
-      transform = delete_first (is_hook Ir.Hjustdo_store);
-    };
-    {
-      name = "drop-undo-log";
-      descr = "delete one undo_store hook: the old value is never logged";
-      scheme = Scheme.Atlas;
-      workload = "queue";
-      expect = "L201";
-      stage = After_instrument;
-      variant = None;
-      transform = delete_first (is_hook Ir.Hundo_store);
-    };
-    {
-      name = "drop-redo-log";
-      descr = "delete one redo_store hook inside a transaction";
-      scheme = Scheme.Mnemosyne;
-      workload = "queue";
-      expect = "L201";
-      stage = After_instrument;
-      variant = None;
-      transform = delete_first (is_hook Ir.Hredo_store);
-    };
-    {
-      name = "drop-page-log";
-      descr = "delete one page_log hook: the page is modified uncopied";
-      scheme = Scheme.Nvthreads;
-      workload = "queue";
-      expect = "L201";
-      stage = After_instrument;
-      variant = None;
-      transform = delete_first (is_hook Ir.Hpage_log);
-    };
-    {
-      name = "drop-nvml-log";
-      descr = "delete one undo_store hook in a durable region";
-      scheme = Scheme.Nvml;
-      workload = "objstore";
-      expect = "L201";
-      stage = After_instrument;
-      variant = None;
-      transform = delete_first (is_hook Ir.Hundo_store);
-    };
+    (* delete one justdo_store hook: its store is logged on no path *)
+    mutant "drop-justdo-log" Scheme.Justdo "queue" "L201"
+      (delete_first (is_hook Ir.Hjustdo_store));
+    (* delete one undo_store hook: the old value is never logged *)
+    mutant "drop-undo-log" Scheme.Atlas "queue" "L201"
+      (delete_first (is_hook Ir.Hundo_store));
+    (* delete one redo_store hook inside a transaction *)
+    mutant "drop-redo-log" Scheme.Mnemosyne "queue" "L201"
+      (delete_first (is_hook Ir.Hredo_store));
+    (* delete one page_log hook: the page is modified uncopied *)
+    mutant "drop-page-log" Scheme.Nvthreads "queue" "L201"
+      (delete_first (is_hook Ir.Hpage_log));
+    (* delete one undo_store hook in a durable region *)
+    mutant "drop-nvml-log" Scheme.Nvml "objstore" "L201"
+      (delete_first (is_hook Ir.Hundo_store));
     (* -- hook structure (L105/L106/L202) -- *)
-    {
-      name = "drop-fase-enter";
-      descr = "delete one fase_enter hook";
-      scheme = Scheme.Justdo;
-      workload = "queue";
-      expect = "L105";
-      stage = After_instrument;
-      variant = None;
-      transform = delete_first (is_hook Ir.Hfase_enter);
-    };
-    {
-      name = "drop-lock-record";
-      descr = "delete one lock_acquired record hook";
-      scheme = Scheme.Ido;
-      workload = "mlog";
-      expect = "L106";
-      stage = After_instrument;
-      variant = None;
-      transform = delete_first (is_hook Ir.Hlock_acquired);
-    };
-    {
-      name = "orphan-log-hook";
-      descr = "duplicate a justdo_store grant: the first is never consumed";
-      scheme = Scheme.Justdo;
-      workload = "queue";
-      expect = "L202";
-      stage = After_instrument;
-      variant = None;
-      transform = duplicate_first (is_hook Ir.Hjustdo_store);
-    };
+    (* delete one fase_enter hook *)
+    mutant "drop-fase-enter" Scheme.Justdo "queue" "L105"
+      (delete_first (is_hook Ir.Hfase_enter));
+    (* delete one lock_acquired record hook *)
+    mutant "drop-lock-record" Scheme.Ido "mlog" "L106"
+      (delete_first (is_hook Ir.Hlock_acquired));
+    (* duplicate a justdo_store grant: the first is never consumed *)
+    mutant "orphan-log-hook" Scheme.Justdo "queue" "L202"
+      (duplicate_first (is_hook Ir.Hjustdo_store));
     (* -- region plan conformance (L401/L402) -- *)
-    {
-      name = "drop-region-cut";
-      descr = "delete a required region boundary: a WAR pair shares a region";
-      scheme = Scheme.Ido;
-      workload = "mlog";
-      expect = "L401";
-      stage = After_instrument;
-      variant = None;
-      transform = delete_required_cut;
-    };
-    {
-      name = "elide-required-cut";
-      descr = "mark a required (WAR-separating) cut elidable";
-      scheme = Scheme.Ido;
-      workload = "mlog";
-      expect = "L402";
-      stage = After_instrument;
-      variant = None;
-      transform = elide_required_cut;
-    };
+    (* delete a required region boundary: a WAR pair shares a region *)
+    mutant "drop-region-cut" Scheme.Ido "mlog" "L401" delete_required_cut;
+    (* mark a required (WAR-separating) cut elidable *)
+    mutant "elide-required-cut" Scheme.Ido "mlog" "L402" elide_required_cut;
     (* -- locking discipline (L501) -- *)
-    {
-      name = "unlocked-store";
-      descr = "hoist a critical-section store above its lock";
-      scheme = Scheme.Justdo;
-      workload = "mlog";
-      expect = "L501";
-      stage = Before_instrument;
-      variant = None;
-      transform = hoist_store_above_lock;
-    };
+    (* hoist a critical-section store above its lock *)
+    mutant "unlocked-store" Scheme.Justdo "mlog" "L501" ~stage:Before_instrument
+      hoist_store_above_lock;
     (* -- over-optimization (the Ido_opt rewrites fired past their
           guards; the lint obligation must catch each) -- *)
-    {
-      name = "over-opt-flush-elim";
-      descr =
-        "O101 over-fires: delete a durable commit whose lines are dirty";
-      scheme = Scheme.Atlas;
-      workload = "queue";
-      expect = "L106";
-      stage = After_instrument;
-      variant = None;
-      transform = delete_first (is_hook Ir.Hdurable_commit);
-    };
-    {
-      name = "over-opt-fase-elide";
-      descr =
-        "O102 over-fires: strip every hook from a function that writes \
-         persistent memory";
-      scheme = Scheme.Justdo;
-      workload = "queue";
-      expect = "L201";
-      stage = After_instrument;
-      variant = None;
-      transform = strip_hooks_in_storing_func;
-    };
-    {
-      name = "over-opt-hoist";
-      descr =
-        "O104 over-fires: detach an undo capture grant from its store";
-      scheme = Scheme.Atlas;
-      workload = "queue";
-      expect = "L202";
-      stage = After_instrument;
-      variant = None;
-      transform = detach_first (is_hook Ir.Hundo_store);
-    };
-    (* -- runtime protocol variants (L301/L303) -- *)
-    {
-      name = "early-publish-justdo";
-      descr =
-        "JUSTDO valid flag durable before the entry words (PR 1 seeded bug)";
-      scheme = Scheme.Justdo;
-      workload = "queue";
-      expect = "L301";
-      stage = After_instrument;
-      variant = Some "early-publish-justdo";
-      transform = id;
-    };
-    {
-      name = "unfenced-undo-append";
-      descr =
-        "undo ring head/total published before the record write-backs \
-         (PR 1 seeded bug)";
-      scheme = Scheme.Atlas;
-      workload = "queue";
-      expect = "L301";
-      stage = After_instrument;
-      variant = Some "unfenced-undo-append";
-      transform = id;
-    };
-    {
-      name = "reorder-region-writeback";
-      descr = "iDO boundary issues data write-backs after its fence";
-      scheme = Scheme.Ido;
-      workload = "mlog";
-      expect = "L301";
-      stage = After_instrument;
-      variant = Some "reorder-region-writeback";
-      transform = id;
-    };
-    {
-      name = "drop-release-fence";
-      descr = "iDO lock release skips its closing fence";
-      scheme = Scheme.Ido;
-      workload = "mlog";
-      expect = "L303";
-      stage = After_instrument;
-      variant = Some "drop-release-fence";
-      transform = id;
-    };
-    {
-      name = "drop-commit-fence";
-      descr = "Mnemosyne commit publishes status without fencing the entries";
-      scheme = Scheme.Mnemosyne;
-      workload = "queue";
-      expect = "L301";
-      stage = After_instrument;
-      variant = Some "drop-commit-fence";
-      transform = id;
-    };
+    (* O101 over-fires: delete a durable commit whose lines are dirty *)
+    mutant "over-opt-flush-elim" Scheme.Atlas "queue" "L106"
+      (delete_first (is_hook Ir.Hdurable_commit));
+    (* O102 over-fires: strip every hook from a function that writes
+       persistent memory *)
+    mutant "over-opt-fase-elide" Scheme.Justdo "queue" "L201"
+      strip_hooks_in_storing_func;
+    (* O104 over-fires: detach an undo capture grant from its store *)
+    mutant "over-opt-hoist" Scheme.Atlas "queue" "L202"
+      (detach_first (is_hook Ir.Hundo_store));
   ]
+  (* -- runtime protocol faults (L301/L303) -- *)
+  @ List.map
+      (fun (f, scheme, workload, expect) ->
+        { (mutant (Protocol.fault_name f) scheme workload expect id) with variant = Some f })
+      [
+        (* the PR 1 seeded bugs, then the same class in iDO and Mnemosyne *)
+        (Protocol.Early_publish_justdo, Scheme.Justdo, "queue", "L301");
+        (Protocol.Unfenced_undo_append, Scheme.Atlas, "queue", "L301");
+        (Protocol.Reorder_region_writeback, Scheme.Ido, "mlog", "L301");
+        (Protocol.Drop_release_fence, Scheme.Ido, "mlog", "L303");
+        (Protocol.Drop_commit_fence, Scheme.Mnemosyne, "queue", "L301");
+      ]
 
 let find name = List.find_opt (fun m -> m.name = name) corpus
 
@@ -505,7 +363,7 @@ let edit_of_string s =
         ("drop-cut:", fun k -> Drop_cut k);
       ]
 
-let ingest ~name ~descr ~scheme ~workload ~expect ?variant ~edits () =
+let ingest ~name ~scheme ~workload ~expect ?variant ~edits () =
   let stage =
     match List.sort_uniq compare (List.map edit_stage edits) with
     | [] -> After_instrument
@@ -514,7 +372,6 @@ let ingest ~name ~descr ~scheme ~workload ~expect ?variant ~edits () =
   in
   {
     name;
-    descr;
     scheme;
     workload;
     expect;

@@ -14,9 +14,9 @@
       store hoisted out of its critical section);
     - [After_instrument] program transforms (instrumentation bugs:
       dropped or duplicated hooks, a required cut marked elidable);
-    - hook-model variants ([variant <> None], with [transform] the
+    - runtime protocol faults ([variant <> None], with [transform] the
       identity): runtime protocol bugs, checked by linting the intact
-      program against the buggy protocol model. *)
+      program against the faulted protocol's recorded model. *)
 
 open Ido_ir
 open Ido_runtime
@@ -25,12 +25,12 @@ type stage = Before_instrument | After_instrument
 
 type t = {
   name : string;
-  descr : string;
   scheme : Scheme.t;
   workload : string;  (** workload the mutant targets *)
   expect : string;  (** error code the linter must report *)
   stage : stage;
-  variant : string option;  (** hook-model variant, see {!Hook_model} *)
+  variant : Protocol.fault option;
+      (** the runtime protocol fault checked against, see {!Hook_model} *)
   transform : Ir.program -> Ir.program;
 }
 
@@ -76,11 +76,10 @@ val edit_of_string : string -> edit option
 
 val ingest :
   name:string ->
-  descr:string ->
   scheme:Scheme.t ->
   workload:string ->
   expect:string ->
-  ?variant:string ->
+  ?variant:Protocol.fault ->
   edits:edit list ->
   unit ->
   t

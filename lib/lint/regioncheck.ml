@@ -66,7 +66,7 @@ let expected (s : Scheme.props) fase (pos : Ir.pos) (instr : Ir.instr) =
 type item = Hk of Ir.hook | Instr
 
 let item_str = function
-  | Hk h -> "hook " ^ Hook_model.hook_name h
+  | Hk h -> "hook " ^ Ir.hook_name h
   | Instr -> "the program instruction"
 
 (* ------------------------------------------------------------------ *)
@@ -144,14 +144,14 @@ let compare_sequences scheme fase (f : Ir.func) diags =
                 (Printf.sprintf
                    "missing %s hook required by the %s instrumentation \
                     contract (block %d)"
-                   (Hook_model.hook_name h) (Scheme.name scheme) b)
+                   (Ir.hook_name h) (Scheme.name scheme) b)
               :: !diags
         | _, (Hk h, pos) :: _ ->
             diags :=
               Diag.v ~pos ~func:f.Ir.name ~code:(code_for h)
                 (Printf.sprintf "%s hook not prescribed here by the %s \
                                  instrumentation contract"
-                   (Hook_model.hook_name h) (Scheme.name scheme))
+                   (Ir.hook_name h) (Scheme.name scheme))
               :: !diags
         | Instr :: _, ((Instr, _) :: _ | []) ->
             (* lengths diverged on program instructions: impossible if

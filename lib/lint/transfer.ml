@@ -59,6 +59,14 @@ let has_txn st = List.exists (function Txn -> true | _ -> false) st.toks
 let has_durable st =
   List.exists (function Durable_region -> true | _ -> false) st.toks
 
+(* The token stack without its innermost token satisfying [pred]. *)
+let rec remove_innermost pred = function
+  | [] -> None
+  | x :: xs -> (
+      match remove_innermost pred xs with
+      | Some xs' -> Some (x :: xs')
+      | None -> if pred x then Some xs else None)
+
 let lock_depth st =
   List.length (List.filter (function Lock _ -> true | _ -> false) st.toks)
 
@@ -83,18 +91,6 @@ let store_dirties_data (s : Scheme.props) st (space : Ir.space) =
 let store_needs_grant (s : Scheme.props) st space =
   s.grant <> None && store_dirties_data s st space
 
-(* The hooks the scheme's instrumentation can place (instrument.mli). *)
-let hook_allowed (s : Scheme.props) (hook : Ir.hook) =
-  match hook with
-  | Ir.Hregion _ -> s.region_cuts
-  | Ir.Hfase_enter | Ir.Hfase_exit ->
-      s.fase = Scheme.Lock_inferred || s.fase = Scheme.Durable_only
-  | Ir.Hlock_acquired | Ir.Hlock_release _ -> s.lock_records
-  | Ir.Htxn_begin | Ir.Htxn_commit -> s.fase = Scheme.Transaction
-  | Ir.Hdurable_commit -> s.commit <> Scheme.No_commit
-  | Ir.Hjustdo_store | Ir.Hundo_store | Ir.Hredo_store | Ir.Hpage_log ->
-      s.grant = Some hook
-
 let pstate_str = Plattice.pstate_to_string
 
 let need_str = function
@@ -113,7 +109,7 @@ let need_sat (need : Hook_model.need) (s : Plattice.pstate) =
 type ctx = {
   scheme : Scheme.t;
   props : Scheme.props;
-  variant : string option;
+  model : Ir.hook -> Hook_model.micro list;
   func : Ir.func;
   alias : Alias.t;
   capflow : Capflow.t;
@@ -144,6 +140,7 @@ let run_micro c pos hook (st, pending) (m : Hook_model.micro) =
   in
   match m with
   | Hook_model.Write cell -> ({ st with p = Plattice.write_meta st.p cell }, pending)
+  | Hook_model.Write_data -> ({ st with p = Plattice.write_data st.p }, pending)
   | Hook_model.Writeback cell ->
       ({ st with p = Plattice.writeback_meta st.p cell }, pending)
   | Hook_model.Writeback_data ->
@@ -154,14 +151,14 @@ let run_micro c pos hook (st, pending) (m : Hook_model.micro) =
           diag c ~pos "L301"
             "write-ahead violation in %s: '%s' published while %s is %s \
              (needs %s)"
-            (Hook_model.hook_name hook) target (req_str r) (pstate_str s)
+            (Ir.hook_name hook) target (req_str r) (pstate_str s)
             (need_str needs));
       ({ st with p = Plattice.write_meta st.p target }, pending)
   | Hook_model.Check { needs; requires; code; what } ->
       check_reqs needs requires ~describe:(fun r s ->
           diag c ~pos code "%s: %s is %s at %s (needs %s)" what (req_str r)
             (pstate_str s)
-            (Hook_model.hook_name hook) (need_str needs));
+            (Ir.hook_name hook) (need_str needs));
       (st, pending)
   | Hook_model.Grant_log -> (st, true)
 
@@ -196,7 +193,7 @@ let orphan c pos =
   diag c ~pos "L202"
     "orphaned %s: the log grant was not consumed by the guarded store"
     (match c.props.grant with
-    | Some h -> Hook_model.hook_name h
+    | Some h -> Ir.hook_name h
     | None -> "log hook")
 
 (* One instruction.  [pending] is the armed per-store log grant. *)
@@ -220,7 +217,7 @@ let exec_instr c pos (st, pending) (instr : Ir.instr) =
         diag c ~pos "L201"
           "persistent store inside a FASE is not covered by a %s log hook"
           (match c.props.grant with
-          | Some h -> Hook_model.hook_name h
+          | Some h -> Ir.hook_name h
           | None -> "");
       false
     end
@@ -258,19 +255,8 @@ let exec_instr c pos (st, pending) (instr : Ir.instr) =
                 "lock released while runtime cell '%s' is %s — another \
                  thread may acquire before this thread's record is durable"
                 cell (pstate_str s))
-          c.props.unlock_durable;
+          (Hook_model.unlock_durable c.scheme);
         let tok = Alias.resolve_operand c.alias ~at:pos op in
-        (* remove the innermost token satisfying [pred] *)
-        let remove_innermost pred toks =
-          let rec go = function
-            | [] -> None
-            | x :: xs -> (
-                match go xs with
-                | Some xs' -> Some (x :: xs')
-                | None -> if pred x then Some xs else None)
-          in
-          go toks
-        in
         (* release the matching lock; fall back to the innermost lock
            when symbolic resolution cannot match (unstable tokens) *)
         let matched =
@@ -305,15 +291,8 @@ let exec_instr c pos (st, pending) (instr : Ir.instr) =
       ({ st with toks = st.toks @ [ Durable_region ] }, false)
   | Ir.Durable_end ->
       if pending then orphan c pos;
-      let rec drop_innermost = function
-        | [] -> None
-        | x :: xs -> (
-            match drop_innermost xs with
-            | Some rest -> Some (x :: rest)
-            | None -> if x = Durable_region then Some xs else None)
-      in
       let toks =
-        match drop_innermost st.toks with
+        match remove_innermost (( = ) Durable_region) st.toks with
         | Some toks -> toks
         | None ->
             diag c ~pos "L103" "durable_end without an open durable region";
@@ -336,10 +315,10 @@ let exec_instr c pos (st, pending) (instr : Ir.instr) =
         record_access c pos st ~loc:(Alias.resolve_store_addr c.alias pos)
           ~awrite:false;
       (st, false)
-  | Ir.Hook h when not (hook_allowed c.props h) ->
+  | Ir.Hook h when not (Hook_model.placeable c.props h) ->
       if pending then orphan c pos;
       diag c ~pos "L204" "hook %s cannot appear under scheme %s"
-        (Hook_model.hook_name h)
+        (Ir.hook_name h)
         (Scheme.name c.scheme);
       (st, false)
   | Ir.Hook h ->
@@ -355,12 +334,12 @@ let exec_instr c pos (st, pending) (instr : Ir.instr) =
       in
       if is_grant h && not (protected_ctx c.props st) then
         diag c ~pos "L203" "%s outside its protected context (FASE/txn)"
-          (Hook_model.hook_name h);
+          (Ir.hook_name h);
       let st, pending =
         List.fold_left
           (run_micro c pos h)
           (st, false)
-          (Hook_model.model ?variant:c.variant c.scheme h)
+          (c.model h)
       in
       (* a detached grant is not an orphan when it is a resolvable
          hoisted capture (Capflow consumes it at the loop's store);
@@ -387,14 +366,7 @@ let exec_instr c pos (st, pending) (instr : Ir.instr) =
       let st =
         match h with
         | Ir.Htxn_commit ->
-            let rec drop_innermost = function
-              | [] -> None
-              | x :: xs -> (
-                  match drop_innermost xs with
-                  | Some rest -> Some (x :: rest)
-                  | None -> if x = Txn then Some xs else None)
-            in
-            (match drop_innermost st.toks with
+            (match remove_innermost (( = ) Txn) st.toks with
             | Some toks -> { st with toks }
             | None ->
                 diag c ~pos "L103" "commit without an open transaction";
@@ -434,7 +406,7 @@ let analyze ?variant scheme (func : Ir.func) =
     {
       scheme;
       props = Scheme.props scheme;
-      variant;
+      model = Hook_model.model ?fault:variant scheme;
       func;
       alias;
       capflow = Capflow.compute scheme alias func;

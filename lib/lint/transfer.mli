@@ -44,6 +44,6 @@ type result = {
           lock-order graph's edges *)
 }
 
-val analyze : ?variant:string -> Scheme.t -> Ir.func -> result
-(** [variant] substitutes a named buggy hook protocol, see
-    {!Hook_model.variants}. *)
+val analyze : ?variant:Protocol.fault -> Scheme.t -> Ir.func -> result
+(** [variant] checks against the faulted protocol instead (see
+    {!Hook_model.model}). *)

@@ -1,9 +1,7 @@
 open Ido_nvm
 
 type stats = {
-  nodes : int;
   records_scanned : int;
-  fases_found : int;
   fases_rolled_back : int;
   writes_undone : int;
   cost : Ido_util.Timebase.ns;
@@ -177,9 +175,7 @@ let recover w region =
   if Array.length undo > 0 then Pwriter.fence w;
   List.iter (fun node -> Undo_log.reset w node) !nodes;
   {
-    nodes = List.length !nodes;
     records_scanned = l.records;
-    fases_found = l.nfases;
     fases_rolled_back = Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 rolled;
     writes_undone = Array.length undo;
     cost = Pwriter.take_cost w;

@@ -13,9 +13,7 @@
 open Ido_region
 
 type stats = {
-  nodes : int;  (** per-thread logs traversed *)
   records_scanned : int;
-  fases_found : int;
   fases_rolled_back : int;
   writes_undone : int;
   cost : Ido_util.Timebase.ns;  (** simulated time spent in recovery *)

@@ -10,24 +10,13 @@ let off_nregs = off_locks + lock_slots
 let off_intrf = off_nregs + 1
 
 let create w region ~tid ~nregs =
-  let node =
-    Lognode.push w region ~kind:Lognode.kind_ido ~tid
-      ~payload_words:(1 + 1 + lock_slots + 1 + nregs + 2)
-  in
-  Pwriter.store_int w (node + off_nregs) nregs;
-  Pwriter.clwb w (node + off_nregs);
-  Pwriter.fence w;
-  node
+  Lognode.push w region ~kind:Lognode.kind_ido ~tid
+    ~payload_words:(1 + 1 + lock_slots + 1 + nregs + 2) ~size_at:off_nregs ~size:nregs
 
 (* Hand a finished thread's arena to a fresh thread: a Done owner left
    recovery_pc = 0 and an empty lock array, but both are re-cleared so
    the recycled node is clean by construction, not by trust. *)
-let rebind w node ~tid =
-  Lognode.store_tid w node ~tid;
-  Pwriter.store_int w (node + off_pc) 0;
-  Pwriter.store_int w (node + off_bitmap) 0;
-  Pwriter.clwb3 w (node + 1) (node + off_pc) (node + off_bitmap);
-  Pwriter.fence w
+let rebind w node ~tid = Lognode.rebind w node ~tid ~clear:[ off_pc; off_bitmap ]
 
 (* recovery_pc and lock_array entries carry a boundary epoch in their
    high bits (one atomic 8-byte word each).  Recovery re-acquires only
@@ -78,6 +67,19 @@ let rec store_regs w node regs = function
 let write_regs w node ~coalesce regs rs =
   store_regs w node regs rs;
   write_back_regs w node ~coalesce rs
+
+(* Simulator-side stack metadata.  Real iDO keeps the stack pointer in
+   intRF; our interpreter frames carry base and sp separately, so they
+   are stashed after intRF, written back without charging cost. *)
+let sim_off pm node = off_intrf + Pmem.load_int pm (node + off_nregs)
+
+let cell pm node a =
+  let o = a - node in
+  if o = off_pc then "pc"
+  else if o >= off_bitmap && o < off_nregs then "lockrec"
+  else if o < off_intrf then "header"
+  else if o < sim_off pm node then "outlog"
+  else "stack"
 
 let read_reg pm node r = Pmem.load pm (node + off_intrf + r)
 
@@ -134,10 +136,6 @@ let held_locks pm node =
   in
   go 0 []
 
-(* Simulator-side stack metadata.  Real iDO keeps the stack pointer in
-   intRF; our interpreter frames carry base and sp separately, so they
-   are stashed after intRF, written back without charging cost. *)
-let sim_off pm node = off_intrf + Pmem.load_int pm (node + off_nregs)
 
 let set_sim_stack pm node ~base ~sp =
   let o = node + sim_off pm node in

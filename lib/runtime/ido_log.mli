@@ -49,6 +49,10 @@ val write_regs :
     [regs], a register file held unboxed (8 bytes per register, native
     byte order), building no list and boxing no value. *)
 
+val cell : Pmem.t -> Pmem.addr -> Pmem.addr -> string
+(** The cell of [node] holding word [a]: ["pc"], ["lockrec"] (slots,
+    bitmap), ["outlog"] ([intRF]), ["stack"] (simulator-side), ["header"]. *)
+
 val read_reg : Pmem.t -> Pmem.addr -> int -> int64
 (** Exported as the primitive {!read_all_regs} is built on. *)
 

@@ -13,26 +13,14 @@ let off_nregs = off_locks + lock_slots
 let off_regs = off_nregs + 1
 
 let create w region ~tid ~nregs =
-  let node =
-    Lognode.push w region ~kind:Lognode.kind_justdo ~tid
-      ~payload_words:(6 + lock_slots + 1 + nregs + 2)
-  in
-  Pwriter.store_int w (node + off_nregs) nregs;
-  Pwriter.clwb w (node + off_nregs);
-  Pwriter.fence w;
-  node
+  Lognode.push w region ~kind:Lognode.kind_justdo ~tid
+    ~payload_words:(6 + lock_slots + 1 + nregs + 2) ~size_at:off_nregs ~size:nregs
 
 (* Hand a finished thread's arena to a fresh thread: disarm the
    resumption tuple and clear the lock machinery so recovery can never
    attribute the previous owner's state to the new tid. *)
 let rebind w node ~tid =
-  Lognode.store_tid w node ~tid;
-  Pwriter.store_int w (node + off_valid) 0;
-  Pwriter.store_int w (node + off_bitmap) 0;
-  Pwriter.store_int w (node + off_intent) 0;
-  Pwriter.clwb_lines w
-    [ node + 1; node + off_valid; node + off_bitmap; node + off_intent ];
-  Pwriter.fence w
+  Lognode.rebind w node ~tid ~clear:[ off_valid; off_bitmap; off_intent ]
 
 (* Arming must be crash-atomic together with the register/stack
    snapshot (see {!snapshot_regs}): real JUSTDO keeps every word of
@@ -41,18 +29,18 @@ let rebind w node ~tid =
    recovery could observe a new pc with stale locals.  The simulator
    compresses that continuously-durable state into one update per
    store, so the update itself must not expose intermediate states:
-   [arm] pokes the entry directly into the persistence domain
+   [arm_entry] pokes the entry directly into the persistence domain
    (simulator-side, no events), and [log_store] then replays the same
    writes through the Pwriter so the machine still pays the log's
    store/write-back/fence costs. *)
-let arm pm node ~pc ~addr ~value =
+let arm_entry pm node ~pc ~addr ~value =
   Pmem.poke_int pm (node + off_pc) pc;
   Pmem.poke_int pm (node + off_addr) addr;
   Pmem.poke pm (node + off_val) value;
   Pmem.poke_int pm (node + off_valid) 1
 
-let log_store w node ~pc ~addr ~value =
-  arm w.Pwriter.pm node ~pc ~addr ~value;
+let log_store ?(arm = true) w node ~pc ~addr ~value =
+  if arm then arm_entry w.Pwriter.pm node ~pc ~addr ~value;
   Pwriter.store_int w (node + off_pc) pc;
   Pwriter.store_int w (node + off_addr) addr;
   Pwriter.store w (node + off_val) value;
@@ -149,6 +137,14 @@ let read_all_regs pm node =
   Array.init nregs (fun r -> Pmem.load pm (node + off_regs + r))
 
 let sim_off pm node = off_regs + Pmem.load_int pm (node + off_nregs)
+
+let cell _ node a =
+  match a - node with
+  | o when o = off_valid -> "valid"
+  | o when o >= off_pc && o <= off_val -> "entry"
+  | o when o = off_intent -> "intent"
+  | o when o = off_bitmap || (o >= off_locks && o < off_nregs) -> "lockrec"
+  | o -> if o >= off_regs then "regs" else "header"
 
 let set_sim_stack pm node ~base ~sp =
   (* Same crash-atomicity argument as {!snapshot_regs}. *)

@@ -26,8 +26,12 @@ val rebind : Pwriter.t -> Pmem.addr -> tid:int -> unit
     write-back + fence.  Previous owner must be Done. *)
 
 val log_store :
-  Pwriter.t -> Pmem.addr -> pc:int -> addr:Pmem.addr -> value:int64 -> unit
-(** Persist the JUSTDO entry: stores + write-back + {e one} fence. *)
+  ?arm:bool -> Pwriter.t -> Pmem.addr -> pc:int -> addr:Pmem.addr -> value:int64 -> unit
+(** Persist the JUSTDO entry: stores + write-back + {e one} fence.
+    The stores write the valid flag before the entry words are written
+    back, which is safe only because the entry is first armed: poked
+    durable as a whole, simulator-side.  [~arm:false] skips that, the
+    early-publish fault's step. *)
 
 val clear : Pwriter.t -> Pmem.addr -> unit
 (** FASE complete: invalidate the entry (persisted). *)
@@ -55,3 +59,7 @@ val set_sim_stack : Pmem.t -> Pmem.addr -> base:int -> sp:int -> unit
     system keeps this state memory-resident). *)
 
 val sim_stack : Pmem.t -> Pmem.addr -> int * int
+
+val cell : Pmem.t -> Pmem.addr -> Pmem.addr -> string
+(** The cell of [node] holding word [a]: ["valid"], ["entry"],
+    ["intent"], ["lockrec"], ["regs"] (simulator-side) or ["header"]. *)

@@ -17,7 +17,7 @@ let kind_page = 6
 
 let payload_base = 3
 
-let push w region ~kind ~tid ~payload_words =
+let push w region ~kind ~tid ~payload_words ~size_at ~size =
   let r = Region.alloc region (payload_base + payload_words) in
   let head = Region.log_head region in
   Pwriter.store w r head;
@@ -32,11 +32,16 @@ let push w region ~kind ~tid ~payload_words =
     ((Pwriter.latency w).Latency.mem
     + (Pwriter.latency w).Latency.clwb_issue
     + Latency.fence_cost (Pwriter.latency w) ~pending:1);
+  Pwriter.store_int w (r + size_at) size;
+  Pwriter.clwb w (r + size_at);
+  Pwriter.fence w;
   r
 
-(* Unflushed: rebind sequences in the scheme runtimes batch the tid
-   store with their own state resets under one write-back + fence. *)
-let store_tid w addr ~tid = Pwriter.store_int w (addr + 1) tid
+let rebind w node ~tid ~clear =
+  Pwriter.store_int w (node + 1) tid;
+  List.iter (fun off -> Pwriter.store_int w (node + off) 0) clear;
+  Pwriter.clwb_offsets w ~base:node (1 :: clear);
+  Pwriter.fence w
 
 let next pm addr = Pmem.load_int pm addr
 let tid pm addr = Pmem.load_int pm (addr + 1)

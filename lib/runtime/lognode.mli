@@ -30,16 +30,20 @@ val kind_redo : int
 val kind_nvml : int
 val kind_page : int
 
-val push : Pwriter.t -> Region.t -> kind:int -> tid:int -> payload_words:int -> Pmem.addr
-(** Allocate a node, initialise the prefix, persist it, and link it as
-    the new list head (persisted).  Returns the node address; the
-    payload starts at [addr + 3], after the prefix. *)
+val push :
+  Pwriter.t -> Region.t -> kind:int -> tid:int -> payload_words:int -> size_at:int ->
+  size:int -> Pmem.addr
+(** Allocate a node, initialise the prefix, persist it, link it as the
+    new list head (persisted), then persist the payload's size word
+    [size] at [addr + size_at].  Returns the node address; the payload
+    starts at [addr + 3], after the prefix. *)
 
-val store_tid : Pwriter.t -> Pmem.addr -> tid:int -> unit
-(** Store a new owner tid into a node's prefix, {e without} flushing:
-    the scheme runtimes' [rebind] operations batch it with their own
-    state resets under a single write-back + fence.  Used when a
-    finished thread's log arena is recycled for a fresh spawn. *)
+val rebind : Pwriter.t -> Pmem.addr -> tid:int -> clear:int list -> unit
+(** Recycle a finished thread's log arena for a fresh spawn: store the
+    new owner tid into the node's prefix and zero the payload words at
+    the [clear] offsets, then write back their lines (each once) and
+    fence — the scheme runtimes' [rebind] operations, one write-back +
+    fence each. *)
 
 val tid : Pmem.t -> Pmem.addr -> int
 val kind : Pmem.t -> Pmem.addr -> int

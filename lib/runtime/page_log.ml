@@ -19,24 +19,13 @@ let off_seq = 6
 let off_buf = 7
 
 let create w region ~tid ~cap_pages =
-  let node =
-    Lognode.push w region ~kind:Lognode.kind_page ~tid
-      ~payload_words:(4 + (entry_words * cap_pages))
-  in
-  Pwriter.store w (node + off_cap) (Int64.of_int cap_pages);
-  Pwriter.clwb w (node + off_cap);
-  Pwriter.fence w;
-  node
+  Lognode.push w region ~kind:Lognode.kind_page ~tid
+    ~payload_words:(4 + (entry_words * cap_pages)) ~size_at:off_cap ~size:cap_pages
 
 (* Hand a finished thread's arena to a fresh thread: idle status and an
    empty page set, so recovery neither applies nor discards the
    previous owner's copies under the new tid. *)
-let rebind w node ~tid =
-  Lognode.store_tid w node ~tid;
-  Pwriter.store w (node + off_status) 0L;
-  Pwriter.store w (node + off_count) 0L;
-  Pwriter.clwb_lines w [ node + 1; node + off_status; node + off_count ];
-  Pwriter.fence w
+let rebind w node ~tid = Lognode.rebind w node ~tid ~clear:[ off_status; off_count ]
 
 let count pm node = Int64.to_int (Pmem.load pm (node + off_count))
 
@@ -89,10 +78,14 @@ let persist_copies w node =
   Pwriter.clwb_lines w !addrs;
   Pwriter.fence w
 
-let set_status w node v ~fenced =
+let set_status w node v =
   Pwriter.store w (node + off_status) v;
   Pwriter.clwb w (node + off_status);
-  if fenced then Pwriter.fence w
+  Pwriter.fence w
+
+let cell _ node a =
+  let o = a - node in
+  if o = off_status then "pstatus" else if o >= off_count then "pages" else "header"
 
 let status_committed pm node = Pmem.load pm (node + off_status) = 2L
 
@@ -117,14 +110,14 @@ let apply w node =
   done;
   Pwriter.clwb_lines w !master_lines;
   Pwriter.fence w;
-  set_status w node 0L ~fenced:true;
+  set_status w node 0L;
   c
 
 let commit w node =
   persist_copies w node;
-  set_status w node 2L ~fenced:true;
+  set_status w node 2L;
   ignore (apply w node)
 
 let discard w node =
   Pwriter.store w (node + off_count) 0L;
-  set_status w node 0L ~fenced:true
+  set_status w node 0L

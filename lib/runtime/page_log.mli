@@ -54,6 +54,10 @@ val mark_dirty : Pwriter.t -> Pmem.addr -> int -> off:int -> unit
 val commit : Pwriter.t -> Pmem.addr -> unit
 (** The full commit protocol described above. *)
 
+val cell : Pmem.t -> Pmem.addr -> Pmem.addr -> string
+(** The cell of [node] holding word [a]: ["pstatus"], ["pages"]
+    (count, FASE stamp, copies) or ["header"]. *)
+
 val status_committed : Pmem.t -> Pmem.addr -> bool
 val active : Pmem.t -> Pmem.addr -> bool
 (** A FASE was open (copies present, commit mark absent). *)

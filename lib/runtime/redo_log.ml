@@ -17,24 +17,13 @@ let off_commits = 6
 let off_buf = 7
 
 let create w region ~tid ~cap_entries =
-  let node =
-    Lognode.push w region ~kind:Lognode.kind_redo ~tid
-      ~payload_words:(4 + (2 * cap_entries))
-  in
-  Pwriter.store_int w (node + off_cap) cap_entries;
-  Pwriter.clwb w (node + off_cap);
-  Pwriter.fence w;
-  node
+  Lognode.push w region ~kind:Lognode.kind_redo ~tid
+    ~payload_words:(4 + (2 * cap_entries)) ~size_at:off_cap ~size:cap_entries
 
 (* Hand a finished thread's arena to a fresh thread: back to Idle with
    an empty write set, so recovery can neither replay nor discard the
    previous owner's entries under the new tid. *)
-let rebind w node ~tid =
-  Lognode.store_tid w node ~tid;
-  Pwriter.store_int w (node + off_status) 0;
-  Pwriter.store_int w (node + off_count) 0;
-  Pwriter.clwb3 w (node + 1) (node + off_status) (node + off_count);
-  Pwriter.fence w
+let rebind w node ~tid = Lognode.rebind w node ~tid ~clear:[ off_status; off_count ]
 
 let count pm node = Pmem.load_int pm (node + off_count)
 
@@ -82,6 +71,13 @@ let persist_status w node st =
   end;
   Pwriter.clwb w (node + off_status);
   Pwriter.fence w
+
+let cell _ node a =
+  let o = a - node in
+  if o = off_status then "status"
+  else if o = off_commits then "commits"
+  else if o = off_count || o >= off_buf then "redo"
+  else "header"
 
 let status pm node = status_of_code (Pmem.load_int pm (node + off_status))
 

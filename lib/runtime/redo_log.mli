@@ -33,5 +33,9 @@ val persist_status : Pwriter.t -> Pmem.addr -> status -> unit
 
 val status : Pmem.t -> Pmem.addr -> status
 
+val cell : Pmem.t -> Pmem.addr -> Pmem.addr -> string
+(** The cell of [node] holding word [a]: ["status"], ["commits"] (the
+    counter {!persist_status} bumps), ["redo"] (count, entries), ["header"]. *)
+
 val apply : Pwriter.t -> Pmem.addr -> unit
 (** Replay the buffered writes in place (in log order). *)

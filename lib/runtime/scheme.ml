@@ -24,7 +24,6 @@ type props = {
   grant : Ido_ir.Ir.hook option;
   grant_elidable : bool;
   grant_hoistable : bool;
-  unlock_durable : string list;
   region_cuts : bool;
   stack_in_pmem : bool;
   failure_atomic : bool;
@@ -42,7 +41,6 @@ let origin =
     grant = None;
     grant_elidable = false;
     grant_hoistable = false;
-    unlock_durable = [];
     region_cuts = false;
     stack_in_pmem = false;
     failure_atomic = false;
@@ -55,7 +53,6 @@ let ido =
     origin with
     fase = Lock_inferred;
     lock_records = true;
-    unlock_durable = [ "lockrec"; "pc" ];
     region_cuts = true;
     stack_in_pmem = true;
     failure_atomic = true;
@@ -72,7 +69,6 @@ let atlas =
     grant = Some Ido_ir.Ir.Hundo_store;
     grant_elidable = true;
     grant_hoistable = true;
-    unlock_durable = [ "head" ];
     failure_atomic = true;
     table2 = [ "Atlas"; "Lock-inferred FASE"; "UNDO"; "Store"; "Yes"; "Yes" ];
   }
@@ -93,7 +89,6 @@ let justdo =
     fase = Lock_inferred;
     lock_records = true;
     grant = Some Ido_ir.Ir.Hjustdo_store;
-    unlock_durable = [ "lockrec" ];
     stack_in_pmem = true;
     failure_atomic = true;
     table2 = [ "JUSTDO"; "Lock-inferred FASE"; "Resumption"; "Store"; "No"; "No" ];

@@ -3,8 +3,9 @@
     hook placement rules of Sec. IV.  The instrumentation pass places
     hooks from these fields alone; the linter, the optimizer, the crash
     engine and the fuzzer read them too instead of matching on the
-    scheme.  The runtime's per-hook bodies and the linter's hook models
-    still dispatch on {!t}. *)
+    scheme.  What the runtime does at each hook is the scheme's
+    {!Protocol}, which the VM runs and the linter's hook models are
+    recorded from; recovery still dispatches on {!t}. *)
 
 type t =
   | Ido  (** this paper: resumption at idempotent-region granularity *)
@@ -66,10 +67,6 @@ type props = {
           preheader), armed until the next qualifying store consumes
           it.  Not Mnemosyne's: its store hook resolves its own log
           entry, so hoisting buys nothing *)
-  unlock_durable : string list;
-      (** runtime cells that must be fence-durable before an in-FASE
-          [Unlock] executes (the "single memory fence" contract: no two
-          threads' lock records may ever claim the same lock) *)
   region_cuts : bool;
       (** an [Hregion] boundary at every cut of the idempotent-region
           plan (iDO) *)

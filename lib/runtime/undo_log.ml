@@ -28,11 +28,7 @@ let off_buf = 6
 
 let create w region ~kind ~tid ~cap_records =
   let cap = cap_records * record_words in
-  let node = Lognode.push w region ~kind ~tid ~payload_words:(3 + cap) in
-  Pwriter.store_int w (node + off_cap) cap;
-  Pwriter.clwb w (node + off_cap);
-  Pwriter.fence w;
-  node
+  Lognode.push w region ~kind ~tid ~payload_words:(3 + cap) ~size_at:off_cap ~size:cap
 
 (* Hand a finished thread's arena to a fresh thread.  Truncating the
    record buffer is safe only at a quiescent point (no open FASE
@@ -41,18 +37,13 @@ let create w region ~kind ~tid ~cap_records =
    sequence number by a FASE that is itself rolled back, and every
    sequence number the recycled log could contain predates any FASE
    still to come.  {!Ido_vm.Vm.reap} enforces that discipline. *)
-let rebind w node ~tid =
-  Lognode.store_tid w node ~tid;
-  Pwriter.store_int w (node + off_head) 0;
-  Pwriter.store_int w (node + off_total) 0;
-  Pwriter.clwb3 w (node + 1) (node + off_head) (node + off_total);
-  Pwriter.fence w
+let rebind w node ~tid = Lognode.rebind w node ~tid ~clear:[ off_head; off_total ]
 
 let cap pm node = Pmem.load_int pm (node + off_cap)
 let head pm node = Pmem.load_int pm (node + off_head)
 let total pm node = Pmem.load_int pm (node + off_total)
 
-let append_unfenced w node tag ~a ~b ~seq =
+let append_unfenced ?(write_ahead = true) w node tag ~a ~b ~seq =
   let pm = w.Pwriter.pm in
   let c = cap pm node in
   let h = head pm node in
@@ -67,17 +58,18 @@ let append_unfenced w node tag ~a ~b ~seq =
      record.  head and total usually share a line; when they straddle
      one, both must reach the persistence domain or recovery sees a
      truncated log. *)
-  Pwriter.clwb2 w base (base + 3);
+  if write_ahead then Pwriter.clwb2 w base (base + 3);
   Pwriter.store_int w (node + off_head) ((h + record_words) mod c);
   Pwriter.store_int w (node + off_total) (total pm node + 1);
+  if not write_ahead then Pwriter.clwb2 w base (base + 3);
   Pwriter.clwb2 w (node + off_head) (node + off_total)
 
-let append w node tag ~a ~b ~seq =
-  append_unfenced w node tag ~a ~b ~seq;
+let append ?write_ahead w node tag ~a ~b ~seq =
+  append_unfenced ?write_ahead w node tag ~a ~b ~seq;
   Pwriter.fence w
 
-let log_write w node ~addr ~old ~seq =
-  append w node Write ~a:(Int64.of_int addr) ~b:old ~seq
+let log_write ?write_ahead w node ~addr ~old ~seq =
+  append ?write_ahead w node Write ~a:(Int64.of_int addr) ~b:old ~seq
 
 (* A streaming read of the ring, oldest record first.  Opening it loads
    cap, head and total; each [next] loads the record's four words, the
@@ -144,6 +136,10 @@ let in_fase pm node =
     | Write | Acquire | Release -> ()
   done;
   !open_
+
+let cell _ node a =
+  let o = a - node in
+  if o = off_head || o = off_total then "head" else if o >= off_buf then "rec" else "header"
 
 let reset w node =
   Pwriter.store_int w (node + off_head) 0;

@@ -29,15 +29,20 @@ val rebind : Pwriter.t -> Pmem.addr -> tid:int -> unit
     a quiescent point (no open FASE on any thread) — see the
     happens-before argument in the implementation. *)
 
-val append : Pwriter.t -> Pmem.addr -> tag -> a:int64 -> b:int64 -> seq:int -> unit
-(** Append and persist one record (stores, write-backs, one fence). *)
+val append :
+  ?write_ahead:bool -> Pwriter.t -> Pmem.addr -> tag -> a:int64 -> b:int64 -> seq:int -> unit
+(** Append and persist one record (stores, write-backs, one fence).
+    The record's words are written back before head and total publish
+    it; [~write_ahead:false] issues that write-back after them instead,
+    the unfenced-undo-append fault's step. *)
 
 val append_unfenced :
-  Pwriter.t -> Pmem.addr -> tag -> a:int64 -> b:int64 -> seq:int -> unit
-(** Append and write back without fencing: the record becomes durable
-    with the next fence (used for FASE begin/end markers). *)
+  ?write_ahead:bool -> Pwriter.t -> Pmem.addr -> tag -> a:int64 -> b:int64 -> seq:int -> unit
+(** {!append} without the fence: the record becomes durable with the
+    next fence (used for FASE begin/end markers). *)
 
-val log_write : Pwriter.t -> Pmem.addr -> addr:Pmem.addr -> old:int64 -> seq:int -> unit
+val log_write :
+  ?write_ahead:bool -> Pwriter.t -> Pmem.addr -> addr:Pmem.addr -> old:int64 -> seq:int -> unit
 (** The per-store UNDO entry: 32 bytes, flushed, fenced — the cost
     Atlas pays at {e every} store that iDO amortises per region. *)
 
@@ -79,6 +84,10 @@ val records : Pmem.t -> Pmem.addr -> record list
 val in_fase : Pmem.t -> Pmem.addr -> bool
 (** Does the log end inside an open FASE / durable region?  Reads every
     record through a {!reader}. *)
+
+val cell : Pmem.t -> Pmem.addr -> Pmem.addr -> string
+(** The cell of [node] holding word [a]: ["head"] (head and total),
+    ["rec"] (the records) or ["header"]. *)
 
 val reset : Pwriter.t -> Pmem.addr -> unit
 (** Truncate after recovery or at a clean commit (NVML). *)

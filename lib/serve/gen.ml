@@ -175,14 +175,9 @@ let coldest p =
 let split_bit key =
   Int64.to_int (Int64.logand (Rng.mix64 (Int64.of_int (key lxor 0x5b1d))) 1L) = 1
 
-type split_info = {
-  stay_mass : float;
-  move_mass : float;
-  stay_expect : int;
-  move_expect : int;
-}
+type split_info = { stay_mass : float; move_mass : float }
 
-let split_info (p : plan) ~group ~remaining =
+let split_info (p : plan) ~group =
   let c = p.config in
   let zipf =
     Option.map (fun e -> Zipf.create ~exponent:e p.key_range) c.Config.zipf
@@ -198,29 +193,7 @@ let split_info (p : plan) ~group ~remaining =
     if shard_of ~shards k = group then
       if split_bit k then move := !move +. pmf k else stay := !stay +. pmf k
   done;
-  (* Largest-remainder apportionment over the two-entry map; the tie
-     breaks toward the staying half (lower index in the new map). *)
-  let total = !stay +. !move in
-  let stay_expect =
-    if total <= 0.0 then remaining
-    else begin
-      let q_stay = float_of_int remaining *. !stay /. total in
-      let q_move = float_of_int remaining *. !move /. total in
-      let fl_stay = int_of_float (floor q_stay)
-      and fl_move = int_of_float (floor q_move) in
-      let leftover = remaining - fl_stay - fl_move in
-      let frac_stay = q_stay -. floor q_stay
-      and frac_move = q_move -. floor q_move in
-      if leftover > 0 && frac_stay >= frac_move then fl_stay + leftover
-      else fl_stay
-    end
-  in
-  {
-    stay_mass = !stay;
-    move_mass = !move;
-    stay_expect;
-    move_expect = remaining - stay_expect;
-  }
+  { stay_mass = !stay; move_mass = !move }
 
 let materialize (p : plan) shard =
   let s = sub_stream p shard in

@@ -83,18 +83,12 @@ val split_bit : int -> bool
 type split_info = {
   stay_mass : float;  (** key mass staying on the warm machine *)
   move_mass : float;  (** key mass migrating to the split child *)
-  stay_expect : int;
-  move_expect : int;
-      (** largest-remainder apportionment of the remaining request
-          count over the two new masses *)
 }
 
-val split_info : plan -> group:int -> remaining:int -> split_info
+val split_info : plan -> group:int -> split_info
 (** Re-derive the plan's masses over the post-split map of [group]:
     one O(key_range) pass splitting the group's key mass by
-    {!split_bit}, then largest-remainder apportionment of the
-    [remaining] (not yet served) request count — the same rule
-    {!plan} uses over whole shards. *)
+    {!split_bit}. *)
 
 val materialize : plan -> int -> request array
 (** The shard's whole sub-stream as an array — the reference the

@@ -371,8 +371,7 @@ let run_unit ?(obs = false) ~fault ~config ~program ~oracle ~plan members =
     g.split_done <- true;
     let st = ln.station in
     let consumed = Option.get g.split_at in
-    let remaining = Gen.shard_count plan g.gid - consumed in
-    let si = Gen.split_info plan ~group:g.gid ~remaining in
+    let si = Gen.split_info plan ~group:g.gid in
     (* The heavier half keeps the warm machine; the lighter half's
        state (about half the records touched so far) migrates to a
        freshly booted child. *)

@@ -21,6 +21,11 @@ open State
 
 type run_outcome = [ `Idle | `Until | `Max_steps | `Deadlock ]
 
+(* A tag test, not a structural compare: this guard sits on the
+   per-instruction hot path and must cost nothing when no sink is
+   installed. *)
+let[@inline] obs_active m = match m.obs with Some _ -> true | None -> false
+
 let create (config : config) (program : Ir.program) =
   Ido_analysis.Validate.check_program_exn program;
   let instrumented =
@@ -31,39 +36,53 @@ let create (config : config) (program : Ir.program) =
   let pmem = Pmem.create ~cache_lines:config.cache_lines ~rng:(Rng.split rng) config.pmem_words in
   let region = Region.create pmem in
   Region.mark_running region;
-  {
-    config;
-    image;
-    pmem;
-    region;
-    vmem = Vmem.create ();
-    locks = lock_table ();
-    rng;
-    threads = Vec.create ();
-    clock_floor = 0;
-    next_tid = 0;
-    seq = 0;
-    commit_version = 0;
-    write_versions = version_table ();
-    commit_token_free_at = 0;
-    stores_per_region = Cdf.create ();
-    livein_per_region = Cdf.create ();
-    total_ops = 0;
-    crashed = false;
-    tracer = None;
-    event_hook = None;
-    obs = None;
-    obs_base = counters_snapshot pmem;
-    obs_tid = -1;
-    obs_fase = -1;
-    next_fase_id = 0;
-    free_stacks = [];
-    free_log_nodes = [];
-    sched = [||];
-    runq_rank = [||];
-    runq_clock = [||];
-    runq_len = 0;
-  }
+  let rec m =
+    {
+      config;
+      image;
+      pmem;
+      region;
+      vmem = Vmem.create ();
+      locks = lock_table ();
+      rng;
+      threads = Vec.create ();
+      clock_floor = 0;
+      proto = Protocol.make config.scheme;
+      env =
+        {
+          Protocol.seq = 0;
+          (* A log-append event reaches only the sink, so its payload is
+             built only while one is installed. *)
+          appended =
+            (fun log bytes ->
+              if obs_active m then emit m (Ido_obs.Obs.Log_append { log; bytes }));
+          coalesce = config.coalesce_registers;
+          single_fence = config.single_fence_locks;
+        };
+      next_tid = 0;
+      commit_version = 0;
+      write_versions = version_table ();
+      commit_token_free_at = 0;
+      stores_per_region = Cdf.create ();
+      livein_per_region = Cdf.create ();
+      total_ops = 0;
+      crashed = false;
+      tracer = None;
+      event_hook = None;
+      obs = None;
+      obs_base = counters_snapshot pmem;
+      obs_tid = -1;
+      obs_fase = -1;
+      next_fase_id = 0;
+      free_stacks = [];
+      free_log_nodes = [];
+      sched = [||];
+      runq_rank = [||];
+      runq_clock = [||];
+      runq_len = 0;
+    }
+  in
+  m
 
 (* Remove every observer, so what follows is as unobserved as [create]. *)
 let quiesce m =
@@ -107,7 +126,7 @@ let reset m =
   drop_volatile m;
   m.clock_floor <- 0;
   m.next_tid <- 0;
-  m.seq <- 0;
+  m.env.seq <- 0;
   m.commit_version <- 0;
   Cdf.clear m.stores_per_region;
   Cdf.clear m.livein_per_region;
@@ -138,56 +157,12 @@ let[@inline] current_frame t =
   | f :: _ -> f
   | [] -> failwith "thread has no frame"
 
-(* A tag test, not a structural compare: this guard sits on the
-   per-instruction hot path and must cost nothing when no sink is
-   installed. *)
-let[@inline] obs_active m = match m.obs with Some _ -> true | None -> false
-
 (* Whether an event of any kind would reach a hook or the sink: the
    guard for building an allocated crash-point payload on the step path
    (non-crash-point kinds only ever reach the sink, so [obs_active]
    guards those). *)
 let[@inline] listening m =
   match (m.event_hook, m.obs) with None, None -> false | _ -> true
-
-let make_thread m ~tid ~code ~args ~stack_base ~stack_in_pmem ~log_node
-    ~recovery_mode =
-  let func = Image.ir code in
-  let regs = new_regs func.nregs in
-  List.iter2 (fun r v -> Bytes.set_int64_ne regs (8 * r) v) func.params args;
-  let frame = new_frame code ~blk:0 ~idx:0 ~regs ~ret_to:None ~saved_sp:0 in
-  {
-    tid;
-    writer = Pwriter.create m.pmem m.config.latency;
-    rng = Rng.split m.rng;
-    clock = 0;
-    status = Runnable;
-    frames = [ frame ];
-    sp = 0;
-    stack_base;
-    stack_in_pmem;
-    log_node;
-    in_fase = false;
-    fase_id = -1;
-    region_stores = 0;
-    region_lines = Lineset.create ();
-    fase_lines = Lineset.create ();
-    last_lock = 0;
-    armed_grant = Grant_none;
-    pending_data_line = -1;
-    touched_pages = Int_tbl.create 8;
-    txn = None;
-    txn_reads = Lineset.create ();
-    rewound = false;
-    first_boundary = false;
-    owed_regs = [];
-    epoch = 0;
-    ops = 0;
-    observations = [];
-    recovery_mode;
-    steps = 0;
-    rank = 0;
-  }
 
 let spawn m ~fname ~args =
   let code = Image.entry m.image fname in
@@ -216,42 +191,29 @@ let spawn m ~fname ~args =
   in
   let w = Pwriter.create m.pmem m.config.latency in
   let log_node =
-    match (m.config.scheme, m.free_log_nodes) with
-    | Scheme.Origin, _ -> 0
-    | scheme, node :: rest ->
+    match m.free_log_nodes with
+    | node :: rest ->
         (* Recycled arena: rebind the clean node to the new tid instead
            of growing the region and the log-head chain. *)
         m.free_log_nodes <- rest;
-        (match scheme with
-        | Scheme.Ido -> Ido_log.rebind w node ~tid
-        | Scheme.Justdo -> Justdo_log.rebind w node ~tid
-        | Scheme.Atlas | Scheme.Nvml -> Undo_log.rebind w node ~tid
-        | Scheme.Mnemosyne -> Redo_log.rebind w node ~tid
-        | Scheme.Nvthreads -> Page_log.rebind w node ~tid
-        | Scheme.Origin -> ());
+        m.proto.rebind w node ~tid;
         node
-    | scheme, [] -> (
-        match scheme with
-        | Scheme.Ido ->
-            Ido_log.create w m.region ~tid ~nregs:(Image.max_regs m.image)
-        | Scheme.Justdo ->
-            Justdo_log.create w m.region ~tid ~nregs:(Image.max_regs m.image)
-        | Scheme.Atlas ->
-            Undo_log.create w m.region ~kind:Lognode.kind_atlas ~tid
-              ~cap_records:m.config.undo_cap
-        | Scheme.Nvml ->
-            Undo_log.create w m.region ~kind:Lognode.kind_nvml ~tid
-              ~cap_records:m.config.undo_cap
-        | Scheme.Mnemosyne ->
-            Redo_log.create w m.region ~tid ~cap_entries:m.config.redo_cap
-        | Scheme.Nvthreads ->
-            Page_log.create w m.region ~tid ~cap_pages:m.config.page_cap
-        | Scheme.Origin -> 0)
+    | [] ->
+        m.proto.create w m.region ~tid
+          {
+            Protocol.nregs = Image.max_regs m.image;
+            undo_cap = m.config.undo_cap;
+            redo_cap = m.config.redo_cap;
+            page_cap = m.config.page_cap;
+          }
   in
   ignore (Pwriter.take_cost w);
+  let regs = new_regs (Image.ir code).nregs in
+  List.iter2 (fun r v -> Bytes.set_int64_ne regs (8 * r) v) (Image.ir code).params args;
   let t =
-    make_thread m ~tid ~code ~args ~stack_base ~stack_in_pmem:in_pmem
-      ~log_node ~recovery_mode:false
+    new_thread m ~tid
+      ~frame:(new_frame code ~blk:0 ~idx:0 ~regs ~ret_to:None ~saved_sp:0)
+      ~stack_base ~stack_in_pmem:in_pmem ~log_node ~recovery_mode:false
   in
   (* A thread spawned now begins at the machine's current time, not at
      zero — setup work precedes measurement. *)
@@ -309,11 +271,6 @@ let[@inline] cost (t : thread) c =
   let w = t.writer in
   w.Pwriter.cost <- w.Pwriter.cost + c
 
-(* A log-append event reaches only the sink, so its payload is built
-   only while one is installed. *)
-let log_append m log bytes =
-  if obs_active m then emit m (Ido_obs.Obs.Log_append { log; bytes })
-
 (* ------------------------------------------------------------------ *)
 (* Transactions (Mnemosyne) *)
 
@@ -358,9 +315,7 @@ let txn_load m (t : thread) txn (fr : frame) a dst =
 let txn_store m (t : thread) txn a v =
   if not (Int_tbl.mem txn.writes a) then Vec.push txn.write_order a;
   Int_tbl.replace txn.writes a v;
-  (* One redo entry is [addr; value]. *)
-  log_append m "redo" 16;
-  Redo_log.append t.writer t.log_node ~addr:a ~value:v;
+  m.proto.redo_store m.env t.writer t.log_node ~addr:a ~value:v;
   cost t (lat m).Latency.alu
 
 (* ------------------------------------------------------------------ *)
@@ -386,7 +341,7 @@ let load_reg m (t : thread) fr ~pmem a dst =
     Vmem.load_into m.vmem a fr.regs (8 * dst);
     true
   end
-  else if m.config.scheme = Scheme.Nvthreads && t.in_fase then begin
+  else if m.proto.page_copies && t.in_fase then begin
     let i = page_copy t a in
     Pwriter.load_into t.writer (if i < 0 then a else copy_addr t i a) fr.regs (8 * dst);
     true
@@ -416,17 +371,15 @@ let track_store m (t : thread) a =
     Lineset.add t.region_lines line;
     Lineset.add t.fase_lines line;
     t.region_stores <- t.region_stores + 1;
-    if m.config.scheme = Scheme.Justdo then t.pending_data_line <- line
+    if m.proto.per_store then t.pending_data_line <- line
   end
 
 (* NVThreads: log [page] once per FASE segment and map it to its
    copy. *)
 let log_page_once m (t : thread) page =
-  if not (Int_tbl.mem t.touched_pages page) then begin
-    log_append m "page" (8 * Page_log.entry_words);
-    let i = Page_log.log_page t.writer t.log_node ~page in
-    Int_tbl.replace t.touched_pages page i
-  end
+  if not (Int_tbl.mem t.touched_pages page) then
+    Int_tbl.replace t.touched_pages page
+      (m.proto.page_log m.env t.writer t.log_node ~page)
 
 let do_store m (t : thread) fr ~pmem a (src : Ir.operand) =
   if not pmem then begin
@@ -435,7 +388,7 @@ let do_store m (t : thread) fr ~pmem a (src : Ir.operand) =
     | Ir.Reg r -> Vmem.store_from m.vmem a fr.regs (8 * r)
     | Ir.Imm v -> Vmem.store m.vmem a v
   end
-  else if m.config.scheme = Scheme.Nvthreads && t.in_fase then begin
+  else if m.proto.page_copies && t.in_fase then begin
     (* A hoisted Hpage_log (O104) armed the grant; the first in-FASE
        store consumes it, with exec_page_log's page dedup. *)
     if t.armed_grant = Grant_page then begin
@@ -460,10 +413,7 @@ let do_store m (t : thread) fr ~pmem a (src : Ir.operand) =
            does. *)
         if t.armed_grant = Grant_undo then begin
           t.armed_grant <- Grant_none;
-          let old = Pwriter.load t.writer a in
-          log_append m "undo" (8 * Undo_log.record_words);
-          Undo_log.log_write t.writer t.log_node ~addr:a ~old
-            ~seq:(next_seq m)
+          m.proto.undo_store m.env t.writer t.log_node ~addr:a
         end;
         store_operand t.writer a fr src;
         track_store m t a
@@ -484,16 +434,6 @@ let rec unlock_operand fr (instrs : Ir.instr array) i =
 let upcoming_unlock (fr : frame) = unlock_operand fr (block fr).instrs (fr.idx + 1)
 
 let pc_here fr = Image.pc fr.code ~blk:fr.blk ~idx:fr.idx
-
-(* Write back the tracked dirty lines in first-store order (the set is
-   already deduplicated, so each member is one clwb): deterministic by
-   construction — no hash-bucket order involved — and allocation-free
-   on the per-boundary hot path. *)
-let flush_tracked (t : thread) lines =
-  for i = 0 to Lineset.cardinal lines - 1 do
-    Pwriter.clwb t.writer (Lineset.nth lines i * Pmem.words_per_line)
-  done;
-  Lineset.reset lines
 
 (* ------------------------------------------------------------------ *)
 (* Scheme hooks *)
@@ -549,8 +489,6 @@ let rec still_live meta = function
       else still_live meta rest
 
 let exec_region_boundary m (t : thread) fr (rh : Ir.region_hook) =
-  let w = t.writer in
-  let node = t.log_node in
   if m.config.collect_region_stats then
     record_region_stats m t (Image.region fr.code rh.region_id).Image.n_live_in
   else t.region_stores <- 0;
@@ -572,11 +510,10 @@ let exec_region_boundary m (t : thread) fr (rh : Ir.region_hook) =
   else begin
     if obs_active m then
       emit m (Ido_obs.Obs.Boundary { region = rh.region_id; elided = false });
-    (* Step 1 (Sec. III-A): persist OutputSet — the closed region's
-       output registers (all live-ins at the first boundary of the
-       FASE, which must seed intRF), the OutputSets owed by skipped
-       boundaries (filtered to registers still live here), and the
-       run-time-tracked memory lines. *)
+    (* The OutputSet to persist: the closed region's output registers
+       (all live-ins at the first boundary of the FASE, which must seed
+       intRF) and the OutputSets owed by skipped boundaries (filtered to
+       registers still live here). *)
     let meta = Image.region fr.code rh.region_id in
     let regs_to_log =
       if t.first_boundary then meta.Image.first_regs
@@ -587,28 +524,12 @@ let exec_region_boundary m (t : thread) fr (rh : Ir.region_hook) =
     in
     t.first_boundary <- false;
     t.owed_regs <- [];
-    log_append m "intrf" (8 * List.length regs_to_log);
-    Ido_log.write_regs w node ~coalesce:m.config.coalesce_registers fr.regs
-      regs_to_log;
-    flush_tracked t t.region_lines;
-    Pwriter.fence w;
-    (* Step 2: advance recovery_pc to this boundary.  When a release
-       record immediately follows, its fence carries the pc update
-       (and an outermost release supersedes it with pc := 0). *)
     t.epoch <- t.epoch + 1;
-    if rh.at_release then begin
-      if not (upcoming_release_is_outermost fr) then
-        Ido_log.set_recovery_pc w node ~epoch:t.epoch (pc_here fr)
-      (* fence deferred to the release record *)
-    end
-    else begin
-      Ido_log.set_recovery_pc w node ~epoch:t.epoch (pc_here fr);
-      Pwriter.fence w
-    end
+    m.proto.boundary m.env t.writer t.log_node ~regs:fr.regs ~out:regs_to_log
+      ~lines:t.region_lines ~epoch:t.epoch ~pc:(pc_here fr)
+      ~at_release:rh.at_release
+      ~outermost:(rh.at_release && upcoming_release_is_outermost fr)
   end
-
-(* One Undo_log record is [kind; a; b; seq]. *)
-let undo_record_bytes = 8 * Undo_log.record_words
 
 let exec_fase_enter m (t : thread) _fr =
   t.in_fase <- true;
@@ -625,58 +546,28 @@ let exec_fase_enter m (t : thread) _fr =
   Lineset.reset t.region_lines;
   Lineset.reset t.fase_lines;
   Int_tbl.reset t.touched_pages;
-  match m.config.scheme with
-  | Scheme.Ido ->
-      Ido_log.set_sim_stack m.pmem t.log_node ~base:t.stack_base ~sp:t.sp;
-      t.first_boundary <- true
-  | Scheme.Justdo ->
-      Justdo_log.set_sim_stack m.pmem t.log_node ~base:t.stack_base ~sp:t.sp;
-      t.pending_data_line <- -1
-  | Scheme.Atlas | Scheme.Nvml ->
-      (* Begin/end records need no fence of their own: they become
-         durable with the next fenced record (or the commit flush). *)
-      log_append m "undo" undo_record_bytes;
-      Undo_log.append_unfenced t.writer t.log_node Undo_log.Fase_begin ~a:0L
-        ~b:0L ~seq:(next_seq m)
-  | Scheme.Nvthreads -> Page_log.begin_fase t.writer t.log_node ~seq:(next_seq m)
-  | Scheme.Mnemosyne | Scheme.Origin -> ()
+  t.first_boundary <- true;
+  t.pending_data_line <- -1;
+  m.proto.fase_enter m.env t.writer t.log_node ~stack_base:t.stack_base ~sp:t.sp
 
 let exec_fase_exit m (t : thread) _fr =
   t.armed_grant <- Grant_none;
-  (match m.config.scheme with
-  | Scheme.Atlas -> log_append m "undo" undo_record_bytes
-  | _ -> ());
-  (match m.config.scheme with
-  | Scheme.Ido ->
-      record_region_stats m t (-1);
-      t.owed_regs <- [];
-      (* Lock-based FASEs: the outermost release already cleared and
-         fenced the recovery pc.  Durable regions reach here with the
-         pc still armed. *)
-      if Ido_log.recovery_pc m.pmem t.log_node <> 0 then begin
-        Ido_log.set_recovery_pc t.writer t.log_node ~epoch:t.epoch 0;
-        Pwriter.fence t.writer
-      end
-  | Scheme.Justdo ->
-      if t.pending_data_line >= 0 then begin
-        Pwriter.clwb t.writer (t.pending_data_line * Pmem.words_per_line);
-        Pwriter.fence t.writer
-      end;
-      t.pending_data_line <- -1;
-      Justdo_log.clear t.writer t.log_node
-  | Scheme.Atlas ->
-      Undo_log.append_unfenced t.writer t.log_node Undo_log.Fase_end ~a:0L
-        ~b:0L ~seq:(next_seq m);
-      (* Atlas's runtime bookkeeping (log-space management, consistent-
-         state helper) is a shared structure: FASE completion touches it
-         under a global token — the "runtime synchronization" that
-         saturates at high thread counts (Sec. V-B). *)
-      let hold = 200 in
-      let start = imax t.clock m.commit_token_free_at in
-      m.commit_token_free_at <- start + hold;
-      cost t (start - t.clock + hold)
-  | Scheme.Nvml -> Undo_log.reset t.writer t.log_node
-  | Scheme.Nvthreads | Scheme.Mnemosyne | Scheme.Origin -> ());
+  if (Scheme.props m.config.scheme).region_cuts then begin
+    record_region_stats m t (-1);
+    t.owed_regs <- []
+  end;
+  m.proto.fase_exit m.env t.writer t.log_node ~last_line:t.pending_data_line;
+  t.pending_data_line <- -1;
+  (* Atlas's runtime bookkeeping (log-space management, consistent-
+     state helper) is a shared structure: FASE completion touches it
+     under a global token — the "runtime synchronization" that
+     saturates at high thread counts (Sec. V-B). *)
+  let hold = m.proto.exit_hold in
+  if hold > 0 then begin
+    let start = imax t.clock m.commit_token_free_at in
+    m.commit_token_free_at <- start + hold;
+    cost t (start - t.clock + hold)
+  end;
   t.in_fase <- false;
   if obs_active m then begin
     emit m Ido_obs.Obs.Fase_exit;
@@ -685,65 +576,6 @@ let exec_fase_exit m (t : thread) _fr =
   end
   else t.fase_id <- -1;
   if t.recovery_mode then t.status <- Done
-
-let exec_lock_acquired m (t : thread) _fr =
-  t.armed_grant <- Grant_none;
-  let holder = t.last_lock in
-  match m.config.scheme with
-  | Scheme.Ido ->
-      (* Stores + write-back only: a later fence persists the record
-         (benign steal window, Sec. III-B).  Stamped with the current
-         epoch so recovery knows whether the acquisition precedes the
-         persisted boundary.  The ablation knob reverts to JUSTDO's
-         intention-log + ownership-log protocol: two fences. *)
-      (* Lock record: packed holder word + bitmap word. *)
-      log_append m "ido-lock" 16;
-      Ido_log.record_acquire t.writer t.log_node ~holder ~epoch:t.epoch;
-      if not m.config.single_fence_locks then begin
-        Pwriter.fence t.writer;
-        cost t ((lat m).Latency.mem + (lat m).Latency.clwb_issue);
-        Pwriter.fence t.writer
-      end
-  | Scheme.Justdo ->
-      (* Intention word + slot word + bitmap word. *)
-      log_append m "justdo-lock" 24;
-      Justdo_log.record_acquire t.writer t.log_node ~holder
-  | Scheme.Atlas ->
-      log_append m "undo" undo_record_bytes;
-      Undo_log.append t.writer t.log_node Undo_log.Acquire
-        ~a:(Int64.of_int holder) ~b:0L ~seq:(next_seq m)
-  | _ -> ()
-
-let exec_lock_release m (t : thread) fr ~outermost =
-  t.armed_grant <- Grant_none;
-  match m.config.scheme with
-  | Scheme.Ido ->
-      (* Clear the lock record; an outermost release also clears the
-         recovery pc (the FASE's outputs were fenced by the preceding
-         boundary, so after this fence the FASE is complete up to the
-         unlock, which a crash performs implicitly by discarding the
-         transient mutex).  One fence, durable before the unlock
-         executes — closing the double-claim window. *)
-      let op = upcoming_unlock fr in
-      log_append m "ido-lock" 16;
-      Ido_log.record_release t.writer t.log_node ~holder:(eval_int fr op);
-      if outermost then
-        Ido_log.set_recovery_pc t.writer t.log_node ~epoch:t.epoch 0;
-      Pwriter.fence t.writer;
-      if not m.config.single_fence_locks then begin
-        cost t ((lat m).Latency.mem + (lat m).Latency.clwb_issue);
-        Pwriter.fence t.writer
-      end
-  | Scheme.Justdo ->
-      let op = upcoming_unlock fr in
-      log_append m "justdo-lock" 24;
-      Justdo_log.record_release t.writer t.log_node ~holder:(eval_int fr op)
-  | Scheme.Atlas ->
-      let op = upcoming_unlock fr in
-      log_append m "undo" undo_record_bytes;
-      Undo_log.append t.writer t.log_node Undo_log.Release
-        ~a:(eval fr op) ~b:0L ~seq:(next_seq m)
-  | _ -> ()
 
 (* The hooks that protect a store scan their block for it with a
    top-level loop over the instruction array, which allocates nothing;
@@ -756,26 +588,11 @@ let rec exec_justdo_store m (t : thread) fr (instrs : Ir.instr array) i =
         let a = resolve m t fr space base off in
         if not (in_pmem t space) then
           vm_error "justdo store hook on volatile location";
-        (* The previous store must be durable before its log entry is
-           overwritten: flush + fence (the second fence JUSTDO pays per
-           store on volatile-cache machines). *)
-        if t.pending_data_line >= 0 then begin
-          Pwriter.clwb t.writer (t.pending_data_line * Pmem.words_per_line);
-          Pwriter.fence t.writer;
-          t.pending_data_line <- -1
-        end;
-        let store_pc = Image.pc fr.code ~blk:fr.blk ~idx:i in
-        (* Simulator-side snapshot: memory-resident state in real JUSTDO.
-           It must land before [log_store] arms the new pc so the whole
-           resumption tuple (pc, registers, stack) changes in one
-           eventless window — a crash on either side observes a
-           consistent tuple. *)
-        Justdo_log.snapshot_regs m.pmem t.log_node fr.regs;
-        Justdo_log.set_sim_stack m.pmem t.log_node ~base:t.stack_base ~sp:t.sp;
-        (* Resumption tuple: pc + addr + value. *)
-        log_append m "justdo" 24;
-        Justdo_log.log_store t.writer t.log_node ~pc:store_pc ~addr:a
-          ~value:(eval fr src)
+        m.proto.justdo_store m.env t.writer t.log_node
+          ~last_line:t.pending_data_line ~regs:fr.regs ~stack_base:t.stack_base
+          ~sp:t.sp ~pc:(Image.pc fr.code ~blk:fr.blk ~idx:i) ~addr:a
+          ~value:(eval fr src);
+        t.pending_data_line <- -1
     | _ -> exec_justdo_store m t fr instrs (i + 1)
 
 (* A grant hook's store may be missing from its block: the optimizer
@@ -789,11 +606,7 @@ let rec exec_undo_store m (t : thread) fr (instrs : Ir.instr array) i =
     match instrs.(i) with
     | Ir.Store { space; base; off; _ } ->
         let a = resolve m t fr space base off in
-        if in_pmem t space then begin
-          let old = Pwriter.load t.writer a in
-          log_append m "undo" undo_record_bytes;
-          Undo_log.log_write t.writer t.log_node ~addr:a ~old ~seq:(next_seq m)
-        end
+        if in_pmem t space then m.proto.undo_store m.env t.writer t.log_node ~addr:a
     | _ -> exec_undo_store m t fr instrs (i + 1)
 
 let rec exec_page_log m (t : thread) fr (instrs : Ir.instr array) i =
@@ -817,7 +630,7 @@ let exec_txn_begin m (t : thread) fr =
     obs_context m ~tid:t.tid ~fase:t.fase_id;
     emit m Ido_obs.Obs.Fase_enter
   end;
-  Redo_log.begin_txn t.writer t.log_node;
+  m.proto.txn_begin t.writer t.log_node;
   Lineset.reset t.txn_reads;
   t.txn <-
     Some
@@ -859,16 +672,7 @@ let exec_txn_commit m (t : thread) _fr =
         let w = t.writer in
         let pre = Pwriter.take_cost w in
         let start = imax (t.clock + pre) m.commit_token_free_at in
-        Redo_log.persist_entries w t.log_node;
-        Pwriter.fence w;
-        Redo_log.persist_status w t.log_node Redo_log.Committed;
-        Redo_log.apply w t.log_node;
-        (* Flush the applied data before truncating the redo log — in
-           first-store order, so the write-back schedule is a property
-           of the program, not of table iteration order. *)
-        Pwriter.clwb_lines w (Vec.to_list txn.write_order);
-        Pwriter.fence w;
-        Redo_log.persist_status w t.log_node Redo_log.Idle;
+        m.proto.txn_commit w t.log_node ~written:txn.write_order;
         m.commit_version <- m.commit_version + 1;
         Vec.iter
           (fun a -> set_write_version m a m.commit_version)
@@ -886,36 +690,28 @@ let exec_txn_commit m (t : thread) _fr =
         t.fase_id <- -1
       end
 
-let exec_durable_commit m (t : thread) _fr =
-  t.armed_grant <- Grant_none;
-  match m.config.scheme with
-  | Scheme.Atlas | Scheme.Nvml ->
-      (* Flush the FASE's delayed data write-backs (Atlas defers them
-         to FASE end; Sec. V's description). *)
-      flush_tracked t t.fase_lines;
-      Pwriter.fence t.writer
-  | Scheme.Nvthreads ->
-      Page_log.commit t.writer t.log_node;
-      Int_tbl.reset t.touched_pages;
-      (* Non-final release: re-arm the page set for the rest of the
-         FASE. *)
-      if t.in_fase then
-        Page_log.begin_fase t.writer t.log_node ~seq:(next_seq m)
-  | _ -> ()
-
 let exec_hook m (t : thread) fr = function
   | Ir.Hregion rh -> exec_region_boundary m t fr rh
   | Ir.Hfase_enter -> exec_fase_enter m t fr
   | Ir.Hfase_exit -> exec_fase_exit m t fr
-  | Ir.Hlock_acquired -> exec_lock_acquired m t fr
-  | Ir.Hlock_release { outermost } -> exec_lock_release m t fr ~outermost
+  | Ir.Hlock_acquired ->
+      t.armed_grant <- Grant_none;
+      m.proto.lock_acquired m.env t.writer t.log_node ~holder:t.last_lock ~epoch:t.epoch
+  | Ir.Hlock_release { outermost } ->
+      t.armed_grant <- Grant_none;
+      m.proto.lock_release m.env t.writer t.log_node
+        ~holder:(eval_int fr (upcoming_unlock fr)) ~outermost
   | Ir.Hjustdo_store -> exec_justdo_store m t fr (block fr).instrs (fr.idx + 1)
   | Ir.Hundo_store -> exec_undo_store m t fr (block fr).instrs (fr.idx + 1)
   | Ir.Hredo_store -> cost t (lat m).Latency.alu
   | Ir.Htxn_begin -> exec_txn_begin m t fr
   | Ir.Htxn_commit -> exec_txn_commit m t fr
   | Ir.Hpage_log -> exec_page_log m t fr (block fr).instrs (fr.idx + 1)
-  | Ir.Hdurable_commit -> exec_durable_commit m t fr
+  | Ir.Hdurable_commit ->
+      t.armed_grant <- Grant_none;
+      m.proto.durable_commit m.env t.writer t.log_node ~lines:t.fase_lines
+        ~reopen:t.in_fase;
+      Int_tbl.reset t.touched_pages
 
 (* ------------------------------------------------------------------ *)
 (* Run queue *)
@@ -1032,7 +828,7 @@ let[@inline] justdo_penalty m (t : thread) =
      slots, costing extra memory traffic and one write-back's worth of
      NVM exposure per instruction — which is also why JUSTDO is the
      most sensitive scheme to NVM write latency (Fig. 9). *)
-  if m.config.scheme = Scheme.Justdo && t.in_fase then
+  if m.proto.per_store && t.in_fase then
     cost t
       ((2 * (lat m).Latency.mem) + (lat m).Latency.clwb_issue
       + (lat m).Latency.nvm_extra)
@@ -1345,7 +1141,7 @@ let crash_image m =
     ci_rng = Rng.copy m.rng;
     ci_clock_floor = m.clock_floor;
     ci_next_tid = m.next_tid;
-    ci_seq = m.seq;
+    ci_seq = m.env.seq;
     ci_commit_version = m.commit_version;
     ci_total_ops = m.total_ops;
     ci_next_fase_id = m.next_fase_id;
@@ -1359,7 +1155,7 @@ let restore_crashed m ci =
   drop_volatile m;
   m.clock_floor <- ci.ci_clock_floor;
   m.next_tid <- ci.ci_next_tid;
-  m.seq <- ci.ci_seq;
+  m.env.seq <- ci.ci_seq;
   m.commit_version <- ci.ci_commit_version;
   Cdf.clear m.stores_per_region;
   Cdf.clear m.livein_per_region;

@@ -61,43 +61,13 @@ let resume_thread m ~node ~fname ~(pos : Ir.pos) ~regs ~stack ~held =
   done;
   let base, sp = stack in
   let t =
-    {
-      tid;
-      writer = Pwriter.create m.pmem m.config.latency;
-      rng = Rng.split m.rng;
-      clock = 0;
-      status = Runnable;
-      frames =
-        [
-          new_frame code ~blk:pos.blk ~idx:pos.idx ~regs:frame_regs ~ret_to:None
-            ~saved_sp:0;
-        ];
-      sp;
-      stack_base = base;
-      stack_in_pmem = true;
-      log_node = node;
-      in_fase = true;
-      fase_id = fase;
-      region_stores = 0;
-      region_lines = Lineset.create ();
-      fase_lines = Lineset.create ();
-      last_lock = 0;
-      armed_grant = Grant_none;
-      pending_data_line = -1;
-      touched_pages = Int_tbl.create 8;
-      txn = None;
-      txn_reads = Lineset.create ();
-      rewound = false;
-      first_boundary = false;
-      owed_regs = [];
-      epoch = 0;
-      ops = 0;
-      observations = [];
-      recovery_mode = true;
-      steps = 0;
-      rank = 0;
-    }
+    new_thread m ~tid
+      ~frame:(new_frame code ~blk:pos.blk ~idx:pos.idx ~regs:frame_regs ~ret_to:None ~saved_sp:0)
+      ~stack_base:base ~stack_in_pmem:true ~log_node:node ~recovery_mode:true
   in
+  t.sp <- sp;
+  t.in_fase <- true;
+  t.fase_id <- fase;
   (* Reacquire the locks recorded in the lock_array: fresh transient
      mutexes are allocated for every indirect holder (Sec. III-B). *)
   List.iter

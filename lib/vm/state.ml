@@ -115,8 +115,10 @@ type thread = {
   fase_lines : Lineset.t;  (* dirty lines since FASE begin *)
   mutable last_lock : int;  (* operand of the last Lock executed *)
   mutable armed_grant : armed;
-  mutable pending_data_line : int;  (* JUSTDO: line awaiting flush; -1 none *)
-  touched_pages : int Int_tbl.t;  (* NVThreads: page -> entry index *)
+  mutable pending_data_line : int;
+      (* [proto.per_store] (JUSTDO): line awaiting flush; -1 none *)
+  touched_pages : int Int_tbl.t;
+      (* [proto.page_copies] (NVThreads): page -> entry index *)
   mutable txn : txn option;
   txn_reads : Lineset.t;
       (* Mnemosyne: the read set of each of the thread's transactions
@@ -189,8 +191,11 @@ type t = {
       (* lower bound on [max_clock] after finished threads are reaped:
          keeps the machine clock monotonic (and new spawns starting "now")
          even when no live thread remembers the latest time *)
+  proto : Protocol.t;  (* the scheme's persist protocol, run at every hook *)
+  env : Protocol.env;
+      (* the protocols' machine-wide state: the happens-before sequence
+         and the ablation knobs *)
   mutable next_tid : int;
-  mutable seq : int;  (* global sequence for happens-before records *)
   mutable commit_version : int;  (* Mnemosyne global commit clock *)
   mutable write_versions : version_table;
   mutable commit_token_free_at : Timebase.ns;  (* STM commit serialization *)
@@ -253,10 +258,6 @@ let sync_pmem_hook m =
     (match (m.event_hook, m.obs) with
     | None, None -> None
     | _ -> Some (emit m))
-
-let next_seq m =
-  m.seq <- m.seq + 1;
-  m.seq
 
 let lock_hash id = (id * 0x2545F4914F6CDD1D) lsr 17
 
@@ -332,6 +333,42 @@ let rec set_write_version m a v =
 
 let new_frame code ~blk ~idx ~regs ~ret_to ~saved_sp =
   { code; blocks = (Image.ir code).Ir.blocks; blk; idx; regs; ret_to; saved_sp }
+
+(* A thread about to run [frame]: a spawned one, or (in
+   [recovery_mode]) one resuming an interrupted FASE. *)
+let new_thread m ~tid ~frame ~stack_base ~stack_in_pmem ~log_node ~recovery_mode =
+  {
+    tid;
+    writer = Pwriter.create m.pmem m.config.latency;
+    rng = Rng.split m.rng;
+    clock = 0;
+    status = Runnable;
+    frames = [ frame ];
+    sp = 0;
+    stack_base;
+    stack_in_pmem;
+    log_node;
+    in_fase = false;
+    fase_id = -1;
+    region_stores = 0;
+    region_lines = Lineset.create ();
+    fase_lines = Lineset.create ();
+    last_lock = 0;
+    armed_grant = Grant_none;
+    pending_data_line = -1;
+    touched_pages = Int_tbl.create 8;
+    txn = None;
+    txn_reads = Lineset.create ();
+    rewound = false;
+    first_boundary = false;
+    owed_regs = [];
+    epoch = 0;
+    ops = 0;
+    observations = [];
+    recovery_mode;
+    steps = 0;
+    rank = 0;
+  }
 
 let max_clock m =
   Vec.fold_left

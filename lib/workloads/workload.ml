@@ -1,4 +1,4 @@
-type request_profile = { key_arity : int; key_range : int; write_pct : int }
+type request_profile = { key_range : int }
 
 type t = {
   name : string;
@@ -6,87 +6,73 @@ type t = {
   oracle : Oracle.impl;
   request : request_profile;
   single_threaded : bool;
-  tags : string list;
 }
 
-(* One entry per benchmark.  [key_arity] is the number of key operands
-   the [request] entry point actually consults (0 for the keyless
-   structures, where the key only routes); [write_pct] is the share of
-   mutating operations under the request dice in [0, 100). *)
+(* One entry per benchmark. *)
 let all =
   [
     {
       name = "stack";
       program = lazy (Stack.program ());
       oracle = Oracle.stack;
-      request = { key_arity = 0; key_range = 1024; write_pct = 50 };
+      request = { key_range = 1024 };
       single_threaded = false;
-      tags = [ "micro"; "keyless" ];
     };
     {
       name = "queue";
       program = lazy (Queue.program ());
       oracle = Oracle.queue;
-      request = { key_arity = 0; key_range = 1024; write_pct = 50 };
+      request = { key_range = 1024 };
       single_threaded = false;
-      tags = [ "micro"; "keyless" ];
     };
     {
       name = "olist";
       program = lazy (Olist.program ());
       oracle = Oracle.olist;
-      request = { key_arity = 1; key_range = 256; write_pct = 50 };
+      request = { key_range = 256 };
       single_threaded = false;
-      tags = [ "micro"; "keyed" ];
     };
     {
       name = "olistrm";
       program = lazy (Olist.program ~remove_pct:20 ());
       oracle = Oracle.olist;
-      (* 20% removes plus half of the remaining 80% are puts. *)
-      request = { key_arity = 1; key_range = 256; write_pct = 60 };
+      request = { key_range = 256 };
       single_threaded = false;
-      tags = [ "micro"; "keyed" ];
     };
     {
       name = "hmap";
       program = lazy (Hmap.program ());
       oracle = Oracle.hmap;
-      request = { key_arity = 1; key_range = 2048; write_pct = 50 };
+      request = { key_range = 2048 };
       single_threaded = false;
-      tags = [ "micro"; "keyed" ];
     };
     {
       name = "kvcache50";
       program = lazy (Kvcache.program ~insert_pct:50 ());
       oracle = Oracle.kvcache;
-      request = { key_arity = 1; key_range = 16384; write_pct = 50 };
+      request = { key_range = 16384 };
       single_threaded = false;
-      tags = [ "app"; "keyed"; "memcached" ];
     };
     {
       name = "kvcache10";
       program = lazy (Kvcache.program ~insert_pct:10 ());
       oracle = Oracle.kvcache;
-      request = { key_arity = 1; key_range = 16384; write_pct = 10 };
+      request = { key_range = 16384 };
       single_threaded = false;
-      tags = [ "app"; "keyed"; "memcached" ];
     };
     {
       name = "objstore";
       program = lazy (Objstore.program ());
       oracle = Oracle.objstore;
-      request = { key_arity = 1; key_range = 10_000; write_pct = 20 };
+      request = { key_range = 10_000 };
       single_threaded = true;
-      tags = [ "app"; "keyed"; "redis" ];
     };
     {
       name = "mlog";
       program = lazy (Mlog.program ());
       oracle = Oracle.mlog;
-      request = { key_arity = 0; key_range = 1024; write_pct = 50 };
+      request = { key_range = 1024 };
       single_threaded = false;
-      tags = [ "micro"; "keyless" ];
     };
   ]
 

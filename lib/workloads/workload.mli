@@ -13,14 +13,7 @@
     [op] drawn in [\[0, 100)] by the caller. *)
 
 type request_profile = {
-  key_arity : int;
-      (** Number of key operands [request] consults: 0 for keyless
-          structures (stack, queue, mlog), where the key only routes
-          the request to a shard. *)
   key_range : int;  (** Request keys are drawn in [\[0, key_range)]. *)
-  write_pct : int;
-      (** Share of mutating operations under the request dice, in
-          [\[0, 100\]] — documentation for reporting, not a knob. *)
 }
 
 type t = {
@@ -32,9 +25,6 @@ type t = {
       (** One worker thread only (objstore: Redis has a single server
           thread, and the program takes no locks).  Drivers default to
           one worker, and the CLIs reject more ({!check_threads}). *)
-  tags : string list;
-      (** Free-form classification: ["micro"]/["app"],
-          ["keyed"]/["keyless"], source application. *)
 }
 
 val all : t list

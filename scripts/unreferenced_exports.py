@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""List every `val` exported by a lib/**/*.mli that no other .ml file names.
+"""List every `val` exported by a lib/**/*.mli that no other .ml file names,
+and every field of an exported record type that no .ml file reads.
 
 Usage: python3 scripts/unreferenced_exports.py [-v]
 
@@ -16,8 +17,15 @@ does not count as used where `M.v` reads as that type: after a ":" or
 "of", or after "->" or "*" with no argument following.  Comments and
 string literals are ignored.  The scan is lexical and errs towards "used".
 
-Exits 1 and lists the unreferenced values if there is any.  With -v it
-also lists the values that only test/ or perfbench/ name.
+A field `f` of a record type declared `type t = { ... }` (or `and`) in
+an .mli counts as read when some .ml file under those directories, its
+own module's included, projects it (`e.f`, `e.M.f`) or binds it in a
+record pattern: a `{ ... }` followed by `->`, `=`, `as` or `|` (a
+`match`, `fun` or `let` pattern).  Building a record is not reading it.
+
+Exits 1 and lists the unreferenced values and unread fields if there is
+any.  With -v it also lists the values that only test/ or perfbench/
+name.
 """
 
 import os
@@ -83,6 +91,34 @@ def exports(path):
     return vals
 
 
+def fields(path):
+    """(type name, field name) for each field of a record type an .mli
+    declares (`type t = { ... }`, `and t = { ... }`)."""
+    text = strip(open(path).read())
+    out = []
+    for m in re.finditer(
+            r"\b(?:type|and)\s+(?:'\w+\s+|\([^)]*\)\s+)?([a-z_][\w']*)\s*="
+            r"\s*(?:private\s+)?\{([^}]*)\}", text):
+        for f in re.findall(r"(?:^|;)\s*(?:mutable\s+)?([a-z_][\w']*)\s*:",
+                            m.group(2)):
+            out.append((m.group(1), f))
+    return out
+
+
+def read_fields(text):
+    """Field names a stripped .ml source reads: projections and the
+    names bound in record patterns."""
+    names = set(re.findall(
+        r"(?<=[\w')\]])\.\s*(?:[A-Z][\w']*\s*\.\s*)*([a-z_][\w']*)", text))
+    for m in re.finditer(r"\{([^{}]*)\}\s*(->|=(?!=)|as\b|\|)", text):
+        body = m.group(1)
+        if re.search(r"\bwith\b", body):
+            continue
+        names |= set(re.findall(
+            r"(?:^|;)\s*(?:[A-Z][\w']*\.)*([a-z_][\w']*)\s*(?==|;|$)", body))
+    return names
+
+
 class Source:
     def __init__(self, path):
         self.path = path
@@ -102,6 +138,7 @@ class Source:
                          and not re.match(r"[\w(~?\"\[{!]", after)))
             (self.typed if typed else self.qualified).add(m.groups())
         self.bare = set(re.findall(r"(?<![\w'.])([a-z_][\w']*)", text))
+        self.fields = read_fields(text)
         self.aliases = {}  # module -> names it goes by in this file
         for alias, target in re.findall(
                 r"\bmodule\s+([A-Z][\w']*)\s*=\s*([A-Z][\w.']*)", text):
@@ -125,13 +162,18 @@ def main():
             dirnames[:] = [x for x in dirnames if not x.startswith("_")]
             sources += [Source(os.path.join(dirpath, f))
                         for f in sorted(files) if f.endswith(".ml")]
-    unreferenced, test_only = [], []
+    unreferenced, test_only, unread = [], [], []
+    read = set().union(*(s.fields for s in sources))
     for dirpath, dirnames, files in sorted(os.walk(os.path.join(ROOT, "lib"))):
         for f in sorted(files):
             if not f.endswith(".mli"):
                 continue
             mli = os.path.join(dirpath, f)
             own = mli[:-1]
+            for tname, field in fields(mli):
+                if field not in read:
+                    unread.append("%s: %s.%s" % (os.path.relpath(mli, ROOT),
+                                                 tname, field))
             for module, value, is_type in exports(mli):
                 users = [s for s in sources
                          if s.path != own and s.names(module, value, is_type)]
@@ -146,9 +188,11 @@ def main():
             print("test/perfbench only: " + w)
     for w in unreferenced:
         print("unreferenced: " + w)
-    print("%d unreferenced exports, %d named only by test/ or perfbench/"
-          % (len(unreferenced), len(test_only)))
-    return 1 if unreferenced else 0
+    for w in unread:
+        print("unread field: " + w)
+    print("%d unreferenced exports, %d named only by test/ or perfbench/, "
+          "%d unread fields" % (len(unreferenced), len(test_only), len(unread)))
+    return 1 if unreferenced or unread else 0
 
 
 if __name__ == "__main__":

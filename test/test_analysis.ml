@@ -513,6 +513,50 @@ let prop_reaching_matches_reference =
                (List.init (Array.length b.Ir.instrs + 1) Fun.id))
            f.Ir.blocks))
 
+(* The eager reachability matrix [Cfg.build] once filled: one BFS per
+   block, kept as the reference of the on-demand [Cfg.path_exists]. *)
+let eager_reach (f : Ir.func) =
+  let n = Array.length f.Ir.blocks in
+  let succs = Array.map (fun (b : Ir.block) -> Ir.successors b.Ir.term) f.Ir.blocks in
+  let reach = Array.init n (fun _ -> Array.make n false) in
+  for b = 0 to n - 1 do
+    let q = Queue.create () in
+    List.iter (fun s -> Queue.add s q) succs.(b);
+    while not (Queue.is_empty q) do
+      let s = Queue.pop q in
+      if not reach.(b).(s) then begin
+        reach.(b).(s) <- true;
+        List.iter (fun s' -> Queue.add s' q) succs.(s)
+      end
+    done
+  done;
+  fun (p : Ir.pos) (q : Ir.pos) -> (p.blk = q.blk && p.idx < q.idx) || reach.(p.blk).(q.blk)
+
+(* Every position pair, queried forwards on one CFG and backwards on
+   another, so rows are computed in both orders. *)
+let prop_path_exists_matches_eager =
+  QCheck.Test.make ~name:"on-demand path_exists = eager matrix" ~count:300
+    (QCheck.make random_cfg_gen) (fun f ->
+      let reference = eager_reach f in
+      let positions =
+        List.concat
+          (Array.to_list
+             (Array.mapi
+                (fun blk (b : Ir.block) ->
+                  List.init (Array.length b.Ir.instrs + 1) (fun idx -> { Ir.blk; idx }))
+                f.Ir.blocks))
+      in
+      let pairs = List.concat_map (fun p -> List.map (fun q -> (p, q)) positions) positions in
+      List.for_all
+        (fun order ->
+          let cfg = Cfg.build f in
+          List.for_all
+            (fun ((p : Ir.pos), (q : Ir.pos)) ->
+              Cfg.path_exists cfg p q = reference p q
+              || QCheck.Test.fail_reportf "(%d,%d) -> (%d,%d)" p.blk p.idx q.blk q.idx)
+            order)
+        [ pairs; List.rev pairs ])
+
 let suites =
   [
     ( "analysis.cfg",
@@ -522,6 +566,7 @@ let suites =
         Alcotest.test_case "dominators" `Quick test_dominators;
         Alcotest.test_case "back edges" `Quick test_back_edges;
         Alcotest.test_case "path exists" `Quick test_path_exists;
+        QCheck_alcotest.to_alcotest prop_path_exists_matches_eager;
       ] );
     ( "analysis.liveness",
       [

@@ -79,10 +79,7 @@ let input_gen =
           ( 1,
             map
               (fun i ->
-                Some
-                  (fst
-                     (List.nth Ido_lint.Hook_model.variants
-                        (i mod List.length Ido_lint.Hook_model.variants))))
+                Some (List.nth Protocol.faults (i mod List.length Protocol.faults)))
               small_nat );
         ]
     in
@@ -409,39 +406,35 @@ let reference_run (input : Input.t) =
         let index = c mod (!len + 1) in
         Cov.new_run acc;
         let obs = Obs.create ~buffer:false ~tap:(Cov.observe acc) () in
-        ( Some index,
-          Engine.probe ~index ~obs
-            { custom with Engine.c_validate = validate_crashed } ))
+        Engine.probe ~index ~obs { custom with Engine.c_validate = validate_crashed })
       input.Input.crashes
   in
   let failures =
     List.concat_map
-      (fun (crash, (p : Engine.probe)) ->
+      (fun (p : Engine.probe) ->
         (match p.Engine.pr_verdict with
         | Ok () -> []
         | Error msg ->
             let recovery =
               String.length msg >= 15 && String.sub msg 0 15 = "recovery raised"
             in
-            [ ((if recovery then "F702" else "F701"), msg, crash) ])
+            [ ((if recovery then "F702" else "F701"), msg) ])
         @
         match p.Engine.pr_consistency with
         | Ok () -> []
-        | Error msg -> [ ("F703", msg, crash) ])
-      ((None, free) :: crashed)
+        | Error msg -> [ ("F703", msg) ])
+      (free :: crashed)
   in
   ( Cov.collect acc,
     !len,
     List.rev !hints,
     match failures with
     | [] -> None
-    | (_, detail, crash) :: _ ->
+    | (_, detail) :: _ ->
         Some
           {
-            Exec.f_codes =
-              List.sort_uniq compare (List.map (fun (c, _, _) -> c) failures);
+            Exec.f_codes = List.sort_uniq compare (List.map fst failures);
             f_detail = detail;
-            f_crash = crash;
           } )
 
 (* The ido torn-heap genome the campaign finds organically at seed 40
@@ -707,7 +700,7 @@ let ingest_caught () =
     find 0
   in
   let m =
-    Mutate.ingest ~name:"test-del-hook" ~descr:"test"
+    Mutate.ingest ~name:"test-del-hook"
       ~scheme:Scheme.Justdo ~workload:"queue" ~expect:"L201"
       ~edits:[ Mutate.Delete_hook k ] ()
   in
@@ -719,7 +712,7 @@ let mixed_stage_rejected () =
     (Invalid_argument "Mutate.ingest: edits span both stages")
     (fun () ->
       ignore
-        (Mutate.ingest ~name:"x" ~descr:"x" ~scheme:Scheme.Justdo
+        (Mutate.ingest ~name:"x" ~scheme:Scheme.Justdo
            ~workload:"queue" ~expect:"L201"
            ~edits:[ Mutate.Hoist_store; Mutate.Delete_hook 0 ] ()))
 
@@ -743,7 +736,7 @@ let failing_input_gen =
         let scheme = Scheme.Justdo in
         match pick mod 3 with
         | 0 ->
-            Input.make ~variant:"early-publish-justdo" ~scheme
+            Input.make ~variant:Protocol.Early_publish_justdo ~scheme
               (Input.Random ts)
         | 1 ->
             Input.make ~edits:[ Mutate.Delete_hook (pick mod 8) ] ~scheme
@@ -817,6 +810,39 @@ let corpus_roundtrip () =
       Alcotest.(check int) "corpus replays faithfully" 0
         (List.length (Corpus.verify c)))
 
+(* A corpus line whose variant names no protocol fault is refused with
+   a one-line diagnostic, not linted as the fault-free protocol. *)
+let corpus_rejects_unknown_variant () =
+  let entry =
+    {
+      Corpus.e_kind = Corpus.Finding;
+      e_input =
+        Input.make ~variant:Protocol.Early_publish_justdo ~scheme:Scheme.Justdo
+          (Input.Workload "queue");
+      e_codes = [ "L301" ];
+      e_digest = "";
+      e_detail = "";
+    }
+  in
+  let text = Corpus.to_ndjson { Corpus.c_seed = 1; c_opt = false; c_entries = [ entry ] } in
+  let field = {|"variant":"early-publish-justdo"|} in
+  let rec at i = if String.sub text i (String.length field) = field then i else at (i + 1) in
+  let i = at 0 in
+  let misspelt =
+    String.sub text 0 i ^ {|"variant":"early-publish-justod"|}
+    ^ String.sub text (i + String.length field) (String.length text - i - String.length field)
+  in
+  let path = Filename.temp_file "ido_fuzz_corpus" ".ndjson" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      Out_channel.with_open_bin path (fun oc -> output_string oc misspelt);
+      match Corpus.load path with
+      | _ -> Alcotest.fail "a misspelt variant loaded"
+      | exception Failure msg ->
+          Alcotest.(check string) "diagnostic"
+            {|corpus: unknown variant "early-publish-justod"|} msg)
+
 (* [verify] compares whole entries: one entry whose digest or detail
    no longer matches its replay is exactly one mismatch, even though
    its codes still do. *)
@@ -888,9 +914,6 @@ let to_mutants (c : Corpus.t) =
           Some
             (Mutate.ingest
                ~name:(Printf.sprintf "fuzz-%d-%s" !n expect)
-               ~descr:
-                 (Printf.sprintf "fuzzer finding %s on %s" (Input.label i)
-                    workload)
                ~scheme:i.Input.scheme ~workload ~expect ?variant:i.Input.variant
                ~edits:i.Input.edits ())
       | _ -> None)
@@ -1014,5 +1037,7 @@ let suites =
           opt_corpus_replays_optimized;
         Alcotest.test_case "verify compares whole entries" `Slow
           corpus_verify_whole_entries;
+        Alcotest.test_case "corpus rejects an unknown variant" `Quick
+          corpus_rejects_unknown_variant;
       ] );
   ]

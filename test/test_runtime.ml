@@ -466,9 +466,7 @@ module Reference = struct
     if undone > 0 then Pwriter.fence w;
     List.iter (fun node -> Undo_log.reset w node) !nodes;
     {
-      nodes = List.length !nodes;
       records_scanned = !records_scanned;
-      fases_found = Array.length fases;
       fases_rolled_back = Array.fold_left (fun n b -> if b then n + 1 else n) 0 rolled;
       writes_undone = undone;
       cost = Pwriter.take_cost w;

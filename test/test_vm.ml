@@ -880,7 +880,7 @@ let test_crash_image_is_crash () =
           latency.Ido_nvm.Latency.nv_caches k
       in
       let fields (m : State.t) =
-        [ m.State.clock_floor; m.State.next_tid; m.State.seq;
+        [ m.State.clock_floor; m.State.next_tid; m.State.env.Protocol.seq;
           m.State.commit_version; m.State.total_ops; m.State.next_fase_id;
           Bool.to_int m.State.crashed; Vec.length m.State.threads;
           Int64.to_int (Ido_util.Rng.next64 (Ido_util.Rng.copy m.State.rng));
