@@ -1,12 +1,3 @@
-open Ido_nvm
-
-type stats = {
-  records_scanned : int;
-  fases_rolled_back : int;
-  writes_undone : int;
-  cost : Ido_util.Timebase.ns;
-}
-
 (* Row kinds. *)
 let k_write = 'w'
 let k_acquire = 'a'
@@ -66,6 +57,8 @@ let scan pm nodes =
       done)
     readers;
   { records = n; nfases = !nfases; complete; rows = !rows; kind; fase; seq; words }
+
+let records l = l.records
 
 (* The lock word of a lock row.  Comparisons are written on annotated
    [int64]s, which compile to unboxed compares. *)
@@ -161,25 +154,11 @@ let undo_newest_first w ~(seq : int array) ~words undo =
       Pwriter.clwb w addr)
     undo
 
-let recover w region =
-  let pm = Pwriter.pmem w in
-  let nodes = ref [] in
-  Lognode.iter pm region (fun a ->
-      if Lognode.kind pm a = Lognode.kind_atlas then nodes := a :: !nodes);
-  let l = scan pm (List.rev !nodes) in
-  (* Charge a scan cost per record: one cache-line read each. *)
-  Pwriter.add_cost w (l.records * (Pwriter.latency w).Latency.mem * 4);
-  let rolled = rollback_set l in
+let undo w l rolled =
   let undo = rows_where l (fun i -> Bytes.get l.kind i = k_write && rolled.(l.fase.(i))) in
   undo_newest_first w ~seq:l.seq ~words:l.words undo;
   if Array.length undo > 0 then Pwriter.fence w;
-  List.iter (fun node -> Undo_log.reset w node) !nodes;
-  {
-    records_scanned = l.records;
-    fases_rolled_back = Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 rolled;
-    writes_undone = Array.length undo;
-    cost = Pwriter.take_cost w;
-  }
+  Array.length undo
 
 let undo_region w node =
   let pm = Pwriter.pmem w in

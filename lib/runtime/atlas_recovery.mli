@@ -1,7 +1,8 @@
-(** Atlas post-crash recovery.
+(** Undo-log recovery: the steps of Atlas's and NVML's rollback halves
+    in {!Protocol}.
 
-    Traverses every thread's UNDO log, reconstructs the FASEs and the
-    happens-before order among them from the lock acquire/release
+    Atlas traverses every thread's UNDO log, reconstructs the FASEs and
+    the happens-before order among them from the lock acquire/release
     records, computes the set of FASEs that must be discarded — every
     FASE interrupted by the crash, plus, transitively, every FASE that
     acquired a lock {e after} a discarded FASE released it (it may have
@@ -9,15 +10,6 @@
     reverse global order (Sec. V-D describes this log traversal; its
     cost is what Table I measures against iDO's constant-time
     restart). *)
-
-open Ido_region
-
-type stats = {
-  records_scanned : int;
-  fases_rolled_back : int;
-  writes_undone : int;
-  cost : Ido_util.Timebase.ns;  (** simulated time spent in recovery *)
-}
 
 (** {1 The happens-before closure} *)
 
@@ -30,8 +22,10 @@ val scan : Ido_nvm.Pmem.t -> Ido_nvm.Pmem.addr list -> log
 (** Read every record of the given logs once, through
     {!Undo_log.reader}.  FASE [f] is the [f]-th [Fase_begin] read, logs
     in the given order, each oldest record first; records outside any
-    FASE are ignored.  Exported as a step of {!recover}, tested on its
-    own. *)
+    FASE are ignored. *)
+
+val records : log -> int
+(** The records {!scan} read. *)
 
 val rollback_set : log -> bool array
 (** [rollback_set l] marks the FASEs recovery discards: the least set
@@ -39,14 +33,13 @@ val rollback_set : log -> bool array
     that released lock [l] at sequence number [s'], every FASE that
     acquired [l] at some [s >= s'].  The acquires are sorted by lock and
     seq, and a worklist expands each marked FASE once, visiting each
-    acquire at most once: O(r log r) in the records.
-    Exported as a step of {!recover}, tested on its own. *)
+    acquire at most once: O(r log r) in the records. *)
 
-val recover : Pwriter.t -> Region.t -> stats
-(** Scan, roll back, persist the restored values, truncate the logs.
-    After [recover] the persistent heap reflects only FASEs that
-    survive the happens-before analysis.  Writes are undone newest
-    sequence number first. *)
+val undo : Pwriter.t -> log -> bool array -> int
+(** [undo w l rolled] restores the old value of every write of the
+    FASEs [rolled] marks, newest sequence number first, writes each back
+    and fences once if it undid any; the writes undone.  Afterwards the
+    persistent heap reflects only the unmarked FASEs. *)
 
 (** {1 NVML durable regions}
 

@@ -34,6 +34,31 @@ let next_seq env =
 
 type sizes = { nregs : int; undo_cap : int; redo_cap : int; page_cap : int }
 
+type resume = {
+  pc : int;
+  regs : int64 array;
+  stack : int * int;
+  held : int list;
+  epoch : int option;
+}
+
+type counts = {
+  records_scanned : int;
+  writes_undone : int;
+  fases_rolled_back : int;
+  pages_restored : int;
+  txns_replayed : int;
+}
+
+let zero =
+  { records_scanned = 0; writes_undone = 0; fases_rolled_back = 0; pages_restored = 0;
+    txns_replayed = 0 }
+
+type recovery =
+  | No_recovery
+  | Resume of (Pmem.t -> Pmem.addr -> resume option)
+  | Rollback of (step:(string -> unit) -> Pwriter.t -> Ido_region.Region.t -> counts)
+
 type t = {
   create : Pwriter.t -> Ido_region.Region.t -> tid:int -> sizes -> Pmem.addr;
   rebind : Pwriter.t -> Pmem.addr -> tid:int -> unit;
@@ -57,6 +82,7 @@ type t = {
   txn_begin : Pwriter.t -> Pmem.addr -> unit;
   txn_commit : Pwriter.t -> Pmem.addr -> written:int Vec.t -> unit;
   durable_commit : env -> Pwriter.t -> Pmem.addr -> lines:Lineset.t -> reopen:bool -> unit;
+  recovery : recovery;
 }
 
 (* Origin's protocol, and every other scheme's for the hooks its
@@ -82,7 +108,14 @@ let none =
     txn_begin = (fun _ _ -> ());
     txn_commit = (fun _ _ ~written:_ -> ());
     durable_commit = (fun _ _ _ ~lines:_ ~reopen:_ -> ());
+    recovery = No_recovery;
   }
+
+(* [f] folded over the region's log nodes of [kind], in region order. *)
+let fold_nodes pm region kind f acc =
+  let acc = ref acc in
+  Lognode.iter pm region (fun node -> if Lognode.kind pm node = kind then acc := f !acc node);
+  !acc
 
 (* Write back the tracked dirty lines in first-store order (the set is
    already deduplicated, so each member is one clwb): deterministic by
@@ -171,6 +204,27 @@ let ido ~fault =
         if not (at_release && outermost) then
           Ido_log.set_recovery_pc w node ~epoch pc;
         if not at_release then Pwriter.fence w);
+    recovery =
+      Resume
+        (fun pm node ->
+          let pc = if Lognode.kind pm node = Lognode.kind_ido then Ido_log.recovery_pc pm node else 0 in
+          if pc = 0 then None
+          else
+            let regs = Ido_log.read_all_regs pm node in
+            let stack = Ido_log.sim_stack pm node in
+            let epoch = Ido_log.recovery_epoch pm node in
+            (* A lock stamped with the pc's own epoch was acquired after
+               the last persisted boundary; the segment it protected
+               performed no stores, and resumption will re-acquire it in
+               program order — re-acquiring it here would invert
+               lock-ordering disciplines such as hand-over-hand and risk
+               recovery deadlock. *)
+            let held =
+              List.filter_map
+                (fun (holder, e) -> if e = epoch then None else Some holder)
+                (Ido_log.held_locks pm node)
+            in
+            Some { pc; regs; stack; held; epoch = Some epoch });
   }
 
 (* JUSTDO: a persisted (pc, addr, value) entry before every FASE store;
@@ -213,6 +267,19 @@ let justdo ~fault =
         (* Resumption tuple: pc + addr + value. *)
         env.appended "justdo" 24;
         Justdo_log.log_store ?arm w node ~pc ~addr ~value);
+    recovery =
+      Resume
+        (fun pm node ->
+          if Lognode.kind pm node <> Lognode.kind_justdo || not (Justdo_log.armed pm node)
+          then None
+          else
+            (* Resuming at the logged store's own position re-executes
+               it with the snapshot registers, reproducing the logged
+               value. *)
+            let pc, _addr, _v = Justdo_log.entry pm node in
+            let regs = Justdo_log.read_all_regs pm node in
+            let stack = Justdo_log.sim_stack pm node in
+            Some { pc; regs; stack; held = Justdo_log.held_locks pm node; epoch = None });
   }
 
 (* One Undo_log record is [kind; a; b; seq]. *)
@@ -248,6 +315,25 @@ let undo ~kind ~fault =
         Pwriter.fence w);
   }
 
+let atlas_per_record_ns = 75
+
+(* Scan every log, roll back the happens-before closure of the
+   interrupted FASEs, truncate the logs. *)
+let atlas_rollback ~step w region =
+  let pm = Pwriter.pmem w in
+  let nodes = fold_nodes pm region Lognode.kind_atlas (fun acc node -> node :: acc) [] in
+  let l = Atlas_recovery.scan pm (List.rev nodes) in
+  let records = Atlas_recovery.records l in
+  (* One cache-line read per record, and the happens-before graph and
+     sort. *)
+  Pwriter.add_cost w (records * (((Pwriter.latency w).Latency.mem * 4) + atlas_per_record_ns));
+  let marked = Atlas_recovery.rollback_set l in
+  let undone = Atlas_recovery.undo w l marked in
+  List.iter (Undo_log.reset w) nodes;
+  let rolled = Array.fold_left (fun n b -> if b then n + 1 else n) 0 marked in
+  step (Printf.sprintf "undo scanned=%d undone=%d rolled_back=%d" records undone rolled);
+  { zero with records_scanned = records; writes_undone = undone; fases_rolled_back = rolled }
+
 let atlas ~fault =
   let append env w node tag ~a =
     env.appended "undo" undo_record_bytes;
@@ -267,12 +353,34 @@ let atlas ~fault =
         env.appended "undo" undo_record_bytes;
         Undo_log.append_unfenced w node Undo_log.Fase_end ~a:0L ~b:0L
           ~seq:(next_seq env));
+    recovery = Rollback atlas_rollback;
   }
 
 let nvml ~fault =
   {
     (undo ~kind:Lognode.kind_nvml ~fault) with
     fase_exit = (fun _ w node ~last_line:_ -> Undo_log.reset w node);
+    recovery =
+      Rollback
+        (fun ~step w region ->
+          (* Undo each open durable region's writes, newest first. *)
+          let pm = Pwriter.pmem w in
+          fold_nodes pm region Lognode.kind_nvml
+            (fun c node ->
+              let n, writes = Atlas_recovery.undo_region w node in
+              let c = { c with records_scanned = c.records_scanned + n } in
+              let c =
+                if writes < 0 then c
+                else begin
+                  step (Printf.sprintf "undo tid=%d writes=%d" (Lognode.tid pm node) writes);
+                  { c with
+                    writes_undone = c.writes_undone + writes;
+                    fases_rolled_back = c.fases_rolled_back + 1 }
+                end
+              in
+              Undo_log.reset w node;
+              c)
+            zero);
   }
 
 (* Mnemosyne: stores buffered in the redo log, persisted at commit. *)
@@ -301,6 +409,30 @@ let mnemosyne ~fault =
         Pwriter.clwb_lines w (Vec.to_list written);
         Pwriter.fence w;
         Redo_log.persist_status w node Redo_log.Idle);
+    recovery =
+      Rollback
+        (fun ~step w region ->
+          let pm = Pwriter.pmem w in
+          fold_nodes pm region Lognode.kind_redo
+            (fun c node ->
+              let c =
+                match Redo_log.status pm node with
+                | Redo_log.Committed ->
+                    (* Commit mark durable: replay (idempotent). *)
+                    Redo_log.apply w node;
+                    for i = 0 to Redo_log.count pm node - 1 do
+                      Pwriter.clwb w (fst (Redo_log.entry pm node i))
+                    done;
+                    Pwriter.fence w;
+                    step
+                      (Printf.sprintf "replay tid=%d entries=%d" (Lognode.tid pm node)
+                         (Redo_log.count pm node));
+                    { c with txns_replayed = c.txns_replayed + 1 }
+                | Redo_log.Filling | Redo_log.Idle -> c
+              in
+              Redo_log.persist_status w node Redo_log.Idle;
+              c)
+            zero);
   }
 
 (* NVThreads: page copies, committed at every release. *)
@@ -324,6 +456,27 @@ let nvthreads =
         (* Non-final release: re-arm the page set for the rest of the
            FASE. *)
         if reopen then Page_log.begin_fase w node ~seq:(next_seq env));
+    recovery =
+      Rollback
+        (fun ~step w region ->
+          let pm = Pwriter.pmem w in
+          fold_nodes pm region Lognode.kind_page
+            (fun c node ->
+              if Page_log.status_committed pm node then begin
+                (* Commit mark durable but application may be partial:
+                   replay the copies (idempotent). *)
+                let n = Page_log.apply w node in
+                step (Printf.sprintf "apply tid=%d pages=%d" (Lognode.tid pm node) n);
+                { c with pages_restored = c.pages_restored + n }
+              end
+              else if Page_log.active pm node then begin
+                (* Uncommitted: the master pages were never touched. *)
+                step (Printf.sprintf "discard tid=%d" (Lognode.tid pm node));
+                Page_log.discard w node;
+                { c with fases_rolled_back = c.fases_rolled_back + 1 }
+              end
+              else c)
+            zero);
   }
 
 let make ?fault (scheme : Scheme.t) =

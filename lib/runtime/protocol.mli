@@ -1,12 +1,14 @@
 (** Each scheme's persist protocol, written once: what its runtime
     does to persistent memory at each hook (log stores, write-backs,
     fences, and the {e publish} stores that make logged state reachable
-    to recovery).  The VM ([Ido_vm.Interp]) runs these functions and
-    keeps clocks, obs events, statistics, the commit token and the run
-    queue to itself; the linter ([Ido_lint.Hook_model]) records them on
-    a scratch memory, so it checks the protocol the machine runs.
+    to recovery), and how its recovery reads those logs back.  The VM
+    ([Ido_vm.Interp]) runs the hook functions and keeps clocks, obs
+    events, statistics, the commit token and the run queue to itself;
+    the linter ([Ido_lint.Hook_model]) records them on a scratch
+    memory, so it checks the protocol the machine runs.  The VM's
+    recovery driver ([Ido_vm.Recover]) runs the {!recovery} half.
 
-    Every function takes the machine-wide {!env}, the thread's
+    Every hook function takes the machine-wide {!env}, the thread's
     {!Pwriter} and log node, and the few values its step needs.  Hooks
     a scheme never places are no-ops in its record. *)
 
@@ -53,6 +55,46 @@ type env = {
 (** What {!t.create} sizes a log node by. *)
 type sizes = { nregs : int; undo_cap : int; redo_cap : int; page_cap : int }
 
+(** {1 Recovery}
+
+    Recovery (Sec. III-C) resumes each interrupted FASE from its
+    persisted point, or rolls the logs back. *)
+
+(** What an interrupted FASE left in a resumption scheme's log node. *)
+type resume = {
+  pc : int;  (** where the FASE resumes *)
+  regs : int64 array;  (** the register words it resumes with *)
+  stack : int * int;  (** its stack's base and pointer *)
+  held : int list;  (** the locks it holds when it resumes *)
+  epoch : int option;  (** iDO: the recovery pc's epoch *)
+}
+
+(** What a rollback did. *)
+type counts = {
+  records_scanned : int;  (** undo records read (Atlas, NVML) *)
+  writes_undone : int;
+  fases_rolled_back : int;
+  pages_restored : int;  (** page copies applied (NVThreads) *)
+  txns_replayed : int;  (** committed transactions replayed (Mnemosyne) *)
+}
+
+val zero : counts
+
+type recovery =
+  | No_recovery  (** nothing was logged (Origin) *)
+  | Resume of (Pmem.t -> Pmem.addr -> resume option)
+      (** read one log node of the region: the interrupted FASE it
+          holds, if any; [None] for a node of another kind *)
+  | Rollback of (step:(string -> unit) -> Pwriter.t -> Ido_region.Region.t -> counts)
+      (** scan the region's logs, undo or replay them, truncate them;
+          [step] is told of each recovery step, and the simulated
+          time spent is left in the writer *)
+
+val atlas_per_record_ns : Timebase.ns
+(** Atlas's recovery cost per scanned UNDO record (happens-before graph
+    and sort), charged by its rollback; Table I extrapolates longer kill
+    times with it. *)
+
 type t = {
   create : Pwriter.t -> Ido_region.Region.t -> tid:int -> sizes -> Pmem.addr;
       (** allocate and persist a thread's log node; 0 when there is none *)
@@ -96,6 +138,7 @@ type t = {
   durable_commit : env -> Pwriter.t -> Pmem.addr -> lines:Lineset.t -> reopen:bool -> unit;
       (** make the FASE's data ([lines], then emptied, or the page
           copies) durable; [reopen] when the FASE goes on *)
+  recovery : recovery;
 }
 
 val make : ?fault:fault -> Scheme.t -> t

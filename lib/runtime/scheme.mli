@@ -3,9 +3,10 @@
     hook placement rules of Sec. IV.  The instrumentation pass places
     hooks from these fields alone; the linter, the optimizer, the crash
     engine and the fuzzer read them too instead of matching on the
-    scheme.  What the runtime does at each hook is the scheme's
-    {!Protocol}, which the VM runs and the linter's hook models are
-    recorded from; recovery still dispatches on {!t}. *)
+    scheme.  What the runtime does at each hook, and how its recovery
+    reads the logs back, is the scheme's {!Protocol}, which the VM runs
+    and the linter's hook models are recorded from; {!Protocol.make} is
+    the one runtime function that matches on {!t}. *)
 
 type t =
   | Ido  (** this paper: resumption at idempotent-region granularity *)

@@ -1,6 +1,7 @@
-(** Post-crash recovery, dispatched on the machine's scheme
-    (Sec. III-C for iDO; each baseline per its published algorithm).
-    Driven through {!Vm.recover}. *)
+(** Post-crash recovery (Sec. III-C for iDO; each baseline per its
+    published algorithm): one driver that runs the recovery half of the
+    machine's protocol record ({!Ido_runtime.Protocol.recovery}), never
+    naming a scheme.  Driven through {!Vm.recover}. *)
 
 open Ido_util
 open Ido_runtime
@@ -19,11 +20,13 @@ type stats = {
 }
 
 val atlas_base_ns : Timebase.ns
-(** Atlas's fixed recovery cost: process restart and log discovery. *)
+(** The rollback schemes' fixed recovery cost, Atlas's included:
+    process restart and log discovery. *)
 
 val atlas_per_record_ns : Timebase.ns
-(** Atlas's recovery cost per scanned UNDO record (happens-before graph
-    and sort); Table I extrapolates longer kill times with it. *)
+(** {!Ido_runtime.Protocol.atlas_per_record_ns}: Atlas's recovery cost
+    per scanned UNDO record; Table I extrapolates longer kill times with
+    it. *)
 
 val recover : State.t -> stats
 (** Run the scheme's recovery against the current persistent image;

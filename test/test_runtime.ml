@@ -305,6 +305,12 @@ let prop_undo_records_roundtrip =
 (* ------------------------------------------------------------------ *)
 (* Atlas recovery: rollback with happens-before propagation *)
 
+(* Atlas's rollback, as recovery runs it. *)
+let atlas_recover w region =
+  match (Protocol.make Scheme.Atlas).recovery with
+  | Protocol.Rollback roll_back -> roll_back ~step:ignore w region
+  | Protocol.No_recovery | Protocol.Resume _ -> Alcotest.fail "Atlas recovery is a rollback"
+
 let test_atlas_rollback_propagates () =
   let pm, region, w = mk () in
   (* Thread A: begins a FASE, writes addr 100 (old 0), releases lock 9
@@ -322,9 +328,9 @@ let test_atlas_rollback_propagates () =
   Undo_log.log_write w b ~addr:200 ~old:0L ~seq:6;
   Pwriter.store w 200 222L;
   Undo_log.append w b Undo_log.Fase_end ~a:0L ~b:0L ~seq:7;
-  let st = Atlas_recovery.recover w region in
-  Alcotest.(check int) "both FASEs rolled back" 2 st.Atlas_recovery.fases_rolled_back;
-  Alcotest.(check int) "both writes undone" 2 st.Atlas_recovery.writes_undone;
+  let st = atlas_recover w region in
+  Alcotest.(check int) "both FASEs rolled back" 2 st.Protocol.fases_rolled_back;
+  Alcotest.(check int) "both writes undone" 2 st.Protocol.writes_undone;
   Alcotest.(check int64) "A's write reverted" 0L (Pmem.load pm 100);
   Alcotest.(check int64) "B's write reverted" 0L (Pmem.load pm 200)
 
@@ -343,8 +349,8 @@ let test_atlas_independent_fase_survives () =
   Pwriter.store w 200 222L;
   Undo_log.append w b Undo_log.Release ~a:8L ~b:0L ~seq:7;
   Undo_log.append w b Undo_log.Fase_end ~a:0L ~b:0L ~seq:8;
-  let st = Atlas_recovery.recover w region in
-  Alcotest.(check int) "only A rolled back" 1 st.Atlas_recovery.fases_rolled_back;
+  let st = atlas_recover w region in
+  Alcotest.(check int) "only A rolled back" 1 st.Protocol.fases_rolled_back;
   Alcotest.(check int64) "A reverted" 0L (Pmem.load pm 100);
   Alcotest.(check int64) "B preserved" 222L (Pmem.load pm 200)
 
@@ -358,7 +364,7 @@ let test_atlas_undo_order () =
   Pwriter.store w 100 10L;
   Undo_log.log_write w a ~addr:100 ~old:10L ~seq:3;
   Pwriter.store w 100 20L;
-  ignore (Atlas_recovery.recover w region);
+  ignore (atlas_recover w region);
   Alcotest.(check int64) "original value restored" 5L (Pmem.load pm 100)
 
 (* The list-based undo recovery that {!Atlas_recovery} replaced, kept
@@ -445,7 +451,8 @@ module Reference = struct
       writes;
     List.length writes
 
-  let recover_atlas w region : Atlas_recovery.stats =
+  (* The simulated time spent is left in [w], as in recovery. *)
+  let recover_atlas w region : Protocol.counts =
     let pm = Pwriter.pmem w in
     let nodes = ref [] in
     Lognode.iter pm region (fun a ->
@@ -466,13 +473,13 @@ module Reference = struct
     if undone > 0 then Pwriter.fence w;
     List.iter (fun node -> Undo_log.reset w node) !nodes;
     {
+      Protocol.zero with
       records_scanned = !records_scanned;
       fases_rolled_back = Array.fold_left (fun n b -> if b then n + 1 else n) 0 rolled;
       writes_undone = undone;
-      cost = Pwriter.take_cost w;
     }
 
-  (* recover.ml's NVML branch: returns (records scanned, writes undone,
+  (* NVML's rollback: returns (records scanned, writes undone,
      regions rolled back). *)
   let recover_nvml w region =
     let pm = Pwriter.pmem w in
